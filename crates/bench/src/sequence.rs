@@ -13,7 +13,9 @@ use gpu_sim::tiles::Tiling;
 use gsplat::camera::CameraPath;
 use gsplat::index::{CullState, CullStats, SceneIndex};
 use gsplat::math::Vec3;
-use gsplat::preprocess::{preprocess_into_indexed, preprocess_into_temporal, PreprocessScratch};
+use gsplat::preprocess::{
+    preprocess_frame, PreprocessMode, PreprocessRequest, PreprocessScratch, PreprocessStats,
+};
 use gsplat::scene::EVALUATED_SCENES;
 use gsplat::sort::{depth_key, radix_argsort_into, IncrementalSorter, SortScratch};
 use gsplat::stream::FragmentKernel;
@@ -85,6 +87,34 @@ pub struct PreprocessMeasurement {
     pub cull: CullStats,
 }
 
+/// One solo indexed frame: a round of one camera on `cull`, then its
+/// emission.
+fn indexed_frame(
+    scene: &gsplat::Scene,
+    cam: &gsplat::Camera,
+    policy: ThreadPolicy,
+    index: &SceneIndex,
+    cull: &mut CullState,
+    scratch: &mut PreprocessScratch,
+    out: &mut Vec<gsplat::Splat>,
+) -> PreprocessStats {
+    cull.begin_round(index, std::slice::from_ref(cam));
+    let request = PreprocessRequest::new(policy, PreprocessMode::Indexed { index, cull });
+    preprocess_frame(scene, cam, request, scratch, out)
+}
+
+/// One full-sweep frame with the warm-started temporal sort.
+fn temporal_frame(
+    scene: &gsplat::Scene,
+    cam: &gsplat::Camera,
+    policy: ThreadPolicy,
+    scratch: &mut PreprocessScratch,
+    out: &mut Vec<gsplat::Splat>,
+) -> PreprocessStats {
+    let request = PreprocessRequest::new(policy, PreprocessMode::Temporal);
+    preprocess_frame(scene, cam, request, scratch, out)
+}
+
 /// Measures incremental (spatially indexed) vs full preprocessing over a
 /// coherent flythrough. **Parity-gated**: before timing, every frame's
 /// indexed output (stats and the full splat stream) is asserted bit-exact
@@ -109,7 +139,7 @@ pub fn measure_preprocess(spec_index: usize, scale: f32, frames: usize) -> Prepr
     let mut indexed = Vec::new();
     let mut full = Vec::new();
     for (i, cam) in cams.iter().enumerate() {
-        let a = preprocess_into_indexed(
+        let a = indexed_frame(
             &scene,
             cam,
             policy,
@@ -118,7 +148,7 @@ pub fn measure_preprocess(spec_index: usize, scale: f32, frames: usize) -> Prepr
             &mut s_idx,
             &mut indexed,
         );
-        let b = preprocess_into_temporal(&scene, cam, policy, &mut s_full, &mut full);
+        let b = temporal_frame(&scene, cam, policy, &mut s_full, &mut full);
         assert_eq!(a, b, "{}: frame {i} stats diverged", spec.name);
         assert_eq!(
             indexed, full,
@@ -148,7 +178,7 @@ pub fn measure_preprocess(spec_index: usize, scale: f32, frames: usize) -> Prepr
         let mut cull = CullState::default();
         let mut scratch = PreprocessScratch::default();
         for cam in &cams {
-            preprocess_into_indexed(
+            indexed_frame(
                 &scene,
                 cam,
                 policy,
@@ -163,7 +193,7 @@ pub fn measure_preprocess(spec_index: usize, scale: f32, frames: usize) -> Prepr
         let t0 = Instant::now();
         let mut scratch = PreprocessScratch::default();
         for cam in &cams {
-            preprocess_into_temporal(&scene, cam, policy, &mut scratch, &mut full);
+            temporal_frame(&scene, cam, policy, &mut scratch, &mut full);
         }
         full_ms = full_ms.min(t0.elapsed().as_secs_f64() * 1e3);
 

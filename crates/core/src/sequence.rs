@@ -26,14 +26,11 @@ use std::sync::{Arc, OnceLock};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::stats::PipelineStats;
 use gpu_sim::tiles::Tiling;
-use gsplat::batch::BatchCullState;
 use gsplat::camera::{Camera, CameraPath};
 use gsplat::framebuffer::{ColorBuffer, DepthStencilBuffer};
 use gsplat::index::{cloud_fingerprint, CullState, CullStats, SceneIndex};
 use gsplat::preprocess::{
-    preprocess_into_clamped, preprocess_into_indexed_batched_clamped,
-    preprocess_into_indexed_clamped, preprocess_into_temporal_clamped, PreprocessScratch,
-    PreprocessStats,
+    preprocess_frame, PreprocessMode, PreprocessRequest, PreprocessScratch, PreprocessStats,
 };
 use gsplat::scene::Scene;
 use gsplat::sort::ResortStats;
@@ -214,14 +211,12 @@ pub struct Session {
     /// per-scene data behind an `Arc`, while everything else in the
     /// session is per-stream state.
     index: Option<Arc<SceneIndex>>,
-    /// Temporal culling state paired with `index` — always owned by this
-    /// session, never shared: per-frame classification and the
-    /// epoch-tagged covariance cache follow *this* stream's camera.
+    /// Temporal culling state paired with `index`: per-round
+    /// classification and the epoch-tagged covariance cache follow *this*
+    /// stream's cameras. A solo frame is a round of one; a stereo pair
+    /// ([`Session::render_stereo_pair`]) or a served batch this session
+    /// leads is a round of several.
     cull: CullState,
-    /// Batch state for [`Session::render_stereo_pair`]: the two eyes of a
-    /// stereo pair are guaranteed to share the translation bound, so they
-    /// share one classification pass and one covariance cache per pair.
-    pair_batch: BatchCullState,
     /// Simulated-pipeline draw scratch, reused across frames and
     /// [`Session::run_vrpipe`] calls.
     draw: DrawScratch,
@@ -258,18 +253,19 @@ impl Session {
         self.pre.resort_stats()
     }
 
-    /// Counters of the incremental (indexed) preprocess across the frames
-    /// run so far — cells and Gaussians skipped, refreshed, re-projected.
+    /// Counters of the incremental (indexed) preprocess across the rounds
+    /// this session's [`CullState`] ran so far — cells and Gaussians
+    /// skipped, refreshed, re-projected. Cell counters advance once per
+    /// round, so a stereo pair rendered as one round counts its cells
+    /// once.
     pub fn cull_stats(&self) -> CullStats {
         self.cull.stats()
     }
 
-    /// Counters of the stereo-pair batch rounds run so far through
-    /// [`Session::render_stereo_pair`] (all zero until a pair actually
-    /// batched; solo-path fallbacks accumulate into [`Session::cull_stats`]
-    /// instead).
-    pub fn pair_batch_stats(&self) -> CullStats {
-        self.pair_batch.stats()
+    /// This session's own cull state — the serve scheduler borrows it out
+    /// for a round of several cameras this stream leads.
+    pub(crate) fn cull_mut(&mut self) -> &mut CullState {
+        &mut self.cull
     }
 
     /// Forgets the temporal warm start: the sorter's warm-start order and
@@ -282,7 +278,6 @@ impl Session {
     pub fn invalidate_temporal(&mut self) {
         self.pre.invalidate_temporal();
         self.cull.invalidate();
-        self.pair_batch.invalidate();
     }
 
     /// Drops the cached spatial index (call when the scene's Gaussians
@@ -291,7 +286,6 @@ impl Session {
     pub fn invalidate_index(&mut self) {
         self.index = None;
         self.cull = CullState::default();
-        self.pair_batch = BatchCullState::default();
     }
 
     /// The spatial index this session currently holds — its own or a
@@ -369,104 +363,82 @@ impl Session {
         self.render_frame_inner(scene, cfg, index, None, render)
     }
 
-    /// [`Session::render_frame`] as one member of a cross-stream batch:
-    /// preprocessing replays `batch`'s shared classification pass and
-    /// covariance cache instead of this session's own [`CullState`]. The
-    /// caller owns the round protocol — `batch.begin_round` must have run
-    /// over a camera group this frame's camera belongs to (the
-    /// [`crate::serve`] scheduler and [`Session::render_stereo_pair`] do
-    /// this). Emitted frames are bit-exact with the solo
-    /// [`Session::render_frame`].
+    /// [`Session::render_frame`] as one member of a round of several
+    /// cameras: preprocessing replays `round`'s shared classification pass
+    /// and covariance cache instead of running a round of one on this
+    /// session's own [`CullState`]. The caller owns the round protocol —
+    /// `round.begin_round` must have run over a camera group this frame's
+    /// camera belongs to (the [`crate::serve`] scheduler and
+    /// [`Session::render_stereo_pair`] do this), and `FrameInput::cull`
+    /// reports only this member's emission counters. Emitted frames are
+    /// bit-exact with the solo [`Session::render_frame`].
     ///
     /// # Panics
     ///
     /// Panics when `cfg.indexed` is unset, no index was prepared, or the
-    /// camera falls outside the batch round (see
-    /// [`gsplat::preprocess::preprocess_into_indexed_batched`]).
+    /// camera falls outside the round (see
+    /// [`gsplat::preprocess::preprocess_frame`]).
     // vrlint: hot
     pub fn render_frame_batched<R>(
         &mut self,
         scene: &Scene,
         cfg: &SequenceConfig,
         index: usize,
-        batch: &mut BatchCullState,
+        round: &mut CullState,
         render: impl FnOnce(FrameInput<'_>) -> R,
     ) -> R {
         assert!(
             cfg.indexed,
             "batched render requires an indexed sequence config"
         );
-        self.render_frame_inner(scene, cfg, index, Some(batch), render)
+        self.render_frame_inner(scene, cfg, index, Some(round), render)
     }
 
+    /// The body of [`Session::render_frame`] (`round: None`, a round of
+    /// one on this session's own [`CullState`]) and
+    /// [`Session::render_frame_batched`] (`Some(round)`).
     // vrlint: hot
-    fn render_frame_inner<R>(
+    pub(crate) fn render_frame_inner<R>(
         &mut self,
         scene: &Scene,
         cfg: &SequenceConfig,
         index: usize,
-        batch: Option<&mut BatchCullState>,
+        round: Option<&mut CullState>,
         render: impl FnOnce(FrameInput<'_>) -> R,
     ) -> R {
         let camera = cfg
             .path
             .camera(index, cfg.frames, cfg.width, cfg.height, cfg.fov_y);
-        let (preprocess, cull) = match batch {
-            Some(batch) => {
-                let before = batch.stats();
-                let preprocess = preprocess_into_indexed_batched_clamped(
-                    scene,
-                    &camera,
-                    self.policy,
-                    self.index
-                        .as_ref()
-                        // vrlint: allow(VL01, reason = "documented precondition: prepare()/prepare_shared() builds the index before any indexed frame")
-                        .expect("indexed sequence: call prepare()/prepare_shared() first"),
-                    batch,
-                    &mut self.pre,
-                    &mut self.splats,
-                    cfg.max_sh_degree,
-                );
-                (preprocess, batch.stats().delta_since(&before))
+        let solo = round.is_none();
+        let cull = round.unwrap_or(&mut self.cull);
+        // A solo frame snapshots before its own round of one, so its
+        // `FrameInput::cull` covers the classification pass it paid for.
+        let cull_before = cull.stats();
+        let mode = if cfg.indexed || !solo {
+            let index = self
+                .index
+                .as_deref()
+                // vrlint: allow(VL01, reason = "documented precondition: prepare()/prepare_shared() builds the index before any indexed frame")
+                .expect("indexed sequence: call prepare()/prepare_shared() first");
+            if solo {
+                cull.begin_round(index, std::slice::from_ref(&camera));
             }
-            None => {
-                let cull_before = self.cull.stats();
-                let preprocess = if cfg.indexed {
-                    preprocess_into_indexed_clamped(
-                        scene,
-                        &camera,
-                        self.policy,
-                        self.index
-                            .as_ref()
-                            // vrlint: allow(VL01, reason = "documented precondition: prepare()/prepare_shared() builds the index before any indexed frame")
-                            .expect("indexed sequence: call prepare()/prepare_shared() first"),
-                        &mut self.cull,
-                        &mut self.pre,
-                        &mut self.splats,
-                        cfg.max_sh_degree,
-                    )
-                } else if cfg.temporal {
-                    preprocess_into_temporal_clamped(
-                        scene,
-                        &camera,
-                        self.policy,
-                        &mut self.pre,
-                        &mut self.splats,
-                        cfg.max_sh_degree,
-                    )
-                } else {
-                    preprocess_into_clamped(
-                        scene,
-                        &camera,
-                        self.policy,
-                        &mut self.pre,
-                        &mut self.splats,
-                        cfg.max_sh_degree,
-                    )
-                };
-                (preprocess, self.cull.stats().delta_since(&cull_before))
+            PreprocessMode::Indexed {
+                index,
+                cull: &mut *cull,
             }
+        } else if cfg.temporal {
+            PreprocessMode::Temporal
+        } else {
+            PreprocessMode::Full
         };
+        let request = PreprocessRequest {
+            policy: self.policy,
+            max_sh_degree: cfg.max_sh_degree,
+            mode,
+        };
+        let preprocess = preprocess_frame(scene, &camera, request, &mut self.pre, &mut self.splats);
+        let cull = cull.stats().delta_since(&cull_before);
         if self.build_stream {
             self.stream.rebuild_from(&self.splats);
         } else {
@@ -515,8 +487,8 @@ impl Session {
         self.render_frame_vrpipe_inner(scene, cfg, index, gpu, variant, None)
     }
 
-    /// [`Session::render_frame_vrpipe`] as one member of a cross-stream
-    /// batch — the hardware-pipeline counterpart of
+    /// [`Session::render_frame_vrpipe`] as one member of a round of
+    /// several cameras — the hardware-pipeline counterpart of
     /// [`Session::render_frame_batched`], with the same round protocol and
     /// bit-exactness guarantee.
     // vrlint: hot
@@ -527,25 +499,25 @@ impl Session {
         index: usize,
         gpu: &GpuConfig,
         variant: PipelineVariant,
-        batch: &mut BatchCullState,
+        round: &mut CullState,
     ) -> Result<SequenceFrameRecord, DrawError> {
         assert!(
             cfg.indexed,
             "batched render requires an indexed sequence config"
         );
-        self.render_frame_vrpipe_inner(scene, cfg, index, gpu, variant, Some(batch))
+        self.render_frame_vrpipe_inner(scene, cfg, index, gpu, variant, Some(round))
     }
 
     /// Renders stereo pair `pair` — frames `2*pair` (left eye) and
     /// `2*pair + 1` (right eye) — through the simulated hardware pipeline.
     /// On an indexed stereo sequence the two eyes provably share the
     /// translation bound ([`Camera::is_translation_of`]), so the pair runs
-    /// as a two-member batch: one cell-classification pass and one
-    /// covariance-cache replay serve both eyes through the session's
-    /// [`BatchCullState`]. When the bound does not hold (or the sequence is
-    /// not indexed) both eyes take the exact solo path instead — either
-    /// way, every returned frame is bit-exact with
-    /// [`Session::render_frame_vrpipe`] on the same frame index.
+    /// as one two-camera round on the session's [`CullState`]: one
+    /// cell-classification pass and one covariance-cache replay serve both
+    /// eyes. When the bound does not hold (or the sequence is not indexed)
+    /// each eye is its own round of one instead — either way, every
+    /// returned frame is bit-exact with [`Session::render_frame_vrpipe`]
+    /// on the same frame index.
     pub fn render_stereo_pair(
         &mut self,
         scene: &Scene,
@@ -571,25 +543,28 @@ impl Session {
                 return Ok((a, b));
             }
         };
-        // Take the batch state out so the frame calls can borrow `self`
+        // Take the cull state out so the frame calls can borrow `self`
         // mutably; restored below even when a frame errors.
-        let mut batch = std::mem::take(&mut self.pair_batch);
-        batch.begin_round(&index, &[left, right]);
-        let a = self.render_frame_vrpipe_inner(scene, cfg, l, gpu, variant, Some(&mut batch));
-        let b = self.render_frame_vrpipe_inner(scene, cfg, r, gpu, variant, Some(&mut batch));
-        self.pair_batch = batch;
+        let mut round = std::mem::take(&mut self.cull);
+        round.begin_round(&index, &[left, right]);
+        let a = self.render_frame_vrpipe_inner(scene, cfg, l, gpu, variant, Some(&mut round));
+        let b = self.render_frame_vrpipe_inner(scene, cfg, r, gpu, variant, Some(&mut round));
+        self.cull = round;
         Ok((a?, b?))
     }
 
+    /// The body of [`Session::render_frame_vrpipe`] and
+    /// [`Session::render_frame_vrpipe_batched`], as
+    /// [`Session::render_frame_inner`].
     // vrlint: hot
-    fn render_frame_vrpipe_inner(
+    pub(crate) fn render_frame_vrpipe_inner(
         &mut self,
         scene: &Scene,
         cfg: &SequenceConfig,
         index: usize,
         gpu: &GpuConfig,
         variant: PipelineVariant,
-        batch: Option<&mut BatchCullState>,
+        round: Option<&mut CullState>,
     ) -> Result<SequenceFrameRecord, DrawError> {
         gpu.validate().map_err(DrawError::InvalidConfig)?;
         // Take the session-owned backend state out so the frame closure
@@ -631,7 +606,7 @@ impl Session {
                 tiles
             }
         };
-        let record = self.render_frame_inner(scene, cfg, index, batch, |f| {
+        let record = self.render_frame_inner(scene, cfg, index, round, |f| {
             let stats =
                 try_draw_in_place(f.splats, gpu, variant, &mut color, &mut ds, &mut scratch)?;
             let retired_tile_ratio = if tiles > 0.0 {
@@ -1077,11 +1052,15 @@ mod tests {
                 assert_eq!(got.preprocess, want.preprocess, "frame {}", want.index);
             }
         }
-        // Every pair took the batched path: the pair batch saw all 8
-        // frames, and the per-stream solo cull state saw none.
-        let ps = paired.pair_batch_stats();
+        // Every pair took one two-camera round: the cull state saw all 8
+        // frames but classified cells once per pair, where the solo
+        // session classified them once per frame.
+        let cells = paired.scene_index().unwrap().cell_count() as u64;
+        let classified = |s: CullStats| s.cells_skipped + s.cells_refreshed + s.cells_reprojected;
+        let ps = paired.cull_stats();
         assert_eq!(ps.frames, cfg.frames as u64);
-        assert_eq!(paired.cull_stats().frames, 0);
+        assert_eq!(classified(ps), cells * cfg.frames as u64 / 2);
+        assert_eq!(classified(solo.cull_stats()), cells * cfg.frames as u64);
         // Batching must actually share covariance work: with one
         // classification round per pair, the second eye replays the
         // first eye's cache.
@@ -1103,8 +1082,9 @@ mod tests {
             .render_stereo_pair(&scene, &orbit, 1, &gpu, PipelineVariant::HetQm)
             .unwrap();
         assert_eq!((a.index, b.index), (2, 3));
-        assert_eq!(fallback.pair_batch_stats().frames, 0);
-        assert_eq!(fallback.cull_stats().frames, 2);
+        let fs = fallback.cull_stats();
+        assert_eq!(fs.frames, 2);
+        assert_eq!(classified(fs), cells * 2, "one round of one per eye");
     }
 
     #[test]

@@ -54,10 +54,10 @@
 //! plan targeting *other* streams, because the scheduler moves only
 //! *whole frames* and every piece of mutable state a frame touches is
 //! owned by exactly one stream: the sorter warm start, the
-//! [`gsplat::index::CullState`] (classification + covariance cache) and
-//! the backend's targets all live in that stream's session, each stream's
-//! frames run in order with at most one in flight, and the shared scene
-//! and [`SceneIndex`] are immutable. Faults are injected *before* the
+//! [`CullState`] (classification + covariance cache) and the backend's
+//! targets all live in that stream's session, each stream's frames run
+//! in order with at most one in flight, and the shared scene and
+//! [`SceneIndex`] are immutable. Faults are injected *before* the
 //! frame renders, so a faulted attempt never half-mutates session state;
 //! dropped frames are never rendered at all, and the warm-start/cull
 //! machinery is bit-exact regardless of which frames preceded (enforced
@@ -93,21 +93,20 @@
 //! dispatch: the picked leader's [`Camera::group_key`] filters
 //! candidates in O(M), [`Camera::is_translation_of`] confirms each
 //! member bit-for-bit, and stereo eye pairs always batch (an even-frame
-//! stereo stream contributes both eyes to one round). A ≥2-member round
-//! runs as **one** pool task over one shared
-//! [`BatchCullState`]: one widened cell-classification pass and one
-//! cached `W·Σ·Wᵀ` replay serve every member, then each member renders
-//! its own frame through [`Session::render_frame_batched`] /
-//! [`Session::render_frame_vrpipe_batched`] with its own fault seam,
-//! retry loop, panic containment and completion message. Emitted splat
-//! streams are pure functions of per-Gaussian outcomes — widened
-//! verdicts only migrate toward `Boundary`, never flip emission — so
-//! every batched frame is bit-exact with its solo session, and a
+//! stereo stream contributes both eyes to one round). Every dispatch is
+//! a round run as **one** pool task; a solo frame is a round of one. A
+//! round of several borrows the leader stream's own [`CullState`]: one
+//! widened cell-classification pass and one cached `W·Σ·Wᵀ` replay serve
+//! every member, then each member renders its own frame with its own
+//! fault seam, retry loop, panic containment and completion message.
+//! Emitted splat streams are pure functions of per-Gaussian outcomes —
+//! widened verdicts only migrate toward `Boundary`, never flip emission —
+//! so every batched frame is bit-exact with its solo session, and a
 //! faulting member never perturbs its batch-mates' bits (a partial
 //! covariance-cache write is a pure function of the leader orientation,
-//! identical no matter which member computed it). Unprovable deltas
-//! (and non-indexed streams) fall back to the exact per-stream dispatch
-//! path. [`ServeReport::batch`] records the round/occupancy accounting.
+//! identical no matter which member computed it). Unprovable deltas (and
+//! non-indexed streams) form rounds of one. [`ServeReport::batch`]
+//! records the round/occupancy accounting.
 //!
 //! [`Camera::group_key`]: gsplat::camera::Camera::group_key
 //! [`Camera::is_translation_of`]: gsplat::camera::Camera::is_translation_of
@@ -126,10 +125,10 @@ use std::time::{Duration, Instant};
 use gsplat::asset::{self, AssetError, LoadPolicy};
 
 use gpu_sim::config::GpuConfig;
-use gsplat::batch::BatchCullState;
 use gsplat::camera::{Camera, CameraPath};
-use gsplat::index::CullStats;
+use gsplat::index::{CullState, CullStats};
 use gsplat::par::{panic_message, WorkerPool};
+use gsplat::scene::Scene;
 use gsplat::sort::ResortStats;
 use gsplat::ThreadPolicy;
 
@@ -602,8 +601,8 @@ struct StreamState<R> {
 struct Sched<R> {
     phase: StreamPhase,
     busy: bool,
-    /// Frames of this stream currently in flight (0 or 1 on the solo
-    /// path; a stereo self-pair dispatches 2). `busy` is maintained as
+    /// Frames of this stream currently in flight (0 or 1 for rounds of
+    /// one; a stereo self-pair dispatches 2). `busy` is maintained as
     /// `in_flight_frames > 0`.
     in_flight_frames: usize,
     /// Frames of this stream delivered by ≥2-member batch rounds.
@@ -700,7 +699,7 @@ struct StreamEntry<R> {
     /// Scheduler-side clone of the per-rung derived configurations
     /// (always non-empty; index 0 is the base). Batch formation computes
     /// candidate cameras from these without touching the stream's mutex
-    /// — the expression is the one [`Session::render_frame_batched`]
+    /// — the expression is the one [`Session::render_frame`]
     /// evaluates, so the bits match and membership proofs hold.
     cam_cfgs: Vec<SequenceConfig>,
     /// Session-lifetime counter baseline at the start of the current run.
@@ -950,11 +949,11 @@ pub struct ServeReport<R> {
 /// Batch-round accounting of one [`Server::run`] under
 /// [`Server::with_batching`]. A *round* is one dispatch by a
 /// batch-eligible leader (an indexed stream on a batching server);
-/// rounds that found no provable batch-mate fall back to the exact solo
-/// dispatch path and are counted in `solo_frames`.
+/// rounds that found no provable batch-mate are rounds of one, counted in
+/// `solo_frames`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Batch-eligible dispatch rounds (batched + fallen-back).
+    /// Batch-eligible dispatch rounds (batched + rounds of one).
     pub rounds: usize,
     /// Rounds that dispatched ≥2 members as one widened pass.
     pub batched_rounds: usize,
@@ -971,7 +970,7 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Fraction of eligible rounds that fell back to the solo path
+    /// Fraction of eligible rounds that found no batch-mate
     /// (0.0 when no eligible round was dispatched).
     pub fn fallback_ratio(&self) -> f64 {
         if self.rounds == 0 {
@@ -1090,12 +1089,6 @@ pub struct Server<R> {
     brownout_ms: Option<f64>,
     /// Cross-stream batched preprocessing ([`Server::with_batching`]).
     batching: bool,
-    /// One persistent [`BatchCullState`] per camera group key, so the
-    /// cross-round covariance replay survives between rounds and runs
-    /// (the leader orientation per key is constant). A `Vec` scan, not a
-    /// hash map: lookups are per dispatch round, fleets are small, and
-    /// iteration stays deterministic.
-    batches: Vec<(u64, Arc<Mutex<BatchCullState>>)>,
     /// Batch-round accounting for the current run (drained into the
     /// report).
     batch: BatchStats,
@@ -1147,7 +1140,6 @@ impl<R: Send + 'static> Server<R> {
             watchdog_k: 4.0,
             brownout_ms: None,
             batching: false,
-            batches: Vec::new(),
             batch: BatchStats::default(),
             streams: Vec::new(),
             scene_epoch: 0,
@@ -1190,11 +1182,12 @@ impl<R: Send + 'static> Server<R> {
     /// [`Camera::group_key`]) — stereo eye pairs always batch — and runs
     /// the whole group as one widened classification pass plus one
     /// covariance replay. Every batched frame stays bit-exact with its
-    /// solo session; frames whose deltas are not provable fall back to
-    /// the exact per-stream path. Off by default because batched frames
-    /// account their culling work in [`ServeReport::batch`] (one shared
-    /// pass has no meaningful per-stream attribution), so per-stream
-    /// [`StreamReport::cull`] counters read zero for them.
+    /// solo session; frames whose deltas are not provable are rounds of
+    /// one, exactly as on an unbatched server. Off by default because a
+    /// batched round's culling work runs on the leader stream's cull
+    /// state, so its counters accrue to the leader's
+    /// [`StreamReport::cull`] and batch-mates' read zero for those frames;
+    /// [`ServeReport::batch`] accounts the rounds themselves.
     ///
     /// [`Camera::group_key`]: gsplat::camera::Camera::group_key
     /// [`Camera::is_translation_of`]: gsplat::camera::Camera::is_translation_of
@@ -1522,8 +1515,7 @@ impl<R: Send + 'static> Server<R> {
         let mut stray = 0usize;
         self.pump(&mut stray);
         debug_assert_eq!(stray, 0, "no live dispatches outside run()");
-        // Fresh per-run batch accounting; `self.batches` (the cull/
-        // covariance state itself) persists so replay spans runs.
+        // Fresh per-run batch accounting.
         self.batch = BatchStats::default();
         for e in &mut self.streams {
             if e.needs_reset {
@@ -1594,32 +1586,33 @@ impl<R: Send + 'static> Server<R> {
         }
     }
 
-    /// Fills the pool with ready frames: batch rounds when batching is
-    /// on and membership is provable, the exact solo path otherwise.
+    /// Fills the pool with ready frames, one round per pool task. A round
+    /// has one member unless batching is on, the picked stream is
+    /// indexed, and batch-mates are provable.
     fn dispatch_ready(&mut self, in_flight: &mut usize, workers: usize) {
         while *in_flight < workers {
             let Some(k) = self.pick() else { break };
-            if self.batching && self.streams[k].indexed {
-                let members = self.form_batch(k);
-                let m = members.len();
-                self.batch.rounds += 1;
-                if self.batch.occupancy.len() < m {
-                    self.batch.occupancy.resize(m, 0);
-                }
-                self.batch.occupancy[m - 1] += 1;
-                if m >= 2 {
-                    self.batch.batched_rounds += 1;
-                    self.batch.batched_frames += m;
-                    self.dispatch_batch(members, in_flight);
-                    continue;
-                }
-                // No provable batch-mate: fall back to the exact
-                // per-stream path (per-stream CullState, per-stream cull
-                // accounting) — the fallback the bit-exactness argument
-                // demands for unprovable deltas.
+            if !(self.batching && self.streams[k].indexed) {
+                let frame = self.streams[k].sched.cursor;
+                self.dispatch(vec![(k, frame)], in_flight);
+                continue;
+            }
+            let members = self.form_batch(k);
+            let m = members.len();
+            self.batch.rounds += 1;
+            if self.batch.occupancy.len() < m {
+                self.batch.occupancy.resize(m, 0);
+            }
+            self.batch.occupancy[m - 1] += 1;
+            if m >= 2 {
+                self.batch.batched_rounds += 1;
+                self.batch.batched_frames += m;
+            } else {
+                // No provable batch-mate: the frame is its own round of
+                // one, exactly as on an unbatched server.
                 self.batch.solo_frames += 1;
             }
-            self.dispatch_solo(k, in_flight);
+            self.dispatch(members, in_flight);
         }
     }
 
@@ -1706,30 +1699,19 @@ impl<R: Send + 'static> Server<R> {
         }
     }
 
-    /// Dispatches one ≥2-member round as a single pool task: one widened
-    /// classification pass plus one covariance replay in the round's
-    /// persistent [`BatchCullState`] serves every member, then each
-    /// member frame renders through its own fault seam, retry loop and
-    /// panic containment and sends its own completion — a faulting
-    /// member fails only its own stream.
-    fn dispatch_batch(&mut self, members: Vec<(usize, usize)>, in_flight: &mut usize) {
+    /// Dispatches one round — `members[0]` is the leader — as a single
+    /// pool task. Each member frame runs lock → rebind → fault seam →
+    /// retry → `catch_unwind` ([`render_member`]) and sends its own
+    /// completion, so a faulting member fails only its own stream. A round
+    /// of one renders through its stream's session, which runs the frame
+    /// as a round of one on its own [`CullState`]; a round of several
+    /// borrows the **leader** stream's `CullState` for one widened
+    /// classification pass and one covariance replay serving every member,
+    /// and the round's cull counters accrue to the leader's session.
+    fn dispatch(&mut self, members: Vec<(usize, usize)>, in_flight: &mut usize) {
         let now = Instant::now();
-        // One persistent batch state per camera group key: the leader
-        // orientation per key is constant, so the covariance cache
-        // replays across rounds and across runs.
-        let key = match members.first().and_then(|&(k, f)| self.stream_camera(k, f)) {
-            Some(cam) => cam.group_key(),
-            None => return, // unreachable: formation proved the leader
-        };
-        let batch_state = match self.batches.iter().find(|(k, _)| *k == key) {
-            Some((_, s)) => Arc::clone(s),
-            None => {
-                let s = Arc::new(Mutex::new(BatchCullState::default()));
-                self.batches.push((key, Arc::clone(&s)));
-                s
-            }
-        };
-        let mut tasks: Vec<BatchMember<R>> = Vec::with_capacity(members.len());
+        let batched = members.len() >= 2;
+        let mut tasks: Vec<RoundMember<R>> = Vec::with_capacity(members.len());
         for &(k, frame) in &members {
             let e = &mut self.streams[k];
             e.sched.cursor = frame + 1;
@@ -1737,22 +1719,28 @@ impl<R: Send + 'static> Server<R> {
             e.sched.in_flight_frames += 1;
             e.sched.dispatched_at = Some(now);
             *in_flight += 1;
+            // The rung is latched here, between dispatches — the task
+            // renders this whole frame at one rung, and hysteresis or
+            // brownout can only move the *next* frame.
             e.sched.rung = e.sched.rung.min(e.rung_count.saturating_sub(1));
             // Scene-epoch fence, latched on the stream's first member of
-            // the round.
+            // the round: a stream that trails a successful reload re-binds
+            // inside its own lock before this frame renders.
             let rebind = e.scene_epoch != self.scene_epoch;
             e.scene_epoch = self.scene_epoch;
-            tasks.push(BatchMember {
+            tasks.push(RoundMember {
                 id: e.id,
                 frame,
                 rung: e.sched.rung as u8,
                 generation: e.sched.generation,
                 rebind,
+                indexed: e.indexed,
                 state: Arc::clone(&e.state),
             });
         }
         let shared = Arc::clone(&self.shared);
         let tx = self.tx.clone();
+        // Run-to-completion round task.
         self.pool.submit(move || {
             // One Complete guard per member, created before anything can
             // fail: exactly one Done per dispatched frame even if this
@@ -1766,13 +1754,13 @@ impl<R: Send + 'static> Server<R> {
                     generation: m.generation,
                     frame: m.frame,
                     rung: m.rung,
-                    batched: true,
+                    batched,
                     msg: None,
                 })
                 .collect();
             let t0 = Instant::now();
             // Lock every distinct member stream in ascending stream-id
-            // order — a total order shared by every batch task, so
+            // order — a total order shared by every round task, so
             // concurrent rounds cannot deadlock (they cannot overlap in
             // streams anyway: a member is !busy at formation and busy
             // from dispatch to its last completion).
@@ -1788,317 +1776,62 @@ impl<R: Send + 'static> Server<R> {
                 .map(|m| order.iter().position(|&o| tasks[o].id == m.id).unwrap_or(0))
                 .collect();
             let mut guards: Vec<_> = order.iter().map(|&o| lock_state(&tasks[o].state)).collect();
-            // Re-bind streams trailing a scene reload before anything of
-            // theirs renders (temporal invalidation + index adoption),
-            // exactly as the solo path does inside its own lock.
             for (i, m) in tasks.iter().enumerate() {
                 if m.rebind {
-                    let st = &mut *guards[guard_of[i]];
-                    st.session.invalidate_temporal();
-                    st.session.attach_index(Arc::clone(shared.index()));
-                }
-            }
-            // Member cameras, bit-identical to what each render will
-            // compute (same config, same expression, same inputs).
-            let cameras: Vec<Camera> = tasks
-                .iter()
-                .enumerate()
-                .map(|(i, m)| {
-                    let st = &*guards[guard_of[i]];
-                    let cfg = st.rung_cfgs.get(m.rung as usize).unwrap_or(&st.cfg);
-                    cfg.path
-                        .camera(m.frame, cfg.frames, cfg.width, cfg.height, cfg.fov_y)
-                })
-                .collect();
-            // The batch lock ranks after every stream-state lock in the
-            // declared order and is always acquired last.
-            let mut batch_guard = match batch_state.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            let round = &mut *batch_guard;
-            // ONE widened classification pass (and one covariance-replay
-            // epoch decision) for the whole round.
-            round.begin_round(shared.index(), &cameras);
-            let scene = shared.scene_arc();
-            for (i, m) in tasks.iter().enumerate() {
-                let st = &mut *guards[guard_of[i]];
-                let frame = m.frame;
-                let rung_ix = m.rung as usize;
-                let cost_scale = st.cost_scales.get(rung_ix).copied().unwrap_or(1.0);
-                let mut retries = 0u32;
-                let result: Result<R, StreamFault> = loop {
-                    // Same fault seam as the solo path: injected faults
-                    // fire BEFORE the member renders, so they never
-                    // half-mutate session state — and the shared batch
-                    // state only ever holds pure functions of the leader
-                    // orientation, identical no matter which member
-                    // wrote them, so a faulting member cannot move its
-                    // batch-mates' bits.
-                    let injected = st.injector.intercept_scaled(frame, retries, cost_scale);
-                    let attempt: Result<Result<R, DrawError>, String> = match injected {
-                        Some(FaultAction::Fail(e)) => Ok(Err(e)),
-                        Some(FaultAction::Panic(msg)) => {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                // vrlint: allow(VL01, reason = "fault-injection seam: the panic exists to be caught by the enclosing catch_unwind")
-                                || -> Result<R, DrawError> { panic!("{msg}") },
-                            ))
-                            .map_err(|p| panic_message(p.as_ref()))
-                        }
-                        other => {
-                            if let Some(FaultAction::Sleep(d)) = other {
-                                std::thread::sleep(d);
-                            }
-                            let StreamState {
-                                cfg,
-                                rung_cfgs,
-                                rung_kernels,
-                                session,
-                                backend,
-                                ..
-                            } = st;
-                            let cfg = rung_cfgs.get(rung_ix).unwrap_or(cfg);
-                            let kernel = rung_kernels.get(rung_ix).copied().flatten();
-                            // catch_unwind INSIDE the locks: a panicking
-                            // backend unwinds into this Err arm, not
-                            // past the guards, so no mutex is poisoned.
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || match backend {
-                                    Backend::Infallible(render) => Ok(session
-                                        .render_frame_batched(
-                                            &scene,
-                                            cfg,
-                                            frame,
-                                            &mut *round,
-                                            render,
-                                        )),
-                                    Backend::Fallible(render) => session.render_frame_batched(
-                                        &scene,
-                                        cfg,
-                                        frame,
-                                        &mut *round,
-                                        render,
-                                    ),
-                                    Backend::VrPipe { gpu, variant, wrap } => {
-                                        let overridden;
-                                        let gpu = match kernel {
-                                            Some(kernel) => {
-                                                overridden = GpuConfig {
-                                                    kernel,
-                                                    ..gpu.clone()
-                                                };
-                                                &overridden
-                                            }
-                                            None => &*gpu,
-                                        };
-                                        session
-                                            .render_frame_vrpipe_batched(
-                                                &scene,
-                                                cfg,
-                                                frame,
-                                                gpu,
-                                                *variant,
-                                                &mut *round,
-                                            )
-                                            .map(wrap)
-                                    }
-                                },
-                            ))
-                            .map_err(|p| panic_message(p.as_ref()))
-                        }
-                    };
-                    match attempt {
-                        Err(message) => break Err(StreamFault::Panicked { message, frame }),
-                        Ok(Ok(out)) => break Ok(out),
-                        Ok(Err(error)) => {
-                            if error.is_transient() && retries < st.retry.max_retries {
-                                let delay = st.retry.backoff_ms(m.id, frame, retries);
-                                if delay > 0.0 {
-                                    std::thread::sleep(Duration::from_secs_f64(delay / 1e3));
-                                }
-                                retries += 1;
-                            } else {
-                                break Err(StreamFault::Render { error, retries });
-                            }
-                        }
-                    }
-                };
-                completes[i].msg = Some(Msg::Done {
-                    id: m.id,
-                    generation: m.generation,
-                    frame,
-                    rung: m.rung,
-                    latency_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    retries,
-                    batched: true,
-                    result,
-                });
-            }
-            drop(batch_guard);
-            drop(guards);
-            // `completes` drops last: every lock is released before any
-            // completion is observed, matching the solo path's
-            // drop(guard)-then-send ordering.
-        });
-    }
-
-    /// Dispatches stream `k`'s next frame as its own run-to-completion
-    /// task — the exact per-stream path every unbatched frame takes.
-    fn dispatch_solo(&mut self, k: usize, in_flight: &mut usize) {
-        {
-            let e = &mut self.streams[k];
-            let frame = e.sched.cursor;
-            e.sched.cursor += 1;
-            e.sched.busy = true;
-            e.sched.in_flight_frames = 1;
-            e.sched.dispatched_at = Some(Instant::now());
-            *in_flight += 1;
-            let id = e.id;
-            let generation = e.sched.generation;
-            // The rung is latched here, between dispatches — the task
-            // renders this whole frame at one rung, and hysteresis or
-            // brownout can only move the *next* frame.
-            e.sched.rung = e.sched.rung.min(e.rung_count.saturating_sub(1));
-            let rung = e.sched.rung as u8;
-            let state = Arc::clone(&e.state);
-            // Scene-epoch fence: a stream that trails a successful reload
-            // re-binds inside its own lock before this frame renders.
-            let rebind = e.scene_epoch != self.scene_epoch;
-            e.scene_epoch = self.scene_epoch;
-            let indexed = e.indexed;
-            let shared = Arc::clone(&self.shared);
-            let tx = self.tx.clone();
-            // Run-to-completion frame task. Exactly one completion per
-            // dispatch: the normal path stores its message in the guard,
-            // and the guard's drop sends it — with a Failed backstop if
-            // the task somehow aborts first — so the scheduler can never
-            // be stranded waiting on a completion that will not come.
-            self.pool.submit(move || {
-                let mut complete = Complete {
-                    tx,
-                    id,
-                    generation,
-                    frame,
-                    rung,
-                    batched: false,
-                    msg: None,
-                };
-                let t0 = Instant::now();
-                let mut guard = lock_state(&state);
-                let st = &mut *guard;
-                if rebind {
                     // The scene changed under this stream: cold-start its
                     // temporal machinery (sorter warm start + cull epochs)
                     // and adopt the new shared index, so every frame from
                     // here is bit-exact with a solo session on the new
                     // scene.
+                    let st = &mut *guards[guard_of[i]];
                     st.session.invalidate_temporal();
-                    if indexed {
+                    if m.indexed {
                         st.session.attach_index(Arc::clone(shared.index()));
                     }
                 }
-                let scene = shared.scene_arc();
-                let rung_ix = rung as usize;
-                // Load injections scale with the rung's render cost:
-                // degrading genuinely sheds the injected overload.
-                let cost_scale = st.cost_scales.get(rung_ix).copied().unwrap_or(1.0);
-                let mut retries = 0u32;
-                let result: Result<R, StreamFault> = loop {
-                    // The fault seam fires BEFORE the real backend: an
-                    // injected fault never half-mutates session state,
-                    // which is what keeps faulted streams' sessions
-                    // replayable and other streams' bits untouchable.
-                    let injected = st.injector.intercept_scaled(frame, retries, cost_scale);
-                    let attempt: Result<Result<R, DrawError>, String> = match injected {
-                        Some(FaultAction::Fail(e)) => Ok(Err(e)),
-                        Some(FaultAction::Panic(msg)) => {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                // vrlint: allow(VL01, reason = "fault-injection seam: the panic exists to be caught by the enclosing catch_unwind")
-                                || -> Result<R, DrawError> { panic!("{msg}") },
-                            ))
-                            .map_err(|p| panic_message(p.as_ref()))
-                        }
-                        other => {
-                            if let Some(FaultAction::Sleep(d)) = other {
-                                std::thread::sleep(d);
-                            }
-                            let StreamState {
-                                cfg,
-                                rung_cfgs,
-                                rung_kernels,
-                                session,
-                                backend,
-                                ..
-                            } = st;
-                            // The rung's derived configuration drives the
-                            // whole frame; a missing index falls back to
-                            // the base config (rung 0 derivation == base).
-                            let cfg = rung_cfgs.get(rung_ix).unwrap_or(cfg);
-                            let kernel = rung_kernels.get(rung_ix).copied().flatten();
-                            // catch_unwind INSIDE the lock: a panicking
-                            // backend unwinds into this Err arm, not past
-                            // the guard, so the mutex is never poisoned.
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                                || match backend {
-                                    Backend::Infallible(render) => {
-                                        Ok(session.render_frame(&scene, cfg, frame, render))
-                                    }
-                                    Backend::Fallible(render) => {
-                                        session.render_frame(&scene, cfg, frame, render)
-                                    }
-                                    Backend::VrPipe { gpu, variant, wrap } => {
-                                        // The rung may override the
-                                        // simulated fragment kernel for
-                                        // this frame only.
-                                        let overridden;
-                                        let gpu = match kernel {
-                                            Some(kernel) => {
-                                                overridden = GpuConfig {
-                                                    kernel,
-                                                    ..gpu.clone()
-                                                };
-                                                &overridden
-                                            }
-                                            None => &*gpu,
-                                        };
-                                        session
-                                            .render_frame_vrpipe(&scene, cfg, frame, gpu, *variant)
-                                            .map(wrap)
-                                    }
-                                },
-                            ))
-                            .map_err(|p| panic_message(p.as_ref()))
-                        }
-                    };
-                    match attempt {
-                        Err(message) => break Err(StreamFault::Panicked { message, frame }),
-                        Ok(Ok(out)) => break Ok(out),
-                        Ok(Err(error)) => {
-                            if error.is_transient() && retries < st.retry.max_retries {
-                                let delay = st.retry.backoff_ms(id, frame, retries);
-                                if delay > 0.0 {
-                                    std::thread::sleep(Duration::from_secs_f64(delay / 1e3));
-                                }
-                                retries += 1;
-                            } else {
-                                break Err(StreamFault::Render { error, retries });
-                            }
-                        }
-                    }
-                };
-                drop(guard);
-                complete.msg = Some(Msg::Done {
-                    id,
-                    generation,
-                    frame,
-                    rung,
+            }
+            // A round of several takes the leader's cull state out of its
+            // session (under the leader's lock, held above) for ONE widened
+            // classification pass over the members' cameras — bit-identical
+            // to what each render will compute (same config, same
+            // expression, same inputs).
+            let mut round = batched.then(|| {
+                let cameras: Vec<Camera> = tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, m)| {
+                        let st = &*guards[guard_of[i]];
+                        let cfg = st.rung_cfgs.get(m.rung as usize).unwrap_or(&st.cfg);
+                        cfg.path
+                            .camera(m.frame, cfg.frames, cfg.width, cfg.height, cfg.fov_y)
+                    })
+                    .collect();
+                let mut cull = std::mem::take(guards[guard_of[0]].session.cull_mut());
+                cull.begin_round(shared.index(), &cameras);
+                cull
+            });
+            let scene = shared.scene_arc();
+            for (i, m) in tasks.iter().enumerate() {
+                let st = &mut *guards[guard_of[i]];
+                let (result, retries) = render_member(st, &scene, m, round.as_mut());
+                completes[i].msg = Some(Msg::Done {
+                    id: m.id,
+                    generation: m.generation,
+                    frame: m.frame,
+                    rung: m.rung,
                     latency_ms: t0.elapsed().as_secs_f64() * 1e3,
                     retries,
-                    batched: false,
+                    batched,
                     result,
                 });
-            });
-        }
+            }
+            if let Some(cull) = round {
+                *guards[guard_of[0]].session.cull_mut() = cull;
+            }
+            drop(guards);
+            // `completes` drops last: every lock is released before any
+            // completion is observed.
+        });
     }
 
     /// Handles one completion or command.
@@ -2539,8 +2272,8 @@ impl<R: Send + 'static> Server<R> {
     }
 }
 
-/// Per-member payload of one batch round's pool task.
-struct BatchMember<R> {
+/// Per-member payload of one round's pool task.
+struct RoundMember<R> {
     id: usize,
     frame: usize,
     rung: u8,
@@ -2548,7 +2281,112 @@ struct BatchMember<R> {
     /// Re-bind the stream's session to the current scene before its
     /// first frame of this round (scene-epoch fence, once per stream).
     rebind: bool,
+    /// Whether the stream preprocesses through the shared index (a
+    /// re-bind then adopts the new scene's index).
+    indexed: bool,
     state: Arc<Mutex<StreamState<R>>>,
+}
+
+/// Renders one round member's frame on its locked stream state: the fault
+/// seam, the bounded retry loop and panic containment. `round` is the
+/// borrowed leader cull state of a round of several (`None` for a round
+/// of one). Returns the frame's result and the retries it took.
+fn render_member<R>(
+    st: &mut StreamState<R>,
+    scene: &Scene,
+    m: &RoundMember<R>,
+    mut round: Option<&mut CullState>,
+) -> (Result<R, StreamFault>, u32) {
+    let frame = m.frame;
+    let rung_ix = m.rung as usize;
+    // Load injections scale with the rung's render cost: degrading
+    // genuinely sheds the injected overload.
+    let cost_scale = st.cost_scales.get(rung_ix).copied().unwrap_or(1.0);
+    let mut retries = 0u32;
+    loop {
+        // The fault seam fires BEFORE the real backend: an injected fault
+        // never half-mutates session state, which is what keeps faulted
+        // streams' sessions replayable and other streams' bits
+        // untouchable. A round's shared cull state only ever holds pure
+        // functions of the leader orientation, identical no matter which
+        // member wrote them, so a faulting member cannot move its
+        // batch-mates' bits either.
+        let injected = st.injector.intercept_scaled(frame, retries, cost_scale);
+        let attempt: Result<Result<R, DrawError>, String> = match injected {
+            Some(FaultAction::Fail(e)) => Ok(Err(e)),
+            Some(FaultAction::Panic(msg)) => {
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                    // vrlint: allow(VL01, reason = "fault-injection seam: the panic exists to be caught by the enclosing catch_unwind")
+                    || -> Result<R, DrawError> { panic!("{msg}") },
+                ))
+                .map_err(|p| panic_message(p.as_ref()))
+            }
+            other => {
+                if let Some(FaultAction::Sleep(d)) = other {
+                    std::thread::sleep(d);
+                }
+                let StreamState {
+                    cfg,
+                    rung_cfgs,
+                    rung_kernels,
+                    session,
+                    backend,
+                    ..
+                } = &mut *st;
+                // The rung's derived configuration drives the whole frame;
+                // a missing index falls back to the base config (rung 0
+                // derivation == base).
+                let cfg = rung_cfgs.get(rung_ix).unwrap_or(cfg);
+                let kernel = rung_kernels.get(rung_ix).copied().flatten();
+                let round = round.as_deref_mut();
+                // catch_unwind INSIDE the locks: a panicking backend
+                // unwinds into this Err arm, not past the guards, so no
+                // mutex is poisoned.
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match backend {
+                    Backend::Infallible(render) => {
+                        Ok(session.render_frame_inner(scene, cfg, frame, round, render))
+                    }
+                    Backend::Fallible(render) => {
+                        session.render_frame_inner(scene, cfg, frame, round, render)
+                    }
+                    Backend::VrPipe { gpu, variant, wrap } => {
+                        // The rung may override the simulated fragment
+                        // kernel for this frame only.
+                        let overridden;
+                        let gpu = match kernel {
+                            Some(kernel) => {
+                                overridden = GpuConfig {
+                                    kernel,
+                                    ..gpu.clone()
+                                };
+                                &overridden
+                            }
+                            None => &*gpu,
+                        };
+                        session
+                            .render_frame_vrpipe_inner(scene, cfg, frame, gpu, *variant, round)
+                            .map(wrap)
+                    }
+                }))
+                .map_err(|p| panic_message(p.as_ref()))
+            }
+        };
+        match attempt {
+            Err(message) => return (Err(StreamFault::Panicked { message, frame }), retries),
+            Ok(Ok(out)) => return (Ok(out), retries),
+            Ok(Err(error)) => {
+                if error.is_transient() && retries < st.retry.max_retries {
+                    let delay = st.retry.backoff_ms(m.id, frame, retries);
+                    if delay > 0.0 {
+                        std::thread::sleep(Duration::from_secs_f64(delay / 1e3));
+                    }
+                    retries += 1;
+                } else {
+                    return (Err(StreamFault::Render { error, retries }), retries);
+                }
+            }
+        }
+    }
 }
 
 /// Completion backstop: exactly one `Done` per dispatched frame. The
@@ -3141,9 +2979,9 @@ mod tests {
 
     /// FNV-1a digest of everything frame-bit-relevant in a frame input:
     /// the emitted splat stream and the preprocessing counters. `cull`
-    /// is deliberately excluded — batched frames account culling work in
-    /// the shared round state ([`ServeReport::batch`]), which is the one
-    /// counter batching is allowed to move.
+    /// is deliberately excluded — a batched round's culling work accrues
+    /// to the leader's cull state, which is the one counter batching is
+    /// allowed to move.
     fn splat_digest(f: &FrameInput<'_>) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in format!("{}|{:?}|{:?}", f.index, f.splats, f.preprocess).into_bytes() {

@@ -92,8 +92,8 @@ impl Cell {
 /// camera-invariant projection head.
 ///
 /// Built once per scene with [`SceneIndex::build`]; consumed by
-/// [`crate::preprocess::preprocess_into_indexed`] together with a
-/// per-session [`CullState`].
+/// [`crate::preprocess::preprocess_frame`] together with a
+/// [`CullState`].
 ///
 /// # Examples
 ///
@@ -291,8 +291,8 @@ impl SceneIndex {
         self.classify_widened_into(frame, Vec3::ZERO, Vec3::ZERO, classes);
     }
 
-    /// [`SceneIndex::classify_into`] widened to cover a whole **batch** of
-    /// translation-bound cameras at once: `frame` is the batch leader's
+    /// [`SceneIndex::classify_into`] widened to cover a whole **round** of
+    /// translation-bound cameras at once: `frame` is the round leader's
     /// transform, and every member camera's space differs from the
     /// leader's by a pure camera-space offset `d_m` (see
     /// [`crate::camera::Camera::is_translation_of`]). With `mid` and
@@ -342,8 +342,8 @@ impl SceneIndex {
 /// explicit finiteness check guards the corner fold.
 ///
 /// The widened form (`mid`/`spread` non-zero) grows the camera-space box
-/// by the batch members' offset range before the proofs run — see
-/// [`SceneIndex::classify_widened_into`]. The solo path passes zeros;
+/// by the round members' offset range before the proofs run — see
+/// [`SceneIndex::classify_widened_into`]. A round of one passes zeros;
 /// adding `±0.0` cannot change any verdict because verdicts depend only
 /// on numeric comparisons (where `-0.0 == 0.0`), never on output bits.
 fn classify_cell_widened(
@@ -360,7 +360,7 @@ fn classify_cell_widened(
     // Camera-space bounds of the mean-AABB via the affine-AABB identity:
     // the image of a box under `x ↦ W x + t` has center `W c + t` and
     // half-extents `|W| h` — exact (the corner hull's AABB), at two
-    // transforms per cell instead of eight. A batch shifts the center by
+    // transforms per cell instead of eight. A wider round shifts the center by
     // the member-offset midpoint and inflates the half-extents by the
     // offset half-range, so the box covers every member's image of the
     // cell (the `CLASSIFY_PAD` below absorbs the extra f32 roundings the
@@ -548,47 +548,121 @@ impl Default for CovCacheEntry {
     }
 }
 
-/// Per-session temporal state of the incremental preprocess: current and
-/// previous cell classifications, the epoch-tagged covariance cache, and
-/// the accumulated [`CullStats`].
+/// Temporal culling state of the incremental preprocess: the current
+/// round's cell classification (plus the previous round's, for change
+/// tracking), the epoch-tagged `W Σ Wᵀ` covariance cache, the round's
+/// admission span, and the accumulated [`CullStats`].
 ///
-/// One `CullState` pairs with one [`SceneIndex`] and one camera stream;
+/// Work is organised in **rounds**. [`CullState::begin_round`] runs one
+/// cell classification covering every camera of the round, after which
+/// each admitted camera ([`CullState::admits`]) emits its own frame
+/// through [`crate::preprocess::preprocess_frame`]. A solo frame is a
+/// round of one camera; a cross-stream batch (or the two eyes of a
+/// stereo pair) is a round of M cameras that provably share the
+/// pure-translation bound ([`Camera::is_translation_of`]) against the
+/// round leader. The members then share **one** widened classification
+/// ([`SceneIndex::classify_widened_into`]), whose verdicts are
+/// conservative for every member, and **one** covariance cache: `W Σ Wᵀ`
+/// depends on the camera only through the view rotation `W`, which the
+/// bound makes bit-identical across the round, so an entry computed
+/// while emitting any member's stream replays bit-exactly for every
+/// other member. Everything genuinely per-camera (sphere tests in
+/// `Boundary` cells, the projection tail, SH color, the depth sort) runs
+/// with the member's own camera, so every member's output is bit-exact
+/// with the full sweep — see DESIGN.md §7.
+///
+/// One `CullState` pairs with one [`SceneIndex`] and one sequence of
+/// rounds (rounds are strictly sequential per state);
 /// [`CullState::invalidate`] forgets the temporal state on a scene or
-/// camera cut (results stay bit-exact either way — only reuse is lost).
+/// camera cut — results stay bit-exact either way, only reuse is lost.
+///
+/// # Examples
+///
+/// ```
+/// use gsplat::camera::Camera;
+/// use gsplat::index::{CullState, SceneIndex};
+/// use gsplat::math::Vec3;
+/// use gsplat::scene::EVALUATED_SCENES;
+/// let scene = EVALUATED_SCENES[4].generate_scaled(0.04);
+/// let index = SceneIndex::build(&scene.gaussians);
+/// let left = scene.default_camera();
+/// // A pure translation of the leader: always batchable.
+/// let d = Vec3::new(0.065, 0.0, 0.0);
+/// let right = Camera::look_at(left.eye() + d, Vec3::ZERO + d, left.width(), left.height(), left.fov_y());
+/// assert!(right.is_translation_of(&left));
+/// let mut cull = CullState::default();
+/// cull.begin_round(&index, std::slice::from_ref(&left)); // a solo frame
+/// assert!(cull.admits(&left) && !cull.admits(&right));
+/// cull.begin_round(&index, &[left.clone(), right.clone()]); // a stereo pair
+/// assert!(cull.admits(&left) && cull.admits(&right));
+/// assert_eq!((cull.rounds(), cull.members_total()), (2, 3));
+/// ```
 #[derive(Debug, Default)]
 pub struct CullState {
     classes: Vec<CellClass>,
     prev_classes: Vec<CellClass>,
     mcache: Vec<CovCacheEntry>,
-    /// Current rotation epoch; bumped whenever the camera delta is not a
-    /// pure translation. Entries tagged with an older epoch are stale.
+    /// Current rotation epoch; bumped whenever a round leader's delta
+    /// from the previous round's leader is not a pure translation.
+    /// Entries tagged with an older epoch are stale.
     epoch: u32,
-    prev_camera: Option<Camera>,
+    /// Leader of the current round — the admission reference, and the
+    /// next round's camera-delta reference (`None` = no round since the
+    /// last invalidation).
+    leader: Option<Camera>,
+    /// Inclusive component-wise bounds of the round members' view-space
+    /// translations — the admission span the widened classification
+    /// provably covers.
+    t_lo: Vec3,
+    t_hi: Vec3,
     /// Fingerprint of the [`SceneIndex`] this state's caches were filled
     /// under (`0` = not yet paired). A state handed a *different* index
     /// auto-invalidates instead of replaying the previous scene's
     /// covariance products.
     paired_index: u64,
+    /// Whether the `O(scene)` cloud-content check has run for the current
+    /// pairing (done once by the indexed preprocess, not per frame).
+    content_checked: bool,
     stats: CullStats,
+    /// Rounds begun (each = one classification pass).
+    rounds: u64,
+    /// Member frames admitted across all rounds.
+    members_total: u64,
 }
 
 impl CullState {
-    /// Counters accumulated across all frames preprocessed with this state.
+    /// Counters accumulated across all frames preprocessed with this
+    /// state. Cell counters advance once per **round** (the shared
+    /// classification runs once), Gaussian counters once per **member**
+    /// (each member's emission sweep skips/replays/recomputes residents
+    /// itself), and `frames` counts member frames.
     pub fn stats(&self) -> CullStats {
         self.stats
     }
 
-    /// Current per-cell classification (valid after the first frame).
+    /// Rounds begun — each paid exactly one classification pass.
+    pub fn rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    /// Member frames admitted across all rounds (`members_total / rounds`
+    /// is the mean round occupancy).
+    pub fn members_total(&self) -> u64 {
+        self.members_total
+    }
+
+    /// Current per-cell classification (valid after the first round).
     pub fn classes(&self) -> &[CellClass] {
         &self.classes
     }
 
     /// Forgets all temporal state (classification history, covariance
-    /// cache validity, the delta-bound reference camera). Call on a scene
-    /// or camera cut; the next frame re-projects everything.
+    /// cache validity, the delta-bound reference camera, the active
+    /// round). Call on a scene or camera cut; the next round re-projects
+    /// everything.
     pub fn invalidate(&mut self) {
         self.prev_classes.clear();
-        self.prev_camera = None;
+        self.leader = None;
         // Epoch bump invalidates every cache entry without touching them.
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -601,44 +675,86 @@ impl CullState {
         }
     }
 
-    /// Starts a frame: binds the state to `index` (auto-invalidating when
-    /// handed a different index than the caches were filled under), sizes
-    /// the caches, applies the camera-delta bound (epoch bump on any
-    /// non-translation delta), reclassifies every cell and folds the
-    /// cell-level counters into [`CullStats`].
-    pub(crate) fn begin_frame(
-        &mut self,
-        index: &SceneIndex,
-        frame: &FrameTransform,
-        camera: &Camera,
-    ) {
+    /// Starts a round over `cameras` (leader first): binds the state to
+    /// `index` (auto-invalidating when handed a different index than the
+    /// caches were filled under), sizes the caches, applies the
+    /// camera-delta bound to the covariance cache (the epoch holds only
+    /// when the new leader is a pure translation of the previous round's),
+    /// records the members' view-translation admission span, and runs the
+    /// **single** classification pass — widened by that span — whose
+    /// verdicts serve every member. Cell counters fold once per round;
+    /// Gaussian skip counters once per member (each member's sweep skips
+    /// `Outside` residents itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cameras` is empty or any member is not a pure
+    /// translation of the leader — callers must form rounds from *proven*
+    /// members (key filter + `is_translation_of` confirmation); this is
+    /// the soundness backstop, not the grouping mechanism.
+    pub fn begin_round(&mut self, index: &SceneIndex, cameras: &[Camera]) {
+        assert!(!cameras.is_empty(), "a round needs at least one camera");
+        let (leader, rest) = (&cameras[0], &cameras[1..]);
+        for (m, cam) in rest.iter().enumerate() {
+            assert!(
+                cam.is_translation_of(leader),
+                "round member {} is not a pure translation of the leader",
+                m + 1
+            );
+        }
         if self.paired_index != index.fingerprint() {
             // Re-pairing: every cached covariance product belongs to the
             // previous index's Gaussians — forget all temporal state.
             self.invalidate();
             self.paired_index = index.fingerprint();
+            self.content_checked = false;
         }
         self.mcache.resize(index.len(), CovCacheEntry::default());
         let translation = self
-            .prev_camera
+            .leader
             .as_ref()
-            .is_some_and(|prev| camera.is_translation_of(prev));
+            .is_some_and(|prev| leader.is_translation_of(prev));
         if !translation {
             self.epoch = self.epoch.wrapping_add(1).max(1);
         }
-        self.prev_camera = Some(camera.clone());
 
+        // Inclusive member view-translation bounds: the admission span.
+        let t_leader = view_translation(leader);
+        let (mut t_lo, mut t_hi) = (t_leader, t_leader);
+        for cam in rest {
+            let t = view_translation(cam);
+            t_lo = t_lo.min(t);
+            t_hi = t_hi.max(t);
+        }
+        self.t_lo = t_lo;
+        self.t_hi = t_hi;
+
+        // One widened classification covering every member: offsets are
+        // relative to the leader (whose own offset is zero, so the bounds
+        // always contain it); `spread` is non-negative by construction. A
+        // round of one classifies with zero widening, exactly as
+        // [`SceneIndex::classify_into`].
+        let (mid, spread) = if rest.is_empty() {
+            (Vec3::ZERO, Vec3::ZERO)
+        } else {
+            let (d_lo, d_hi) = (t_lo - t_leader, t_hi - t_leader);
+            ((d_lo + d_hi) * 0.5, (d_hi - d_lo) * 0.5)
+        };
         std::mem::swap(&mut self.classes, &mut self.prev_classes);
-        index.classify_into(frame, &mut self.classes);
+        index.classify_widened_into(&FrameTransform::new(leader), mid, spread, &mut self.classes);
+        self.leader = Some(leader.clone());
 
-        self.stats.frames += 1;
+        let members = cameras.len() as u64;
+        self.rounds += 1;
+        self.members_total += members;
+        self.stats.frames += members;
         let history = self.prev_classes.len() == self.classes.len();
         // Skip the trailing sentinel entry — it holds no live residents.
         for (cell_id, class) in self.classes.iter().take(index.cell_count()).enumerate() {
             match class {
                 CellClass::Outside => {
                     self.stats.cells_skipped += 1;
-                    self.stats.gaussians_skipped += index.cell_live(cell_id) as u64;
+                    self.stats.gaussians_skipped += index.cell_live(cell_id) as u64 * members;
                 }
                 CellClass::Inside
                     if translation
@@ -652,25 +768,66 @@ impl CullState {
         }
     }
 
+    /// `true` when `camera` is covered by the current round's
+    /// classification: the round leader itself, or a pure translation of
+    /// it whose view-space translation lies inside the round's inclusive
+    /// member span. The indexed preprocess requires this for every frame
+    /// it emits — a camera outside the span could see residents the
+    /// widened `Outside` proof never covered.
+    pub fn admits(&self, camera: &Camera) -> bool {
+        let Some(leader) = &self.leader else {
+            return false;
+        };
+        if !camera.is_translation_of(leader) {
+            return false;
+        }
+        let t = view_translation(camera);
+        let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        // The leader's own translation is admitted even when non-finite,
+        // where every span comparison below is false.
+        bits(t) == bits(view_translation(leader))
+            || (self.t_lo.x <= t.x
+                && t.x <= self.t_hi.x
+                && self.t_lo.y <= t.y
+                && t.y <= self.t_hi.y
+                && self.t_lo.z <= t.z
+                && t.z <= self.t_hi.z)
+    }
+
     /// Fingerprint of the index this state is currently paired with
-    /// (`0` = not yet paired). The next [`CullState::begin_frame`] with a
+    /// (`0` = not yet paired). The next [`CullState::begin_round`] with a
     /// different index auto-invalidates.
     pub(crate) fn paired_with(&self) -> u64 {
         self.paired_index
     }
 
-    /// Folds the per-worker projection counters of one frame into the
-    /// accumulated stats.
+    /// Runs `check` — the `O(scene)` cloud-content check — once per
+    /// pairing.
+    pub(crate) fn check_content_once(&mut self, check: impl FnOnce()) {
+        if !self.content_checked {
+            check();
+            self.content_checked = true;
+        }
+    }
+
+    /// Folds one member's projection counters into the accumulated stats.
     pub(crate) fn record_projection(&mut self, refreshed: u64, reprojected: u64) {
         self.stats.gaussians_refreshed += refreshed;
         self.stats.gaussians_reprojected += reprojected;
     }
 
-    /// Disjoint borrows for the projection sweep: current classes, the
-    /// mutable covariance cache, and the epoch entries must be tagged with.
+    /// Disjoint borrows for one member's projection sweep: the round's
+    /// classes, the shared mutable covariance cache, and the epoch
+    /// entries must be tagged with.
     pub(crate) fn projection_parts(&mut self) -> (&[CellClass], &mut [CovCacheEntry], u32) {
         (&self.classes, &mut self.mcache, self.epoch)
     }
+}
+
+/// The view-space translation column of `camera`'s view matrix — the
+/// one part of the view a pure-translation delta changes.
+fn view_translation(camera: &Camera) -> Vec3 {
+    camera.view_matrix().cols[3].truncate()
 }
 
 #[cfg(test)]
@@ -794,7 +951,7 @@ mod tests {
         let cams = path.cameras(4, 96, 72, 1.0);
         let mut epochs = Vec::new();
         for cam in &cams {
-            state.begin_frame(&index, &FrameTransform::new(cam), cam);
+            state.begin_round(&index, std::slice::from_ref(cam));
             epochs.push(state.projection_parts().2);
         }
         // Flythrough translates without spinning: one epoch for all frames.
@@ -802,13 +959,164 @@ mod tests {
         // An orbit step rotates the view: the epoch must advance.
         let orbit = crate::camera::CameraPath::orbit(s.center, s.view_radius, 1.0, 0.25);
         let cam = orbit.camera(1, 8, 96, 72, 1.0);
-        state.begin_frame(&index, &FrameTransform::new(&cam), &cam);
+        state.begin_round(&index, std::slice::from_ref(&cam));
         assert!(state.projection_parts().2 > epochs[0]);
         // Invalidation also advances it.
         let e = state.projection_parts().2;
         state.invalidate();
-        state.begin_frame(&index, &FrameTransform::new(&cam), &cam);
+        state.begin_round(&index, std::slice::from_ref(&cam));
         assert!(state.projection_parts().2 > e);
+    }
+
+    /// A round of one classifies exactly like the unwidened
+    /// [`SceneIndex::classify_into`].
+    #[test]
+    fn round_of_one_classifies_like_classify_into() {
+        let s = scene();
+        let index = SceneIndex::build(&s.gaussians);
+        let cam = s.default_camera();
+        let mut state = CullState::default();
+        state.begin_round(&index, std::slice::from_ref(&cam));
+        let mut classes = Vec::new();
+        index.classify_into(&FrameTransform::new(&cam), &mut classes);
+        assert_eq!(state.classes(), &classes[..]);
+        assert!(state.admits(&cam));
+        assert_eq!((state.rounds(), state.members_total()), (1, 1));
+    }
+
+    /// Builds `count` cameras sharing a **bit-identical** view rotation:
+    /// an axis-aligned `-z` view whose look-at offset `(0, 0, -1)` is
+    /// recovered exactly by `center - eye` for every member (x/y cancel
+    /// to `+0.0`; `z` is snapped to a multiple of `0.25`, so `z - 1` is
+    /// exact) — the translation bound holds by construction, not by luck.
+    fn translated_cameras(base: Vec3, count: usize) -> Vec<Camera> {
+        let z = (base.z * 4.0).round() / 4.0;
+        (0..count)
+            .map(|m| {
+                let eye = Vec3::new(base.x + 0.5 * m as f32, base.y + 0.25 * m as f32, z);
+                Camera::look_at(eye, eye + Vec3::new(0.0, 0.0, -1.0), 128, 96, 1.0)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn widened_verdicts_are_conservative_for_every_member() {
+        let s = scene();
+        let index = SceneIndex::build(&s.gaussians);
+        let cams = translated_cameras(s.center + Vec3::new(0.0, 1.0, s.view_radius * 0.5), 4);
+        let mut state = CullState::default();
+        state.begin_round(&index, &cams);
+        let classes = state.classes().to_vec();
+        let mut outside = 0;
+        let mut inside = 0;
+        for cam in &cams {
+            for (i, g) in s.gaussians.iter().enumerate() {
+                if index.dead()[i] {
+                    continue;
+                }
+                match classes[index.cell_of()[i] as usize] {
+                    CellClass::Outside => {
+                        outside += 1;
+                        assert!(
+                            !cam.sphere_visible(g.mean, g.bounding_radius()),
+                            "gaussian {i} visible in an Outside cell for a member"
+                        );
+                    }
+                    CellClass::Inside => {
+                        inside += 1;
+                        assert!(
+                            cam.sphere_visible(g.mean, g.bounding_radius()),
+                            "gaussian {i} culled in an Inside cell for a member"
+                        );
+                    }
+                    CellClass::Boundary => {}
+                }
+            }
+        }
+        assert!(outside > 0, "no outside gaussians — camera too wide");
+        assert!(inside > 0, "no inside gaussians — camera too narrow");
+    }
+
+    #[test]
+    fn admission_requires_round_coverage() {
+        let s = scene();
+        let index = SceneIndex::build(&s.gaussians);
+        let cams = translated_cameras(s.center + Vec3::new(0.0, 1.0, s.view_radius), 3);
+        let mut state = CullState::default();
+        assert!(!state.admits(&cams[0]), "no round active yet");
+        state.begin_round(&index, &cams);
+        for cam in &cams {
+            assert!(state.admits(cam));
+        }
+        // A translation outside the member span is rejected even though
+        // the bound itself holds.
+        let far_eye = cams[0].eye() + Vec3::new(50.0, 0.0, 0.0);
+        let far = Camera::look_at(far_eye, far_eye + Vec3::new(0.0, 0.0, -1.0), 128, 96, 1.0);
+        assert!(far.is_translation_of(&cams[0]));
+        assert!(!state.admits(&far));
+        // A rotated camera is rejected outright.
+        let spun = Camera::look_at(
+            cams[0].eye() + Vec3::new(0.0, 2.0, 0.0),
+            s.center,
+            128,
+            96,
+            1.0,
+        );
+        assert!(!state.admits(&spun));
+        // Points inside the span (e.g. the midpoint camera re-derived)
+        // stay admitted after more rounds with the same leader.
+        state.begin_round(&index, &cams);
+        assert!(state.admits(&cams[1]));
+        // A round of one admits its leader only.
+        state.begin_round(&index, &cams[..1]);
+        assert!(state.admits(&cams[0]) && !state.admits(&cams[1]));
+    }
+
+    #[test]
+    fn epoch_holds_across_translated_rounds_and_bumps_on_rotation() {
+        let s = scene();
+        let index = SceneIndex::build(&s.gaussians);
+        let mut state = CullState::default();
+        let path = crate::camera::CameraPath::flythrough(
+            s.center + Vec3::new(0.0, 1.0, s.view_radius),
+            s.center,
+            0.05,
+            0.01,
+        )
+        .stereo(0.065);
+        let mut epochs = Vec::new();
+        for k in 0..4 {
+            let l = path.camera(2 * k, 8, 96, 72, 1.0);
+            let r = path.camera(2 * k + 1, 8, 96, 72, 1.0);
+            state.begin_round(&index, &[l, r]);
+            epochs.push(state.projection_parts().2);
+        }
+        // Stereo flythrough: every round's leader translates — one epoch.
+        assert!(epochs.windows(2).all(|w| w[0] == w[1]), "{epochs:?}");
+        assert_eq!(state.rounds(), 4);
+        assert_eq!(state.members_total(), 8);
+        assert_eq!(state.stats().frames, 8);
+        // An orbit step rotates the leader: the epoch must advance.
+        let orbit = crate::camera::CameraPath::orbit(s.center, s.view_radius, 1.0, 0.25);
+        let cam = orbit.camera(1, 8, 96, 72, 1.0);
+        state.begin_round(&index, std::slice::from_ref(&cam));
+        assert!(state.projection_parts().2 > epochs[0]);
+        // Invalidation also advances it and ends the round.
+        let e = state.projection_parts().2;
+        state.invalidate();
+        assert!(!state.admits(&cam));
+        state.begin_round(&index, std::slice::from_ref(&cam));
+        assert!(state.projection_parts().2 > e);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a pure translation")]
+    fn unprovable_member_panics() {
+        let s = scene();
+        let index = SceneIndex::build(&s.gaussians);
+        let a = Camera::look_at(s.center + Vec3::new(0.0, 1.0, 4.0), s.center, 128, 96, 1.0);
+        let spun = Camera::look_at(s.center + Vec3::new(2.0, 1.0, 4.0), s.center, 128, 96, 1.0);
+        CullState::default().begin_round(&index, &[a, spun]);
     }
 
     #[test]

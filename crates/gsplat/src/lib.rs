@@ -26,7 +26,6 @@
 //! in the `vrpipe` crate.
 
 pub mod asset;
-pub mod batch;
 pub mod blend;
 pub mod camera;
 pub mod color;
@@ -44,7 +43,6 @@ pub mod splat;
 pub mod stream;
 
 pub use asset::{AssetError, GaussianDefect, LoadPolicy, LoadReport, LoadedAsset};
-pub use batch::BatchCullState;
 pub use blend::{ALPHA_PRUNE_THRESHOLD, EARLY_TERMINATION_THRESHOLD};
 pub use camera::{Camera, CameraPath};
 pub use color::{PixelFormat, Rgba};

@@ -7,18 +7,25 @@
 //! and VR-Pipe — consumes the same output, mirroring the paper's setup where
 //! only the rasterization step differs.
 //!
-//! Projection is embarrassingly parallel, so [`preprocess_with`] fans the
-//! Gaussian list out over worker chunks and concatenates the surviving
-//! splats in chunk order — bit-exact with the serial sweep. With a reusable
-//! [`PreprocessScratch`] the whole stage (projection, keying, fused radix
-//! sort, reorder) allocates nothing once warmed up.
+//! [`preprocess_frame`] is the one entry point: a [`PreprocessRequest`]
+//! picks the threading policy, the SH degree cap and the
+//! [`PreprocessMode`] — a full sweep, a full sweep with a warm-started
+//! sort, or the spatially indexed sweep over one member of a
+//! [`CullState`] round. [`preprocess`], [`preprocess_with`],
+//! [`preprocess_into`] and [`preprocess_into_stream`] are the full-sweep
+//! conveniences. Projection is embarrassingly parallel, so every mode
+//! fans the Gaussian list out over worker chunks and concatenates the
+//! surviving splats in chunk order — bit-exact with the serial sweep.
+//! With a reusable [`PreprocessScratch`] the whole stage (projection,
+//! keying, fused radix sort, reorder) allocates nothing once warmed up.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::BatchCullState;
 use crate::camera::Camera;
 use crate::gaussian::Gaussian;
-use crate::index::{CellClass, CovCacheEntry, CullState, SceneIndex};
+use crate::index::{cloud_fingerprint, CellClass, CovCacheEntry, CullState, SceneIndex};
 use crate::par::{chunked_ranges_mut, ThreadPolicy};
 use crate::projection::{
     covariance_entries, project_gaussian_frame, splat_from_covariance, ColorSource, FrameTransform,
@@ -54,59 +61,124 @@ pub struct PreprocessStats {
     pub total_obb_area: f64,
 }
 
+/// How [`preprocess_frame`] culls and sorts a frame. Every mode emits the
+/// same splats in the same order with the same [`PreprocessStats`]; only
+/// the work to produce them differs.
+#[derive(Debug)]
+pub enum PreprocessMode<'a> {
+    /// Cull and project every Gaussian, then sort from scratch.
+    Full,
+    /// [`PreprocessMode::Full`] with the depth sort warm-started from the
+    /// previous call's near-sorted order through the scratch's
+    /// [`IncrementalSorter`] (insertion-repair fast path, fused-radix
+    /// fallback). Use [`PreprocessScratch::resort_stats`] to observe the
+    /// repair/fallback mix and [`PreprocessScratch::invalidate_temporal`]
+    /// on scene cuts.
+    Temporal,
+    /// Incremental, spatially indexed preprocessing of one member of the
+    /// current `cull` round: cells the round classified fully outside are
+    /// skipped wholesale, fully-inside cells skip the per-Gaussian cull
+    /// test, and the covariance product `W Σ Wᵀ` of every visible
+    /// Gaussian is replayed from the round's cache whenever it was
+    /// computed under a bit-identical view rotation. Splats are emitted in
+    /// scene order and sorted with the warm start of
+    /// [`PreprocessMode::Temporal`]. [`CullState::stats`] reports what was
+    /// skipped.
+    ///
+    /// The caller owns the round: [`CullState::begin_round`] must have
+    /// admitted the camera ([`CullState::admits`]) — a solo frame is a
+    /// round of one camera.
+    Indexed {
+        /// The scene's spatial index.
+        index: &'a SceneIndex,
+        /// The round state `index` is paired with.
+        cull: &'a mut CullState,
+    },
+}
+
+/// What [`preprocess_frame`] computes for one frame.
+#[derive(Debug)]
+pub struct PreprocessRequest<'a> {
+    /// Host threading policy of the projection sweep (results are
+    /// bit-identical for every policy).
+    pub policy: ThreadPolicy,
+    /// SH evaluation degree cap (the quality-ladder color knob). Output is
+    /// bit-exact with a scene whose SH coefficients were truncated to the
+    /// same degree; [`MAX_SH_DEGREE`] is the identity.
+    pub max_sh_degree: u8,
+    /// Culling and sorting strategy.
+    pub mode: PreprocessMode<'a>,
+}
+
+impl<'a> PreprocessRequest<'a> {
+    /// A request for `mode` under `policy` with SH evaluated uncapped.
+    pub fn new(policy: ThreadPolicy, mode: PreprocessMode<'a>) -> Self {
+        Self {
+            policy,
+            max_sh_degree: MAX_SH_DEGREE,
+            mode,
+        }
+    }
+}
+
+/// Visible splats plus their fused sort keys, filled in lockstep so the
+/// sort never needs a second pass over the 64-byte splats.
+#[derive(Debug, Default)]
+struct Emitted {
+    splats: Vec<Splat>,
+    /// Camera-space depth of each splat.
+    depths: Vec<f32>,
+    /// Stable identity (`source`) of each splat, for the temporal warm
+    /// start.
+    ids: Vec<u32>,
+}
+
+impl Emitted {
+    #[inline]
+    fn push(&mut self, s: Splat) {
+        self.depths.push(s.depth);
+        self.ids.push(s.source);
+        self.splats.push(s);
+    }
+
+    fn clear(&mut self) {
+        self.splats.clear();
+        self.depths.clear();
+        self.ids.clear();
+    }
+
+    /// Moves `other`'s contents to the end of `self`.
+    fn append(&mut self, other: &mut Emitted) {
+        self.splats.append(&mut other.splats);
+        self.depths.append(&mut other.depths);
+        self.ids.append(&mut other.ids);
+    }
+}
+
 /// Reusable buffers for the preprocessing stage: per-worker projection
-/// outputs, the unsorted splat staging list, depth keys and the fused-sort
-/// scratch.
+/// outputs, the unsorted splat staging list with its keys, and the sort
+/// state.
 #[derive(Debug, Default)]
 pub struct PreprocessScratch {
-    /// Per-worker projected-splat chunks (kept allocated across frames).
-    worker_out: Vec<Vec<Splat>>,
-    /// Per-worker `(depth, source)` key chunks, filled at emission so the
-    /// sort keys never need a second pass over the 64-byte splats.
-    worker_keys: Vec<(Vec<f32>, Vec<u32>)>,
-    /// Visible splats in input (pre-sort) order.
-    staging: Vec<Splat>,
-    /// Camera-space depths of `staging`.
-    depths: Vec<f32>,
+    /// Per-worker emission chunks (kept allocated across frames).
+    workers: Vec<Emitted>,
+    /// Visible splats and their keys in input (pre-sort) order.
+    staging: Emitted,
     /// Front-to-back permutation of `staging`.
     order: Vec<u32>,
-    /// Stable splat identities (`source`) of `staging`, for the temporal
-    /// warm start.
-    ids: Vec<u32>,
     /// Radix-sort buffers.
     sort: SortScratch,
-    /// Warm-start sorter for [`preprocess_into_temporal`] frame loops.
+    /// Warm-start sorter for [`PreprocessMode::Temporal`] and
+    /// [`PreprocessMode::Indexed`] frame loops.
     sorter: IncrementalSorter,
 }
 
 impl PreprocessScratch {
     /// Counters of the incremental re-sort (frames repaired vs radix
-    /// fallbacks), accumulated across [`preprocess_into_temporal`] calls.
+    /// fallbacks), accumulated across warm-started [`preprocess_frame`]
+    /// calls.
     pub fn resort_stats(&self) -> ResortStats {
         self.sorter.stats()
-    }
-
-    /// Resets the per-frame staging buffers (splats + fused key streams).
-    fn clear_staging(&mut self) {
-        self.staging.clear();
-        self.depths.clear();
-        self.ids.clear();
-    }
-
-    /// Concatenates the per-worker splat and key chunks in chunk order —
-    /// identical to the serial emission order.
-    fn merge_worker_chunks(&mut self) {
-        for (chunk_out, chunk_keys) in self.worker_out.iter_mut().zip(&mut self.worker_keys) {
-            self.depths.append(&mut chunk_keys.0);
-            self.ids.append(&mut chunk_keys.1);
-            self.staging.append(chunk_out);
-        }
-    }
-
-    /// Disjoint borrows of the staging splat list and its fused key
-    /// streams, for emission loops that fill all three in lockstep.
-    fn staging_parts(&mut self) -> (&mut Vec<Splat>, &mut Vec<f32>, &mut Vec<u32>) {
-        (&mut self.staging, &mut self.depths, &mut self.ids)
     }
 
     /// Forgets the temporal warm-start order, e.g. on a scene or camera
@@ -134,24 +206,6 @@ pub fn preprocess(scene: &Scene, camera: &Camera) -> PreprocessOutput {
     preprocess_with(scene, camera, ThreadPolicy::default())
 }
 
-/// [`preprocess`] with the SH evaluation degree capped at `max_sh_degree`
-/// (the quality-ladder color knob). Bit-exact with [`preprocess`] on a
-/// scene whose SH coefficients were truncated to the same degree; a cap of
-/// [`MAX_SH_DEGREE`] is the identity.
-pub fn preprocess_clamped(scene: &Scene, camera: &Camera, max_sh_degree: u8) -> PreprocessOutput {
-    let mut scratch = PreprocessScratch::default();
-    let mut splats = Vec::new();
-    let stats = preprocess_into_clamped(
-        scene,
-        camera,
-        ThreadPolicy::default(),
-        &mut scratch,
-        &mut splats,
-        max_sh_degree,
-    );
-    PreprocessOutput { splats, stats }
-}
-
 /// [`preprocess`] with an explicit threading policy.
 pub fn preprocess_with(scene: &Scene, camera: &Camera, policy: ThreadPolicy) -> PreprocessOutput {
     let mut scratch = PreprocessScratch::default();
@@ -161,7 +215,8 @@ pub fn preprocess_with(scene: &Scene, camera: &Camera, policy: ThreadPolicy) -> 
 }
 
 /// [`preprocess`] into caller-provided buffers — the allocation-free frame
-/// loop entry point. `out` is cleared and refilled with the sorted splats.
+/// loop entry point, [`preprocess_frame`] in [`PreprocessMode::Full`].
+/// `out` is cleared and refilled with the sorted splats.
 // vrlint: hot
 pub fn preprocess_into(
     scene: &Scene,
@@ -170,151 +225,224 @@ pub fn preprocess_into(
     scratch: &mut PreprocessScratch,
     out: &mut Vec<Splat>,
 ) -> PreprocessStats {
-    preprocess_into_impl(scene, camera, policy, scratch, out, false, MAX_SH_DEGREE)
+    let request = PreprocessRequest::new(policy, PreprocessMode::Full);
+    preprocess_frame(scene, camera, request, scratch, out)
 }
 
-/// [`preprocess_into`] with the SH evaluation degree capped at
-/// `max_sh_degree`.
+/// Preprocesses one frame as `request` asks, into caller-provided buffers:
+/// `out` is cleared and refilled with the visible splats sorted
+/// front-to-back. Every [`PreprocessMode`] is **bit-exact** with
+/// [`preprocess_into`] (splat values, order and [`PreprocessStats`]) on
+/// every frame; the modes differ only in the work they do.
+///
+/// # Panics
+///
+/// In [`PreprocessMode::Indexed`]: when the camera is not admitted by the
+/// current `cull` round, or when `index` was not built from this scene's
+/// Gaussian cloud — a length mismatch panics on every call, and a content
+/// (fingerprint) mismatch panics on the first frame after `cull`
+/// (re)pairs with the index. The full-content check is `O(scene)` and
+/// runs once per pairing, not per frame, so an **in-place** mutation of
+/// the cloud after pairing goes undetected (rebuild the index, or use
+/// [`CullState::invalidate`] plus a fresh [`SceneIndex`], after mutating).
+///
+/// # Examples
+///
+/// A solo indexed frame is a round of one camera; a stereo pair is a
+/// round of two, whose single classification pass serves both eyes.
+///
+/// ```
+/// use gsplat::camera::Camera;
+/// use gsplat::index::{CullState, SceneIndex};
+/// use gsplat::math::Vec3;
+/// use gsplat::preprocess::{
+///     preprocess_frame, preprocess_into, PreprocessMode, PreprocessRequest, PreprocessScratch,
+/// };
+/// use gsplat::scene::EVALUATED_SCENES;
+/// use gsplat::ThreadPolicy;
+/// let scene = EVALUATED_SCENES[4].generate_scaled(0.04);
+/// let index = SceneIndex::build(&scene.gaussians);
+/// let policy = ThreadPolicy::default();
+/// let left = scene.default_camera();
+/// let d = Vec3::new(0.065, 0.0, 0.0);
+/// let right = Camera::look_at(left.eye() + d, Vec3::ZERO + d, left.width(), left.height(), left.fov_y());
+/// assert!(right.is_translation_of(&left));
+/// let indexed = |cull: &mut CullState, cam: &Camera| {
+///     let request = PreprocessRequest::new(policy, PreprocessMode::Indexed { index: &index, cull });
+///     let mut out = Vec::new();
+///     let stats = preprocess_frame(&scene, cam, request, &mut PreprocessScratch::default(), &mut out);
+///     (stats, out)
+/// };
+/// let full = |cam: &Camera| {
+///     let mut out = Vec::new();
+///     let stats = preprocess_into(&scene, cam, policy, &mut PreprocessScratch::default(), &mut out);
+///     (stats, out)
+/// };
+/// let mut solo = CullState::default();
+/// solo.begin_round(&index, std::slice::from_ref(&left));
+/// assert_eq!(indexed(&mut solo, &left), full(&left));
+///
+/// let mut pair = CullState::default();
+/// pair.begin_round(&index, &[left.clone(), right.clone()]);
+/// assert_eq!(indexed(&mut pair, &left), full(&left));
+/// assert_eq!(indexed(&mut pair, &right), full(&right));
+/// assert_eq!((pair.rounds(), pair.members_total()), (1, 2));
+/// ```
 // vrlint: hot
-pub fn preprocess_into_clamped(
+pub fn preprocess_frame(
     scene: &Scene,
     camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    preprocess_into_impl(scene, camera, policy, scratch, out, false, max_sh_degree)
-}
-
-/// [`preprocess_into`] for temporally coherent frame sequences: the depth
-/// sort warm-starts from the previous call's near-sorted order through the
-/// scratch's [`IncrementalSorter`] (insertion-repair fast path, fused-radix
-/// fallback). The sorted output is **bit-exact** with [`preprocess_into`]
-/// for every frame — only the sorting cost changes. Use
-/// [`PreprocessScratch::resort_stats`] to observe the repair/fallback mix
-/// and [`PreprocessScratch::invalidate_temporal`] on scene cuts.
-// vrlint: hot
-pub fn preprocess_into_temporal(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
+    request: PreprocessRequest<'_>,
     scratch: &mut PreprocessScratch,
     out: &mut Vec<Splat>,
 ) -> PreprocessStats {
-    preprocess_into_impl(scene, camera, policy, scratch, out, true, MAX_SH_DEGREE)
-}
-
-/// [`preprocess_into_temporal`] with the SH evaluation degree capped at
-/// `max_sh_degree`.
-// vrlint: hot
-pub fn preprocess_into_temporal_clamped(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    preprocess_into_impl(scene, camera, policy, scratch, out, true, max_sh_degree)
-}
-
-// vrlint: hot
-#[allow(clippy::too_many_arguments)]
-fn preprocess_into_impl(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    temporal: bool,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    let n = scene.gaussians.len();
+    let PreprocessRequest {
+        policy,
+        max_sh_degree,
+        mode,
+    } = request;
+    let n = scene.len();
     let workers = policy.workers(n);
-    scratch.clear_staging();
+    // The indexed path is inherently temporal: it exists for coherent
+    // frame streams, so it always feeds the id-keyed warm-started sort.
+    let temporal = !matches!(mode, PreprocessMode::Full);
     // Hoist the camera constants out of the per-Gaussian loop; every
     // worker shares the same precomputed frame transform.
-    let frame = FrameTransform::new(camera).with_max_sh_degree(max_sh_degree);
-
-    if workers <= 1 {
-        // Both key streams are pushed unconditionally — the non-temporal
-        // sort never reads `ids`, but one u32 push per visible splat is
-        // cheaper than splitting the emission loop per sort mode.
-        for (i, g) in scene.gaussians.iter().enumerate() {
-            if let Some(s) = project_gaussian_frame(g, &frame, i as u32) {
-                scratch.depths.push(s.depth);
-                scratch.ids.push(s.source);
-                scratch.staging.push(s);
-            }
-        }
-    } else {
-        let parts = chunked_ranges_mut::<()>(n, workers, &mut []);
-        // Exactly one (splat, key) chunk pair per spawned part: a shorter
-        // part list must not leave stale chunks for the merge to pick up.
-        // vrlint: allow(VL02, reason = "Vec::new allocates nothing; resize_with grows the worker table only on first use or a worker-count change")
-        scratch.worker_out.resize_with(parts.len(), Vec::new);
-        scratch
-            .worker_keys
-            .resize_with(parts.len(), Default::default);
-        std::thread::scope(|s| {
-            for (((range, _), chunk_out), chunk_keys) in parts
-                .into_iter()
-                .zip(scratch.worker_out.iter_mut())
-                .zip(scratch.worker_keys.iter_mut())
-            {
-                let gaussians = &scene.gaussians;
-                let frame = &frame;
-                s.spawn(move || {
-                    chunk_out.clear();
-                    chunk_keys.0.clear();
-                    chunk_keys.1.clear();
-                    let start = range.start;
-                    // vrlint: allow(VL01[index], reason = "chunk ranges partition 0..gaussians.len() by construction")
-                    for (k, g) in gaussians[range].iter().enumerate() {
-                        if let Some(s) = project_gaussian_frame(g, frame, (start + k) as u32) {
-                            chunk_keys.0.push(s.depth);
-                            chunk_keys.1.push(s.source);
-                            chunk_out.push(s);
-                        }
+    let frame = &FrameTransform::new(camera).with_max_sh_degree(max_sh_degree);
+    match mode {
+        PreprocessMode::Full | PreprocessMode::Temporal => {
+            let gaussians = &scene.gaussians;
+            emit_ranges::<()>(n, workers, &mut [], scratch, |range, _, out| {
+                let start = range.start;
+                // vrlint: allow(VL01[index], reason = "chunk ranges partition 0..gaussians.len() by construction")
+                for (k, g) in gaussians[range].iter().enumerate() {
+                    if let Some(s) = project_gaussian_frame(g, frame, (start + k) as u32) {
+                        out.push(s);
                     }
+                }
+                (0, 0)
+            });
+        }
+        PreprocessMode::Indexed { index, cull } => {
+            assert_eq!(
+                index.len(),
+                n,
+                "spatial index built for a different cloud size"
+            );
+            assert_eq!(
+                cull.paired_with(),
+                index.fingerprint(),
+                "cull state not paired with this index (begin_round not called)"
+            );
+            cull.check_content_once(|| {
+                assert_eq!(
+                    index.fingerprint(),
+                    cloud_fingerprint(&scene.gaussians),
+                    "spatial index built for a different scene"
+                );
+            });
+            assert!(
+                cull.admits(camera),
+                "camera not admitted by the current round — unprovable deltas need their own round"
+            );
+            let (classes, mcache, epoch) = cull.projection_parts();
+            let (refreshed, reprojected) =
+                emit_ranges(n, workers, mcache, scratch, |range, window, out| {
+                    project_indexed_range(
+                        &scene.gaussians,
+                        index,
+                        frame,
+                        classes,
+                        epoch,
+                        range,
+                        window,
+                        out,
+                    )
                 });
-            }
-        });
-        scratch.merge_worker_chunks();
+            cull.record_projection(refreshed, reprojected);
+        }
     }
-
-    finish_preprocess(scene.len(), scratch, out, temporal)
+    finish_preprocess(n, scratch, out, temporal)
 }
 
-/// The shared sort-and-emit tail of every preprocess path: the
+/// Fills `scratch`'s staging list by running `body` over `0..n`: inline
+/// when `workers <= 1`, otherwise over `workers` contiguous chunks on
+/// scoped threads, each chunk with its own window of `state` (see
+/// [`chunked_ranges_mut`]) and its own emission buffer. Chunk-order
+/// concatenation reproduces the serial sweep's order exactly. Returns the
+/// summed per-chunk counters.
+// vrlint: hot
+fn emit_ranges<S: Send>(
+    n: usize,
+    workers: usize,
+    state: &mut [S],
+    scratch: &mut PreprocessScratch,
+    body: impl Fn(Range<usize>, &mut [S], &mut Emitted) -> (u64, u64) + Sync,
+) -> (u64, u64) {
+    scratch.staging.clear();
+    if workers <= 1 {
+        return body(0..n, state, &mut scratch.staging);
+    }
+    let parts = chunked_ranges_mut(n, workers, state);
+    // Exactly one chunk buffer per spawned part: a shorter part list must
+    // not leave stale chunks for the merge to pick up. Growth happens
+    // only on first use or a worker-count change.
+    scratch.workers.resize_with(parts.len(), Emitted::default);
+    let body = &body;
+    // vrlint: allow-block(VL02[collect], reason = "O(workers) scoped-thread handle lists per fan-out, not O(gaussians)")
+    let counters = std::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .zip(scratch.workers.iter_mut())
+            .map(|((range, window), chunk)| {
+                s.spawn(move || {
+                    chunk.clear();
+                    body(range, window, chunk)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            // A worker panic propagates to the submitter unchanged
+            // rather than re-panicking with a second message.
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .fold((0, 0), |(a, b), (r, p)| (a + r, b + p))
+    });
+    for chunk in &mut scratch.workers {
+        scratch.staging.append(chunk);
+    }
+    counters
+}
+
+/// The shared sort-and-emit tail of every preprocess mode: the
 /// (optionally warm-started) front-to-back sort over the key streams the
-/// emission loops already extracted, the reorder into `out` and the stats.
+/// emission sweep already extracted, the reorder into `out` and the stats.
 fn finish_preprocess(
     input_gaussians: usize,
     scratch: &mut PreprocessScratch,
     out: &mut Vec<Splat>,
     temporal: bool,
 ) -> PreprocessStats {
-    debug_assert_eq!(scratch.depths.len(), scratch.staging.len());
-    debug_assert_eq!(scratch.ids.len(), scratch.staging.len());
+    let staging = &scratch.staging;
+    debug_assert_eq!(staging.depths.len(), staging.splats.len());
+    debug_assert_eq!(staging.ids.len(), staging.splats.len());
     if temporal {
         // Warm-start by stable identity: `source` survives visibility
         // churn at the frustum edges, unlike the staging index.
         scratch
             .sorter
-            .sort_depths_with_ids_into(&scratch.depths, &scratch.ids, &mut scratch.order);
+            .sort_depths_with_ids_into(&staging.depths, &staging.ids, &mut scratch.order);
     } else {
-        sort_splats_by_depth_into(&scratch.depths, &mut scratch.sort, &mut scratch.order);
+        sort_splats_by_depth_into(&staging.depths, &mut scratch.sort, &mut scratch.order);
     }
 
     out.clear();
-    out.reserve(scratch.staging.len());
+    out.reserve(staging.splats.len());
     // One pass reorders and accumulates the workload proxy — the f64 adds
     // run in sorted order, exactly as a separate sweep over `out` would.
     let mut total_obb_area = 0.0f64;
     out.extend(scratch.order.iter().map(|&i| {
-        let s = scratch.staging[i as usize];
+        let s = staging.splats[i as usize];
         total_obb_area += s.obb_area() as f64;
         s
     }));
@@ -324,338 +452,6 @@ fn finish_preprocess(
         sorted_keys: out.len(),
         total_obb_area,
     }
-}
-
-/// Incremental, spatially indexed preprocessing for coherent frame
-/// sequences — **bit-exact** with [`preprocess_into`] on every frame.
-///
-/// Per frame the scene's grid cells ([`SceneIndex`]) are classified
-/// against the frustum; fully-outside cells are skipped wholesale,
-/// fully-inside cells skip the per-Gaussian cull test, and the covariance
-/// product `W Σ Wᵀ` of every visible Gaussian is replayed from the
-/// [`CullState`] cache whenever the camera delta is a pure translation
-/// ([`Camera::is_translation_of`]). Splats are emitted in scene order —
-/// the same staging order as the full sweep — and the depth sort
-/// warm-starts through the scratch's [`IncrementalSorter`] exactly as
-/// [`preprocess_into_temporal`] does, so output order, splat bits and
-/// [`PreprocessStats`] are all identical to the full path; only the work
-/// to produce them shrinks. [`CullState::stats`] reports what was skipped.
-///
-/// # Panics
-///
-/// Panics when `index` was not built from this scene's Gaussian cloud:
-/// a length mismatch panics on every call, and a content (fingerprint)
-/// mismatch panics on the first frame after `cull` (re)pairs with the
-/// index — the full-content check is `O(scene)` and runs once per
-/// pairing, not per frame, so an **in-place** mutation of the cloud after
-/// pairing goes undetected (rebuild the index, or use
-/// [`CullState::invalidate`] plus a fresh [`SceneIndex`], after mutating).
-///
-/// # Examples
-///
-/// ```
-/// use gsplat::index::{CullState, SceneIndex};
-/// use gsplat::preprocess::{preprocess_into, preprocess_into_indexed, PreprocessScratch};
-/// use gsplat::scene::EVALUATED_SCENES;
-/// use gsplat::ThreadPolicy;
-/// let scene = EVALUATED_SCENES[4].generate_scaled(0.04);
-/// let cam = scene.default_camera();
-/// let index = SceneIndex::build(&scene.gaussians);
-/// let mut cull = CullState::default();
-/// let (mut s1, mut s2) = (PreprocessScratch::default(), PreprocessScratch::default());
-/// let (mut indexed, mut full) = (Vec::new(), Vec::new());
-/// let a = preprocess_into_indexed(
-///     &scene, &cam, ThreadPolicy::default(), &index, &mut cull, &mut s1, &mut indexed,
-/// );
-/// let b = preprocess_into(&scene, &cam, ThreadPolicy::default(), &mut s2, &mut full);
-/// assert_eq!(a, b);
-/// assert_eq!(indexed, full);
-/// ```
-// vrlint: hot
-pub fn preprocess_into_indexed(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    index: &SceneIndex,
-    cull: &mut CullState,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-) -> PreprocessStats {
-    preprocess_into_indexed_clamped(
-        scene,
-        camera,
-        policy,
-        index,
-        cull,
-        scratch,
-        out,
-        MAX_SH_DEGREE,
-    )
-}
-
-/// [`preprocess_into_indexed`] with the SH evaluation degree capped at
-/// `max_sh_degree`. The degree-0 `base_color` cache in the spatial index is
-/// clamp-invariant (a degree-0 color evaluates identically under any cap),
-/// so the indexed path stays bit-exact with the full clamped path.
-// vrlint: hot
-#[allow(clippy::too_many_arguments)]
-pub fn preprocess_into_indexed_clamped(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    index: &SceneIndex,
-    cull: &mut CullState,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    assert_eq!(
-        index.len(),
-        scene.len(),
-        "spatial index built for a different cloud size"
-    );
-    if cull.paired_with() != index.fingerprint() {
-        // One-off on (re)pairing: the O(scene) content check that the
-        // index really describes this cloud. Steady-state frames skip it.
-        assert_eq!(
-            index.fingerprint(),
-            crate::index::cloud_fingerprint(&scene.gaussians),
-            "spatial index built for a different scene"
-        );
-    }
-    let n = scene.len();
-    let workers = policy.workers(n);
-    let frame = FrameTransform::new(camera).with_max_sh_degree(max_sh_degree);
-    cull.begin_frame(index, &frame, camera);
-    scratch.clear_staging();
-
-    let (classes, mcache, epoch) = cull.projection_parts();
-    let (refreshed, reprojected) = if workers <= 1 {
-        let (staging, depths, ids) = scratch.staging_parts();
-        project_indexed_range(
-            &scene.gaussians,
-            index,
-            &frame,
-            classes,
-            epoch,
-            0..n,
-            mcache,
-            staging,
-            depths,
-            ids,
-        )
-    } else {
-        let parts = chunked_ranges_mut(n, workers, mcache);
-        // vrlint: allow(VL02, reason = "Vec::new allocates nothing; resize_with grows the worker table only on first use or a worker-count change")
-        scratch.worker_out.resize_with(parts.len(), Vec::new);
-        scratch
-            .worker_keys
-            .resize_with(parts.len(), Default::default);
-        // vrlint: allow-block(VL02[collect], reason = "O(workers) scoped-thread handle lists per fan-out, not O(gaussians)")
-        let counters = std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .zip(scratch.worker_out.iter_mut())
-                .zip(scratch.worker_keys.iter_mut())
-                .map(|(((range, mstate), chunk_out), chunk_keys)| {
-                    let gaussians = &scene.gaussians;
-                    let frame = &frame;
-                    s.spawn(move || {
-                        chunk_out.clear();
-                        chunk_keys.0.clear();
-                        chunk_keys.1.clear();
-                        project_indexed_range(
-                            gaussians,
-                            index,
-                            frame,
-                            classes,
-                            epoch,
-                            range,
-                            mstate,
-                            chunk_out,
-                            &mut chunk_keys.0,
-                            &mut chunk_keys.1,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A worker panic propagates to the submitter unchanged
-                // rather than re-panicking with a second message.
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect::<Vec<_>>()
-        });
-        // Chunk-order concatenation == serial projection order.
-        scratch.merge_worker_chunks();
-        counters
-            .iter()
-            .fold((0, 0), |(a, b), &(r, p)| (a + r, b + p))
-    };
-    cull.record_projection(refreshed, reprojected);
-
-    // The indexed path is inherently temporal: it exists for coherent
-    // frame streams, so it always feeds the id-keyed warm-started sort.
-    finish_preprocess(n, scratch, out, true)
-}
-
-/// One member's emission sweep of a **batched** preprocessing round —
-/// bit-exact with [`preprocess_into_indexed`] run solo on the same stream.
-///
-/// The caller owns the round: [`BatchCullState::begin_round`] must have
-/// admitted `camera` (leader or proven translation-bound member), after
-/// which M member sweeps share the round's single widened classification
-/// and the group-wide `W Σ Wᵀ` cache — the covariance product depends on
-/// the camera only through the view rotation, which the bound makes
-/// bit-identical across the group, so an entry computed during any
-/// member's sweep replays bit-exactly for every other member. Everything
-/// genuinely per-camera (sphere tests in `Boundary` cells, the projection
-/// tail, SH color, the warm-started depth sort over the member's own
-/// `scratch`) runs with the member's own [`FrameTransform`], which is why
-/// the emitted splats, their order, and the returned [`PreprocessStats`]
-/// are all identical to the member's solo run.
-///
-/// # Panics
-///
-/// Panics when `index` was not built from this scene's cloud (as
-/// [`preprocess_into_indexed`]), or when `camera` is not admitted by the
-/// current round — unprovable deltas must take the solo per-stream path.
-// vrlint: hot
-pub fn preprocess_into_indexed_batched(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    index: &SceneIndex,
-    batch: &mut BatchCullState,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-) -> PreprocessStats {
-    preprocess_into_indexed_batched_clamped(
-        scene,
-        camera,
-        policy,
-        index,
-        batch,
-        scratch,
-        out,
-        MAX_SH_DEGREE,
-    )
-}
-
-/// [`preprocess_into_indexed_batched`] with the SH evaluation degree
-/// capped at `max_sh_degree`. Mixed caps within one batch are sound: the
-/// shared verdicts and covariance cache are geometric (cap-invariant),
-/// and the cap rides each member's own frame transform.
-// vrlint: hot
-#[allow(clippy::too_many_arguments)]
-pub fn preprocess_into_indexed_batched_clamped(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    index: &SceneIndex,
-    batch: &mut BatchCullState,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    max_sh_degree: u8,
-) -> PreprocessStats {
-    assert_eq!(
-        index.len(),
-        scene.len(),
-        "spatial index built for a different cloud size"
-    );
-    assert_eq!(
-        batch.paired_with(),
-        index.fingerprint(),
-        "batch state not paired with this index (begin_round not called)"
-    );
-    if !batch.content_checked() {
-        // One-off per pairing: the O(scene) content check that the index
-        // really describes this cloud. Steady-state frames skip it.
-        assert_eq!(
-            index.fingerprint(),
-            crate::index::cloud_fingerprint(&scene.gaussians),
-            "spatial index built for a different scene"
-        );
-        batch.mark_content_checked();
-    }
-    assert!(
-        batch.admits(camera),
-        "camera not admitted by the current batch round — unprovable deltas take the solo path"
-    );
-    let n = scene.len();
-    let workers = policy.workers(n);
-    let frame = FrameTransform::new(camera).with_max_sh_degree(max_sh_degree);
-    scratch.clear_staging();
-
-    let (classes, mcache, epoch) = batch.projection_parts();
-    let (refreshed, reprojected) = if workers <= 1 {
-        let (staging, depths, ids) = scratch.staging_parts();
-        project_indexed_range(
-            &scene.gaussians,
-            index,
-            &frame,
-            classes,
-            epoch,
-            0..n,
-            mcache,
-            staging,
-            depths,
-            ids,
-        )
-    } else {
-        let parts = chunked_ranges_mut(n, workers, mcache);
-        // vrlint: allow(VL02, reason = "Vec::new allocates nothing; resize_with grows the worker table only on first use or a worker-count change")
-        scratch.worker_out.resize_with(parts.len(), Vec::new);
-        scratch
-            .worker_keys
-            .resize_with(parts.len(), Default::default);
-        // vrlint: allow-block(VL02[collect], reason = "O(workers) scoped-thread handle lists per fan-out, not O(gaussians)")
-        let counters = std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .zip(scratch.worker_out.iter_mut())
-                .zip(scratch.worker_keys.iter_mut())
-                .map(|(((range, mstate), chunk_out), chunk_keys)| {
-                    let gaussians = &scene.gaussians;
-                    let frame = &frame;
-                    s.spawn(move || {
-                        chunk_out.clear();
-                        chunk_keys.0.clear();
-                        chunk_keys.1.clear();
-                        project_indexed_range(
-                            gaussians,
-                            index,
-                            frame,
-                            classes,
-                            epoch,
-                            range,
-                            mstate,
-                            chunk_out,
-                            &mut chunk_keys.0,
-                            &mut chunk_keys.1,
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // A worker panic propagates to the submitter unchanged
-                // rather than re-panicking with a second message.
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect::<Vec<_>>()
-        });
-        // Chunk-order concatenation == serial projection order.
-        scratch.merge_worker_chunks();
-        counters
-            .iter()
-            .fold((0, 0), |(a, b), &(r, p)| (a + r, b + p))
-    };
-    batch.record_projection(refreshed, reprojected);
-
-    // Same warm-started id-keyed sort as the solo indexed path, over the
-    // member's own scratch: the per-stream sorter sequence is preserved
-    // whether a frame was served batched or solo.
-    finish_preprocess(n, scratch, out, true)
 }
 
 /// Projects the Gaussians of `range` through the classification lattice
@@ -668,11 +464,9 @@ fn project_indexed_range(
     frame: &FrameTransform,
     classes: &[CellClass],
     epoch: u32,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     mstate: &mut [CovCacheEntry],
-    out: &mut Vec<Splat>,
-    out_depths: &mut Vec<f32>,
-    out_ids: &mut Vec<u32>,
+    out: &mut Emitted,
 ) -> (u64, u64) {
     let base = range.start;
     let (mut refreshed, mut reprojected) = (0u64, 0u64);
@@ -731,8 +525,6 @@ fn project_indexed_range(
             cutoff[k],
             color,
         ) {
-            out_depths.push(s.depth);
-            out_ids.push(s.source);
             out.push(s);
         }
     }
@@ -761,6 +553,33 @@ pub fn preprocess_into_stream(
 mod tests {
     use super::*;
     use crate::scene::EVALUATED_SCENES;
+
+    /// [`preprocess_frame`] in [`PreprocessMode::Temporal`].
+    fn preprocess_into_temporal(
+        scene: &Scene,
+        camera: &Camera,
+        policy: ThreadPolicy,
+        scratch: &mut PreprocessScratch,
+        out: &mut Vec<Splat>,
+    ) -> PreprocessStats {
+        let request = PreprocessRequest::new(policy, PreprocessMode::Temporal);
+        preprocess_frame(scene, camera, request, scratch, out)
+    }
+
+    /// One solo indexed frame: a round of one camera, then its emission.
+    fn preprocess_into_indexed(
+        scene: &Scene,
+        camera: &Camera,
+        policy: ThreadPolicy,
+        index: &SceneIndex,
+        cull: &mut CullState,
+        scratch: &mut PreprocessScratch,
+        out: &mut Vec<Splat>,
+    ) -> PreprocessStats {
+        cull.begin_round(index, std::slice::from_ref(camera));
+        let request = PreprocessRequest::new(policy, PreprocessMode::Indexed { index, cull });
+        preprocess_frame(scene, camera, request, scratch, out)
+    }
 
     #[test]
     fn output_is_depth_sorted() {
@@ -895,7 +714,6 @@ mod tests {
     #[test]
     fn indexed_preprocess_is_bit_exact_with_full() {
         use crate::camera::CameraPath;
-        use crate::index::{CullState, SceneIndex};
         let scene = EVALUATED_SCENES[2].generate_scaled(0.05); // Train
         let index = SceneIndex::build(&scene.gaussians);
         let paths = [
@@ -950,7 +768,6 @@ mod tests {
     #[test]
     fn indexed_preprocess_refreshes_under_translation() {
         use crate::camera::CameraPath;
-        use crate::index::{CullState, SceneIndex};
         let scene = EVALUATED_SCENES[4].generate_scaled(0.05); // Lego
         let index = SceneIndex::build(&scene.gaussians);
         let path = CameraPath::flythrough(
@@ -985,7 +802,6 @@ mod tests {
     /// full path.
     #[test]
     fn indexed_parallel_matches_indexed_serial() {
-        use crate::index::{CullState, SceneIndex};
         let scene = EVALUATED_SCENES[1].generate_scaled(0.05);
         let cam = scene.default_camera();
         let index = SceneIndex::build(&scene.gaussians);
@@ -1027,7 +843,6 @@ mod tests {
     /// first scene's cached covariance products would be silently wrong.
     #[test]
     fn cull_state_invalidates_when_repaired_with_another_index() {
-        use crate::index::{CullState, SceneIndex};
         let scene_a = EVALUATED_SCENES[4].generate_scaled(0.04);
         let mut scene_b = scene_a.clone();
         for g in &mut scene_b.gaussians {
@@ -1078,10 +893,38 @@ mod tests {
         assert_eq!(out, full, "stale covariance cache leaked across scenes");
     }
 
+    /// A camera whose view translation is non-finite still forms a round
+    /// of one: the leader is admitted by its own bits (every span
+    /// comparison is false for NaN), and the frame matches the full path.
+    #[test]
+    fn non_finite_camera_is_its_own_round() {
+        let scene = EVALUATED_SCENES[4].generate_scaled(0.04);
+        let index = SceneIndex::build(&scene.gaussians);
+        let cam = Camera::look_at(
+            crate::math::Vec3::new(f32::INFINITY, 0.0, 0.0),
+            crate::math::Vec3::ZERO,
+            64,
+            48,
+            1.0,
+        );
+        let mut out = Vec::new();
+        let stats = preprocess_into_indexed(
+            &scene,
+            &cam,
+            ThreadPolicy::default(),
+            &index,
+            &mut CullState::default(),
+            &mut PreprocessScratch::default(),
+            &mut out,
+        );
+        let full = preprocess(&scene, &cam);
+        assert_eq!(stats, full.stats);
+        assert_eq!(out, full.splats);
+    }
+
     #[test]
     #[should_panic(expected = "different scene")]
     fn indexed_preprocess_rejects_mismatched_index() {
-        use crate::index::{CullState, SceneIndex};
         let scene = EVALUATED_SCENES[4].generate_scaled(0.04);
         let mut other = scene.clone();
         other.gaussians[0].mean.x += 10.0;
@@ -1104,7 +947,6 @@ mod tests {
     #[ignore]
     fn perf_probe() {
         use crate::camera::CameraPath;
-        use crate::index::{CullState, SceneIndex};
         use std::time::Instant;
         let scene = EVALUATED_SCENES[2].generate_scaled(0.1);
         let frames = 16;
@@ -1154,10 +996,9 @@ mod tests {
             let mut scratch = PreprocessScratch::default();
             for cam in &cams {
                 let frame = FrameTransform::new(cam);
-                cull.begin_frame(&index, &frame, cam);
-                scratch.clear_staging();
+                cull.begin_round(&index, std::slice::from_ref(cam));
                 let (classes, mcache, epoch) = cull.projection_parts();
-                let (staging, depths, ids) = scratch.staging_parts();
+                scratch.staging.clear();
                 project_indexed_range(
                     &scene.gaussians,
                     &index,
@@ -1166,9 +1007,7 @@ mod tests {
                     epoch,
                     0..scene.len(),
                     mcache,
-                    staging,
-                    depths,
-                    ids,
+                    &mut scratch.staging,
                 );
             }
             best[2] = best[2].min(t0.elapsed().as_secs_f64() * 1e3);
@@ -1178,11 +1017,9 @@ mod tests {
             let mut scratch = PreprocessScratch::default();
             for cam in &cams {
                 let frame = FrameTransform::new(cam);
-                scratch.clear_staging();
+                scratch.staging.clear();
                 for (i, g) in scene.gaussians.iter().enumerate() {
                     if let Some(s) = project_gaussian_frame(g, &frame, i as u32) {
-                        scratch.depths.push(s.depth);
-                        scratch.ids.push(s.source);
                         scratch.staging.push(s);
                     }
                 }
@@ -1193,8 +1030,7 @@ mod tests {
             let t0 = Instant::now();
             let mut cull = CullState::default();
             for cam in &cams {
-                let frame = FrameTransform::new(cam);
-                cull.begin_frame(&index, &frame, cam);
+                cull.begin_round(&index, std::slice::from_ref(cam));
             }
             best[4] = best[4].min(t0.elapsed().as_secs_f64() * 1e3);
         }

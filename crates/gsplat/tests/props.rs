@@ -4,9 +4,11 @@ use gsplat::blend::{blend_over, fragment_alpha, gaussian_falloff, PixelAccumulat
 use gsplat::camera::Camera;
 use gsplat::color::Rgba;
 use gsplat::gaussian::Gaussian;
-use gsplat::index::{CellClass, SceneIndex};
+use gsplat::index::{CellClass, CullState, SceneIndex};
 use gsplat::math::{Mat2, Vec2, Vec3};
-use gsplat::preprocess::PreprocessScratch;
+use gsplat::preprocess::{
+    preprocess_frame, preprocess_into, PreprocessMode, PreprocessRequest, PreprocessScratch,
+};
 use gsplat::projection::{project_gaussian, FrameTransform};
 use gsplat::sh::ShColor;
 use gsplat::sort::{depth_key, radix_argsort, sort_splats_by_depth, IncrementalSorter};
@@ -465,18 +467,20 @@ proptest! {
 
 proptest! {
     /// Grouped ⇒ bit-exact: every camera that proves the pure-translation
-    /// bound and joins a batch round receives splats (values *and* order)
-    /// and [`gsplat::preprocess::PreprocessStats`] identical to its own
-    /// solo indexed session — across two consecutive rounds, so the
-    /// round-to-round covariance replay path is exercised, not just the
-    /// cold pass. Unprovable deltas never reach the round: they are
-    /// filtered out exactly as a batch-forming scheduler must.
+    /// bound and joins a round receives splats (values *and* order) and
+    /// [`gsplat::preprocess::PreprocessStats`] identical to the flat
+    /// [`preprocess_into`] sweep — the reference that shares no index
+    /// code — across two consecutive rounds, so the round-to-round
+    /// covariance replay path is exercised, not just the cold pass. Rounds
+    /// of one member (a solo frame) and of several are both drawn.
+    /// Unprovable deltas never reach the round: they are filtered out
+    /// exactly as a round-forming scheduler must.
     #[test]
     fn batched_members_are_bit_exact_with_solo(
         cloud in cloud_strategy(),
         eye in ((-18.0f32..18.0), (-18.0f32..18.0), (3.0f32..20.0)),
         deltas in proptest::collection::vec(
-            ((-0.6f32..0.6), (-0.6f32..0.6), (-0.6f32..0.6)), 1..4),
+            ((-0.6f32..0.6), (-0.6f32..0.6), (-0.6f32..0.6)), 0..4),
         step in ((-0.4f32..0.4), (-0.4f32..0.4), (-0.4f32..0.4)),
     ) {
         let eye = Vec3::new(eye.0, eye.1, eye.2);
@@ -501,33 +505,33 @@ proptest! {
             cams
         };
         let rounds = [round(Vec3::ZERO), round(step)];
-        prop_assume!(rounds[0].len() >= 2 && rounds[0].len() == rounds[1].len());
+        prop_assume!(rounds[0].len() == rounds[1].len());
 
-        let mut batch = gsplat::batch::BatchCullState::default();
+        let mut cull = CullState::default();
         // One scratch per member (per-stream warm-sort state), one shared
-        // batch state — the serving topology.
+        // cull state — the serving topology.
         let members = rounds[0].len();
         let mut batched: Vec<(PreprocessScratch, Vec<Splat>)> =
             (0..members).map(|_| (PreprocessScratch::default(), Vec::new())).collect();
-        let mut solo: Vec<(gsplat::index::CullState, PreprocessScratch, Vec<Splat>)> =
-            (0..members)
-                .map(|_| (gsplat::index::CullState::default(), PreprocessScratch::default(), Vec::new()))
-                .collect();
+        let mut flat_scratch = PreprocessScratch::default();
+        let mut reference = Vec::new();
 
         for cams in &rounds {
-            batch.begin_round(&index, cams);
+            cull.begin_round(&index, cams);
             for (k, cam) in cams.iter().enumerate() {
                 let (scratch, out) = &mut batched[k];
-                let stats_batched = gsplat::preprocess::preprocess_into_indexed_batched(
-                    &scene, cam, policy, &index, &mut batch, scratch, out,
+                let request = PreprocessRequest::new(
+                    policy,
+                    PreprocessMode::Indexed { index: &index, cull: &mut cull },
                 );
-                let (cull, scratch, reference) = &mut solo[k];
-                let stats_solo = gsplat::preprocess::preprocess_into_indexed(
-                    &scene, cam, policy, &index, cull, scratch, reference,
-                );
-                prop_assert_eq!(stats_batched, stats_solo, "member {} stats diverged", k);
-                prop_assert_eq!(&*out, &*reference, "member {} splats diverged", k);
+                let stats_batched = preprocess_frame(&scene, cam, request, scratch, out);
+                let stats_flat =
+                    preprocess_into(&scene, cam, policy, &mut flat_scratch, &mut reference);
+                prop_assert_eq!(stats_batched, stats_flat, "member {} stats diverged", k);
+                prop_assert_eq!(&*out, &reference, "member {} splats diverged", k);
             }
         }
+        prop_assert_eq!(cull.rounds(), 2);
+        prop_assert_eq!(cull.members_total(), 2 * members as u64);
     }
 }

@@ -5,7 +5,7 @@
 //! apply — the machine-checked mirror of DESIGN.md §11's prose:
 //!
 //! * **hot-path** (`no_panic`): the modules whose panics lose frames —
-//!   `gsplat::{stream, sort, index, batch, projection, par, preprocess}`,
+//!   `gsplat::{stream, sort, index, projection, par, preprocess}`,
 //!   the `gsplat::asset` decode path, every `swrender` backend, and
 //!   `vrpipe::{pipeline, serve, shading}`. VL01 applies file-wide.
 //! * **result-affecting** (`determinism`): all library code whose
@@ -40,7 +40,6 @@ const HOT_PATH: &[&str] = &[
     "crates/gsplat/src/stream.rs",
     "crates/gsplat/src/sort.rs",
     "crates/gsplat/src/index.rs",
-    "crates/gsplat/src/batch.rs",
     "crates/gsplat/src/projection.rs",
     "crates/gsplat/src/par.rs",
     "crates/gsplat/src/preprocess.rs",
@@ -89,7 +88,6 @@ pub fn classify(rel: &str) -> FileClass {
 /// sanctioned exception (the wait releases atomically).
 pub const LOCK_ORDER: &[&str] = &[
     "serve.stream_state",
-    "serve.batch_state",
     "par.pool_queue",
     "par.result_slot",
     "par.band_slot",
@@ -121,13 +119,6 @@ pub const LOCK_SITES: &[LockSite] = &[
         path: "crates/core/src/serve.rs",
         segment: "state",
         lock: "serve.stream_state",
-    },
-    // The shared per-group batch round state: always the innermost
-    // serve-side lock, taken after every member stream's state.
-    LockSite {
-        path: "crates/core/src/serve.rs",
-        segment: "batch_state",
-        lock: "serve.batch_state",
     },
     LockSite {
         path: "crates/gsplat/src/par.rs",

@@ -445,3 +445,55 @@ fn batched_streams_match_solo_sessions_one_worker() {
 fn batched_streams_match_solo_sessions_four_workers() {
     check_batched_serve_matches_solo(4);
 }
+
+/// A stereo **orbit** rotates its leader camera every eye pair, so no two
+/// rounds share a view rotation. A batching server must still pair both
+/// eyes on every round, stay bit-exact with a solo [`Session`], and run
+/// every round on the stream's own cull state (no per-rotation state
+/// accumulates anywhere else).
+///
+/// The eyes of a stereo path share a view direction, but `look_at`
+/// rebuilds each eye's basis from f32 differences, so an occasional pair
+/// misses the bit-exact translation proof and is served as two rounds of
+/// one (e.g. a 0.3 rad arc at height 1.2 proves 7 of 8 pairs here). Every
+/// pair of this orbit proves the bound.
+fn check_stereo_orbit_pairs_every_round(threads: usize) {
+    const PAIRS: usize = 8;
+    let scene = train_scene();
+    let path = CameraPath::orbit(scene.center, scene.view_radius, 1.2, 0.5).stereo(0.065);
+    let cfg = SequenceConfig::new(path, 2 * PAIRS, 64, 48).with_index();
+    let solo = Session::default().run(&scene, &cfg, |f| frame_digest(&f));
+
+    let mut server = Server::new(SharedScene::new(scene), threads).with_batching();
+    server.add_stream(StreamSpec::new("hmd", cfg, |f| frame_digest(&f)));
+    let report = server.run();
+    let b = &report.batch;
+    assert_eq!(b.rounds, PAIRS, "one round per eye pair: {b:?}");
+    assert_eq!(
+        b.batched_rounds, b.rounds,
+        "both eyes pair on 100% of rounds"
+    );
+    assert_eq!(b.occupancy, vec![0, PAIRS]);
+    let hmd = &report.streams[0];
+    assert_eq!(hmd.frames_batched, 2 * PAIRS);
+    for (i, (served, alone)) in hmd.frames.iter().zip(&solo).enumerate() {
+        assert_eq!(served, alone, "frame {i} diverged from its solo render");
+    }
+    assert_eq!(hmd.frames.len(), solo.len());
+    // Each round's cull work accrued to the stream's own session: every
+    // frame counted, cells classified once per pair.
+    assert_eq!(hmd.cull.frames as usize, 2 * PAIRS);
+    let cells = server.shared().index().cell_count() as u64;
+    let classified = hmd.cull.cells_skipped + hmd.cull.cells_refreshed + hmd.cull.cells_reprojected;
+    assert_eq!(classified, cells * PAIRS as u64);
+}
+
+#[test]
+fn stereo_orbit_pairs_every_round_one_worker() {
+    check_stereo_orbit_pairs_every_round(1);
+}
+
+#[test]
+fn stereo_orbit_pairs_every_round_four_workers() {
+    check_stereo_orbit_pairs_every_round(4);
+}

@@ -1,15 +1,16 @@
-//! SH-degree clamping bit-exactness: `preprocess_clamped(scene, cam, d)`
-//! must produce *bit-identical* splats to preprocessing a scene whose SH
+//! SH-degree clamping bit-exactness: preprocessing with
+//! `PreprocessRequest::max_sh_degree = d` must produce *bit-identical* splats to preprocessing a scene whose SH
 //! coefficient lists were physically truncated to degree `d` — the
 //! quality ladder's SH rung is a pure evaluation-order contract, not an
 //! approximation. Verified on the flat and indexed preprocess paths and
 //! through all three software render backends (CUDA-style, multipass,
 //! in-shader workload model).
 
+use gsplat::camera::Camera;
 use gsplat::index::{CullState, SceneIndex};
 use gsplat::math::Vec3;
 use gsplat::preprocess::{
-    preprocess, preprocess_clamped, preprocess_into_indexed, preprocess_into_indexed_clamped,
+    preprocess, preprocess_frame, PreprocessMode, PreprocessOutput, PreprocessRequest,
     PreprocessScratch,
 };
 use gsplat::scene::{Scene, EVALUATED_SCENES};
@@ -60,6 +61,48 @@ fn splat_bits(splats: &[Splat]) -> Vec<String> {
     splats.iter().map(|s| format!("{s:?}")).collect()
 }
 
+/// One frame preprocessed in `mode` with SH evaluation capped at
+/// `max_sh_degree`.
+fn capped(
+    scene: &Scene,
+    cam: &Camera,
+    max_sh_degree: u8,
+    mode: PreprocessMode,
+) -> PreprocessOutput {
+    let request = PreprocessRequest {
+        policy: ThreadPolicy::default(),
+        max_sh_degree,
+        mode,
+    };
+    let mut splats = Vec::new();
+    let stats = preprocess_frame(
+        scene,
+        cam,
+        request,
+        &mut PreprocessScratch::default(),
+        &mut splats,
+    );
+    PreprocessOutput { splats, stats }
+}
+
+/// The full sweep with SH evaluation capped at `max_sh_degree`.
+fn preprocess_clamped(scene: &Scene, cam: &Camera, max_sh_degree: u8) -> PreprocessOutput {
+    capped(scene, cam, max_sh_degree, PreprocessMode::Full)
+}
+
+/// A solo indexed frame — a round of one camera over a fresh index of
+/// `scene` — with SH evaluation capped at `max_sh_degree`.
+fn indexed_clamped(scene: &Scene, cam: &Camera, max_sh_degree: u8) -> PreprocessOutput {
+    let index = SceneIndex::build(&scene.gaussians);
+    let mut cull = CullState::default();
+    cull.begin_round(&index, std::slice::from_ref(cam));
+    let mode = PreprocessMode::Indexed {
+        index: &index,
+        cull: &mut cull,
+    };
+    capped(scene, cam, max_sh_degree, mode)
+}
+
 #[test]
 fn clamped_preprocess_is_bit_exact_with_truncated_scene() {
     let scene = degree3_scene();
@@ -89,39 +132,12 @@ fn indexed_clamped_preprocess_matches_truncated_scene() {
     let scene = degree3_scene();
     let cam = scene.default_camera();
     for max in [0u8, 2] {
-        let index = SceneIndex::build(&scene.gaussians);
-        let mut cull = CullState::default();
-        let mut scratch = PreprocessScratch::default();
-        let mut clamped = Vec::new();
-        let a = preprocess_into_indexed_clamped(
-            &scene,
-            &cam,
-            ThreadPolicy::default(),
-            &index,
-            &mut cull,
-            &mut scratch,
-            &mut clamped,
-            max,
-        );
-
-        let trunc = truncated_scene(&scene, max);
-        let t_index = SceneIndex::build(&trunc.gaussians);
-        let mut t_cull = CullState::default();
-        let mut t_scratch = PreprocessScratch::default();
-        let mut reference = Vec::new();
-        let b = preprocess_into_indexed(
-            &trunc,
-            &cam,
-            ThreadPolicy::default(),
-            &t_index,
-            &mut t_cull,
-            &mut t_scratch,
-            &mut reference,
-        );
-        assert_eq!(a, b, "degree {max}");
+        let a = indexed_clamped(&scene, &cam, max);
+        let b = indexed_clamped(&truncated_scene(&scene, max), &cam, MAX_SH_DEGREE);
+        assert_eq!(a.stats, b.stats, "degree {max}");
         assert_eq!(
-            splat_bits(&clamped),
-            splat_bits(&reference),
+            splat_bits(&a.splats),
+            splat_bits(&b.splats),
             "degree {max}: indexed clamped path diverged"
         );
     }
