@@ -484,17 +484,9 @@ fn assert_rung_parity(
     let solos: Vec<Vec<vrpipe::SequenceFrameRecord>> = ladder
         .derive_all(base)
         .iter()
-        .zip(ladder.rungs())
-        .map(|(cfg, rung)| {
-            let solo_gpu = match rung.kernel {
-                Some(kernel) => GpuConfig {
-                    kernel,
-                    ..gpu.clone()
-                },
-                None => gpu.clone(),
-            };
+        .map(|cfg| {
             Session::default()
-                .run_vrpipe(scene, cfg, &solo_gpu, PipelineVariant::HetQm)
+                .run_vrpipe(scene, cfg, gpu, PipelineVariant::HetQm)
                 .expect("valid config")
         })
         .collect();

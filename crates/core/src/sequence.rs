@@ -10,12 +10,13 @@
 //!   through [`gsplat::sort::IncrementalSorter`] (bit-exact with the
 //!   from-scratch sort), and projection chunks, sort buffers and the SoA
 //!   [`SplatStream`] all survive across frames;
-//! * any backend renders the frames: [`Session::run`] hands the
-//!   preprocessed splats to a caller closure (the three `swrender`
-//!   backends plug in here), while [`Session::run_vrpipe`] drives the
-//!   simulated hardware pipeline through [`try_draw_in_place`] with
-//!   persistent render targets and [`DrawScratch`] — zero steady-state
-//!   allocation, and an error (never a panic) on bad configurations.
+//! * any backend renders the frames: [`Session::render_frame`] hands one
+//!   frame's preprocessed splats to a caller closure (the three
+//!   `swrender` backends plug in here). The simulated hardware pipeline
+//!   is one such closure: [`Session::run_vrpipe`] draws every frame
+//!   through [`try_draw_in_place`] into render targets and a
+//!   [`DrawScratch`] the closure owns — zero steady-state allocation, and
+//!   an error (never a panic) on bad configurations.
 //!
 //! Every frame of a sequence is bit-exact with rendering that frame in
 //! isolation: the temporal machinery accelerates, it never approximates
@@ -148,6 +149,9 @@ pub struct FrameInput<'a> {
     /// This frame's incremental-culling counters (all zero unless
     /// [`SequenceConfig::indexed`] is set).
     pub cull: CullStats,
+    /// Quality-ladder rung of the configuration this frame was rendered
+    /// at, copied from [`SequenceConfig::rung`].
+    pub rung: u8,
 }
 
 /// Per-frame record of a [`Session::run_vrpipe`] sequence.
@@ -177,7 +181,7 @@ pub struct SequenceFrameRecord {
 /// The session is backend-agnostic — [`Session::run`] preprocesses each
 /// frame (temporal warm-started sort, persistent scratch) and hands a
 /// [`FrameInput`] to the caller's render closure. [`Session::run_vrpipe`]
-/// is the built-in hardware-pipeline backend.
+/// runs the built-in hardware-pipeline closure.
 ///
 /// # Examples
 ///
@@ -217,18 +221,6 @@ pub struct Session {
     /// ([`Session::render_stereo_pair`]) or a served batch this session
     /// leads is a round of several.
     cull: CullState,
-    /// Simulated-pipeline draw scratch, reused across frames and
-    /// [`Session::run_vrpipe`] calls.
-    draw: DrawScratch,
-    /// Persistent color target for the vrpipe backend (re-created only
-    /// when the viewport or pixel format changes).
-    color: Option<ColorBuffer>,
-    /// Persistent depth/stencil target paired with `color`.
-    depth: Option<DepthStencilBuffer>,
-    /// Cached screen-tile count keyed by the tiling geometry it was
-    /// computed for, so per-frame vrpipe records don't rebuild the
-    /// [`Tiling`] every frame.
-    tiles: Option<((u32, u32, u32, u32), f64)>,
 }
 
 impl Session {
@@ -343,62 +335,31 @@ impl Session {
         }
     }
 
-    /// Preprocesses and renders frame `index` of the sequence — the
-    /// single-frame body of [`Session::run`], public so external
+    /// Preprocesses frame `index` of the sequence and hands it to `render`
+    /// — the single-frame body of [`Session::run`], public so external
     /// schedulers (the [`crate::serve`] server) can interleave frames of
     /// many sessions. For indexed sequences the index must already be in
     /// place ([`Session::prepare`] or [`Session::prepare_shared`]).
     ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.indexed` is set but no index was prepared.
-    // vrlint: hot
-    pub fn render_frame<R>(
-        &mut self,
-        scene: &Scene,
-        cfg: &SequenceConfig,
-        index: usize,
-        render: impl FnOnce(FrameInput<'_>) -> R,
-    ) -> R {
-        self.render_frame_inner(scene, cfg, index, None, render)
-    }
-
-    /// [`Session::render_frame`] as one member of a round of several
-    /// cameras: preprocessing replays `round`'s shared classification pass
-    /// and covariance cache instead of running a round of one on this
-    /// session's own [`CullState`]. The caller owns the round protocol —
-    /// `round.begin_round` must have run over a camera group this frame's
-    /// camera belongs to (the [`crate::serve`] scheduler and
-    /// [`Session::render_stereo_pair`] do this), and `FrameInput::cull`
-    /// reports only this member's emission counters. Emitted frames are
-    /// bit-exact with the solo [`Session::render_frame`].
+    /// With `round: None` the frame is a round of one on this session's
+    /// own [`CullState`], and [`FrameInput::cull`] covers the
+    /// classification pass it paid for. With `Some(round)` the frame is
+    /// one member of a round of several cameras: preprocessing replays
+    /// `round`'s shared classification pass and covariance cache. The
+    /// caller owns that round protocol — `round.begin_round` must have run
+    /// over a camera group this frame's camera belongs to (the
+    /// [`crate::serve`] scheduler and [`Session::render_stereo_pair`] do
+    /// this) — and `FrameInput::cull` reports only this member's emission
+    /// counters. Either way the emitted frame is bit-exact.
     ///
     /// # Panics
     ///
-    /// Panics when `cfg.indexed` is unset, no index was prepared, or the
+    /// Panics when `cfg.indexed` is set but no index was prepared, when a
+    /// `round` is given for a config that is not indexed, or when the
     /// camera falls outside the round (see
     /// [`gsplat::preprocess::preprocess_frame`]).
     // vrlint: hot
-    pub fn render_frame_batched<R>(
-        &mut self,
-        scene: &Scene,
-        cfg: &SequenceConfig,
-        index: usize,
-        round: &mut CullState,
-        render: impl FnOnce(FrameInput<'_>) -> R,
-    ) -> R {
-        assert!(
-            cfg.indexed,
-            "batched render requires an indexed sequence config"
-        );
-        self.render_frame_inner(scene, cfg, index, Some(round), render)
-    }
-
-    /// The body of [`Session::render_frame`] (`round: None`, a round of
-    /// one on this session's own [`CullState`]) and
-    /// [`Session::render_frame_batched`] (`Some(round)`).
-    // vrlint: hot
-    pub(crate) fn render_frame_inner<R>(
+    pub fn render_frame<R>(
         &mut self,
         scene: &Scene,
         cfg: &SequenceConfig,
@@ -406,15 +367,19 @@ impl Session {
         round: Option<&mut CullState>,
         render: impl FnOnce(FrameInput<'_>) -> R,
     ) -> R {
+        let solo = round.is_none();
+        assert!(
+            cfg.indexed || solo,
+            "a round of several requires an indexed sequence config"
+        );
         let camera = cfg
             .path
             .camera(index, cfg.frames, cfg.width, cfg.height, cfg.fov_y);
-        let solo = round.is_none();
         let cull = round.unwrap_or(&mut self.cull);
         // A solo frame snapshots before its own round of one, so its
         // `FrameInput::cull` covers the classification pass it paid for.
         let cull_before = cull.stats();
-        let mode = if cfg.indexed || !solo {
+        let mode = if cfg.indexed {
             let index = self
                 .index
                 .as_deref()
@@ -451,6 +416,7 @@ impl Session {
             stream: &self.stream,
             preprocess,
             cull,
+            rung: cfg.rung,
         })
     }
 
@@ -466,66 +432,27 @@ impl Session {
     ) -> Vec<R> {
         self.prepare(scene, cfg);
         (0..cfg.frames)
-            .map(|i| self.render_frame(scene, cfg, i, &mut render))
+            .map(|i| self.render_frame(scene, cfg, i, None, &mut render))
             .collect()
     }
 
-    /// Renders frame `index` through the simulated hardware pipeline —
-    /// the single-frame body of [`Session::run_vrpipe`], consuming the
-    /// session-owned [`DrawScratch`] and render targets (created on first
-    /// use, reset when the viewport or pixel format changes, and kept warm
-    /// across frames, runs and serve-scheduler interleavings).
-    // vrlint: hot
-    pub fn render_frame_vrpipe(
-        &mut self,
-        scene: &Scene,
-        cfg: &SequenceConfig,
-        index: usize,
-        gpu: &GpuConfig,
-        variant: PipelineVariant,
-    ) -> Result<SequenceFrameRecord, DrawError> {
-        self.render_frame_vrpipe_inner(scene, cfg, index, gpu, variant, None)
-    }
-
-    /// [`Session::render_frame_vrpipe`] as one member of a round of
-    /// several cameras — the hardware-pipeline counterpart of
-    /// [`Session::render_frame_batched`], with the same round protocol and
-    /// bit-exactness guarantee.
-    // vrlint: hot
-    pub fn render_frame_vrpipe_batched(
-        &mut self,
-        scene: &Scene,
-        cfg: &SequenceConfig,
-        index: usize,
-        gpu: &GpuConfig,
-        variant: PipelineVariant,
-        round: &mut CullState,
-    ) -> Result<SequenceFrameRecord, DrawError> {
-        assert!(
-            cfg.indexed,
-            "batched render requires an indexed sequence config"
-        );
-        self.render_frame_vrpipe_inner(scene, cfg, index, gpu, variant, Some(round))
-    }
-
     /// Renders stereo pair `pair` — frames `2*pair` (left eye) and
-    /// `2*pair + 1` (right eye) — through the simulated hardware pipeline.
-    /// On an indexed stereo sequence the two eyes provably share the
-    /// translation bound ([`Camera::is_translation_of`]), so the pair runs
-    /// as one two-camera round on the session's [`CullState`]: one
-    /// cell-classification pass and one covariance-cache replay serve both
-    /// eyes. When the bound does not hold (or the sequence is not indexed)
-    /// each eye is its own round of one instead — either way, every
-    /// returned frame is bit-exact with [`Session::render_frame_vrpipe`]
-    /// on the same frame index.
-    pub fn render_stereo_pair(
+    /// `2*pair + 1` (right eye) — through `render`. On an indexed stereo
+    /// sequence the two eyes share the translation bound by construction
+    /// ([`Camera::is_translation_of`]), so the pair runs as one two-camera
+    /// round on the session's [`CullState`]: one cell-classification pass
+    /// and one covariance-cache replay serve both eyes. When the bound
+    /// does not hold (a path that is not stereo) or the sequence is not
+    /// indexed, each eye is its own round of one instead — either way,
+    /// both frames are bit-exact with [`Session::render_frame`] on the
+    /// same frame index.
+    pub fn render_stereo_pair<R>(
         &mut self,
         scene: &Scene,
         cfg: &SequenceConfig,
         pair: usize,
-        gpu: &GpuConfig,
-        variant: PipelineVariant,
-    ) -> Result<(SequenceFrameRecord, SequenceFrameRecord), DrawError> {
+        mut render: impl FnMut(FrameInput<'_>) -> R,
+    ) -> (R, R) {
         let (l, r) = (2 * pair, 2 * pair + 1);
         let left = cfg
             .path
@@ -536,104 +463,27 @@ impl Session {
         let index = match self.index.as_ref() {
             Some(index) if cfg.indexed && right.is_translation_of(&left) => Arc::clone(index),
             _ => {
-                // Unprovable delta (or unindexed config): exact solo path
-                // for both eyes.
-                let a = self.render_frame_vrpipe(scene, cfg, l, gpu, variant)?;
-                let b = self.render_frame_vrpipe(scene, cfg, r, gpu, variant)?;
-                return Ok((a, b));
+                let a = self.render_frame(scene, cfg, l, None, &mut render);
+                let b = self.render_frame(scene, cfg, r, None, &mut render);
+                return (a, b);
             }
         };
         // Take the cull state out so the frame calls can borrow `self`
-        // mutably; restored below even when a frame errors.
+        // mutably alongside the round.
         let mut round = std::mem::take(&mut self.cull);
         round.begin_round(&index, &[left, right]);
-        let a = self.render_frame_vrpipe_inner(scene, cfg, l, gpu, variant, Some(&mut round));
-        let b = self.render_frame_vrpipe_inner(scene, cfg, r, gpu, variant, Some(&mut round));
+        let a = self.render_frame(scene, cfg, l, Some(&mut round), &mut render);
+        let b = self.render_frame(scene, cfg, r, Some(&mut round), &mut render);
         self.cull = round;
-        Ok((a?, b?))
-    }
-
-    /// The body of [`Session::render_frame_vrpipe`] and
-    /// [`Session::render_frame_vrpipe_batched`], as
-    /// [`Session::render_frame_inner`].
-    // vrlint: hot
-    pub(crate) fn render_frame_vrpipe_inner(
-        &mut self,
-        scene: &Scene,
-        cfg: &SequenceConfig,
-        index: usize,
-        gpu: &GpuConfig,
-        variant: PipelineVariant,
-        round: Option<&mut CullState>,
-    ) -> Result<SequenceFrameRecord, DrawError> {
-        gpu.validate().map_err(DrawError::InvalidConfig)?;
-        // Take the session-owned backend state out so the frame closure
-        // can borrow it mutably alongside the preprocessed splats.
-        let mut scratch = std::mem::take(&mut self.draw);
-        let mut color = match self.color.take() {
-            Some(mut c) => {
-                if c.width() != cfg.width
-                    || c.height() != cfg.height
-                    || c.format() != gpu.pixel_format
-                {
-                    c.reset(cfg.width, cfg.height, gpu.pixel_format);
-                }
-                c
-            }
-            None => ColorBuffer::new(cfg.width, cfg.height, gpu.pixel_format),
-        };
-        let mut ds = match self.depth.take() {
-            Some(mut d) => {
-                if d.width() != cfg.width || d.height() != cfg.height {
-                    d.reset(cfg.width, cfg.height);
-                }
-                d
-            }
-            None => DepthStencilBuffer::new(cfg.width, cfg.height),
-        };
-        let tiling_key = (
-            cfg.width.max(1),
-            cfg.height.max(1),
-            gpu.screen_tile_px,
-            gpu.tile_grid_tiles,
-        );
-        let tiles = match self.tiles {
-            Some((key, tiles)) if key == tiling_key => tiles,
-            _ => {
-                let tiles = Tiling::new(tiling_key.0, tiling_key.1, tiling_key.2, tiling_key.3)
-                    .tile_count() as f64;
-                self.tiles = Some((tiling_key, tiles));
-                tiles
-            }
-        };
-        let record = self.render_frame_inner(scene, cfg, index, round, |f| {
-            let stats =
-                try_draw_in_place(f.splats, gpu, variant, &mut color, &mut ds, &mut scratch)?;
-            let retired_tile_ratio = if tiles > 0.0 {
-                stats.retired_tiles as f64 / tiles
-            } else {
-                0.0
-            };
-            Ok(SequenceFrameRecord {
-                index: f.index,
-                preprocess: f.preprocess,
-                stats,
-                retired_tile_ratio,
-                cull: f.cull,
-                rung: cfg.rung,
-            })
-        });
-        self.draw = scratch;
-        self.color = Some(color);
-        self.depth = Some(ds);
-        record
+        (a, b)
     }
 
     /// Renders the sequence through the simulated hardware pipeline
-    /// (`gpu`/`variant`), reusing the session's [`DrawScratch`] and render
-    /// targets across all frames. Returns per-frame records, or a
-    /// [`DrawError`]: an invalid configuration is rejected here, before
-    /// any frame is preprocessed, instead of panicking mid-sequence.
+    /// (`gpu`/`variant`), reusing one [`DrawScratch`] and one pair of
+    /// render targets across all frames. Returns per-frame records, or
+    /// the first [`DrawError`]: an invalid configuration is rejected
+    /// here, before any frame is preprocessed, instead of panicking
+    /// mid-sequence.
     pub fn run_vrpipe(
         &mut self,
         scene: &Scene,
@@ -641,15 +491,81 @@ impl Session {
         gpu: &GpuConfig,
         variant: PipelineVariant,
     ) -> Result<Vec<SequenceFrameRecord>, DrawError> {
-        // Fail fast: an invalid config errors here, before any frame is
-        // preprocessed. (`render_frame_vrpipe` re-validates per call — a
-        // handful of field checks — because it is also a standalone entry
-        // point for external schedulers.)
         gpu.validate().map_err(DrawError::InvalidConfig)?;
         self.prepare(scene, cfg);
+        let mut draw = VrPipeDraw::new(gpu.clone(), variant);
         (0..cfg.frames)
-            .map(|i| self.render_frame_vrpipe(scene, cfg, i, gpu, variant))
+            .map(|i| self.render_frame(scene, cfg, i, None, |f| draw.draw(f)))
             .collect()
+    }
+}
+
+/// The simulated hardware pipeline as a frame backend: draws each
+/// [`FrameInput`] through [`try_draw_in_place`] into render targets and a
+/// [`DrawScratch`] it owns, so a whole sequence allocates like one frame.
+/// [`Session::run_vrpipe`] and `StreamSpec::vrpipe` both render through
+/// it.
+#[derive(Debug)]
+pub(crate) struct VrPipeDraw {
+    gpu: GpuConfig,
+    variant: PipelineVariant,
+    scratch: DrawScratch,
+    /// Color and depth/stencil targets, created on the first frame and
+    /// resized when the camera's viewport changes (a quality-ladder rung
+    /// switch). The draw resets both on every frame.
+    targets: Option<(ColorBuffer, DepthStencilBuffer)>,
+}
+
+impl VrPipeDraw {
+    /// A backend drawing with `gpu` through `variant`.
+    pub(crate) fn new(gpu: GpuConfig, variant: PipelineVariant) -> Self {
+        Self {
+            gpu,
+            variant,
+            scratch: DrawScratch::default(),
+            targets: None,
+        }
+    }
+
+    /// Draws one frame and records its statistics.
+    // vrlint: hot
+    pub(crate) fn draw(&mut self, f: FrameInput<'_>) -> Result<SequenceFrameRecord, DrawError> {
+        let (width, height) = (f.camera.width(), f.camera.height());
+        let format = self.gpu.pixel_format;
+        let (color, ds) = self.targets.get_or_insert_with(|| {
+            (
+                ColorBuffer::new(width, height, format),
+                DepthStencilBuffer::new(width, height),
+            )
+        });
+        if (color.width(), color.height()) != (width, height) {
+            color.reset(width, height, format);
+            ds.reset(width, height);
+        }
+        let stats = try_draw_in_place(
+            f.splats,
+            &self.gpu,
+            self.variant,
+            color,
+            ds,
+            &mut self.scratch,
+        )?;
+        // A camera's viewport is never empty, so there is at least one tile.
+        let tiles = Tiling::new(
+            width,
+            height,
+            self.gpu.screen_tile_px,
+            self.gpu.tile_grid_tiles,
+        )
+        .tile_count();
+        Ok(SequenceFrameRecord {
+            index: f.index,
+            preprocess: f.preprocess,
+            retired_tile_ratio: stats.retired_tiles as f64 / tiles as f64,
+            stats,
+            cull: f.cull,
+            rung: f.rung,
+        })
     }
 }
 
@@ -755,7 +671,7 @@ impl SharedScene {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{draw, DrawScratch};
+    use crate::pipeline::draw;
     use gsplat::math::Vec3;
     use gsplat::scene::EVALUATED_SCENES;
 
@@ -1018,34 +934,32 @@ mod tests {
         assert!(indexed.cull_stats().gaussians_refreshed > 0);
     }
 
-    /// Tentpole seam: [`Session::render_stereo_pair`] must batch every
-    /// eligible pair (one classification pass + one covariance replay for
-    /// both eyes) and stay bit-exact with rendering each frame solo.
+    /// [`Session::render_stereo_pair`] must batch every pair (one
+    /// classification pass + one covariance replay for both eyes) and stay
+    /// bit-exact with rendering each frame solo.
     #[test]
     fn stereo_pair_batches_and_matches_solo_frames() {
         let scene = EVALUATED_SCENES[4].generate_scaled(0.03);
-        // Axis-aligned -z flythrough: the stereo offset lands exactly on
-        // the x axis, so both eyes share a bit-identical view rotation on
-        // every frame — all pairs are provably batchable.
-        let start = scene.center + Vec3::new(0.0, 0.5, scene.view_radius);
-        let path = CameraPath::flythrough(start, start + Vec3::new(0.0, 0.0, -8.0), 0.25, 0.01)
-            .stereo(0.065);
+        // A rotating head: every pair has its own view rotation, and both
+        // eyes of a stereo pair share it by construction.
+        let path = CameraPath::orbit(scene.center, scene.view_radius, 1.2, 0.3).stereo(0.065);
         let cfg = SequenceConfig::new(path, 8, 96, 72).with_index();
-        let gpu = GpuConfig::default();
+        let draw = || VrPipeDraw::new(GpuConfig::default(), PipelineVariant::HetQm);
         let mut solo = Session::default();
         let mut paired = Session::default();
         solo.prepare(&scene, &cfg);
         paired.prepare(&scene, &cfg);
+        let mut solo_draw = draw();
         let rf: Vec<_> = (0..cfg.frames)
             .map(|i| {
-                solo.render_frame_vrpipe(&scene, &cfg, i, &gpu, PipelineVariant::HetQm)
+                solo.render_frame(&scene, &cfg, i, None, |f| solo_draw.draw(f))
                     .unwrap()
             })
             .collect();
+        let mut paired_draw = draw();
         for pair in 0..cfg.frames / 2 {
-            let (a, b) = paired
-                .render_stereo_pair(&scene, &cfg, pair, &gpu, PipelineVariant::HetQm)
-                .unwrap();
+            let (a, b) = paired.render_stereo_pair(&scene, &cfg, pair, |f| paired_draw.draw(f));
+            let (a, b) = (a.unwrap(), b.unwrap());
             for (got, want) in [(&a, &rf[2 * pair]), (&b, &rf[2 * pair + 1])] {
                 assert_eq!(got.index, want.index);
                 assert_eq!(got.stats, want.stats, "frame {}", want.index);
@@ -1078,9 +992,9 @@ mod tests {
         .with_index();
         let mut fallback = Session::default();
         fallback.prepare(&scene, &orbit);
-        let (a, b) = fallback
-            .render_stereo_pair(&scene, &orbit, 1, &gpu, PipelineVariant::HetQm)
-            .unwrap();
+        let mut fallback_draw = draw();
+        let (a, b) = fallback.render_stereo_pair(&scene, &orbit, 1, |f| fallback_draw.draw(f));
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!((a.index, b.index), (2, 3));
         let fs = fallback.cull_stats();
         assert_eq!(fs.frames, 2);
@@ -1101,7 +1015,7 @@ mod tests {
             )
             .unwrap();
         assert!(records.is_empty());
-        // DrawScratch reuse across separate run_vrpipe calls is also fine.
+        // A session reused across separate run_vrpipe calls is also fine.
         let cfg2 = orbit_cfg(&scene, 2);
         assert_eq!(
             session
@@ -1115,6 +1029,5 @@ mod tests {
                 .len(),
             2
         );
-        let _ = DrawScratch::default();
     }
 }

@@ -53,18 +53,18 @@
 //! solo [`Session`], for any pool size, any service order, and any fault
 //! plan targeting *other* streams, because the scheduler moves only
 //! *whole frames* and every piece of mutable state a frame touches is
-//! owned by exactly one stream: the sorter warm start, the
-//! [`CullState`] (classification + covariance cache) and the backend's
-//! targets all live in that stream's session, each stream's frames run
-//! in order with at most one in flight, and the shared scene and
-//! [`SceneIndex`] are immutable. Faults are injected *before* the
-//! frame renders, so a faulted attempt never half-mutates session state;
-//! dropped frames are never rendered at all, and the warm-start/cull
-//! machinery is bit-exact regardless of which frames preceded (enforced
-//! by `tests/serve.rs`, the scheduling-shuffle property test and the
-//! chaos suite). Rewind after an eviction or failure calls
-//! [`Session::invalidate_temporal`], so a rerun is bit-exact from
-//! frame 0.
+//! owned by exactly one stream: the sorter warm start and the
+//! [`CullState`] (classification + covariance cache) live in that
+//! stream's session and the backend's targets in its closure, each
+//! stream's frames run in order with at most one in flight, and the
+//! shared scene and [`SceneIndex`] are immutable. Faults are injected
+//! *before* the frame renders, so a faulted attempt never half-mutates
+//! session state; dropped frames are never rendered at all, and the
+//! warm-start/cull machinery is bit-exact regardless of which frames
+//! preceded (enforced by `tests/serve.rs`, the scheduling-shuffle
+//! property test and the chaos suite). Rewind after an eviction or
+//! failure calls [`Session::invalidate_temporal`], so a rerun is
+//! bit-exact from frame 0.
 //!
 //! **Hot reload.** [`Server::reload_scene`] (idle) and
 //! [`ServerHandle::reload_scene`] (mid-flight, from anywhere) swap the
@@ -133,15 +133,15 @@ use gsplat::sort::ResortStats;
 use gsplat::ThreadPolicy;
 
 use crate::pipeline::DrawError;
-use crate::sequence::{FrameInput, SequenceConfig, SequenceFrameRecord, Session, SharedScene};
+use crate::sequence::{
+    FrameInput, SequenceConfig, SequenceFrameRecord, Session, SharedScene, VrPipeDraw,
+};
 use crate::variant::PipelineVariant;
 use degrade::QualityLadder;
 use faults::{FaultAction, FaultInjector};
-use gsplat::stream::FragmentKernel;
 
-/// Boxed per-frame backend of one stream.
-type RenderFn<R> = Box<dyn FnMut(FrameInput<'_>) -> R + Send>;
-/// Boxed fallible per-frame backend (errors feed the retry machinery).
+/// Boxed per-frame backend of one stream: a closure over the preprocessed
+/// [`FrameInput`] whose errors feed the retry machinery.
 type TryRenderFn<R> = Box<dyn FnMut(FrameInput<'_>) -> Result<R, DrawError> + Send>;
 
 /// Field-wise `now - earlier` over the session-lifetime resort counters,
@@ -169,26 +169,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-/// How one stream turns a prepared frame into its output.
-enum Backend<R> {
-    /// A caller-supplied closure over the preprocessed [`FrameInput`].
-    Infallible(RenderFn<R>),
-    /// A caller-supplied closure that can fail; transient [`DrawError`]s
-    /// go through the stream's [`RetryPolicy`] before the stream is
-    /// marked [`StreamPhase::Failed`].
-    Fallible(TryRenderFn<R>),
-    /// The built-in simulated-hardware path, routed through
-    /// [`Session::render_frame_vrpipe`] so it reuses the session-owned
-    /// [`crate::pipeline::DrawScratch`] and persistent render targets.
-    /// `wrap` converts the record into the server's `R` (the identity —
-    /// this variant is only constructible when the types line up).
-    VrPipe {
-        gpu: GpuConfig,
-        variant: PipelineVariant,
-        wrap: fn(SequenceFrameRecord) -> R,
-    },
 }
 
 /// How the scheduler picks among ready streams.
@@ -383,7 +363,7 @@ pub struct StreamSpec<R> {
     name: String,
     cfg: SequenceConfig,
     build_stream: bool,
-    backend: Backend<R>,
+    backend: TryRenderFn<R>,
     deadline_ms: Option<f64>,
     drop_late: bool,
     retry: RetryPolicy,
@@ -406,21 +386,6 @@ impl<R> std::fmt::Debug for StreamSpec<R> {
 }
 
 impl<R: Send + 'static> StreamSpec<R> {
-    fn with_backend(name: impl Into<String>, cfg: SequenceConfig, backend: Backend<R>) -> Self {
-        Self {
-            name: name.into(),
-            cfg,
-            build_stream: false,
-            backend,
-            deadline_ms: None,
-            drop_late: false,
-            retry: RetryPolicy::default(),
-            injector: FaultInjector::none(),
-            ladder: QualityLadder::new(),
-            priority: 0,
-        }
-    }
-
     /// A stream rendering `cfg` through `render` — any backend that can
     /// consume a [`FrameInput`] (the three `swrender` backends, the
     /// in-shader workload model, or arbitrary instrumentation). State the
@@ -434,9 +399,9 @@ impl<R: Send + 'static> StreamSpec<R> {
     pub fn new(
         name: impl Into<String>,
         cfg: SequenceConfig,
-        render: impl FnMut(FrameInput<'_>) -> R + Send + 'static,
+        mut render: impl FnMut(FrameInput<'_>) -> R + Send + 'static,
     ) -> Self {
-        Self::with_backend(name, cfg, Backend::Infallible(Box::new(render)))
+        Self::fallible(name, cfg, move |f| Ok(render(f)))
     }
 
     /// Like [`StreamSpec::new`] but the backend can fail: transient
@@ -448,7 +413,18 @@ impl<R: Send + 'static> StreamSpec<R> {
         cfg: SequenceConfig,
         render: impl FnMut(FrameInput<'_>) -> Result<R, DrawError> + Send + 'static,
     ) -> Self {
-        Self::with_backend(name, cfg, Backend::Fallible(Box::new(render)))
+        Self {
+            name: name.into(),
+            cfg,
+            build_stream: false,
+            backend: Box::new(render),
+            deadline_ms: None,
+            drop_late: false,
+            retry: RetryPolicy::default(),
+            injector: FaultInjector::none(),
+            ladder: QualityLadder::new(),
+            priority: 0,
+        }
     }
 
     /// Also maintain the SoA [`gsplat::stream::SplatStream`] mirror each
@@ -546,13 +522,12 @@ impl<R: Send + 'static> StreamSpec<R> {
 }
 
 impl StreamSpec<SequenceFrameRecord> {
-    /// The built-in simulated-hardware backend: every frame runs through
-    /// [`Session::render_frame_vrpipe`], reusing the per-stream session's
-    /// own [`crate::pipeline::DrawScratch`] and persistent render targets
-    /// — the serve-side equivalent of [`Session::run_vrpipe`], one
-    /// implementation for both. Draw errors feed the stream's
-    /// [`RetryPolicy`] / [`StreamPhase::Failed`] machinery instead of
-    /// leaking into the output type.
+    /// The built-in simulated-hardware backend: a [`StreamSpec::fallible`]
+    /// closure drawing every frame the way [`Session::run_vrpipe`] does,
+    /// into render targets and a [`crate::pipeline::DrawScratch`] the
+    /// closure owns. Draw errors feed the stream's [`RetryPolicy`] /
+    /// [`StreamPhase::Failed`] machinery instead of leaking into the
+    /// output type.
     ///
     /// The draw's host threading is pinned serial (`gpu.threads = 1`,
     /// bit-identical results by the determinism contract): served
@@ -564,15 +539,8 @@ impl StreamSpec<SequenceFrameRecord> {
         gpu: GpuConfig,
         variant: PipelineVariant,
     ) -> Self {
-        Self::with_backend(
-            name,
-            cfg,
-            Backend::VrPipe {
-                gpu: GpuConfig { threads: 1, ..gpu },
-                variant,
-                wrap: std::convert::identity,
-            },
-        )
+        let mut draw = VrPipeDraw::new(GpuConfig { threads: 1, ..gpu }, variant);
+        Self::fallible(name, cfg, move |f| draw.draw(f))
     }
 }
 
@@ -584,13 +552,11 @@ struct StreamState<R> {
     /// the base `cfg` tagged rung 0). Precomputed at registration so rung
     /// switches never derive anything inside the frame task.
     rung_cfgs: Vec<SequenceConfig>,
-    /// Per-rung fragment-kernel overrides (`None` = keep the backend's).
-    rung_kernels: Vec<Option<FragmentKernel>>,
     /// Per-rung render-cost factors, scaling [`FaultKind::Load`]
     /// injections at the backend seam.
     cost_scales: Vec<f64>,
     session: Session,
-    backend: Backend<R>,
+    backend: TryRenderFn<R>,
     injector: FaultInjector,
     retry: RetryPolicy,
 }
@@ -1403,7 +1369,6 @@ impl<R: Send + 'static> Server<R> {
         // Precompute the ladder's derived configurations once: rung
         // switches inside the scheduler are then pure index changes.
         let rung_cfgs = spec.ladder.derive_all(&spec.cfg);
-        let rung_kernels = spec.ladder.kernels();
         let cost_scales = spec.ladder.cost_scales(&spec.cfg);
         // The scheduler-side camera-config mirror: rung_cfgs when the
         // ladder has rungs, else the base config — exactly what the
@@ -1433,7 +1398,6 @@ impl<R: Send + 'static> Server<R> {
             state: Arc::new(Mutex::new(StreamState {
                 cfg: spec.cfg,
                 rung_cfgs,
-                rung_kernels,
                 cost_scales,
                 session,
                 backend: spec.backend,
@@ -2328,7 +2292,6 @@ fn render_member<R>(
                 let StreamState {
                     cfg,
                     rung_cfgs,
-                    rung_kernels,
                     session,
                     backend,
                     ..
@@ -2337,36 +2300,12 @@ fn render_member<R>(
                 // a missing index falls back to the base config (rung 0
                 // derivation == base).
                 let cfg = rung_cfgs.get(rung_ix).unwrap_or(cfg);
-                let kernel = rung_kernels.get(rung_ix).copied().flatten();
                 let round = round.as_deref_mut();
                 // catch_unwind INSIDE the locks: a panicking backend
                 // unwinds into this Err arm, not past the guards, so no
                 // mutex is poisoned.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match backend {
-                    Backend::Infallible(render) => {
-                        Ok(session.render_frame_inner(scene, cfg, frame, round, render))
-                    }
-                    Backend::Fallible(render) => {
-                        session.render_frame_inner(scene, cfg, frame, round, render)
-                    }
-                    Backend::VrPipe { gpu, variant, wrap } => {
-                        // The rung may override the simulated fragment
-                        // kernel for this frame only.
-                        let overridden;
-                        let gpu = match kernel {
-                            Some(kernel) => {
-                                overridden = GpuConfig {
-                                    kernel,
-                                    ..gpu.clone()
-                                };
-                                &overridden
-                            }
-                            None => &*gpu,
-                        };
-                        session
-                            .render_frame_vrpipe_inner(scene, cfg, frame, gpu, *variant, round)
-                            .map(wrap)
-                    }
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    session.render_frame(scene, cfg, frame, round, backend)
                 }))
                 .map_err(|p| panic_message(p.as_ref()))
             }

@@ -9,15 +9,13 @@
 //! anything at all.
 //!
 //! A [`QualityRung`] derives a [`SequenceConfig`] from the stream's base
-//! configuration along three axes:
+//! configuration along two axes:
 //!
 //! * **resolution** — `width`/`height` halved per [`QualityRung::res_shift`]
 //!   step (1 → ½ → ¼ …), the dominant cost lever;
 //! * **SH degree** — [`QualityRung::max_sh_degree`] caps view-dependent
 //!   color evaluation (`preprocess` clamps bit-exactly to a truncated
-//!   scene, see [`gsplat::sh::ShColor::evaluate_clamped`]);
-//! * **kernel** — an optional [`FragmentKernel`] override for the frame's
-//!   simulated fragment stage.
+//!   scene, see [`gsplat::sh::ShColor::evaluate_clamped`]).
 //!
 //! The contract that makes degradation *deterministic* rather than lossy:
 //! a rung is a complete render configuration, and frame `i` rendered at
@@ -39,7 +37,6 @@
 //! order before the watchdog has to evict anyone.
 
 use gsplat::sh::MAX_SH_DEGREE;
-use gsplat::stream::FragmentKernel;
 
 use crate::sequence::SequenceConfig;
 
@@ -65,20 +62,15 @@ pub struct QualityRung {
     /// SH evaluation degree cap for this rung
     /// ([`SequenceConfig::max_sh_degree`]).
     pub max_sh_degree: u8,
-    /// Optional fragment-kernel override for frames rendered at this rung
-    /// (`None` keeps the stream's configured kernel). Kernels are
-    /// bit-exact with each other, so this axis trades simulated cost only.
-    pub kernel: Option<FragmentKernel>,
 }
 
 impl QualityRung {
-    /// The full-quality rung: no resolution shift, no SH clamp, no kernel
-    /// override. Every ladder's rung 0.
+    /// The full-quality rung: no resolution shift, no SH clamp. Every
+    /// ladder's rung 0.
     pub const fn full() -> Self {
         Self {
             res_shift: 0,
             max_sh_degree: MAX_SH_DEGREE,
-            kernel: None,
         }
     }
 
@@ -88,15 +80,7 @@ impl QualityRung {
         Self {
             res_shift,
             max_sh_degree,
-            kernel: None,
         }
-    }
-
-    /// The same rung with a fragment-kernel override.
-    #[must_use]
-    pub const fn with_kernel(mut self, kernel: FragmentKernel) -> Self {
-        self.kernel = Some(kernel);
-        self
     }
 
     /// Derives the complete render configuration for this rung from a
@@ -231,11 +215,6 @@ impl QualityLadder {
     pub fn cost_scales(&self, base: &SequenceConfig) -> Vec<f64> {
         self.rungs.iter().map(|r| r.cost_scale(base)).collect()
     }
-
-    /// The per-rung kernel overrides, in rung order.
-    pub fn kernels(&self) -> Vec<Option<FragmentKernel>> {
-        self.rungs.iter().map(|r| r.kernel).collect()
-    }
 }
 
 impl Default for QualityLadder {
@@ -299,13 +278,5 @@ mod tests {
         assert_eq!(cfgs[2].width, 16);
         let scales = ladder.cost_scales(&base_cfg());
         assert_eq!(scales, vec![1.0, 0.25, 0.0625]);
-    }
-
-    #[test]
-    fn kernel_override_rides_the_rung() {
-        let rung = QualityRung::new(1, 3).with_kernel(FragmentKernel::Soa);
-        assert_eq!(rung.kernel, Some(FragmentKernel::Soa));
-        let ladder = QualityLadder::new().with_rung(rung);
-        assert_eq!(ladder.kernels(), vec![None, Some(FragmentKernel::Soa)]);
     }
 }

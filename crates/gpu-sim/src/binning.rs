@@ -336,14 +336,8 @@ mod tests {
         let mut serial = KeyStream::default();
         serial.build(333, ThreadPolicy::serial(), emit);
         for policy in [
-            ThreadPolicy {
-                threads: 3,
-                deterministic: true,
-            },
-            ThreadPolicy {
-                threads: 7,
-                deterministic: false,
-            },
+            ThreadPolicy { threads: 3 },
+            ThreadPolicy { threads: 7 },
             ThreadPolicy::default(),
         ] {
             let mut par = KeyStream::default();

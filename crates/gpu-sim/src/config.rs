@@ -101,11 +101,6 @@ pub struct GpuConfig {
     /// per available CPU). This is a *host* knob: it changes simulation
     /// wall time, never simulated results.
     pub threads: usize,
-    /// Pin parallel work to workers statically so host scheduling is
-    /// reproducible run-to-run; `false` allows dynamic work-stealing.
-    /// Simulated output is bit-exact either way (see
-    /// [`gsplat::par::ThreadPolicy`]).
-    pub deterministic: bool,
     /// Host fragment-kernel implementation: the AoS `Scalar` oracle, or
     /// the SoA [`gsplat::stream::SplatStream`] kernel, which additionally
     /// enables the tile-retirement fast path on HET variants: a retired
@@ -152,7 +147,6 @@ impl Default for GpuConfig {
             l2_bytes_per_cycle: 512,
             dram_bytes_per_cycle: 334,
             threads: 0,
-            deterministic: true,
             kernel: FragmentKernel::Scalar,
         }
     }
@@ -193,11 +187,10 @@ impl GpuConfig {
         cycles as f64 / (self.core_freq_mhz as f64 * 1e3)
     }
 
-    /// The host work-distribution policy (`threads` / `deterministic`).
+    /// The host work-distribution policy (`threads`).
     pub fn thread_policy(&self) -> gsplat::par::ThreadPolicy {
         gsplat::par::ThreadPolicy {
             threads: self.threads,
-            deterministic: self.deterministic,
         }
     }
 

@@ -112,6 +112,41 @@ impl Camera {
         self.far
     }
 
+    /// This camera moved by `offset` in world space. Viewport, intrinsics,
+    /// projection and view rotation keep their exact bits; only the view
+    /// matrix's translation column is recomputed for the new eye, so the
+    /// result satisfies [`Camera::is_translation_of`] against `self` by
+    /// construction.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use gsplat::camera::Camera;
+    /// use gsplat::math::Vec3;
+    /// let head = Camera::look_at(Vec3::new(0.3, 1.7, 5.0), Vec3::ZERO, 640, 480, 1.0);
+    /// let eye = head.translated(Vec3::new(0.0325, 0.0, 0.0));
+    /// assert!(eye.is_translation_of(&head));
+    /// assert_eq!(head.translated(Vec3::ZERO), head);
+    /// ```
+    pub fn translated(&self, offset: Vec3) -> Self {
+        let eye = self.eye + offset;
+        // The rows of the view rotation are the camera's right, up and
+        // backward axes; `look_at` forms the translation the same way.
+        let axes = self.view.upper_left3().transpose();
+        let mut view = self.view;
+        view.cols[3] = Vec4::new(
+            -axes.cols[0].dot(eye),
+            -axes.cols[1].dot(eye),
+            -axes.cols[2].dot(eye),
+            1.0,
+        );
+        Self {
+            view,
+            eye,
+            ..self.clone()
+        }
+    }
+
     /// The camera-delta bound for incremental preprocessing: `true` when
     /// this camera differs from `other` by a **pure translation** — same
     /// viewport, same intrinsics, and a bit-identical view rotation `W`
@@ -126,7 +161,8 @@ impl Camera {
     ///
     /// Frame-coherent trajectories hit this bound often: every frame of a
     /// [`CameraPath::Flythrough`] translates without spinning, and the two
-    /// eyes of a [`CameraPath::Stereo`] pair share their view direction.
+    /// eyes of a [`CameraPath::Stereo`] pair always hold it (each eye is
+    /// the head camera [`Camera::translated`]).
     ///
     /// # Examples
     ///
@@ -438,13 +474,7 @@ impl CameraPath {
                 eye_separation,
             } => {
                 let (eye, target) = base.pose(frame / 2, n_frames.div_ceil(2));
-                let dir = normalized_or(target - eye, Vec3::new(0.0, 0.0, -1.0));
-                let right = normalized_or(
-                    dir.cross(Vec3::new(0.0, 1.0, 0.0)),
-                    Vec3::new(1.0, 0.0, 0.0),
-                );
-                let sign = if frame.is_multiple_of(2) { -0.5 } else { 0.5 };
-                let offset = right * (sign * *eye_separation);
+                let offset = stereo_offset(eye, target, frame, *eye_separation);
                 // Parallel (non-converged) stereo: both eye and target
                 // shift, keeping the two view directions identical.
                 (eye + offset, target + offset)
@@ -453,6 +483,10 @@ impl CameraPath {
     }
 
     /// The camera for frame `frame` of an `n_frames` sequence.
+    ///
+    /// A stereo eye is the head camera [`Camera::translated`] by its
+    /// offset, so both eyes of a pair carry the head's view rotation bit
+    /// for bit and always satisfy [`Camera::is_translation_of`].
     pub fn camera(
         &self,
         frame: usize,
@@ -461,6 +495,16 @@ impl CameraPath {
         height: u32,
         fov_y: f32,
     ) -> Camera {
+        if let CameraPath::Stereo {
+            base,
+            eye_separation,
+        } = self
+        {
+            let (head_frame, head_frames) = (frame / 2, n_frames.div_ceil(2));
+            let (eye, target) = base.pose(head_frame, head_frames);
+            let head = base.camera(head_frame, head_frames, width, height, fov_y);
+            return head.translated(stereo_offset(eye, target, frame, *eye_separation));
+        }
         let (eye, target) = self.pose(frame, n_frames);
         Camera::look_at(eye, target, width, height, fov_y)
     }
@@ -471,6 +515,19 @@ impl CameraPath {
             .map(|i| self.camera(i, n_frames, width, height, fov_y))
             .collect()
     }
+}
+
+/// World-space offset of stereo frame `frame`'s eye from the head pose
+/// `(eye, target)`: half the separation along the view-plane horizontal,
+/// left for even frames, right for odd ones.
+fn stereo_offset(eye: Vec3, target: Vec3, frame: usize, eye_separation: f32) -> Vec3 {
+    let dir = normalized_or(target - eye, Vec3::new(0.0, 0.0, -1.0));
+    let right = normalized_or(
+        dir.cross(Vec3::new(0.0, 1.0, 0.0)),
+        Vec3::new(1.0, 0.0, 0.0),
+    );
+    let sign = if frame.is_multiple_of(2) { -0.5 } else { 0.5 };
+    right * (sign * eye_separation)
 }
 
 /// `v.normalized()`, or `fallback` for (near-)zero vectors.
@@ -634,13 +691,27 @@ mod tests {
         assert_ne!(resized.group_key(), a.group_key());
         let zoomed = Camera::look_at(Vec3::new(0.0, 0.0, 10.0), Vec3::ZERO, 640, 480, 0.9);
         assert_ne!(zoomed.group_key(), a.group_key());
-        // Stereo eyes always share a key (the guaranteed-batchable pair).
-        let stereo = CameraPath::orbit(Vec3::ZERO, 4.0, 1.0, 0.25).stereo(0.065);
-        for k in 0..4 {
-            let l = stereo.camera(2 * k, 8, 160, 120, 1.0);
-            let r = stereo.camera(2 * k + 1, 8, 160, 120, 1.0);
-            assert!(r.is_translation_of(&l));
-            assert_eq!(l.group_key(), r.group_key(), "pair {k}");
+        // Stereo eyes always share a key (the guaranteed-batchable pair):
+        // the short orbit, plus a sweep of orbits around the outdoor
+        // scenes' view circle (radius 6) — heights 0.2..=2.1, arcs
+        // 0.05..=0.95 rad, 8 pairs each — where eyes rebuilt through
+        // `look_at` would round their rotations apart on ~10% of pairs.
+        let mut paths = vec![(CameraPath::orbit(Vec3::ZERO, 4.0, 1.0, 0.25), 4)];
+        for h in 2..=21 {
+            for arc in 1..=19 {
+                let turns = arc as f32 * 0.05 / std::f32::consts::TAU;
+                paths.push((CameraPath::orbit(Vec3::ZERO, 6.0, h as f32 * 0.1, turns), 8));
+            }
+        }
+        for (path, pairs) in paths {
+            let stereo = path.stereo(0.065);
+            for k in 0..pairs {
+                let l = stereo.camera(2 * k, 2 * pairs, 160, 120, 1.0);
+                let r = stereo.camera(2 * k + 1, 2 * pairs, 160, 120, 1.0);
+                assert!(r.is_translation_of(&l), "{stereo:?} pair {k}");
+                assert_eq!(l.group_key(), r.group_key(), "{stereo:?} pair {k}");
+                assert_eq!(l.eye(), stereo.pose(2 * k, 2 * pairs).0);
+            }
         }
     }
 

@@ -17,11 +17,10 @@
 //!   order**, so every bin's item list preserves the input order exactly
 //!   (the stable front-to-back blend order the renderers rely on).
 //!
-//! Scheduling (`static` striping vs. dynamic work-stealing) affects only
-//! which thread does the work, never the result.
+//! Work is striped statically across workers, so which thread runs an
+//! item is fixed for a given worker count; the result never depends on it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Number of worker threads for a request of `requested` (`0` = the host
@@ -56,33 +55,16 @@ fn default_host_threads() -> usize {
 }
 
 /// Work-distribution policy threaded down from the renderer configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPolicy {
     /// Worker threads (`0` = one per available CPU).
     pub threads: usize,
-    /// `true` pins work to workers statically (stripes) so scheduling is
-    /// reproducible run-to-run; `false` allows dynamic work-stealing for
-    /// better load balance on skewed scenes. Outputs are bit-identical
-    /// either way — only thread assignment differs.
-    pub deterministic: bool,
-}
-
-impl Default for ThreadPolicy {
-    fn default() -> Self {
-        Self {
-            threads: 0,
-            deterministic: true,
-        }
-    }
 }
 
 impl ThreadPolicy {
     /// A serial policy (used as the reference in determinism tests).
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            deterministic: true,
-        }
+        Self { threads: 1 }
     }
 
     /// Workers this policy yields for `work` items.
@@ -106,33 +88,18 @@ where
         return (0..n).map(f).collect();
     }
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let counter = AtomicUsize::new(0);
     let results = &results;
-    let counter = &counter;
     let f = &f;
     std::thread::scope(|s| {
-        if policy.deterministic {
-            // Static striping: worker w owns indices w, w+W, w+2W, ...
-            for w in 0..workers {
-                s.spawn(move || {
-                    let mut i = w;
-                    while i < n {
-                        *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(f(i));
-                        i += workers;
-                    }
-                });
-            }
-        } else {
-            // Dynamic work-stealing off a shared counter.
-            for _ in 0..workers {
-                s.spawn(move || loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
+        // Static striping: worker w owns indices w, w+W, w+2W, ...
+        for w in 0..workers {
+            s.spawn(move || {
+                let mut i = w;
+                while i < n {
                     *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(f(i));
-                });
-            }
+                    i += workers;
+                }
+            });
         }
     });
     results
@@ -141,7 +108,7 @@ where
             slot.lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .take()
-                // vrlint: allow(VL01, reason = "both schedules write every index in 0..n before scope join")
+                // vrlint: allow(VL01, reason = "the stripes write every index in 0..n before scope join")
                 .expect("every index ran")
         })
         .collect()
@@ -568,22 +535,13 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn policies() -> [ThreadPolicy; 4] {
+    fn policies() -> [ThreadPolicy; 3] {
         [
             ThreadPolicy::serial(),
-            ThreadPolicy {
-                threads: 3,
-                deterministic: true,
-            },
-            ThreadPolicy {
-                threads: 3,
-                deterministic: false,
-            },
-            ThreadPolicy {
-                threads: 0,
-                deterministic: true,
-            },
+            ThreadPolicy { threads: 3 },
+            ThreadPolicy { threads: 0 },
         ]
     }
 
@@ -605,20 +563,13 @@ mod tests {
         {
             let bands = Bands::new(&mut data, 16);
             assert_eq!(bands.len(), 7);
-            let got = run_indexed(
-                7,
-                ThreadPolicy {
-                    threads: 4,
-                    deterministic: false,
-                },
-                |i| {
-                    let band = bands.take(i);
-                    for v in band.iter_mut() {
-                        *v += 1 + i as u32;
-                    }
-                    band.len()
-                },
-            );
+            let got = run_indexed(7, ThreadPolicy { threads: 4 }, |i| {
+                let band = bands.take(i);
+                for v in band.iter_mut() {
+                    *v += 1 + i as u32;
+                }
+                band.len()
+            });
             assert_eq!(got.iter().sum::<usize>(), 100);
         }
         // Every element written exactly once, by its band's worker.

@@ -623,14 +623,8 @@ mod tests {
         let cam = scene.default_camera();
         let serial = preprocess_with(&scene, &cam, ThreadPolicy::serial());
         for policy in [
-            ThreadPolicy {
-                threads: 3,
-                deterministic: true,
-            },
-            ThreadPolicy {
-                threads: 5,
-                deterministic: false,
-            },
+            ThreadPolicy { threads: 3 },
+            ThreadPolicy { threads: 5 },
             ThreadPolicy::default(),
         ] {
             let par = preprocess_with(&scene, &cam, policy);
@@ -822,14 +816,8 @@ mod tests {
         };
         let (ref_stats, ref_out) = run(ThreadPolicy::serial());
         for policy in [
-            ThreadPolicy {
-                threads: 3,
-                deterministic: true,
-            },
-            ThreadPolicy {
-                threads: 5,
-                deterministic: false,
-            },
+            ThreadPolicy { threads: 3 },
+            ThreadPolicy { threads: 5 },
             ThreadPolicy::default(),
         ] {
             let (stats, out) = run(policy);

@@ -53,9 +53,6 @@ pub struct SwConfig {
     pub sort_ns_per_key: f64,
     /// Host worker threads for the functional render (`0` = all cores).
     pub threads: usize,
-    /// Pin work to workers statically (reproducible scheduling). Output is
-    /// bit-exact either way; see [`gsplat::par::ThreadPolicy`].
-    pub deterministic: bool,
     /// Fragment-kernel implementation: the AoS `Scalar` oracle or the SoA
     /// fast path. Images, statistics and modelled times are bit-exact
     /// between the two (only `bound_skipped_iterations` is `Soa`-specific).
@@ -72,7 +69,6 @@ impl Default for SwConfig {
             preprocess_ns_per_gaussian: 9.0,
             sort_ns_per_key: 7.0,
             threads: 0,
-            deterministic: true,
             kernel: FragmentKernel::Scalar,
         }
     }
@@ -83,7 +79,6 @@ impl SwConfig {
     pub fn thread_policy(&self) -> ThreadPolicy {
         ThreadPolicy {
             threads: self.threads,
-            deterministic: self.deterministic,
         }
     }
 }
@@ -784,10 +779,9 @@ mod tests {
         };
         for et in [false, true] {
             let serial = CudaLikeRenderer::new(serial_cfg, et).render(&splats, 96, 64);
-            for (threads, deterministic) in [(3, true), (5, false), (0, true)] {
+            for threads in [3, 5, 0] {
                 let cfg = SwConfig {
                     threads,
-                    deterministic,
                     ..SwConfig::default()
                 };
                 let par = CudaLikeRenderer::new(cfg, et).render(&splats, 96, 64);
@@ -881,10 +875,9 @@ mod tests {
                 ..SwConfig::default()
             };
             let serial = CudaLikeRenderer::new(serial_cfg, et).render(&splats, 96, 64);
-            for (threads, deterministic) in [(3, true), (5, false), (0, true)] {
+            for threads in [3, 5, 0] {
                 let cfg = SwConfig {
                     threads,
-                    deterministic,
                     kernel: FragmentKernel::Soa,
                     ..SwConfig::default()
                 };

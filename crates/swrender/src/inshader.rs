@@ -326,14 +326,8 @@ mod tests {
             .collect();
         let serial = fragment_workload_with(&splats, 60, 44, ThreadPolicy::serial());
         for policy in [
-            ThreadPolicy {
-                threads: 3,
-                deterministic: true,
-            },
-            ThreadPolicy {
-                threads: 6,
-                deterministic: false,
-            },
+            ThreadPolicy { threads: 3 },
+            ThreadPolicy { threads: 6 },
             ThreadPolicy::default(),
         ] {
             assert_eq!(

@@ -41,9 +41,6 @@ pub struct MultiPassConfig {
     pub core_freq_mhz: f64,
     /// Host worker threads for the functional render (`0` = all cores).
     pub threads: usize,
-    /// Pin work to workers statically (reproducible scheduling). Output is
-    /// bit-exact either way; see [`gsplat::par::ThreadPolicy`].
-    pub deterministic: bool,
     /// Fragment-kernel implementation (AoS `Scalar` oracle vs SoA fast
     /// path). Images, fragment counts and modelled times are bit-exact
     /// between the two.
@@ -59,7 +56,6 @@ impl Default for MultiPassConfig {
             draw_call_overhead_cycles: 60_000.0,
             core_freq_mhz: 612.0,
             threads: 0,
-            deterministic: true,
             kernel: FragmentKernel::Scalar,
         }
     }
@@ -70,7 +66,6 @@ impl MultiPassConfig {
     pub fn thread_policy(&self) -> ThreadPolicy {
         ThreadPolicy {
             threads: self.threads,
-            deterministic: self.deterministic,
         }
     }
 }
@@ -401,10 +396,9 @@ mod tests {
         };
         for passes in [1usize, 4, 9] {
             let serial = render_multipass(&splats, 70, 50, passes, &serial_cfg);
-            for (threads, deterministic) in [(3, true), (4, false), (0, true)] {
+            for threads in [3, 4, 0] {
                 let cfg = MultiPassConfig {
                     threads,
-                    deterministic,
                     ..MultiPassConfig::default()
                 };
                 let par = render_multipass(&splats, 70, 50, passes, &cfg);

@@ -1,7 +1,6 @@
 //! End-to-end fragment-kernel parity: the SoA fast path must produce
 //! bit-exact images against the scalar AoS oracle on real (procedural)
-//! workloads, for every pipeline variant, every renderer and both
-//! scheduling modes.
+//! workloads, for every pipeline variant and every renderer.
 //!
 //! This is the gate behind flipping `kernel = Soa` anywhere: the SoA
 //! kernel executes the same `f32` operations in the same per-pixel order,
@@ -50,46 +49,39 @@ fn stream_from_preprocess_matches_aos_bit_for_bit() {
 }
 
 #[test]
-fn pipeline_variants_kernels_bit_exact_both_scheduling_modes() {
+fn pipeline_variants_kernels_bit_exact_on_archetypes() {
     for spec in archetype_scenes() {
         let scene = spec.generate_scaled(TEST_SCALE);
         let cam = scene.default_camera();
-        for deterministic in [true, false] {
-            for variant in PipelineVariant::ALL {
-                let scalar_cfg = GpuConfig {
-                    deterministic,
-                    ..GpuConfig::default()
-                };
-                let soa_cfg = GpuConfig {
-                    deterministic,
-                    kernel: FragmentKernel::Soa,
-                    ..GpuConfig::default()
-                };
-                let scalar = Renderer::new(scalar_cfg, variant).render(&scene, &cam);
-                let soa = Renderer::new(soa_cfg, variant).render(&scene, &cam);
-                assert_eq!(
-                    scalar.color.max_abs_diff(&soa.color),
-                    0.0,
-                    "{}: {variant} deterministic={deterministic}: kernels diverged",
-                    spec.name
-                );
-                if !variant.het() {
-                    assert_eq!(soa.stats, scalar.stats, "{}: {variant}", spec.name);
-                } else {
-                    // The quad flow is identical between kernels; the fast
-                    // path only removes ZROP test work (and the cycles and
-                    // z-cache traffic it cost). CROP-cache traffic is per
-                    // surviving quad and must match exactly.
-                    let mut masked = soa.stats.clone();
-                    masked.retired_tile_skips = 0;
-                    masked.zrop_term_tests = scalar.stats.zrop_term_tests;
-                    masked.z_cache = scalar.stats.z_cache;
-                    masked.total_cycles = scalar.stats.total_cycles;
-                    masked.busy_cycles = scalar.stats.busy_cycles;
-                    assert_eq!(masked, scalar.stats, "{}: {variant}", spec.name);
-                    assert!(soa.stats.zrop_term_tests <= scalar.stats.zrop_term_tests);
-                    assert!(soa.stats.total_cycles <= scalar.stats.total_cycles);
-                }
+        for variant in PipelineVariant::ALL {
+            let soa_cfg = GpuConfig {
+                kernel: FragmentKernel::Soa,
+                ..GpuConfig::default()
+            };
+            let scalar = Renderer::new(GpuConfig::default(), variant).render(&scene, &cam);
+            let soa = Renderer::new(soa_cfg, variant).render(&scene, &cam);
+            assert_eq!(
+                scalar.color.max_abs_diff(&soa.color),
+                0.0,
+                "{}: {variant}: kernels diverged",
+                spec.name
+            );
+            if !variant.het() {
+                assert_eq!(soa.stats, scalar.stats, "{}: {variant}", spec.name);
+            } else {
+                // The quad flow is identical between kernels; the fast
+                // path only removes ZROP test work (and the cycles and
+                // z-cache traffic it cost). CROP-cache traffic is per
+                // surviving quad and must match exactly.
+                let mut masked = soa.stats.clone();
+                masked.retired_tile_skips = 0;
+                masked.zrop_term_tests = scalar.stats.zrop_term_tests;
+                masked.z_cache = scalar.stats.z_cache;
+                masked.total_cycles = scalar.stats.total_cycles;
+                masked.busy_cycles = scalar.stats.busy_cycles;
+                assert_eq!(masked, scalar.stats, "{}: {variant}", spec.name);
+                assert!(soa.stats.zrop_term_tests <= scalar.stats.zrop_term_tests);
+                assert!(soa.stats.total_cycles <= scalar.stats.total_cycles);
             }
         }
     }
@@ -102,36 +94,26 @@ fn cuda_like_kernels_bit_exact_on_archetypes() {
         let cam = scene.default_camera();
         let pre = preprocess(&scene, &cam);
         for et in [false, true] {
-            for deterministic in [true, false] {
-                let scalar_cfg = SwConfig {
-                    deterministic,
-                    ..SwConfig::default()
-                };
-                let soa_cfg = SwConfig {
-                    deterministic,
-                    kernel: FragmentKernel::Soa,
-                    ..SwConfig::default()
-                };
-                let scalar = CudaLikeRenderer::new(scalar_cfg, et).render(
-                    &pre.splats,
-                    cam.width(),
-                    cam.height(),
-                );
-                let soa = CudaLikeRenderer::new(soa_cfg, et).render(
-                    &pre.splats,
-                    cam.width(),
-                    cam.height(),
-                );
-                assert_eq!(
-                    scalar.color.max_abs_diff(&soa.color),
-                    0.0,
-                    "{}: et={et}",
-                    spec.name
-                );
-                let mut masked = soa.stats;
-                masked.bound_skipped_iterations = 0;
-                assert_eq!(masked, scalar.stats, "{}: et={et}", spec.name);
-            }
+            let soa_cfg = SwConfig {
+                kernel: FragmentKernel::Soa,
+                ..SwConfig::default()
+            };
+            let scalar = CudaLikeRenderer::new(SwConfig::default(), et).render(
+                &pre.splats,
+                cam.width(),
+                cam.height(),
+            );
+            let soa =
+                CudaLikeRenderer::new(soa_cfg, et).render(&pre.splats, cam.width(), cam.height());
+            assert_eq!(
+                scalar.color.max_abs_diff(&soa.color),
+                0.0,
+                "{}: et={et}",
+                spec.name
+            );
+            let mut masked = soa.stats;
+            masked.bound_skipped_iterations = 0;
+            assert_eq!(masked, scalar.stats, "{}: et={et}", spec.name);
         }
     }
 }

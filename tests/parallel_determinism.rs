@@ -1,7 +1,7 @@
 //! The determinism contract of the parallel render path (DESIGN.md):
 //! every renderer must produce bit-exact images, depth/stencil state and
-//! statistics for every `threads` setting and both scheduling modes —
-//! parallelism may only change wall time, never results.
+//! statistics for every `threads` setting — parallelism may only change
+//! wall time, never results.
 
 use gpu_sim::config::GpuConfig;
 use gsplat::par::ThreadPolicy;
@@ -14,8 +14,8 @@ use vrpipe::{draw, PipelineVariant};
 
 const TEST_SCALE: f32 = 0.05;
 
-/// The policies every path is checked against, versus `threads: 1`.
-const POLICIES: [(usize, bool); 3] = [(2, true), (5, false), (0, true)];
+/// The thread counts every path is checked against, versus `threads: 1`.
+const POLICIES: [usize; 3] = [2, 5, 0];
 
 #[test]
 fn pipeline_variants_are_bit_exact_across_thread_counts() {
@@ -29,10 +29,9 @@ fn pipeline_variants_are_bit_exact_across_thread_counts() {
 
     for variant in PipelineVariant::ALL {
         let reference = draw(&pre.splats, cam.width(), cam.height(), &serial_cfg, variant);
-        for (threads, deterministic) in POLICIES {
+        for threads in POLICIES {
             let cfg = GpuConfig {
                 threads,
-                deterministic,
                 ..GpuConfig::default()
             };
             let out = draw(&pre.splats, cam.width(), cam.height(), &cfg, variant);
@@ -58,11 +57,8 @@ fn preprocessing_is_bit_exact_across_thread_counts() {
     let scene = EVALUATED_SCENES[2].generate_scaled(TEST_SCALE); // Train
     let cam = scene.default_camera();
     let reference = preprocess_with(&scene, &cam, ThreadPolicy::serial());
-    for (threads, deterministic) in POLICIES {
-        let policy = ThreadPolicy {
-            threads,
-            deterministic,
-        };
+    for threads in POLICIES {
+        let policy = ThreadPolicy { threads };
         let out = preprocess_with(&scene, &cam, policy);
         assert_eq!(out.stats, reference.stats, "{policy:?}");
         assert_eq!(out.splats.len(), reference.splats.len());
@@ -88,10 +84,9 @@ fn cuda_like_renderer_is_bit_exact_across_thread_counts() {
         };
         let reference =
             CudaLikeRenderer::new(serial_cfg, et).render(&pre.splats, cam.width(), cam.height());
-        for (threads, deterministic) in POLICIES {
+        for threads in POLICIES {
             let cfg = SwConfig {
                 threads,
-                deterministic,
                 ..SwConfig::default()
             };
             let out = CudaLikeRenderer::new(cfg, et).render(&pre.splats, cam.width(), cam.height());
@@ -117,10 +112,9 @@ fn multipass_renderer_is_bit_exact_across_thread_counts() {
         };
         let reference =
             render_multipass(&pre.splats, cam.width(), cam.height(), passes, &serial_cfg);
-        for (threads, deterministic) in POLICIES {
+        for threads in POLICIES {
             let cfg = MultiPassConfig {
                 threads,
-                deterministic,
                 ..MultiPassConfig::default()
             };
             let out = render_multipass(&pre.splats, cam.width(), cam.height(), passes, &cfg);
@@ -149,11 +143,8 @@ fn inshader_workload_is_bit_exact_across_thread_counts() {
         cam.height(),
         ThreadPolicy::serial(),
     );
-    for (threads, deterministic) in POLICIES {
-        let policy = ThreadPolicy {
-            threads,
-            deterministic,
-        };
+    for threads in POLICIES {
+        let policy = ThreadPolicy { threads };
         assert_eq!(
             fragment_workload_with(&pre.splats, cam.width(), cam.height(), policy),
             reference,

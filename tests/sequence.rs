@@ -272,10 +272,7 @@ fn sequence_respects_thread_policy_bit_exactly() {
             )
             .unwrap();
         for threads in [3usize, 0] {
-            let policy = ThreadPolicy {
-                threads,
-                deterministic: true,
-            };
+            let policy = ThreadPolicy { threads };
             let gpu = GpuConfig {
                 threads,
                 ..GpuConfig::default()

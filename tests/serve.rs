@@ -452,15 +452,13 @@ fn batched_streams_match_solo_sessions_four_workers() {
 /// every round on the stream's own cull state (no per-rotation state
 /// accumulates anywhere else).
 ///
-/// The eyes of a stereo path share a view direction, but `look_at`
-/// rebuilds each eye's basis from f32 differences, so an occasional pair
-/// misses the bit-exact translation proof and is served as two rounds of
-/// one (e.g. a 0.3 rad arc at height 1.2 proves 7 of 8 pairs here). Every
-/// pair of this orbit proves the bound.
+/// Each eye is the head camera translated, so every pair proves the
+/// bit-exact translation bound. Eyes rebuilt through `look_at` from f32
+/// differences would miss it on one pair of this orbit.
 fn check_stereo_orbit_pairs_every_round(threads: usize) {
     const PAIRS: usize = 8;
     let scene = train_scene();
-    let path = CameraPath::orbit(scene.center, scene.view_radius, 1.2, 0.5).stereo(0.065);
+    let path = CameraPath::orbit(scene.center, scene.view_radius, 1.2, 0.3).stereo(0.065);
     let cfg = SequenceConfig::new(path, 2 * PAIRS, 64, 48).with_index();
     let solo = Session::default().run(&scene, &cfg, |f| frame_digest(&f));
 

@@ -6,14 +6,13 @@
 //! Also covered: step-down/step-up hysteresis with recovery to full
 //! quality, priority-ordered brownout shedding (high-priority streams
 //! structurally protected), per-rung parity on 1- and 4-worker pools,
-//! kernel-override rungs, and the headline invariant — the same spike
+//! and the headline invariant — the same spike
 //! that evicts a stream from PR 6's frame-dropping-only server is served
 //! to completion with zero evictions by the ladder.
 
 use gpu_sim::config::GpuConfig;
 use gsplat::camera::CameraPath;
 use gsplat::scene::{Scene, EVALUATED_SCENES};
-use gsplat::stream::FragmentKernel;
 use vrpipe::{
     EvictReason, FaultInjector, FaultKind, FaultPlan, PipelineVariant, QualityLadder, QualityRung,
     SchedulePolicy, SequenceConfig, SequenceFrameRecord, Server, Session, SharedScene, StreamPhase,
@@ -44,8 +43,7 @@ fn digest(f: &SequenceFrameRecord) -> String {
 }
 
 /// Reference bits for every rung: `solo[r][i]` is frame `i` of a solo
-/// session configured at rung `r`'s derived config (and kernel override)
-/// from the very start.
+/// session configured at rung `r`'s derived config from the very start.
 fn solo_rung_digests(
     scene: &Scene,
     base: &SequenceConfig,
@@ -55,17 +53,9 @@ fn solo_rung_digests(
     ladder
         .derive_all(base)
         .iter()
-        .zip(ladder.rungs())
-        .map(|(cfg, rung)| {
-            let solo_gpu = match rung.kernel {
-                Some(kernel) => GpuConfig {
-                    kernel,
-                    ..gpu.clone()
-                },
-                None => gpu.clone(),
-            };
+        .map(|cfg| {
             Session::default()
-                .run_vrpipe(scene, cfg, &solo_gpu, PipelineVariant::HetQm)
+                .run_vrpipe(scene, cfg, gpu, PipelineVariant::HetQm)
                 .expect("valid config")
                 .iter()
                 .map(digest)
@@ -133,12 +123,12 @@ fn spike() -> FaultInjector {
         .injector(0)
 }
 
-/// The ladder under test: full → half-res/SH≤2 on the SoA kernel →
-/// quarter-res/SH≤1, stepping down after a single miss and back up after
-/// two consecutive on-time frames.
+/// The ladder under test: full → half-res/SH≤2 → quarter-res/SH≤1,
+/// stepping down after a single miss and back up after two consecutive
+/// on-time frames.
 fn test_ladder() -> QualityLadder {
     QualityLadder::new()
-        .with_rung(QualityRung::new(1, 2).with_kernel(FragmentKernel::Soa))
+        .with_rung(QualityRung::new(1, 2))
         .with_rung(QualityRung::new(2, 1))
         .with_hysteresis(1, 2)
 }
