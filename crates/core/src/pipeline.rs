@@ -17,9 +17,10 @@
 //! serially — but its pure per-primitive prologue (triangle setup, the
 //! TGC `(grid, primitive)` key stream) fans out over the host threads in
 //! [`GpuConfig::thread_policy`], and every per-primitive / per-flush
-//! buffer lives in a reusable [`DrawScratch`], making the steady-state
-//! frame loop allocation-free. Simulated results are bit-exact for every
-//! `threads` setting.
+//! buffer, like the bin tables and caches themselves (reset to power-on
+//! state per draw), lives in a reusable [`DrawScratch`], making the
+//! steady-state frame loop allocation-free. Simulated results are
+//! bit-exact for every `threads` setting.
 
 use gpu_sim::binning::{BinTable, Flush, FlushReason, KeyStream};
 use gpu_sim::cache::Cache;
@@ -144,11 +145,15 @@ impl From<gsplat::asset::AssetError> for DrawError {
 }
 
 /// Reusable per-draw buffers: primitive setups, the TGC key stream, the
-/// raster quad buffer and every per-flush staging vector. Holding one of
-/// these across draws removes all steady-state allocation from the
-/// simulator's frame loop.
+/// raster quad buffer, every per-flush staging vector and the hardware-unit
+/// models (bin tables and caches, reset to power-on state at the top of
+/// every draw). Holding one of these across draws removes all steady-state
+/// allocation from the simulator's frame loop; it never changes a result.
 #[derive(Debug, Default)]
 pub struct DrawScratch {
+    /// TC/TGC bin tables and CROP/z/L2 caches, built on first use and
+    /// rebuilt only when the configuration changes their geometry.
+    units: Option<Units>,
     /// Per-primitive setup results (parallel prologue output).
     setups: Vec<Option<SplatSetup>>,
     /// TGC `(grid, primitive)` insertion stream.
@@ -310,6 +315,7 @@ pub fn try_draw_in_place(
     if cfg.kernel == FragmentKernel::Soa {
         scratch.stream.rebuild_from(splats);
     }
+    let units = Units::power_on(&mut scratch.units, cfg);
     let track_tiles = if variant.het() {
         tiling.tile_count()
     } else {
@@ -325,13 +331,10 @@ pub fn try_draw_in_place(
         tiling,
         color,
         ds,
-        crop_cache: Cache::new(cfg.crop_cache_bytes, cfg.cache_line_bytes, cfg.cache_ways),
-        z_cache: Cache::new(cfg.z_cache_bytes, cfg.cache_line_bytes, cfg.cache_ways),
-        l2: Cache::new(4 * 1024 * 1024, cfg.cache_line_bytes, 16),
+        units,
         timer: PipelineTimer::new(),
         stats: PipelineStats::default(),
         pending: WorkBatch::default(),
-        tc: BinTable::new(cfg.tc_bins, cfg.tc_bin_size),
         line_block: line_block(cfg),
         scratch,
     }
@@ -347,6 +350,61 @@ fn line_block(cfg: &GpuConfig) -> (u32, u32) {
     (block_w, block_h)
 }
 
+/// L2 model geometry: 4 MB, 16-way.
+const L2_BYTES: usize = 4 * 1024 * 1024;
+const L2_WAYS: usize = 16;
+
+/// The stateful hardware-unit models one draw drives.
+#[derive(Debug)]
+struct Units {
+    crop_cache: Cache,
+    z_cache: Cache,
+    l2: Cache,
+    tc: BinTable<TileId, Quad>,
+    tgc: BinTable<TileGridId, u32>,
+}
+
+impl Units {
+    fn new(cfg: &GpuConfig) -> Self {
+        Self {
+            crop_cache: Cache::new(cfg.crop_cache_bytes, cfg.cache_line_bytes, cfg.cache_ways),
+            z_cache: Cache::new(cfg.z_cache_bytes, cfg.cache_line_bytes, cfg.cache_ways),
+            l2: Cache::new(L2_BYTES, cfg.cache_line_bytes, L2_WAYS),
+            tc: BinTable::new(cfg.tc_bins, cfg.tc_bin_size),
+            tgc: BinTable::new(cfg.tgc_bins, cfg.tgc_bin_size),
+        }
+    }
+
+    /// Whether these models have the geometry `cfg` asks for.
+    fn fit(&self, cfg: &GpuConfig) -> bool {
+        let line = cfg.cache_line_bytes;
+        self.crop_cache
+            .has_geometry(cfg.crop_cache_bytes, line, cfg.cache_ways)
+            && self
+                .z_cache
+                .has_geometry(cfg.z_cache_bytes, line, cfg.cache_ways)
+            && self.l2.has_geometry(L2_BYTES, line, L2_WAYS)
+            && self.tc.has_shape(cfg.tc_bins, cfg.tc_bin_size)
+            && self.tgc.has_shape(cfg.tgc_bins, cfg.tgc_bin_size)
+    }
+
+    /// Power-on models for `cfg`: the ones in `slot`, reset, when their
+    /// geometry fits, otherwise new ones.
+    fn power_on(slot: &mut Option<Units>, cfg: &GpuConfig) -> Self {
+        match slot.take() {
+            Some(mut units) if units.fit(cfg) => {
+                units.crop_cache.reset();
+                units.z_cache.reset();
+                units.l2.reset();
+                units.tc.reset();
+                units.tgc.reset();
+                units
+            }
+            _ => Units::new(cfg),
+        }
+    }
+}
+
 /// Internal per-draw-call state.
 struct Pipeline<'a> {
     splats: &'a [Splat],
@@ -355,14 +413,12 @@ struct Pipeline<'a> {
     tiling: Tiling,
     color: &'a mut ColorBuffer,
     ds: &'a mut DepthStencilBuffer,
-    crop_cache: Cache,
-    z_cache: Cache,
-    l2: Cache,
+    /// Taken from the scratch for the draw and returned at its end.
+    units: Units,
     timer: PipelineTimer,
     stats: PipelineStats,
     /// Upstream work accumulated since the last TC flush.
     pending: WorkBatch,
-    tc: BinTable<TileId, Quad>,
     /// Color-cache line geometry (pixels per line block).
     line_block: (u32, u32),
     scratch: &'a mut DrawScratch,
@@ -381,8 +437,7 @@ impl Pipeline<'_> {
             self.run_direct();
         }
         // End-of-draw: drain the TC unit (subsumes the timeout flush).
-        let drains = self.tc.drain();
-        for flush in drains {
+        while let Some(flush) = self.units.tc.drain_next() {
             self.process_tc_flush(flush);
         }
         // Push any trailing upstream work.
@@ -390,14 +445,15 @@ impl Pipeline<'_> {
             let batch = std::mem::take(&mut self.pending);
             self.timer.push(batch);
         }
-        self.crop_cache.flush();
-        self.z_cache.flush();
+        self.units.crop_cache.flush();
+        self.units.z_cache.flush();
 
-        self.stats.crop_cache = self.crop_cache.stats();
-        self.stats.z_cache = self.z_cache.stats();
+        self.stats.crop_cache = self.units.crop_cache.stats();
+        self.stats.z_cache = self.units.z_cache.stats();
         let (total, busy) = self.timer.finish();
         self.stats.total_cycles = total;
         self.stats.busy_cycles = busy;
+        self.scratch.units = Some(self.units);
         self.stats
     }
 
@@ -488,8 +544,6 @@ impl Pipeline<'_> {
             });
         }
 
-        let mut tgc: BinTable<TileGridId, u32> =
-            BinTable::new(self.cfg.tgc_bins, self.cfg.tgc_bin_size);
         // Vertex work interleaves with insertions exactly as a per-splat
         // loop would: each primitive is accounted just before its first
         // insertion (or with the next accounted primitive if it has none).
@@ -502,10 +556,9 @@ impl Pipeline<'_> {
             }
             self.stats.tgc_insertions += 1;
             self.pending.add(Unit::Tgc, 1.0);
-            for flush in tgc.insert(grid, prim) {
-                let Flush { key, items, .. } = flush;
-                self.process_tgc_flush(key, &items);
-                tgc.recycle(items);
+            for flush in self.units.tgc.insert(grid, prim) {
+                self.process_tgc_flush(flush.key, &flush.items);
+                self.units.tgc.recycle(flush.items);
             }
         }
         while next_vertex < self.splats.len() {
@@ -514,11 +567,11 @@ impl Pipeline<'_> {
         }
         self.scratch.tgc_stream = stream;
 
-        let drains = tgc.drain();
-        for flush in drains {
+        while let Some(flush) = self.units.tgc.drain_next() {
             self.process_tgc_flush(flush.key, &flush.items);
+            self.units.tgc.recycle(flush.items);
         }
-        let s = tgc.stats();
+        let s = self.units.tgc.stats();
         self.stats.tgc_flushes = s.flushes;
         self.stats.tgc_evictions = s.evictions;
     }
@@ -608,7 +661,7 @@ impl Pipeline<'_> {
         self.pending
             .add(Unit::Tc, 1.0 / self.cfg.tc_quads_per_cycle as f64);
         let tile = q.tile;
-        for flush in self.tc.insert(tile, q) {
+        for flush in self.units.tc.insert(tile, q) {
             self.process_tc_flush(flush);
         }
     }
@@ -665,7 +718,7 @@ impl Pipeline<'_> {
         } else {
             bin.extend_from_slice(&flush.items);
         }
-        self.tc.recycle(flush.items);
+        self.units.tc.recycle(flush.items);
         if bin.is_empty() {
             self.timer.push(batch);
             self.scratch.bin = bin;
@@ -830,7 +883,7 @@ impl Pipeline<'_> {
             }
         }
         for &line in &lines[..n] {
-            if !self.crop_cache.access(line, true) {
+            if !self.units.crop_cache.access(line, true) {
                 self.memory_fill(line, batch);
             }
         }
@@ -843,7 +896,7 @@ impl Pipeline<'_> {
         let line = (origin.1 / 8) as u64 * blocks_x + (origin.0 / 16) as u64;
         // Address-space tag to keep z lines distinct from color lines in L2.
         let tagged = line | 1 << 62;
-        if !self.z_cache.access(tagged, write) {
+        if !self.units.z_cache.access(tagged, write) {
             self.memory_fill(tagged, batch);
         }
     }
@@ -852,7 +905,7 @@ impl Pipeline<'_> {
     fn memory_fill(&mut self, line: u64, batch: &mut WorkBatch) {
         let bytes = self.cfg.cache_line_bytes as f64;
         batch.add(Unit::L2, bytes / self.cfg.l2_bytes_per_cycle as f64);
-        if !self.l2.access(line, false) {
+        if !self.units.l2.access(line, false) {
             batch.add(Unit::Dram, bytes / self.cfg.dram_bytes_per_cycle as f64);
         }
     }
@@ -996,15 +1049,56 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_draws() {
-        let splats = stacked_splats(35, 0.4);
+        // One scratch serves interleaved variants, splat sets, viewports
+        // and unit geometries (the small-bin configuration forces TC/TGC
+        // evictions and rebuilds the unit models). Stale bin, cache or
+        // retirement state would make a reused draw differ from a fresh
+        // one.
+        let small_units = GpuConfig {
+            tc_bins: 3,
+            tc_bin_size: 8,
+            tgc_bins: 2,
+            tgc_bin_size: 4,
+            crop_cache_bytes: 1024,
+            ..cfg()
+        };
+        let stacked = stacked_splats(35, 0.4);
+        let scattered = scattered_splats(90, 96, 64);
+        let cases = [
+            (&stacked, 32, 32, cfg()),
+            (&scattered, 96, 64, cfg()),
+            (&scattered, 96, 64, small_units.clone()),
+            (&stacked, 48, 40, cfg()),
+            (&scattered, 96, 64, cfg()),
+            (&stacked, 32, 32, small_units),
+        ];
         let mut scratch = DrawScratch::default();
-        for v in PipelineVariant::ALL {
-            let fresh = draw(&splats, 32, 32, &cfg(), v);
-            let reused = draw_with_scratch(&splats, 32, 32, &cfg(), v, &mut scratch);
-            assert_eq!(reused.stats, fresh.stats, "{v}");
-            assert_eq!(reused.color.max_abs_diff(&fresh.color), 0.0, "{v}");
-            assert_eq!(reused.depth_stencil, fresh.depth_stencil, "{v}");
+        for round in 0..2 {
+            for v in PipelineVariant::ALL {
+                for (i, (splats, w, h, gpu)) in cases.iter().enumerate() {
+                    let fresh = draw(splats, *w, *h, gpu, v);
+                    let reused = draw_with_scratch(splats, *w, *h, gpu, v, &mut scratch);
+                    let at = format!("round {round} {v} case {i}");
+                    assert_eq!(reused.stats, fresh.stats, "{at}");
+                    assert_eq!(reused.color.max_abs_diff(&fresh.color), 0.0, "{at}");
+                    assert_eq!(reused.depth_stencil, fresh.depth_stencil, "{at}");
+                }
+            }
         }
+    }
+
+    /// `n` overlapping splats spread over a `w`×`h` viewport in draw
+    /// order, so the bin tables see many tiles and tile grids.
+    fn scattered_splats(n: usize, w: u32, h: u32) -> Vec<Splat> {
+        let mut v = stacked_splats(n, 0.6);
+        for (i, s) in v.iter_mut().enumerate() {
+            let k = i as u32 * 37;
+            s.center = Vec2::new((k % w) as f32, ((k / w) * 11 % h) as f32);
+            s.axis_major = Vec2::new(9.0, 0.0);
+            s.axis_minor = Vec2::new(0.0, 9.0);
+            s.conic = (0.05, 0.0, 0.05);
+        }
+        v
     }
 
     #[test]

@@ -9,6 +9,10 @@ use crate::stats::CacheStats;
 /// Tracks hits/misses/writebacks; the caller converts byte addresses to
 /// line addresses. No data storage — this is a tag-only timing model.
 ///
+/// The lines live in one set-major array (`ways` entries per set) with a
+/// fill count per set, so [`Cache::reset`] restores the power-on state by
+/// zeroing the counts and a reused cache allocates nothing.
+///
 /// # Examples
 ///
 /// ```
@@ -16,16 +20,23 @@ use crate::stats::CacheStats;
 /// let mut c = Cache::new(1024, 128, 2); // 8 lines, 2-way, 4 sets
 /// assert!(!c.access(0, false)); // cold miss
 /// assert!(c.access(0, false));  // hit
+/// c.reset();
+/// assert!(!c.access(0, false)); // cold again
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
+    /// `sets × ways` lines; set `s` owns `lines[s * ways..][..fill[s]]`.
+    lines: Vec<Line>,
+    /// Valid lines per set.
+    fill: Vec<u32>,
     set_mask: u64,
     stats: CacheStats,
     ways: usize,
+    /// Geometry as passed to [`Cache::new`].
+    geometry: (usize, usize, usize),
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
     dirty: bool,
@@ -54,54 +65,77 @@ impl Cache {
         let sets = lines / ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Self {
-            sets: vec![Vec::with_capacity(ways); sets],
+            lines: vec![Line::default(); lines],
+            fill: vec![0; sets],
             set_mask: sets as u64 - 1,
             stats: CacheStats::default(),
             ways,
+            geometry: (size_bytes, line_bytes, ways),
         }
+    }
+
+    /// Whether this cache was built by `Cache::new(size_bytes, line_bytes,
+    /// ways)`.
+    pub fn has_geometry(&self, size_bytes: usize, line_bytes: usize, ways: usize) -> bool {
+        self.geometry == (size_bytes, line_bytes, ways)
     }
 
     /// Accesses the line containing `line_addr` (already divided by line
     /// size). Returns `true` on hit. `write` marks the line dirty.
     pub fn access(&mut self, line_addr: u64, write: bool) -> bool {
         let stamp = self.stats.hits + self.stats.misses;
-        let set = &mut self.sets[(line_addr & self.set_mask) as usize];
-        if let Some(line) = set.iter_mut().find(|l| l.tag == line_addr) {
+        let s = (line_addr & self.set_mask) as usize;
+        let fill = &mut self.fill[s];
+        let set = &mut self.lines[s * self.ways..(s + 1) * self.ways];
+        if let Some(line) = set[..*fill as usize]
+            .iter_mut()
+            .find(|l| l.tag == line_addr)
+        {
             line.lru = stamp;
             line.dirty |= write;
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        if set.len() == self.ways {
+        let new = Line {
+            tag: line_addr,
+            dirty: write,
+            lru: stamp,
+        };
+        if *fill as usize == self.ways {
+            // Replace the LRU line (the first one on a tie). The last line
+            // moves into the victim's place and the new line goes last:
+            // the order a swap-remove-then-push set keeps.
             let victim = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("full set is non-empty");
+                .map_or(0, |(i, _)| i);
             if set[victim].dirty {
                 self.stats.writebacks += 1;
             }
-            set.swap_remove(victim);
+            set[victim] = set[self.ways - 1];
+            set[self.ways - 1] = new;
+        } else {
+            set[*fill as usize] = new;
+            *fill += 1;
         }
-        set.push(Line {
-            tag: line_addr,
-            dirty: write,
-            lru: stamp,
-        });
         false
     }
 
     /// Flushes all lines, counting writebacks for dirty ones (end of draw).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set.drain(..) {
-                if line.dirty {
-                    self.stats.writebacks += 1;
-                }
-            }
+        for (set, fill) in self.lines.chunks_exact(self.ways).zip(&mut self.fill) {
+            let dirty = set[..*fill as usize].iter().filter(|l| l.dirty).count();
+            self.stats.writebacks += dirty as u64;
+            *fill = 0;
         }
+    }
+
+    /// Restores the power-on state: every line invalid, statistics zeroed.
+    pub fn reset(&mut self) {
+        self.fill.fill(0);
+        self.stats = CacheStats::default();
     }
 
     /// Accumulated statistics.
@@ -173,6 +207,18 @@ mod tests {
             }
         }
         assert_eq!(c.stats().misses, 0);
+    }
+
+    #[test]
+    fn reset_restores_power_on_state() {
+        let mut c = Cache::new(1024, 128, 2);
+        c.access(1, true);
+        c.access(5, false);
+        c.reset();
+        assert_eq!(c.stats(), CacheStats::default());
+        assert!(!c.access(1, false), "reset must invalidate every line");
+        c.flush();
+        assert_eq!(c.stats().writebacks, 0, "reset drops dirty lines unwritten");
     }
 
     #[test]

@@ -138,7 +138,7 @@ pub fn tile_binning_probe(cfg: &GpuConfig, tiles: u32, rects: u32) -> TileBinnin
             count_flush(f.items.len());
         }
     }
-    for f in tc.drain() {
+    while let Some(f) = tc.drain_next() {
         count_flush(f.items.len());
     }
     TileBinningProbe {
