@@ -27,12 +27,32 @@ pub struct TerminationTest {
     pub terminated_fragments: u32,
 }
 
+/// Per-pixel termination flags (the stencil MSB) that the HET units read
+/// and set: a whole depth/stencil buffer, or the window of it that one
+/// screen tile's flush processing owns.
+pub trait TerminationFlags {
+    /// `true` when pixel `(x, y)` lies on this target and its flag is set.
+    fn is_terminated(&self, x: u32, y: u32) -> bool;
+    /// Sets the flag of pixel `(x, y)`, which lies on this target.
+    fn set_terminated(&mut self, x: u32, y: u32);
+}
+
+impl TerminationFlags for DepthStencilBuffer {
+    fn is_terminated(&self, x: u32, y: u32) -> bool {
+        x < self.width() && y < self.height() && DepthStencilBuffer::is_terminated(self, x, y)
+    }
+
+    fn set_terminated(&mut self, x: u32, y: u32) {
+        DepthStencilBuffer::set_terminated(self, x, y);
+    }
+}
+
 /// Termination test unit: checks a quad against the stencil MSB.
 ///
 /// A quad is discarded only when *all* its covered pixels are terminated
 /// (paper: "quads with at least one fragment that passes the early
 /// termination test are sent back to the PROP").
-pub fn termination_test(quad: &Quad, ds: &DepthStencilBuffer) -> TerminationTest {
+pub fn termination_test<F: TerminationFlags + ?Sized>(quad: &Quad, flags: &F) -> TerminationTest {
     let mut terminated = 0u32;
     let mut any_alive = false;
     for i in 0..4 {
@@ -40,7 +60,7 @@ pub fn termination_test(quad: &Quad, ds: &DepthStencilBuffer) -> TerminationTest
             continue;
         }
         let (x, y) = quad.fragment_xy(i);
-        if x < ds.width() && y < ds.height() && ds.is_terminated(x, y) {
+        if flags.is_terminated(x, y) {
             terminated += 1;
         } else {
             any_alive = true;
@@ -71,8 +91,8 @@ pub fn alpha_test(prev_alpha: f32, new_alpha: f32) -> bool {
 /// Termination update unit: sets the stencil MSB for a newly terminated
 /// pixel (bitwise OR write-back through the z-cache).
 #[inline]
-pub fn termination_update(ds: &mut DepthStencilBuffer, x: u32, y: u32) {
-    ds.set_terminated(x, y);
+pub fn termination_update<F: TerminationFlags + ?Sized>(flags: &mut F, x: u32, y: u32) {
+    flags.set_terminated(x, y);
 }
 
 #[cfg(test)]

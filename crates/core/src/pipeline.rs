@@ -12,33 +12,47 @@
 //!       └─ alpha test unit (HET) ─→ ZROP termination update
 //! ```
 //!
-//! The simulated pipeline is inherently order-dependent (bin evictions,
-//! cache state, the flow-shop timer), so the draw loop itself runs
-//! serially — but its pure per-primitive prologue (triangle setup, the
-//! TGC `(grid, primitive)` key stream) fans out over the host threads in
-//! [`GpuConfig::thread_policy`], and every per-primitive / per-flush
-//! buffer, like the bin tables and caches themselves (reset to power-on
-//! state per draw), lives in a reusable [`DrawScratch`], making the
-//! steady-state frame loop allocation-free. Simulated results are
-//! bit-exact for every `threads` setting.
+//! The simulated pipeline is order-dependent (bin evictions, cache state,
+//! the flow-shop timer), but its pixel work is not: a TC flush holds quads
+//! of one screen tile, so flushes of different tiles commute. A draw runs
+//! in four phases over the host threads of [`GpuConfig::thread_policy`]:
+//!
+//! 1. **Prologue** (parallel): triangle setup and fine raster of every
+//!    primitive over its whole tile rect — pure per primitive.
+//! 2. **Spine** (serial): vertex accounting, TGC/TC insertion, evictions
+//!    and drains in draw order. It records each TC flush with the
+//!    upstream work batch it closes, and reads no pixel.
+//! 3. **Shards** (parallel, per screen tile): each tile's flushes in spine
+//!    order through ZROP, QRU, shading, merge and CROP, on the tile's own
+//!    pixels and termination state, logging their ROP-cache accesses.
+//! 4. **Tail** (serial): replays the cache logs through the CROP/z/L2
+//!    models and pushes each flush's timing batch, in spine order.
+//!
+//! Simulated results are bit-exact for every `threads` setting (DESIGN.md
+//! §4). Every per-primitive / per-flush buffer, like the bin tables and
+//! caches themselves (reset to power-on state per draw), lives in a
+//! reusable [`DrawScratch`]; at `threads: 1` every phase runs inline and
+//! the steady-state frame loop is allocation-free.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gpu_sim::binning::{BinTable, Flush, FlushReason, KeyStream};
 use gpu_sim::cache::Cache;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::quad::{Quad, ShadedQuad};
-use gpu_sim::raster::{rasterize_in_tile_into, SplatSetup};
+use gpu_sim::raster::{rasterize_in_tile_with, SplatSetup};
 use gpu_sim::stats::{PipelineStats, Unit};
-use gpu_sim::tiles::{TileGridId, TileId, Tiling};
+use gpu_sim::tiles::{QuadPos, TileGridId, TileId, Tiling};
 use gpu_sim::timing::{PipelineTimer, WorkBatch};
 use gsplat::blend::blend_over;
 use gsplat::color::Rgba;
 use gsplat::framebuffer::{ColorBuffer, DepthStencilBuffer};
-use gsplat::par::Bands;
+use gsplat::par::{Bands, ThreadPolicy};
 use gsplat::splat::Splat;
-use gsplat::stream::{FragmentKernel, SplatStream, TileBitset};
+use gsplat::stream::{FragmentKernel, SplatStream};
 
-use crate::het::{alpha_test, termination_test, termination_update};
-use crate::qm::{plan_warps_into, WarpPlan, WarpSlot};
+use crate::het::{alpha_test, termination_test, termination_update, TerminationFlags};
+use crate::qm::{plan_warps_into, pooled_warp, WarpPlan, WarpSlot};
 use crate::shading::{merge_pair, premultiplied_fragment, shade_quad, shade_quad_stream};
 use crate::variant::PipelineVariant;
 
@@ -144,40 +158,35 @@ impl From<gsplat::asset::AssetError> for DrawError {
     }
 }
 
-/// Reusable per-draw buffers: primitive setups, the TGC key stream, the
-/// raster quad buffer, every per-flush staging vector and the hardware-unit
-/// models (bin tables and caches, reset to power-on state at the top of
-/// every draw). Holding one of these across draws removes all steady-state
-/// allocation from the simulator's frame loop; it never changes a result.
+/// Reusable per-draw buffers: the prologue's setup and fine-raster arena,
+/// the TGC key stream, the spine's flush records, the per-tile shards, the
+/// per-worker staging and the hardware-unit models (bin tables and
+/// caches, reset to power-on state at the top of every draw). Holding one
+/// of these across draws removes all steady-state allocation from a
+/// `threads: 1` draw; it never changes a result.
 #[derive(Debug, Default)]
 pub struct DrawScratch {
     /// TC/TGC bin tables and CROP/z/L2 caches, built on first use and
     /// rebuilt only when the configuration changes their geometry.
     units: Option<Units>,
-    /// Per-primitive setup results (parallel prologue output).
-    setups: Vec<Option<SplatSetup>>,
+    /// Setup of every primitive and fine raster of every (primitive,
+    /// screen tile) pair (parallel prologue output).
+    raster: RasterArena,
     /// TGC `(grid, primitive)` insertion stream.
     tgc_stream: KeyStream<TileGridId>,
-    /// Fine-raster quad staging for one (primitive, tile) visit.
-    quads: Vec<Quad>,
-    /// Surviving quads of the TC flush being processed.
-    bin: Vec<Quad>,
-    /// Shaded quads of the current flush.
-    shaded: Vec<ShadedQuad>,
-    /// Merge replacements (front slots) of the current flush.
-    replacement: Vec<Option<ShadedQuad>>,
-    /// Back-quad skip marks of the current flush.
-    skip: Vec<bool>,
-    /// QRU output, with its warp vectors recycled through `warp_pool`.
-    plan: WarpPlan,
-    warp_pool: Vec<Vec<WarpSlot>>,
+    /// TC flushes in spine order.
+    flushes: Vec<SpineFlush>,
+    /// The quads of every TC flush, flush after flush in spine order.
+    flush_quads: Vec<BinQuad>,
+    /// One shard per screen tile, row-major.
+    tiles: Vec<TileShard>,
+    /// Tiles with flushes, heaviest first: the claim order of the
+    /// parallel shard phase.
+    tile_order: Vec<u32>,
+    /// Raster and flush-processing staging, one per host worker.
+    staging: Vec<FlushStaging>,
     /// SoA view of the splat list (rebuilt per draw, `Soa` kernel only).
     stream: SplatStream,
-    /// Retired-tile bitset (HET variants): set once every pixel of a
-    /// screen tile has crossed the termination threshold.
-    retired: TileBitset,
-    /// Per-tile count of terminated pixels, feeding `retired`.
-    tile_term: Vec<u32>,
 }
 
 /// Simulates one draw call of depth-sorted splats.
@@ -316,29 +325,37 @@ pub fn try_draw_in_place(
         scratch.stream.rebuild_from(splats);
     }
     let units = Units::power_on(&mut scratch.units, cfg);
-    let track_tiles = if variant.het() {
-        tiling.tile_count()
-    } else {
-        0
-    };
-    scratch.retired.reset(track_tiles);
-    scratch.tile_term.clear();
-    scratch.tile_term.resize(track_tiles, 0);
-    Ok(Pipeline {
+    scratch.flushes.clear();
+    scratch.flush_quads.clear();
+    scratch.tile_order.clear();
+    scratch
+        .tiles
+        .resize_with(tiling.tile_count(), TileShard::default);
+    for shard in &mut scratch.tiles {
+        shard.touched = false;
+    }
+    let mut pipeline = Pipeline {
         splats,
         cfg,
         variant,
         tiling,
-        color,
-        ds,
         units,
         timer: PipelineTimer::new(),
         stats: PipelineStats::default(),
         pending: WorkBatch::default(),
-        line_block: line_block(cfg),
+        round_quads: if cfg.thread_policy().workers(tiling.tile_count()) <= 1 {
+            SERIAL_ROUND_QUADS
+        } else {
+            usize::MAX
+        },
         scratch,
-    }
-    .run())
+    };
+    pipeline.prologue();
+    let mut raster = std::mem::take(&mut pipeline.scratch.raster);
+    pipeline.spine(&mut raster);
+    pipeline.scratch.raster = raster;
+    pipeline.run_round();
+    Ok(pipeline.finish(color, ds))
 }
 
 /// Color-cache line geometry: a 128-B line covers a
@@ -354,13 +371,24 @@ fn line_block(cfg: &GpuConfig) -> (u32, u32) {
 const L2_BYTES: usize = 4 * 1024 * 1024;
 const L2_WAYS: usize = 16;
 
+/// Cache-log tag of a z-cache (stencil-line) access; it doubles as the
+/// address-space tag that keeps z lines distinct from color lines in L2.
+const Z_LINE: u64 = 1 << 62;
+/// Cache-log flag of a z-cache write (termination update).
+const Z_WRITE: u64 = 1 << 63;
+/// Cache-log field holding a run length minus one: back-to-back repeats of
+/// one access within a flush share an entry. Line addresses stay below
+/// bit 48 (a frame would need 2^48 cache lines to reach it).
+const RUN_SHIFT: u32 = 48;
+const RUN_MASK: u64 = ((1 << 14) - 1) << RUN_SHIFT;
+
 /// The stateful hardware-unit models one draw drives.
 #[derive(Debug)]
 struct Units {
     crop_cache: Cache,
     z_cache: Cache,
     l2: Cache,
-    tc: BinTable<TileId, Quad>,
+    tc: BinTable<TileId, BinQuad>,
     tgc: BinTable<TileGridId, u32>,
 }
 
@@ -403,111 +431,519 @@ impl Units {
             _ => Units::new(cfg),
         }
     }
+
+    /// Replays one cache-log entry — a run of identical ROP-cache
+    /// accesses (CROP color-line writes, or [`Z_LINE`]-tagged stencil-line
+    /// accesses) — with the L2/DRAM fill of its first access; the rest of
+    /// the run hits.
+    fn replay(&mut self, entry: u64, cfg: &GpuConfig, batch: &mut WorkBatch) {
+        let run = ((entry & RUN_MASK) >> RUN_SHIFT) as u32 + 1;
+        let access = entry & !RUN_MASK;
+        let (line, hit) = if access & Z_LINE != 0 {
+            let line = access & !Z_WRITE;
+            (
+                line,
+                self.z_cache.access_run(line, access & Z_WRITE != 0, run),
+            )
+        } else {
+            (access, self.crop_cache.access_run(access, true, run))
+        };
+        if !hit {
+            // A ROP-cache miss fills from L2; an L2 miss goes to DRAM.
+            let bytes = cfg.cache_line_bytes as f64;
+            batch.add(Unit::L2, bytes / cfg.l2_bytes_per_cycle as f64);
+            if !self.l2.access(line, false) {
+                batch.add(Unit::Dram, bytes / cfg.dram_bytes_per_cycle as f64);
+            }
+        }
+    }
 }
 
-/// Internal per-draw-call state.
+/// Quads per round when one host worker runs every phase: a few dozen
+/// flushes, so a round's quads and ROP-cache log stay in the host's
+/// private caches while the per-round bookkeeping stays negligible.
+const SERIAL_ROUND_QUADS: usize = 4096;
+
+/// Prologue claims per host worker: enough chunks that workers finish
+/// together although raster work per primitive varies widely (the
+/// nearest, largest splats come first in draw order).
+const PROLOGUE_CHUNKS_PER_WORKER: usize = 8;
+
+/// The setup of every primitive and the fine raster of every (primitive,
+/// screen tile) pair of a draw, one part per prologue chunk of
+/// `1 << shift` primitives (a power of two, so finding a primitive's part
+/// is a shift and a mask).
+///
+/// With one host worker nothing runs beside the spine, so the prologue
+/// stores setups only and the spine rasterizes each pair when it reaches
+/// it (`lazy`), keeping the draw's working set as small as a single
+/// pair's quads.
+#[derive(Debug, Default)]
+struct RasterArena {
+    shift: u32,
+    parts: Vec<RasterPart>,
+    lazy: bool,
+    /// The pair rasterized last, when `lazy`.
+    lazy_quads: Vec<BinQuad>,
+}
+
+/// The setups and fine raster of one chunk of primitives. A primitive's
+/// pairs are contiguous and row-major over its full tile rect.
+#[derive(Debug, Default)]
+struct RasterPart {
+    /// Per primitive of the chunk: its setup (`None` when degenerate).
+    setups: Vec<Option<SplatSetup>>,
+    /// Per primitive of the chunk: index of its first pair.
+    first: Vec<u32>,
+    pairs: Vec<RasterPair>,
+    quads: Vec<BinQuad>,
+}
+
+/// A quad as the raster arena, the TC bins and the flush records hold it:
+/// a third of a [`Quad`]'s bytes. The screen tile is implied (the pair's
+/// tile, the bin's key) and the origin follows from the tile and `pos`.
+#[derive(Debug, Clone, Copy)]
+struct BinQuad {
+    splat: u32,
+    pos: QuadPos,
+    coverage: u8,
+}
+
+impl BinQuad {
+    fn new(q: &Quad) -> Self {
+        Self {
+            splat: q.splat,
+            pos: q.pos,
+            coverage: q.coverage,
+        }
+    }
+
+    /// The full quad, in screen tile `tile` of `tile_px` pixels.
+    #[inline]
+    fn quad(self, tile: TileId, tile_px: u32) -> Quad {
+        Quad {
+            tile,
+            pos: self.pos,
+            origin: (
+                tile.x * tile_px + 2 * self.pos.x as u32,
+                tile.y * tile_px + 2 * self.pos.y as u32,
+            ),
+            coverage: self.coverage,
+            splat: self.splat,
+        }
+    }
+}
+
+/// One (primitive, tile) visit: coarse-raster tiles and its quad range.
+#[derive(Debug, Clone, Copy)]
+struct RasterPair {
+    coarse_tiles: u32,
+    quads: (u32, u32),
+}
+
+/// Fine raster of primitive `prim` in `tile`, appended to `quads`;
+/// returns the coarse-raster tile count.
+fn raster_pair(
+    setup: &SplatSetup,
+    prim: u32,
+    tile: TileId,
+    tiling: &Tiling,
+    cfg: &GpuConfig,
+    quads: &mut Vec<BinQuad>,
+) -> u64 {
+    rasterize_in_tile_with(setup, prim, tile, tiling, cfg.raster_tile_px, |q| {
+        let bq = BinQuad::new(&q);
+        debug_assert_eq!(bq.quad(tile, tiling.tile_px()), q);
+        quads.push(bq);
+    })
+}
+
+impl RasterPart {
+    /// Appends primitive `prim`'s setup and, unless `lazy`, its raster
+    /// over its full tile rect.
+    fn push_prim(
+        &mut self,
+        setup: Option<SplatSetup>,
+        prim: u32,
+        tiling: &Tiling,
+        cfg: &GpuConfig,
+        lazy: bool,
+    ) {
+        self.setups.push(setup);
+        self.first.push(self.pairs.len() as u32);
+        let Some(setup) = setup.filter(|_| !lazy) else {
+            return;
+        };
+        let Some((x0, x1, y0, y1)) = tile_rect(tiling, &setup) else {
+            return;
+        };
+        for ty in y0..=y1 {
+            for tx in x0..=x1 {
+                let start = self.quads.len() as u32;
+                let tile = TileId { x: tx, y: ty };
+                let coarse = raster_pair(&setup, prim, tile, tiling, cfg, &mut self.quads);
+                self.pairs.push(RasterPair {
+                    coarse_tiles: coarse as u32,
+                    quads: (start, self.quads.len() as u32),
+                });
+            }
+        }
+    }
+}
+
+impl RasterArena {
+    /// Part and index within it of primitive `prim`.
+    #[inline]
+    fn locate(&self, prim: usize) -> (&RasterPart, usize) {
+        (
+            &self.parts[prim >> self.shift],
+            prim & ((1 << self.shift) - 1),
+        )
+    }
+
+    /// The setup of primitive `prim` (`None` when degenerate).
+    fn setup(&self, prim: usize) -> Option<SplatSetup> {
+        let (part, j) = self.locate(prim);
+        part.setups[j]
+    }
+
+    /// Coarse-raster tiles and quads of primitive `prim` (set up as
+    /// `setup`) in tile `(tx, ty)` of its full tile rect `full`.
+    #[allow(clippy::too_many_arguments)]
+    fn pair(
+        &mut self,
+        prim: u32,
+        setup: &SplatSetup,
+        full: (u32, u32, u32, u32),
+        tx: u32,
+        ty: u32,
+        tiling: &Tiling,
+        cfg: &GpuConfig,
+    ) -> (u64, &[BinQuad]) {
+        if self.lazy {
+            self.lazy_quads.clear();
+            let tile = TileId { x: tx, y: ty };
+            let coarse = raster_pair(setup, prim, tile, tiling, cfg, &mut self.lazy_quads);
+            return (coarse, &self.lazy_quads);
+        }
+        let (part, j) = self.locate(prim as usize);
+        let offset = (ty - full.2) * (full.1 - full.0 + 1) + (tx - full.0);
+        let pair = part.pairs[(part.first[j] + offset) as usize];
+        let (start, end) = pair.quads;
+        (
+            pair.coarse_tiles as u64,
+            &part.quads[start as usize..end as usize],
+        )
+    }
+}
+
+/// The inclusive screen-tile rect `(x0, x1, y0, y1)` a primitive's AABB
+/// covers, if any.
+fn tile_rect(tiling: &Tiling, setup: &SplatSetup) -> Option<(u32, u32, u32, u32)> {
+    tiling.tile_rect_in_aabb(
+        (setup.aabb.0.x, setup.aabb.0.y),
+        (setup.aabb.1.x, setup.aabb.1.y),
+    )
+}
+
+/// One TC flush as the serial spine records it.
+#[derive(Debug, Clone, Copy)]
+struct SpineFlush {
+    /// Row-major screen-tile index.
+    tile: u32,
+    /// Ordinal among its tile's flushes (index into the shard's outcomes).
+    slot: u32,
+    /// Range of its quads in `DrawScratch::flush_quads`.
+    quads: (u32, u32),
+    /// The upstream work accumulated since the previous flush.
+    pending: WorkBatch,
+}
+
+/// What processing one TC flush produced, beyond pixels and counters.
+#[derive(Debug, Clone, Copy)]
+struct FlushOutcome {
+    /// ZROP, PROP, SM and CROP cycles (no other unit is touched).
+    cycles: WorkBatch,
+    /// Range of its ROP-cache log entries in the shard's log.
+    log: (u32, u32),
+}
+
+/// The work counters TC-flush processing adds to. Kept per tile shard and
+/// folded into [`PipelineStats`] after the shards join: `u64` sums
+/// commute, so the totals never depend on which worker ran which tile.
+#[derive(Debug, Default, Clone, Copy)]
+struct FlushCounters {
+    zrop_term_tests: u64,
+    zrop_term_discards: u64,
+    zrop_term_discarded_fragments: u64,
+    retired_tile_skips: u64,
+    warps_launched: u64,
+    warp_quad_slots_used: u64,
+    merged_pairs: u64,
+    shaded_fragments: u64,
+    alpha_pruned_fragments: u64,
+    dead_quads: u64,
+    crop_quads: u64,
+    crop_fragments: u64,
+    term_updates: u64,
+    retired_tiles: u64,
+}
+
+impl FlushCounters {
+    fn fold_into(&self, s: &mut PipelineStats) {
+        s.zrop_term_tests += self.zrop_term_tests;
+        s.zrop_term_discards += self.zrop_term_discards;
+        s.zrop_term_discarded_fragments += self.zrop_term_discarded_fragments;
+        s.retired_tile_skips += self.retired_tile_skips;
+        s.warps_launched += self.warps_launched;
+        s.warp_quad_slots_used += self.warp_quad_slots_used;
+        s.merged_pairs += self.merged_pairs;
+        s.shaded_fragments += self.shaded_fragments;
+        s.alpha_pruned_fragments += self.alpha_pruned_fragments;
+        s.dead_quads += self.dead_quads;
+        s.crop_quads += self.crop_quads;
+        s.crop_fragments += self.crop_fragments;
+        s.term_updates += self.term_updates;
+        s.retired_tiles += self.retired_tiles;
+    }
+}
+
+/// Everything one screen tile's TC flushes touch: the tile's pixels (color
+/// and termination flags), its termination count and retired flag, the
+/// work counters, and the per-flush outcomes and ROP-cache access log the
+/// serial tail replays. A shard is owned by one worker at a time.
+#[derive(Debug, Default)]
+struct TileShard {
+    /// The tile has had a flush this draw (its pixel window is live).
+    touched: bool,
+    /// Spine-order indices of this tile's flushes in the current round.
+    flushes: Vec<u32>,
+    /// Quads over those flushes (the claim-order weight).
+    quads: u64,
+    /// Pixel window: origin and extent (clipped to the viewport).
+    x0: u32,
+    y0: u32,
+    w: u32,
+    h: u32,
+    /// Row-major color of the window.
+    color: Vec<Rgba>,
+    /// Row-major termination flags (stencil MSB) of the window.
+    terminated: Vec<bool>,
+    /// Terminated pixels so far; the tile retires when all have.
+    term: u32,
+    /// Every pixel of the tile has terminated (HET variants).
+    retired: bool,
+    counters: FlushCounters,
+    /// One per flush of the current round, in this tile's spine order.
+    outcomes: Vec<FlushOutcome>,
+    /// ROP-cache accesses of those flushes, in issue order.
+    log: Vec<u64>,
+}
+
+impl TileShard {
+    /// Clears the shard to the state of a freshly reset target window,
+    /// at the tile's first flush of a draw.
+    fn reset(&mut self, tiling: &Tiling, index: usize) {
+        self.touched = true;
+        let tile_px = tiling.tile_px();
+        let tiles_x = tiling.tiles_x() as usize;
+        self.x0 = (index % tiles_x) as u32 * tile_px;
+        self.y0 = (index / tiles_x) as u32 * tile_px;
+        self.w = (self.x0 + tile_px).min(tiling.width()) - self.x0;
+        self.h = (self.y0 + tile_px).min(tiling.height()) - self.y0;
+        let n = (self.w * self.h) as usize;
+        self.color.clear();
+        self.color.resize(n, Rgba::TRANSPARENT);
+        self.terminated.clear();
+        self.terminated.resize(n, false);
+        self.term = 0;
+        self.retired = false;
+        self.counters = FlushCounters::default();
+        self.end_round();
+    }
+
+    /// Drops the current round's flushes once the tail has replayed them.
+    fn end_round(&mut self) {
+        self.flushes.clear();
+        self.quads = 0;
+        self.outcomes.clear();
+        self.log.clear();
+    }
+
+    /// Logs one ROP-cache access of the flush whose log starts at `from`,
+    /// extending the previous entry's run when it is the same access.
+    fn log_access(&mut self, from: usize, access: u64) {
+        debug_assert!(
+            access & RUN_MASK == 0,
+            "line address overflows into the run field"
+        );
+        match self.log.get_mut(from..).and_then(|flush| flush.last_mut()) {
+            Some(last) if *last & !RUN_MASK == access && *last & RUN_MASK != RUN_MASK => {
+                *last += 1 << RUN_SHIFT;
+            }
+            _ => self.log.push(access),
+        }
+    }
+
+    /// Window index of pixel `(x, y)`, when the pixel lies in the window.
+    #[inline]
+    fn index(&self, x: u32, y: u32) -> Option<usize> {
+        let (dx, dy) = (x.wrapping_sub(self.x0), y.wrapping_sub(self.y0));
+        (dx < self.w && dy < self.h).then(|| (dy * self.w + dx) as usize)
+    }
+
+    /// Writes the window back into the render targets.
+    fn scatter(&self, color: &mut ColorBuffer, ds: &mut DepthStencilBuffer) {
+        let width = color.width() as usize;
+        let w = self.w as usize;
+        for (r, row) in self.color.chunks_exact(w).enumerate() {
+            let start = (self.y0 as usize + r) * width + self.x0 as usize;
+            color.pixels_mut()[start..start + w].copy_from_slice(row);
+        }
+        for (i, _) in self.terminated.iter().enumerate().filter(|(_, &t)| t) {
+            ds.set_terminated(self.x0 + (i % w) as u32, self.y0 + (i / w) as u32);
+        }
+    }
+}
+
+impl TerminationFlags for TileShard {
+    fn is_terminated(&self, x: u32, y: u32) -> bool {
+        self.index(x, y).is_some_and(|i| self.terminated[i])
+    }
+
+    fn set_terminated(&mut self, x: u32, y: u32) {
+        if let Some(i) = self.index(x, y) {
+            self.terminated[i] = true;
+        }
+    }
+}
+
+/// Per-worker staging of the flush being processed.
+#[derive(Debug, Default)]
+struct FlushStaging {
+    /// Surviving quads of the flush.
+    bin: Vec<Quad>,
+    /// Shaded quads of the flush.
+    shaded: Vec<ShadedQuad>,
+    /// Merge replacements (front slots).
+    replacement: Vec<Option<ShadedQuad>>,
+    /// Back-quad skip marks.
+    skip: Vec<bool>,
+    /// QRU output, with its warp vectors recycled through `warp_pool`.
+    plan: WarpPlan,
+    warp_pool: Vec<Vec<WarpSlot>>,
+}
+
+/// Internal per-draw-call state of the serial phases.
 struct Pipeline<'a> {
     splats: &'a [Splat],
     cfg: &'a GpuConfig,
     variant: PipelineVariant,
     tiling: Tiling,
-    color: &'a mut ColorBuffer,
-    ds: &'a mut DepthStencilBuffer,
     /// Taken from the scratch for the draw and returned at its end.
     units: Units,
     timer: PipelineTimer,
     stats: PipelineStats,
     /// Upstream work accumulated since the last TC flush.
     pending: WorkBatch,
-    /// Color-cache line geometry (pixels per line block).
-    line_block: (u32, u32),
+    /// Recorded flush quads that close a round: shard and tail run once
+    /// the spine has recorded this many. With one host worker a round is
+    /// [`SERIAL_ROUND_QUADS`], so its quads and cache log are consumed
+    /// while still in cache; otherwise the whole draw is one round.
+    round_quads: usize,
     scratch: &'a mut DrawScratch,
 }
 
 impl Pipeline<'_> {
-    fn run(mut self) -> PipelineStats {
-        self.precompute_setups();
+    /// Parallel prologue: triangle setup and fine raster of every
+    /// primitive over its whole tile rect. Pure per-splat work over
+    /// contiguous chunks, one arena part per chunk, so every result is
+    /// independent of the thread count. The `Soa` kernel reads the
+    /// [`SplatStream`] (identical field values → identical setups).
+    fn prologue(&mut self) {
+        let (splats, cfg, tiling) = (self.splats, self.cfg, &self.tiling);
+        let soa = cfg.kernel == FragmentKernel::Soa;
+        let DrawScratch { raster, stream, .. } = &mut *self.scratch;
+        let stream = &*stream;
+        let n = splats.len();
+        let policy = cfg.thread_policy();
+        let workers = policy.workers(n);
+        let chunks = if workers > 1 {
+            workers * PROLOGUE_CHUNKS_PER_WORKER
+        } else {
+            1
+        };
+        let chunk = n.div_ceil(chunks).max(1).next_power_of_two();
+        raster.shift = chunk.trailing_zeros();
+        raster.lazy = workers <= 1;
+        let lazy = raster.lazy;
+        raster
+            .parts
+            .resize_with(n.div_ceil(chunk).max(1), RasterPart::default);
+        let parts = raster.parts.len();
+        // Raster workers need no state of their own: one `()` each (a
+        // `Vec` of a zero-sized type never allocates).
+        let workers = &mut vec![(); workers];
+        for_each_claimed(
+            workers,
+            &mut raster.parts,
+            parts,
+            |c| c,
+            policy,
+            |_, part, c| {
+                part.setups.clear();
+                part.first.clear();
+                part.pairs.clear();
+                part.quads.clear();
+                let start = c * chunk;
+                for (i, splat) in splats.iter().enumerate().take(start + chunk).skip(start) {
+                    let setup = if soa {
+                        SplatSetup::from_stream(stream, i)
+                    } else {
+                        SplatSetup::new(splat)
+                    };
+                    part.push_prim(setup, i as u32, tiling, cfg, lazy);
+                }
+            },
+        );
+    }
+
+    /// Serial spine: replays vertex accounting, TGC/TC insertion, bin
+    /// evictions and drains in draw order, recording every TC flush with
+    /// the upstream work pending at that moment. Nothing here reads a
+    /// pixel, so the flush sequence is fixed before any pixel work runs.
+    fn spine(&mut self, raster: &mut RasterArena) {
         // Degenerate (singular-axes) primitives were culled at setup —
         // count them so zero-area inputs are observable, never silent.
-        self.stats.degenerate_prims =
-            self.scratch.setups.iter().filter(|s| s.is_none()).count() as u64;
+        self.stats.degenerate_prims = raster
+            .parts
+            .iter()
+            .flat_map(|p| &p.setups)
+            .filter(|s| s.is_none())
+            .count() as u64;
         if self.variant.qm() {
-            self.run_with_tgc();
+            self.run_with_tgc(raster);
         } else {
-            self.run_direct();
+            self.run_direct(raster);
         }
         // End-of-draw: drain the TC unit (subsumes the timeout flush).
         while let Some(flush) = self.units.tc.drain_next() {
-            self.process_tc_flush(flush);
+            self.record_tc_flush(flush);
         }
-        // Push any trailing upstream work.
-        if self.pending.total() > 0.0 {
-            let batch = std::mem::take(&mut self.pending);
-            self.timer.push(batch);
-        }
-        self.units.crop_cache.flush();
-        self.units.z_cache.flush();
-
-        self.stats.crop_cache = self.units.crop_cache.stats();
-        self.stats.z_cache = self.units.z_cache.stats();
-        let (total, busy) = self.timer.finish();
-        self.stats.total_cycles = total;
-        self.stats.busy_cycles = busy;
-        self.scratch.units = Some(self.units);
-        self.stats
-    }
-
-    /// Parallel prologue: triangle setup for every primitive. Pure
-    /// per-splat work fanned out over contiguous chunks; results land in
-    /// primitive order, so downstream behaviour is independent of the
-    /// thread count. The `Soa` kernel reads the [`SplatStream`] (identical
-    /// field values → identical setups).
-    fn precompute_setups(&mut self) {
-        let splats = self.splats;
-        let soa = self.cfg.kernel == FragmentKernel::Soa;
-        let DrawScratch { setups, stream, .. } = &mut *self.scratch;
-        let stream = &*stream;
-        let make = |i: usize| {
-            if soa {
-                SplatSetup::from_stream(stream, i)
-            } else {
-                SplatSetup::new(&splats[i])
-            }
-        };
-        setups.clear();
-        setups.resize(splats.len(), None);
-        let policy = self.cfg.thread_policy();
-        if policy.workers(splats.len()) <= 1 {
-            for (i, setup) in setups.iter_mut().enumerate() {
-                *setup = make(i);
-            }
-            return;
-        }
-        let chunk = splats.len().div_ceil(policy.workers(splats.len()));
-        let bands = Bands::new(setups, chunk);
-        gsplat::par::run_indexed(splats.len().div_ceil(chunk), policy, |c| {
-            let band = bands.take(c);
-            for (j, setup) in band.iter_mut().enumerate() {
-                *setup = make(c * chunk + j);
-            }
-        });
     }
 
     /// Baseline path: each primitive rasterizes across all its screen
     /// tiles immediately, in draw order.
-    fn run_direct(&mut self) {
+    fn run_direct(&mut self, raster: &mut RasterArena) {
         for i in 0..self.splats.len() {
             self.account_vertex(i);
-            let Some(setup) = self.scratch.setups[i] else {
+            let Some(setup) = raster.setup(i) else {
                 continue;
             };
-            let Some(rect) = self.tiling.tile_rect_in_aabb(
-                (setup.aabb.0.x, setup.aabb.0.y),
-                (setup.aabb.1.x, setup.aabb.1.y),
-            ) else {
+            let Some(rect) = tile_rect(&self.tiling, &setup) else {
                 continue;
             };
-            self.rasterize_rect(i as u32, &setup, rect);
+            self.rasterize_rect(raster, i as u32, &setup, rect, rect);
         }
     }
 
@@ -518,20 +954,17 @@ impl Pipeline<'_> {
     /// The `(grid, primitive)` key stream is derived on worker threads
     /// (chunk-ordered merge), then replayed serially through the TGC bin
     /// table — flush and eviction order is bit-exact with a serial build.
-    fn run_with_tgc(&mut self) {
+    fn run_with_tgc(&mut self, raster: &mut RasterArena) {
         let mut stream = std::mem::take(&mut self.scratch.tgc_stream);
         {
-            let setups = &self.scratch.setups;
+            let raster = &*raster;
             let tiling = &self.tiling;
             let g = self.cfg.tile_grid_tiles;
             stream.build(self.splats.len(), self.cfg.thread_policy(), |i, push| {
-                let Some(setup) = setups[i as usize] else {
+                let Some(setup) = raster.setup(i as usize) else {
                     return;
                 };
-                let Some((x0, x1, y0, y1)) = tiling.tile_rect_in_aabb(
-                    (setup.aabb.0.x, setup.aabb.0.y),
-                    (setup.aabb.1.x, setup.aabb.1.y),
-                ) else {
+                let Some((x0, x1, y0, y1)) = tile_rect(tiling, &setup) else {
                     return;
                 };
                 // x-major grid walk: the same visit order as sorting
@@ -557,7 +990,7 @@ impl Pipeline<'_> {
             self.stats.tgc_insertions += 1;
             self.pending.add(Unit::Tgc, 1.0);
             for flush in self.units.tgc.insert(grid, prim) {
-                self.process_tgc_flush(flush.key, &flush.items);
+                self.process_tgc_flush(raster, flush.key, &flush.items);
                 self.units.tgc.recycle(flush.items);
             }
         }
@@ -568,7 +1001,7 @@ impl Pipeline<'_> {
         self.scratch.tgc_stream = stream;
 
         while let Some(flush) = self.units.tgc.drain_next() {
-            self.process_tgc_flush(flush.key, &flush.items);
+            self.process_tgc_flush(raster, flush.key, &flush.items);
             self.units.tgc.recycle(flush.items);
         }
         let s = self.units.tgc.stats();
@@ -588,19 +1021,17 @@ impl Pipeline<'_> {
 
     /// Rasterizes a TGC flush: every primitive in the bin, restricted to
     /// the screen tiles of that tile grid.
-    fn process_tgc_flush(&mut self, grid: TileGridId, prims: &[u32]) {
+    fn process_tgc_flush(&mut self, raster: &mut RasterArena, grid: TileGridId, prims: &[u32]) {
         let g = self.cfg.tile_grid_tiles;
         for &prim in prims {
-            let Some(setup) = self.scratch.setups[prim as usize] else {
+            let Some(setup) = raster.setup(prim as usize) else {
                 continue;
             };
-            let Some((x0, x1, y0, y1)) = self.tiling.tile_rect_in_aabb(
-                (setup.aabb.0.x, setup.aabb.0.y),
-                (setup.aabb.1.x, setup.aabb.1.y),
-            ) else {
+            let Some(full) = tile_rect(&self.tiling, &setup) else {
                 continue;
             };
             // Intersect the primitive's tile rect with this grid's tiles.
+            let (x0, x1, y0, y1) = full;
             let rect = (
                 x0.max(grid.x * g),
                 x1.min(grid.x * g + g - 1),
@@ -610,179 +1041,391 @@ impl Pipeline<'_> {
             if rect.0 > rect.1 || rect.2 > rect.3 {
                 continue;
             }
-            self.rasterize_rect(prim, &setup, rect);
+            self.rasterize_rect(raster, prim, &setup, full, rect);
         }
     }
 
-    /// Runs setup + coarse + fine raster over the inclusive tile rectangle
-    /// `(x0, x1, y0, y1)` and feeds the TC unit.
+    /// Feeds the raster of the inclusive tile rectangle
+    /// `rect = (x0, x1, y0, y1)` — within the primitive's full tile rect
+    /// `full` — through setup/coarse/fine accounting into the TC unit.
     ///
     /// Retired tiles are deliberately *not* skipped here: their quads must
     /// keep flowing into the TC bins so bin-pressure evictions — and with
     /// them every other tile's flush boundaries, ZROP test timing and
     /// blend rounding — stay identical between kernels. The fast path
     /// instead discards a retired tile's quads wholesale at flush time
-    /// (see [`Pipeline::process_tc_flush`]), which is exact.
-    fn rasterize_rect(&mut self, prim: u32, setup: &SplatSetup, rect: (u32, u32, u32, u32)) {
+    /// (see [`ShardCtx::process_flush`]), which is exact. This is also what
+    /// lets the spine run ahead of all pixel work.
+    fn rasterize_rect(
+        &mut self,
+        raster: &mut RasterArena,
+        prim: u32,
+        setup: &SplatSetup,
+        full: (u32, u32, u32, u32),
+        rect: (u32, u32, u32, u32),
+    ) {
         let (x0, x1, y0, y1) = rect;
         self.pending
             .add(Unit::Raster, 1.0 / self.cfg.setup_prims_per_cycle as f64);
-        let mut quads = std::mem::take(&mut self.scratch.quads);
         for ty in y0..=y1 {
             for tx in x0..=x1 {
-                let tile = TileId { x: tx, y: ty };
-                quads.clear();
-                let coarse_tiles = rasterize_in_tile_into(
-                    setup,
-                    prim,
-                    tile,
-                    &self.tiling,
-                    self.cfg.raster_tile_px,
-                    &mut quads,
-                );
+                let (coarse_tiles, quads) =
+                    raster.pair(prim, setup, full, tx, ty, &self.tiling, self.cfg);
                 self.stats.coarse_tiles += coarse_tiles;
                 self.pending.add(
                     Unit::Raster,
                     coarse_tiles as f64 / self.cfg.coarse_raster_tiles_per_cycle as f64
                         + quads.len() as f64 / self.cfg.fine_raster_quads_per_cycle as f64,
                 );
-                for &q in &quads {
+                for &q in quads {
                     self.stats.raster_quads += 1;
-                    self.stats.raster_fragments += q.coverage_count() as u64;
-                    self.tc_insert(q);
+                    self.stats.raster_fragments += (q.coverage & 0xF).count_ones() as u64;
+                    self.tc_insert(TileId { x: tx, y: ty }, q);
                 }
             }
         }
-        self.scratch.quads = quads;
     }
 
-    fn tc_insert(&mut self, q: Quad) {
+    fn tc_insert(&mut self, tile: TileId, q: BinQuad) {
         self.stats.tc_insertions += 1;
         self.pending
             .add(Unit::Tc, 1.0 / self.cfg.tc_quads_per_cycle as f64);
-        let tile = q.tile;
         for flush in self.units.tc.insert(tile, q) {
-            self.process_tc_flush(flush);
+            self.record_tc_flush(flush);
         }
     }
 
-    /// The heart of the pipeline: one TC-bin flush travels through ZROP
-    /// (HET), PROP/QRU (QM), the SMs and CROP, producing one timing batch.
-    fn process_tc_flush(&mut self, flush: Flush<TileId, Quad>) {
-        let mut batch = std::mem::take(&mut self.pending);
+    /// Records one TC flush for its tile's shard: its quads, and the
+    /// upstream work batch it closes.
+    fn record_tc_flush(&mut self, flush: Flush<TileId, BinQuad>) {
         self.stats.tc_flushes += 1;
         if flush.reason == FlushReason::Evicted {
             self.stats.tc_evictions += 1;
         }
+        let DrawScratch {
+            flushes,
+            flush_quads,
+            tiles,
+            tile_order,
+            ..
+        } = &mut *self.scratch;
+        let tile = flush.key.y * self.tiling.tiles_x() + flush.key.x;
+        let shard = &mut tiles[tile as usize];
+        if !shard.touched {
+            shard.reset(&self.tiling, tile as usize);
+        }
+        if shard.flushes.is_empty() {
+            tile_order.push(tile);
+        }
+        let start = flush_quads.len() as u32;
+        flush_quads.extend_from_slice(&flush.items);
+        shard.quads += flush.items.len() as u64;
+        shard.flushes.push(flushes.len() as u32);
+        flushes.push(SpineFlush {
+            tile,
+            slot: shard.flushes.len() as u32 - 1,
+            quads: (start, flush_quads.len() as u32),
+            pending: std::mem::take(&mut self.pending),
+        });
+        self.units.tc.recycle(flush.items);
+        if self.scratch.flush_quads.len() >= self.round_quads {
+            self.run_round();
+        }
+    }
+
+    /// Runs the recorded round of flushes through the shard and tail
+    /// phases, then drops it.
+    fn run_round(&mut self) {
+        self.shard_tiles();
+        self.replay_round();
+        let DrawScratch {
+            flushes,
+            flush_quads,
+            tiles,
+            tile_order,
+            ..
+        } = &mut *self.scratch;
+        for &t in tile_order.iter() {
+            tiles[t as usize].end_round();
+        }
+        tile_order.clear();
+        flushes.clear();
+        flush_quads.clear();
+    }
+
+    /// Per-tile shards: every tile's flushes of the round, in spine order,
+    /// on the host workers. Tiles own disjoint pixels, termination state
+    /// and logs, so which worker runs which tile never changes a result.
+    /// Workers claim tiles heaviest first; with one worker the tiles run
+    /// inline.
+    fn shard_tiles(&mut self) {
+        let DrawScratch {
+            flushes,
+            flush_quads,
+            tiles,
+            tile_order,
+            staging,
+            stream,
+            ..
+        } = &mut *self.scratch;
+        let ctx = ShardCtx {
+            splats: self.splats,
+            cfg: self.cfg,
+            variant: self.variant,
+            tiling: &self.tiling,
+            stream,
+            flushes,
+            flush_quads,
+            line_block: line_block(self.cfg),
+        };
+        let policy = self.cfg.thread_policy();
+        let workers = policy.workers(tile_order.len());
+        if workers > 1 {
+            tile_order.sort_unstable_by_key(|&t| std::cmp::Reverse(tiles[t as usize].quads));
+        }
+        staging.resize_with(workers, FlushStaging::default);
+        let order = &*tile_order;
+        for_each_claimed(
+            staging,
+            tiles,
+            order.len(),
+            |k| order[k] as usize,
+            policy,
+            |st, shard, t| ctx.run_tile(shard, t, st),
+        );
+    }
+
+    /// Serial tail: replays each flush's ROP-cache log (adding the L2/DRAM
+    /// fills) and pushes its timing batch, in spine order.
+    fn replay_round(&mut self) {
+        let DrawScratch { flushes, tiles, .. } = &*self.scratch;
+        for flush in flushes {
+            let shard = &tiles[flush.tile as usize];
+            let outcome = &shard.outcomes[flush.slot as usize];
+            // `pending` never touches ZROP/PROP/CROP/L2/DRAM and the flush
+            // adds to SM once, so every per-unit f64 sum is formed in the
+            // same order as processing the flush in place would form it.
+            let mut batch = flush.pending;
+            for (b, c) in batch.cycles.iter_mut().zip(outcome.cycles.cycles) {
+                *b += c;
+            }
+            let (start, end) = outcome.log;
+            for &entry in &shard.log[start as usize..end as usize] {
+                self.units.replay(entry, self.cfg, &mut batch);
+            }
+            self.timer.push(batch);
+        }
+    }
+
+    /// End of draw: pushes the trailing upstream work, writes the tile
+    /// windows back and finishes the stats.
+    fn finish(mut self, color: &mut ColorBuffer, ds: &mut DepthStencilBuffer) -> PipelineStats {
+        // Push any trailing upstream work.
+        if self.pending.total() > 0.0 {
+            let batch = std::mem::take(&mut self.pending);
+            self.timer.push(batch);
+        }
+        self.units.crop_cache.flush();
+        self.units.z_cache.flush();
+        for shard in self.scratch.tiles.iter().filter(|s| s.touched) {
+            shard.scatter(color, ds);
+            shard.counters.fold_into(&mut self.stats);
+        }
+
+        self.stats.crop_cache = self.units.crop_cache.stats();
+        self.stats.z_cache = self.units.z_cache.stats();
+        let (total, busy) = self.timer.finish();
+        self.stats.total_cycles = total;
+        self.stats.busy_cycles = busy;
+        self.scratch.units = Some(self.units);
+        self.stats
+    }
+}
+
+/// Runs `job(state, item, i)` for the items `i = order(0), …,
+/// order(claims - 1)`, on one host worker per element of `states`: each
+/// worker owns its state and claims the next unclaimed item. One state
+/// runs every item inline, in claim order, with no fork.
+fn for_each_claimed<S: Send, T: Send>(
+    states: &mut [S],
+    items: &mut [T],
+    claims: usize,
+    order: impl Fn(usize) -> usize + Sync,
+    policy: ThreadPolicy,
+    job: impl Fn(&mut S, &mut T, usize) + Sync,
+) {
+    if let [state] = states {
+        for k in 0..claims {
+            let i = order(k);
+            job(state, &mut items[i], i);
+        }
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    let states = Bands::new(states, 1);
+    let items = Bands::new(items, 1);
+    gsplat::par::run_indexed(states.len(), policy, |w| {
+        let state = &mut states.take(w)[0];
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= claims {
+                break;
+            }
+            let i = order(k);
+            job(state, &mut items.take(i)[0], i);
+        }
+    });
+}
+
+/// The read-only draw state every shard worker shares.
+struct ShardCtx<'a> {
+    splats: &'a [Splat],
+    cfg: &'a GpuConfig,
+    variant: PipelineVariant,
+    tiling: &'a Tiling,
+    stream: &'a SplatStream,
+    flushes: &'a [SpineFlush],
+    flush_quads: &'a [BinQuad],
+    /// Color-cache line geometry (pixels per line block).
+    line_block: (u32, u32),
+}
+
+impl ShardCtx<'_> {
+    /// Processes the round's flushes of tile `index`, in spine order.
+    fn run_tile(&self, shard: &mut TileShard, index: usize, staging: &mut FlushStaging) {
+        let tiles_x = self.tiling.tiles_x();
+        let tile = TileId {
+            x: index as u32 % tiles_x,
+            y: index as u32 / tiles_x,
+        };
+        for k in 0..shard.flushes.len() {
+            let (start, end) = self.flushes[shard.flushes[k] as usize].quads;
+            let items = &self.flush_quads[start as usize..end as usize];
+            let log_start = shard.log.len() as u32;
+            let cycles = self.process_flush(shard, staging, tile, items);
+            shard.outcomes.push(FlushOutcome {
+                cycles,
+                log: (log_start, shard.log.len() as u32),
+            });
+        }
+    }
+
+    /// The heart of the pipeline: one TC-bin flush travels through ZROP
+    /// (HET), PROP/QRU (QM), the SMs and CROP. Returns those units' cycles;
+    /// the ROP-cache accesses go to the shard's log for the serial tail.
+    fn process_flush(
+        &self,
+        shard: &mut TileShard,
+        st: &mut FlushStaging,
+        tile: TileId,
+        items: &[BinQuad],
+    ) -> WorkBatch {
+        let cfg = self.cfg;
+        let tile_px = self.tiling.tile_px();
+        let log_from = shard.log.len();
+        let mut batch = WorkBatch::default();
 
         // --- ZROP early-termination test (HET) ---
-        let mut bin = std::mem::take(&mut self.scratch.bin);
-        bin.clear();
+        st.bin.clear();
         if self.variant.het() {
-            let retired_fast_discard = self.cfg.kernel == FragmentKernel::Soa && {
-                let idx = (flush.key.y * self.tiling.tiles_x() + flush.key.x) as usize;
-                self.scratch.retired.get(idx)
-            };
-            if retired_fast_discard {
+            if cfg.kernel == FragmentKernel::Soa && shard.retired {
                 // Tile-granularity transmittance check: every pixel of the
                 // tile is terminated, so the whole flush is discarded on
                 // one tile-flag read instead of per-quad stencil-line
                 // tests. The surviving set (empty) is what the per-quad
                 // loop would produce, so images and downstream state are
                 // bit-identical; only ZROP/z-cache work disappears.
-                self.stats.retired_tile_skips += 1;
-                self.stats.zrop_term_discards += flush.items.len() as u64;
-                self.stats.zrop_term_discarded_fragments += flush
-                    .items
+                let c = &mut shard.counters;
+                c.retired_tile_skips += 1;
+                c.zrop_term_discards += items.len() as u64;
+                c.zrop_term_discarded_fragments += items
                     .iter()
-                    .map(|q| q.coverage_count() as u64)
+                    .map(|q| (q.coverage & 0xF).count_ones() as u64)
                     .sum::<u64>();
-                batch.add(Unit::Zrop, 1.0 / self.cfg.zrop_quads_per_cycle as f64);
+                batch.add(Unit::Zrop, 1.0 / cfg.zrop_quads_per_cycle as f64);
             } else {
-                let n = flush.items.len() as f64;
-                self.stats.zrop_term_tests += flush.items.len() as u64;
-                batch.add(Unit::Zrop, n / self.cfg.zrop_quads_per_cycle as f64);
-                for &q in &flush.items {
+                shard.counters.zrop_term_tests += items.len() as u64;
+                batch.add(
+                    Unit::Zrop,
+                    items.len() as f64 / cfg.zrop_quads_per_cycle as f64,
+                );
+                for q in items.iter().map(|q| q.quad(tile, tile_px)) {
                     // One z-cache line read per quad (stencil MSBs).
-                    self.z_cache_access(q.origin, false, &mut batch);
-                    let t = termination_test(&q, self.ds);
+                    shard.log_access(log_from, self.z_line(q.origin));
+                    let t = termination_test(&q, &*shard);
                     if t.survives {
-                        self.stats.zrop_term_discarded_fragments += t.terminated_fragments as u64;
-                        bin.push(q);
+                        shard.counters.zrop_term_discarded_fragments +=
+                            t.terminated_fragments as u64;
+                        st.bin.push(q);
                     } else {
-                        self.stats.zrop_term_discards += 1;
-                        self.stats.zrop_term_discarded_fragments += q.coverage_count() as u64;
+                        shard.counters.zrop_term_discards += 1;
+                        shard.counters.zrop_term_discarded_fragments += q.coverage_count() as u64;
                     }
                 }
             }
         } else {
-            bin.extend_from_slice(&flush.items);
+            st.bin.extend(items.iter().map(|q| q.quad(tile, tile_px)));
         }
-        self.units.tc.recycle(flush.items);
-        if bin.is_empty() {
-            self.timer.push(batch);
-            self.scratch.bin = bin;
-            return;
+        if st.bin.is_empty() {
+            return batch;
         }
+        let bin = &st.bin;
 
         // --- PROP routing / quad reorder unit (QM) ---
-        let mut plan = std::mem::take(&mut self.scratch.plan);
         if self.variant.qm() {
-            plan_warps_into(&bin, &mut plan, &mut self.scratch.warp_pool);
+            plan_warps_into(bin, &mut st.plan, &mut st.warp_pool);
         } else {
-            sequential_plan_into(bin.len(), &mut plan, &mut self.scratch.warp_pool);
+            sequential_plan_into(bin.len(), &mut st.plan, &mut st.warp_pool);
         }
+        let plan = &st.plan;
         // Pre-shading routing (and QRU examination, which proceeds at the
         // routing rate — the scan is simple register compares pipelined
         // with dispatch).
         batch.add(
             Unit::Prop,
-            bin.len() as f64 / self.cfg.prop_quads_per_cycle as f64,
+            bin.len() as f64 / cfg.prop_quads_per_cycle as f64,
         );
-        self.stats.warps_launched += plan.warp_count() as u64;
-        self.stats.warp_quad_slots_used += plan.slots_used() as u64;
-        self.stats.merged_pairs += plan.pairs as u64;
+        shard.counters.warps_launched += plan.warp_count() as u64;
+        shard.counters.warp_quad_slots_used += plan.slots_used() as u64;
+        shard.counters.merged_pairs += plan.pairs as u64;
 
         // --- SM fragment shading ---
         let mut warp_cycles = 0u64;
         for warp in &plan.warps {
             let has_pair = warp.iter().any(|s| matches!(s, WarpSlot::Pair(..)));
-            warp_cycles += self.cfg.frag_shader_cycles_per_warp as u64
+            warp_cycles += cfg.frag_shader_cycles_per_warp as u64
                 + if has_pair {
-                    self.cfg.qm_extra_cycles_per_warp as u64
+                    cfg.qm_extra_cycles_per_warp as u64
                 } else {
                     0
                 };
         }
-        batch.add(Unit::Sm, warp_cycles as f64 / self.cfg.simt_cores as f64);
+        batch.add(Unit::Sm, warp_cycles as f64 / cfg.simt_cores as f64);
 
-        let mut shaded = std::mem::take(&mut self.scratch.shaded);
-        shaded.clear();
-        let soa = self.cfg.kernel == FragmentKernel::Soa;
-        for q in &bin {
+        st.shaded.clear();
+        let soa = cfg.kernel == FragmentKernel::Soa;
+        for q in bin {
             let sq = if soa {
-                shade_quad_stream(q, &self.scratch.stream)
+                shade_quad_stream(q, self.stream)
             } else {
                 shade_quad(q, &self.splats[q.splat as usize])
             };
             let covered = q.coverage_count() as u64;
-            self.stats.shaded_fragments += covered;
-            self.stats.alpha_pruned_fragments += covered - sq.alive_count() as u64;
-            shaded.push(sq);
+            shard.counters.shaded_fragments += covered;
+            shard.counters.alpha_pruned_fragments += covered - sq.alive_count() as u64;
+            st.shaded.push(sq);
         }
 
         // Merge pairs: replace the front quad, skip the back quad.
-        let mut replacement = std::mem::take(&mut self.scratch.replacement);
-        let mut skip = std::mem::take(&mut self.scratch.skip);
-        replacement.clear();
-        replacement.resize(bin.len(), None);
-        skip.clear();
-        skip.resize(bin.len(), false);
+        st.replacement.clear();
+        st.replacement.resize(bin.len(), None);
+        st.skip.clear();
+        st.skip.resize(bin.len(), false);
         for warp in &plan.warps {
             for slot in warp {
                 if let WarpSlot::Pair(front, back) = *slot {
-                    replacement[front] = Some(merge_pair(&shaded[front], &shaded[back]));
-                    skip[back] = true;
+                    st.replacement[front] = Some(merge_pair(&st.shaded[front], &st.shaded[back]));
+                    st.skip[back] = true;
                 }
             }
         }
@@ -790,90 +1433,74 @@ impl Pipeline<'_> {
         // --- CROP blending (+ HET alpha test unit) ---
         let mut crop_quads_here = 0u64;
         for idx in 0..bin.len() {
-            if skip[idx] {
+            if st.skip[idx] {
                 continue;
             }
-            let sq = replacement[idx].as_ref().unwrap_or(&shaded[idx]);
+            let sq = st.replacement[idx].as_ref().unwrap_or(&st.shaded[idx]);
             if sq.is_dead() {
-                self.stats.dead_quads += 1;
+                shard.counters.dead_quads += 1;
                 continue;
             }
             crop_quads_here += 1;
-            self.stats.crop_quads += 1;
-            self.crop_cache_access(sq.quad.origin, &mut batch);
+            shard.counters.crop_quads += 1;
+            self.crop_lines(sq.quad.origin, |line| shard.log_access(log_from, line));
             for i in 0..4 {
                 if sq.alive & (1 << i) == 0 {
                     continue;
                 }
                 let (x, y) = sq.quad.fragment_xy(i);
-                if x >= self.color.width() || y >= self.color.height() {
+                let Some(px) = shard.index(x, y) else {
                     continue;
-                }
-                self.stats.crop_fragments += 1;
+                };
+                shard.counters.crop_fragments += 1;
                 let (rgb, a) = premultiplied_fragment(sq, i);
-                let dest = self.color.get(x, y);
+                let dest = shard.color[px];
                 let prev_alpha = dest.a;
                 let blended = blend_over(dest, Rgba::from_rgb(rgb, a));
-                self.color.set(x, y, blended);
+                shard.color[px] = blended;
                 if self.variant.het() && alpha_test(prev_alpha, blended.a) {
                     // Termination signal → ZROP update (read-modify-write
                     // of the stencil line through the z-cache).
-                    self.stats.term_updates += 1;
-                    self.z_cache_access((x, y), true, &mut batch);
+                    shard.counters.term_updates += 1;
+                    shard.log_access(log_from, self.z_line((x, y)) | Z_WRITE);
                     batch.add(Unit::Zrop, 0.5);
-                    termination_update(self.ds, x, y);
-                    self.note_terminated_pixel(x, y);
+                    termination_update(shard, x, y);
+                    // Alpha accumulation is monotone and `alpha_test`
+                    // fires exactly at the crossing, so each pixel is
+                    // counted once and the retired flag is identical for
+                    // both kernels (only its *consumption* is `Soa`-gated).
+                    shard.term += 1;
+                    if shard.term == shard.w * shard.h {
+                        shard.retired = true;
+                        shard.counters.retired_tiles += 1;
+                    }
                 }
             }
         }
         batch.add(
             Unit::Crop,
-            crop_quads_here as f64 / self.cfg.crop_quads_per_cycle() as f64,
+            crop_quads_here as f64 / cfg.crop_quads_per_cycle() as f64,
         );
         // Post-shading ordering in PROP proceeds at CROP pace (PROP
         // orchestrates the color-fragment flow into CROP).
         batch.add(
             Unit::Prop,
-            crop_quads_here as f64 / self.cfg.crop_quads_per_cycle() as f64,
+            crop_quads_here as f64 / cfg.crop_quads_per_cycle() as f64,
         );
-        self.timer.push(batch);
-
-        self.scratch.bin = bin;
-        self.scratch.shaded = shaded;
-        self.scratch.replacement = replacement;
-        self.scratch.skip = skip;
-        self.scratch.plan = plan;
+        batch
     }
 
-    /// Records a newly terminated pixel in the per-tile counters and marks
-    /// the tile retired once every one of its pixels has terminated.
-    /// Alpha accumulation is monotone and [`alpha_test`] fires exactly at
-    /// the crossing, so each pixel is counted once; the counter state —
-    /// and therefore `retired_tiles` — is identical for both kernels
-    /// (only the *consumption* of the bitset is `Soa`-gated).
-    fn note_terminated_pixel(&mut self, x: u32, y: u32) {
-        let tid = self.tiling.tile_of_pixel(x, y);
-        let idx = (tid.y * self.tiling.tiles_x() + tid.x) as usize;
-        self.scratch.tile_term[idx] += 1;
-        let tile_px = self.tiling.tile_px();
-        let w = ((tid.x + 1) * tile_px).min(self.color.width()) - tid.x * tile_px;
-        let h = ((tid.y + 1) * tile_px).min(self.color.height()) - tid.y * tile_px;
-        if self.scratch.tile_term[idx] == w * h {
-            self.scratch.retired.set(idx);
-            self.stats.retired_tiles += 1;
-        }
-    }
-
-    /// One CROP-cache access for the color line(s) under a quad.
-    fn crop_cache_access(&mut self, origin: (u32, u32), batch: &mut WorkBatch) {
+    /// Logs the CROP-cache accesses for the color line(s) under a quad.
+    fn crop_lines(&self, origin: (u32, u32), mut log: impl FnMut(u64)) {
         let (bw, bh) = self.line_block;
-        let blocks_x = self.color.width().div_ceil(bw) as u64;
+        let (width, height) = (self.tiling.width(), self.tiling.height());
+        let blocks_x = width.div_ceil(bw) as u64;
         let mut lines = [u64::MAX; 4];
         let mut n = 0;
         for (dx, dy) in [(0u32, 0u32), (1, 0), (0, 1), (1, 1)] {
             let x = origin.0 + dx;
             let y = origin.1 + dy;
-            if x >= self.color.width() || y >= self.color.height() {
+            if x >= width || y >= height {
                 continue;
             }
             let line = (y / bh) as u64 * blocks_x + (x / bw) as u64;
@@ -882,32 +1509,15 @@ impl Pipeline<'_> {
                 n += 1;
             }
         }
-        for &line in &lines[..n] {
-            if !self.units.crop_cache.access(line, true) {
-                self.memory_fill(line, batch);
-            }
-        }
+        lines[..n].iter().for_each(|&line| log(line));
     }
 
-    /// One z-cache access for the stencil line under a quad or pixel.
-    fn z_cache_access(&mut self, origin: (u32, u32), write: bool, batch: &mut WorkBatch) {
+    /// The [`Z_LINE`]-tagged stencil line under a quad or pixel.
+    fn z_line(&self, origin: (u32, u32)) -> u64 {
         // 128-B stencil line = 16×8 pixel block at 1 B/pixel.
-        let blocks_x = self.color.width().div_ceil(16) as u64;
+        let blocks_x = self.tiling.width().div_ceil(16) as u64;
         let line = (origin.1 / 8) as u64 * blocks_x + (origin.0 / 16) as u64;
-        // Address-space tag to keep z lines distinct from color lines in L2.
-        let tagged = line | 1 << 62;
-        if !self.units.z_cache.access(tagged, write) {
-            self.memory_fill(tagged, batch);
-        }
-    }
-
-    /// A ROP-cache miss: fill from L2; an L2 miss goes to DRAM.
-    fn memory_fill(&mut self, line: u64, batch: &mut WorkBatch) {
-        let bytes = self.cfg.cache_line_bytes as f64;
-        batch.add(Unit::L2, bytes / self.cfg.l2_bytes_per_cycle as f64);
-        if !self.units.l2.access(line, false) {
-            batch.add(Unit::Dram, bytes / self.cfg.dram_bytes_per_cycle as f64);
-        }
+        line | Z_LINE
     }
 }
 
@@ -922,7 +1532,7 @@ fn sequential_plan_into(n: usize, plan: &mut WarpPlan, pool: &mut Vec<Vec<WarpSl
     let mut i = 0;
     while i < n {
         let end = (i + 8).min(n);
-        let mut warp = pool.pop().unwrap_or_default();
+        let mut warp = pooled_warp(pool);
         warp.extend((i..end).map(WarpSlot::Single));
         plan.warps.push(warp);
         i = end;
@@ -1047,38 +1657,47 @@ mod tests {
         assert_eq!(out.color.mean_alpha(), 0.0);
     }
 
-    #[test]
-    fn scratch_reuse_matches_fresh_draws() {
-        // One scratch serves interleaved variants, splat sets, viewports
-        // and unit geometries (the small-bin configuration forces TC/TGC
-        // evictions and rebuilds the unit models). Stale bin, cache or
-        // retirement state would make a reused draw differ from a fresh
-        // one.
-        let small_units = GpuConfig {
+    /// Tiny TC/TGC tables and CROP cache: forces TC evictions, so one tile
+    /// flushes many times, and rebuilds the unit models when interleaved
+    /// with the default configuration.
+    fn small_units() -> GpuConfig {
+        GpuConfig {
             tc_bins: 3,
             tc_bin_size: 8,
             tgc_bins: 2,
             tgc_bin_size: 4,
             crop_cache_bytes: 1024,
             ..cfg()
-        };
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_matches_fresh_draws() {
+        // One scratch serves interleaved variants, splat sets, viewports,
+        // unit geometries and host worker counts. Stale bin, cache, shard
+        // or retirement state would make a reused draw differ from a
+        // fresh one.
         let stacked = stacked_splats(35, 0.4);
         let scattered = scattered_splats(90, 96, 64);
         let cases = [
             (&stacked, 32, 32, cfg()),
             (&scattered, 96, 64, cfg()),
-            (&scattered, 96, 64, small_units.clone()),
+            (&scattered, 96, 64, small_units()),
             (&stacked, 48, 40, cfg()),
             (&scattered, 96, 64, cfg()),
-            (&stacked, 32, 32, small_units),
+            (&stacked, 32, 32, small_units()),
         ];
         let mut scratch = DrawScratch::default();
-        for round in 0..2 {
+        for (round, threads) in [1, 1, 2].into_iter().enumerate() {
             for v in PipelineVariant::ALL {
                 for (i, (splats, w, h, gpu)) in cases.iter().enumerate() {
-                    let fresh = draw(splats, *w, *h, gpu, v);
-                    let reused = draw_with_scratch(splats, *w, *h, gpu, v, &mut scratch);
-                    let at = format!("round {round} {v} case {i}");
+                    let gpu = GpuConfig {
+                        threads,
+                        ..gpu.clone()
+                    };
+                    let fresh = draw(splats, *w, *h, &gpu, v);
+                    let reused = draw_with_scratch(splats, *w, *h, &gpu, v, &mut scratch);
+                    let at = format!("round {round} (threads {threads}) {v} case {i}");
                     assert_eq!(reused.stats, fresh.stats, "{at}");
                     assert_eq!(reused.color.max_abs_diff(&fresh.color), 0.0, "{at}");
                     assert_eq!(reused.depth_stencil, fresh.depth_stencil, "{at}");
@@ -1103,20 +1722,54 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_simulated_results() {
-        let splats = stacked_splats(40, 0.5);
-        let serial = {
-            let mut c = cfg();
-            c.threads = 1;
-            PipelineVariant::ALL.map(|v| draw(&splats, 48, 48, &c, v))
+        // Tile shards commute only if every piece of state a TC flush
+        // touches is its tile's own: cover partial edge tiles, tiles that
+        // flush many times, fewer tiles than workers, and tiles that
+        // retire mid-draw.
+        let stacked = stacked_splats(40, 0.5);
+        let scattered = scattered_splats(120, 90, 70);
+        let flat = flat_stacked(60);
+        let soa = GpuConfig {
+            kernel: FragmentKernel::Soa,
+            ..cfg()
         };
-        for threads in [3usize, 5, 0] {
-            let mut c = cfg();
-            c.threads = threads;
-            for (v, reference) in PipelineVariant::ALL.iter().zip(&serial) {
-                let out = draw(&splats, 48, 48, &c, *v);
-                assert_eq!(out.stats, reference.stats, "{v} threads={threads}");
-                assert_eq!(out.color.max_abs_diff(&reference.color), 0.0, "{v}");
-                assert_eq!(out.depth_stencil, reference.depth_stencil, "{v}");
+        let cases = [
+            ("stacked", &stacked, 48, 48, cfg()),
+            ("partial edge tiles", &scattered, 90, 70, cfg()),
+            ("TC evictions", &scattered, 90, 70, small_units()),
+            ("fewer tiles than workers", &stacked, 20, 12, cfg()),
+            ("SoA tile retirement", &flat, 40, 40, soa),
+        ];
+        for (case, splats, w, h, gpu) in cases {
+            let at = |threads: usize| GpuConfig {
+                threads,
+                ..gpu.clone()
+            };
+            let serial = PipelineVariant::ALL.map(|v| draw(splats, w, h, &at(1), v));
+            let het = &serial[PipelineVariant::Het as usize];
+            match case {
+                "TC evictions" => {
+                    assert!(het.stats.tc_evictions > 0, "{case}");
+                    let tiles = Tiling::new(w, h, gpu.screen_tile_px, 1).tile_count() as u64;
+                    assert!(het.stats.tc_flushes > 2 * tiles, "{case}");
+                }
+                "fewer tiles than workers" => {
+                    assert!(Tiling::new(w, h, gpu.screen_tile_px, 1).tile_count() < 3);
+                }
+                "SoA tile retirement" => {
+                    assert!(het.stats.retired_tiles > 0, "{case}");
+                    assert!(het.stats.retired_tile_skips > 0, "{case}");
+                }
+                _ => {}
+            }
+            for threads in [2usize, 3, 5] {
+                for (v, reference) in PipelineVariant::ALL.iter().zip(&serial) {
+                    let out = draw(splats, w, h, &at(threads), *v);
+                    let at = format!("{case}: {v} threads={threads}");
+                    assert_eq!(out.stats, reference.stats, "{at}");
+                    assert_eq!(out.color.max_abs_diff(&reference.color), 0.0, "{at}");
+                    assert_eq!(out.depth_stencil, reference.depth_stencil, "{at}");
+                }
             }
         }
     }

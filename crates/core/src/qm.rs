@@ -78,6 +78,12 @@ pub fn plan_warps(bin: &[Quad]) -> WarpPlan {
     plan
 }
 
+/// A warp vector from `pool`, or a new one sized for a full warp, so a
+/// recycled warp never reallocates whatever it held before.
+pub(crate) fn pooled_warp(pool: &mut Vec<Vec<WarpSlot>>) -> Vec<WarpSlot> {
+    pool.pop().unwrap_or_else(|| Vec::with_capacity(8))
+}
+
 /// [`plan_warps`] into a reusable plan, with flushed warp vectors recycled
 /// through `pool` — the allocation-free frame-loop entry point.
 ///
@@ -114,7 +120,7 @@ pub fn plan_warps_into(bin: &[Quad], plan: &mut WarpPlan, pool: &mut Vec<Vec<War
     plan.pairs = n_pairs;
 
     // Pack: pairs first in detection order, then singles, 8 slots per warp.
-    let mut current: Vec<WarpSlot> = pool.pop().unwrap_or_default();
+    let mut current = pooled_warp(pool);
     let mut used = 0usize;
     fn push_slot(
         slot: WarpSlot,
@@ -124,7 +130,7 @@ pub fn plan_warps_into(bin: &[Quad], plan: &mut WarpPlan, pool: &mut Vec<Vec<War
         pool: &mut Vec<Vec<WarpSlot>>,
     ) {
         if *used + slot.slots() > 8 {
-            let next = pool.pop().unwrap_or_default();
+            let next = pooled_warp(pool);
             warps.push(std::mem::replace(current, next));
             *used = 0;
         }

@@ -83,18 +83,41 @@ impl Cache {
     /// Accesses the line containing `line_addr` (already divided by line
     /// size). Returns `true` on hit. `write` marks the line dirty.
     pub fn access(&mut self, line_addr: u64, write: bool) -> bool {
+        self.touch(line_addr, write).0
+    }
+
+    /// `n >= 1` consecutive accesses to the line containing `line_addr`:
+    /// the same statistics, LRU stamps and dirty bits as `n` calls of
+    /// [`Cache::access`], for one set scan. Returns whether the first
+    /// access hit; the other `n - 1` always do.
+    pub fn access_run(&mut self, line_addr: u64, write: bool, n: u32) -> bool {
+        let (hit, slot) = self.touch(line_addr, write);
+        if n > 1 {
+            let extra = n as u64 - 1;
+            // Access `k` of the run is stamped with the access count
+            // before it; the line keeps the last one.
+            self.lines[slot].lru = self.stats.hits + self.stats.misses + extra - 1;
+            self.stats.hits += extra;
+        }
+        hit
+    }
+
+    /// [`Cache::access`], also returning the index in `lines` of the line
+    /// it touched.
+    fn touch(&mut self, line_addr: u64, write: bool) -> (bool, usize) {
         let stamp = self.stats.hits + self.stats.misses;
         let s = (line_addr & self.set_mask) as usize;
         let fill = &mut self.fill[s];
         let set = &mut self.lines[s * self.ways..(s + 1) * self.ways];
-        if let Some(line) = set[..*fill as usize]
+        if let Some((i, line)) = set[..*fill as usize]
             .iter_mut()
-            .find(|l| l.tag == line_addr)
+            .enumerate()
+            .find(|(_, l)| l.tag == line_addr)
         {
             line.lru = stamp;
             line.dirty |= write;
             self.stats.hits += 1;
-            return true;
+            return (true, s * self.ways + i);
         }
         self.stats.misses += 1;
         let new = Line {
@@ -116,11 +139,12 @@ impl Cache {
             }
             set[victim] = set[self.ways - 1];
             set[self.ways - 1] = new;
+            (false, s * self.ways + self.ways - 1)
         } else {
             set[*fill as usize] = new;
             *fill += 1;
+            (false, s * self.ways + *fill as usize - 1)
         }
-        false
     }
 
     /// Flushes all lines, counting writebacks for dirty ones (end of draw).

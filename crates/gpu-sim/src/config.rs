@@ -98,8 +98,11 @@ pub struct GpuConfig {
     pub dram_bytes_per_cycle: u32,
 
     /// Host worker threads for the simulator's parallel phases (`0` = one
-    /// per available CPU). This is a *host* knob: it changes simulation
-    /// wall time, never simulated results.
+    /// per available CPU): triangle setup and fine raster, the TGC key
+    /// stream, and TC-flush pixel work sharded by screen tile. The serial
+    /// spine (bin tables) and tail (ROP/L2 caches, timer) stay on the
+    /// calling thread; with one worker every phase does. This is a *host*
+    /// knob: it changes simulation wall time, never simulated results.
     pub threads: usize,
     /// Host fragment-kernel implementation: the AoS `Scalar` oracle, or
     /// the SoA [`gsplat::stream::SplatStream`] kernel, which additionally

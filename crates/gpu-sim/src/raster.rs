@@ -94,23 +94,25 @@ pub fn rasterize_in_tile(
 ) -> TileRasterOutput {
     let mut quads = Vec::new();
     let coarse_tiles =
-        rasterize_in_tile_into(setup, splat_index, tile, tiling, raster_tile_px, &mut quads);
+        rasterize_in_tile_with(setup, splat_index, tile, tiling, raster_tile_px, |q| {
+            quads.push(q)
+        });
     TileRasterOutput {
         quads,
         coarse_tiles,
     }
 }
 
-/// [`rasterize_in_tile`] appending into a caller-provided quad buffer (the
-/// allocation-free frame-loop entry point). Returns the coarse-raster tile
-/// count.
-pub fn rasterize_in_tile_into(
+/// [`rasterize_in_tile`] handing each covered quad to `emit`, in raster
+/// scan order (the allocation-free frame-loop entry point). Returns the
+/// coarse-raster tile count.
+pub fn rasterize_in_tile_with(
     setup: &SplatSetup,
     splat_index: u32,
     tile: TileId,
     tiling: &Tiling,
     raster_tile_px: u32,
-    quads: &mut Vec<Quad>,
+    mut emit: impl FnMut(Quad),
 ) -> u64 {
     let (tile_x0, tile_y0) = tiling.tile_origin(tile);
     let tile_x1 = (tile_x0 + tiling.tile_px()).min(tiling.width());
@@ -146,7 +148,7 @@ pub fn rasterize_in_tile_into(
                 tile,
                 tiling,
                 (min_x, min_y, max_x, max_y),
-                quads,
+                &mut emit,
             );
         }
     }
@@ -164,7 +166,7 @@ fn fine_raster_tile(
     tile: TileId,
     tiling: &Tiling,
     clip: (f32, f32, f32, f32),
-    quads: &mut Vec<Quad>,
+    emit: &mut impl FnMut(Quad),
 ) {
     let (min_x, min_y, max_x, max_y) = clip;
     // Quad-aligned bounds within the raster tile, clipped to the AABB so we
@@ -195,7 +197,7 @@ fn fine_raster_tile(
                 }
             }
             if coverage != 0 {
-                quads.push(Quad {
+                emit(Quad {
                     tile,
                     pos: tiling.quad_pos(qx, qy),
                     origin: (qx, qy),

@@ -418,4 +418,31 @@ proptest! {
         oracle.flush();
         prop_assert_eq!(cache.stats(), oracle.stats());
     }
+
+    /// A run of `n` accesses to one line is `n` single accesses: same
+    /// first outcome and stats, and the LRU/dirty state it leaves shows in
+    /// every later access and in the end-of-draw writebacks.
+    #[test]
+    fn cache_run_matches_repeated_access(
+        ops in proptest::collection::vec((0u64..40, 0u32..6, 1u32..6), 1..300),
+        ways_log in 0u32..3,
+        sets_log in 0u32..3,
+    ) {
+        let (ways, sets) = (1usize << ways_log, 1usize << sets_log);
+        let size = ways * sets * 128;
+        let mut runs = Cache::new(size, 128, ways);
+        let mut oracle = reference::Cache::new(size, 128, ways);
+        for (i, &(addr, roll, n)) in ops.iter().enumerate() {
+            let write = roll % 2 == 0;
+            let first = oracle.access(addr, write);
+            for _ in 1..n {
+                oracle.access(addr, write);
+            }
+            prop_assert_eq!(runs.access_run(addr, write, n), first, "run #{} of line {}", i, addr);
+            prop_assert_eq!(runs.stats(), oracle.stats());
+        }
+        runs.flush();
+        oracle.flush();
+        prop_assert_eq!(runs.stats(), oracle.stats());
+    }
 }

@@ -1,4 +1,5 @@
-//! The draw golden pin: for Lego and Train at scale 0.06, every
+//! The draw golden pin: for every scene in [`SCENES`] (Lego and Train at
+//! scale 0.06, and Kitchen at 0.12 for a frame of many tile rows), every
 //! [`PipelineVariant`] and both [`FragmentKernel`]s, the simulated cycle
 //! count, an FNV-1a digest of every [`PipelineStats`] counter and an FNV-1a
 //! digest of the color and depth/stencil bits.
@@ -17,8 +18,8 @@ use vrpipe::PipelineVariant;
 use FragmentKernel::{Scalar, Soa};
 use PipelineVariant::{Baseline, Het, HetQm, Qm};
 
-/// Scene scale of every pinned draw.
-pub const SCALE: f32 = 0.06;
+/// Every pinned scene with its scale.
+pub const SCENES: &[(&str, f32)] = &[("Lego", 0.06), ("Train", 0.06), ("Kitchen", 0.12)];
 
 /// One pinned draw.
 pub struct Pin {
@@ -48,8 +49,9 @@ const fn pin(
     }
 }
 
-/// Recorded with the `HashMap`/`VecDeque` bin table and the per-set `Vec`
-/// cache, before either was rewritten.
+/// Lego and Train were recorded with the `HashMap`/`VecDeque` bin table and
+/// the per-set `Vec` cache, before either was rewritten; Kitchen with the
+/// serial TC-flush replay, before flush processing was sharded by tile.
 #[rustfmt::skip]
 pub const PINS: &[Pin] = &[
     pin("Lego", Baseline, Scalar, 29327, 0x3b4068d3be19ff52, 0xf70cb441ebf8bcac),
@@ -68,22 +70,36 @@ pub const PINS: &[Pin] = &[
     pin("Train", Het, Soa, 25662, 0xc8f11f68d8d07373, 0xc3e3773c553395c9),
     pin("Train", HetQm, Scalar, 19025, 0x6503424968923f43, 0x9e421031567b7e7d),
     pin("Train", HetQm, Soa, 19025, 0x925de7d79859fc0d, 0x9e421031567b7e7d),
+    pin("Kitchen", Baseline, Scalar, 562179, 0x098948ce0b6393c9, 0xd88c16c8e1d88e08),
+    pin("Kitchen", Baseline, Soa, 562179, 0x098948ce0b6393c9, 0xd88c16c8e1d88e08),
+    pin("Kitchen", Qm, Scalar, 435821, 0x676199f6b54ab992, 0x75b4e0f4947331c3),
+    pin("Kitchen", Qm, Soa, 435821, 0x676199f6b54ab992, 0x75b4e0f4947331c3),
+    pin("Kitchen", Het, Scalar, 278426, 0x49dcc6a5fef2cb4a, 0x1f41733eefcfe5fb),
+    pin("Kitchen", Het, Soa, 278426, 0x6d782071925fb163, 0x1f41733eefcfe5fb),
+    pin("Kitchen", HetQm, Scalar, 217541, 0x10f6aeedcadf8835, 0xb4985b369cd7f0f5),
+    pin("Kitchen", HetQm, Soa, 217541, 0x2dbf34fb8847ebfe, 0xb4985b369cd7f0f5),
 ];
 
 /// The depth-sorted splats and the viewport of a pinned scene, seen from
 /// its default camera.
 pub fn scene_splats(name: &str) -> (Vec<Splat>, u32, u32) {
+    let &(_, scale) = SCENES
+        .iter()
+        .find(|(pinned, _)| *pinned == name)
+        .unwrap_or_else(|| panic!("{name} is not a pinned scene"));
     let scene = scene_by_name(name)
         .unwrap_or_else(|| panic!("unknown scene {name}"))
-        .generate_scaled(SCALE);
+        .generate_scaled(scale);
     let cam = scene.default_camera();
     (preprocess(&scene, &cam).splats, cam.width(), cam.height())
 }
 
-/// The configuration of a pinned draw: the default GPU with `kernel`.
-pub fn config(kernel: FragmentKernel) -> GpuConfig {
+/// The configuration of a pinned draw: the default GPU with `kernel` on
+/// `threads` host workers (which must never move a pin).
+pub fn config(kernel: FragmentKernel, threads: usize) -> GpuConfig {
     GpuConfig {
         kernel,
+        threads,
         ..GpuConfig::default()
     }
 }
