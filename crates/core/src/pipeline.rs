@@ -15,7 +15,8 @@
 //! The simulated pipeline is order-dependent (bin evictions, cache state,
 //! the flow-shop timer), but its pixel work is not: a TC flush holds quads
 //! of one screen tile, so flushes of different tiles commute. A draw runs
-//! in four phases over the host threads of [`GpuConfig::thread_policy`]:
+//! in four phases over the host threads of [`GpuConfig::thread_policy`];
+//! the parallel ones fork through [`gsplat::par::for_each_claimed`]:
 //!
 //! 1. **Prologue** (parallel): triangle setup and fine raster of every
 //!    primitive over its whole tile rect — pure per primitive.
@@ -34,9 +35,7 @@
 //! reusable [`DrawScratch`]; at `threads: 1` every phase runs inline and
 //! the steady-state frame loop is allocation-free.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use gpu_sim::binning::{BinTable, Flush, FlushReason, KeyStream};
+use gpu_sim::binning::{BinTable, Flush, FlushReason};
 use gpu_sim::cache::Cache;
 use gpu_sim::config::GpuConfig;
 use gpu_sim::quad::{Quad, ShadedQuad};
@@ -47,7 +46,7 @@ use gpu_sim::timing::{PipelineTimer, WorkBatch};
 use gsplat::blend::blend_over;
 use gsplat::color::Rgba;
 use gsplat::framebuffer::{ColorBuffer, DepthStencilBuffer};
-use gsplat::par::{Bands, ThreadPolicy};
+use gsplat::par::for_each_claimed;
 use gsplat::splat::Splat;
 use gsplat::stream::{FragmentKernel, SplatStream};
 
@@ -159,11 +158,11 @@ impl From<gsplat::asset::AssetError> for DrawError {
 }
 
 /// Reusable per-draw buffers: the prologue's setup and fine-raster arena,
-/// the TGC key stream, the spine's flush records, the per-tile shards, the
-/// per-worker staging and the hardware-unit models (bin tables and
-/// caches, reset to power-on state at the top of every draw). Holding one
-/// of these across draws removes all steady-state allocation from a
-/// `threads: 1` draw; it never changes a result.
+/// the spine's flush records, the per-tile shards, the per-worker staging
+/// and the hardware-unit models (bin tables and caches, reset to power-on
+/// state at the top of every draw). Holding one of these across draws
+/// removes all steady-state allocation from a `threads: 1` draw; it never
+/// changes a result.
 #[derive(Debug, Default)]
 pub struct DrawScratch {
     /// TC/TGC bin tables and CROP/z/L2 caches, built on first use and
@@ -172,8 +171,6 @@ pub struct DrawScratch {
     /// Setup of every primitive and fine raster of every (primitive,
     /// screen tile) pair (parallel prologue output).
     raster: RasterArena,
-    /// TGC `(grid, primitive)` insertion stream.
-    tgc_stream: KeyStream<TileGridId>,
     /// TC flushes in spine order.
     flushes: Vec<SpineFlush>,
     /// The quads of every TC flush, flush after flush in spine order.
@@ -866,8 +863,7 @@ impl Pipeline<'_> {
         let DrawScratch { raster, stream, .. } = &mut *self.scratch;
         let stream = &*stream;
         let n = splats.len();
-        let policy = cfg.thread_policy();
-        let workers = policy.workers(n);
+        let workers = cfg.thread_policy().workers(n);
         let chunks = if workers > 1 {
             workers * PROLOGUE_CHUNKS_PER_WORKER
         } else {
@@ -880,16 +876,12 @@ impl Pipeline<'_> {
         raster
             .parts
             .resize_with(n.div_ceil(chunk).max(1), RasterPart::default);
-        let parts = raster.parts.len();
         // Raster workers need no state of their own: one `()` each (a
         // `Vec` of a zero-sized type never allocates).
-        let workers = &mut vec![(); workers];
         for_each_claimed(
-            workers,
+            &mut vec![(); workers],
             &mut raster.parts,
-            parts,
-            |c| c,
-            policy,
+            None,
             |_, part, c| {
                 part.setups.clear();
                 part.first.clear();
@@ -951,55 +943,30 @@ impl Pipeline<'_> {
     /// unit; a TGC flush rasterizes its primitives restricted to that grid,
     /// concentrating spatially-overlapping quads in the TC bins.
     ///
-    /// The `(grid, primitive)` key stream is derived on worker threads
-    /// (chunk-ordered merge), then replayed serially through the TGC bin
-    /// table — flush and eviction order is bit-exact with a serial build.
+    /// Each primitive is accounted, then inserted into the TGC bin of
+    /// every tile grid its tile rect touches, x-major: the same visit
+    /// order as sorting `TileGridId`s (lexicographic by x, then y).
     fn run_with_tgc(&mut self, raster: &mut RasterArena) {
-        let mut stream = std::mem::take(&mut self.scratch.tgc_stream);
-        {
-            let raster = &*raster;
-            let tiling = &self.tiling;
-            let g = self.cfg.tile_grid_tiles;
-            stream.build(self.splats.len(), self.cfg.thread_policy(), |i, push| {
-                let Some(setup) = raster.setup(i as usize) else {
-                    return;
-                };
-                let Some((x0, x1, y0, y1)) = tile_rect(tiling, &setup) else {
-                    return;
-                };
-                // x-major grid walk: the same visit order as sorting
-                // TileGridIds (lexicographic by x, then y) and deduping.
-                for gx in x0 / g..=x1 / g {
-                    for gy in y0 / g..=y1 / g {
-                        push(TileGridId { x: gx, y: gy });
+        let g = self.cfg.tile_grid_tiles;
+        for i in 0..self.splats.len() {
+            self.account_vertex(i);
+            let Some(setup) = raster.setup(i) else {
+                continue;
+            };
+            let Some((x0, x1, y0, y1)) = tile_rect(&self.tiling, &setup) else {
+                continue;
+            };
+            for gx in x0 / g..=x1 / g {
+                for gy in y0 / g..=y1 / g {
+                    self.stats.tgc_insertions += 1;
+                    self.pending.add(Unit::Tgc, 1.0);
+                    for flush in self.units.tgc.insert(TileGridId { x: gx, y: gy }, i as u32) {
+                        self.process_tgc_flush(raster, flush.key, &flush.items);
+                        self.units.tgc.recycle(flush.items);
                     }
                 }
-            });
-        }
-
-        // Vertex work interleaves with insertions exactly as a per-splat
-        // loop would: each primitive is accounted just before its first
-        // insertion (or with the next accounted primitive if it has none).
-        let mut next_vertex = 0usize;
-        for idx in 0..stream.pairs().len() {
-            let (grid, prim) = stream.pairs()[idx];
-            while next_vertex <= prim as usize {
-                self.account_vertex(next_vertex);
-                next_vertex += 1;
-            }
-            self.stats.tgc_insertions += 1;
-            self.pending.add(Unit::Tgc, 1.0);
-            for flush in self.units.tgc.insert(grid, prim) {
-                self.process_tgc_flush(raster, flush.key, &flush.items);
-                self.units.tgc.recycle(flush.items);
             }
         }
-        while next_vertex < self.splats.len() {
-            self.account_vertex(next_vertex);
-            next_vertex += 1;
-        }
-        self.scratch.tgc_stream = stream;
-
         while let Some(flush) = self.units.tgc.drain_next() {
             self.process_tgc_flush(raster, flush.key, &flush.items);
             self.units.tgc.recycle(flush.items);
@@ -1178,21 +1145,14 @@ impl Pipeline<'_> {
             flush_quads,
             line_block: line_block(self.cfg),
         };
-        let policy = self.cfg.thread_policy();
-        let workers = policy.workers(tile_order.len());
+        let workers = self.cfg.thread_policy().workers(tile_order.len());
         if workers > 1 {
             tile_order.sort_unstable_by_key(|&t| std::cmp::Reverse(tiles[t as usize].quads));
         }
         staging.resize_with(workers, FlushStaging::default);
-        let order = &*tile_order;
-        for_each_claimed(
-            staging,
-            tiles,
-            order.len(),
-            |k| order[k] as usize,
-            policy,
-            |st, shard, t| ctx.run_tile(shard, t, st),
-        );
+        for_each_claimed(staging, tiles, Some(tile_order), |st, shard, t| {
+            ctx.run_tile(shard, t, st)
+        });
     }
 
     /// Serial tail: replays each flush's ROP-cache log (adding the L2/DRAM
@@ -1240,41 +1200,6 @@ impl Pipeline<'_> {
         self.scratch.units = Some(self.units);
         self.stats
     }
-}
-
-/// Runs `job(state, item, i)` for the items `i = order(0), …,
-/// order(claims - 1)`, on one host worker per element of `states`: each
-/// worker owns its state and claims the next unclaimed item. One state
-/// runs every item inline, in claim order, with no fork.
-fn for_each_claimed<S: Send, T: Send>(
-    states: &mut [S],
-    items: &mut [T],
-    claims: usize,
-    order: impl Fn(usize) -> usize + Sync,
-    policy: ThreadPolicy,
-    job: impl Fn(&mut S, &mut T, usize) + Sync,
-) {
-    if let [state] = states {
-        for k in 0..claims {
-            let i = order(k);
-            job(state, &mut items[i], i);
-        }
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    let states = Bands::new(states, 1);
-    let items = Bands::new(items, 1);
-    gsplat::par::run_indexed(states.len(), policy, |w| {
-        let state = &mut states.take(w)[0];
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= claims {
-                break;
-            }
-            let i = order(k);
-            job(state, &mut items.take(i)[0], i);
-        }
-    });
 }
 
 /// The read-only draw state every shard worker shares.

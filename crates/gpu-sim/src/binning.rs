@@ -7,7 +7,7 @@
 //! timeout elapses (end-of-draw flush in this model; the functional
 //! simulation has no idle cycles between items of one draw call).
 //!
-//! Three things keep the hot loop fast without changing modeled
+//! Two things keep the hot loop fast without changing modeled
 //! behaviour:
 //!
 //! * [`BinTable`] is a fixed slot array with a deterministic open-addressed
@@ -17,12 +17,7 @@
 //! * Flushed bin storage recycles through an internal pool
 //!   ([`BinTable::recycle`]) and [`BinTable::insert`] hands flushes back in
 //!   a fixed-size [`Flushes`], so steady-state insertion allocates nothing.
-//! * [`KeyStream`] derives the `(key, item)` insertion stream on worker
-//!   threads with per-thread partials merged **in chunk order**, then the
-//!   table replays it serially — the flush/eviction sequence (and with it
-//!   every downstream blend order) is bit-exact with a serial build.
 
-use gsplat::par::ThreadPolicy;
 use std::hash::{Hash, Hasher};
 
 /// Why a bin was flushed.
@@ -408,73 +403,6 @@ impl Hasher for FxHasher {
     }
 }
 
-/// A reusable `(key, item)` insertion stream whose key derivation runs on
-/// worker threads.
-///
-/// Bin-table evolution (flushes, evictions) is inherently order-dependent,
-/// so the table itself replays the stream serially; what parallelizes is
-/// the per-item key computation — for the pipeline that is triangle setup
-/// plus tile/grid intersection, the expensive pure part. Per-thread
-/// partial streams are merged in chunk order, so the replayed insertion
-/// sequence — and with it every flush, eviction and downstream blend
-/// order — is bit-exact with a serial build.
-#[derive(Debug)]
-pub struct KeyStream<K> {
-    pairs: Vec<(K, u32)>,
-    worker: Vec<Vec<(K, u32)>>,
-}
-
-impl<K> Default for KeyStream<K> {
-    fn default() -> Self {
-        Self {
-            pairs: Vec::new(),
-            worker: Vec::new(),
-        }
-    }
-}
-
-impl<K: Copy + Send> KeyStream<K> {
-    /// Rebuilds the stream for items `0..n_items`. `emit(i, push)` must
-    /// call `push(key)` for each key item `i` maps to, in the order the
-    /// serial path would insert them; it runs concurrently on workers.
-    pub fn build<F>(&mut self, n_items: usize, policy: ThreadPolicy, emit: F)
-    where
-        F: Fn(u32, &mut dyn FnMut(K)) + Sync,
-    {
-        self.pairs.clear();
-        let workers = policy.workers(n_items);
-        if workers <= 1 {
-            for i in 0..n_items as u32 {
-                emit(i, &mut |key| self.pairs.push((key, i)));
-            }
-            return;
-        }
-        self.worker.resize_with(workers, Vec::new);
-        let chunk = n_items.div_ceil(workers);
-        let emit = &emit;
-        std::thread::scope(|s| {
-            for (w, partial) in self.worker.iter_mut().enumerate() {
-                s.spawn(move || {
-                    partial.clear();
-                    let start = (w * chunk).min(n_items);
-                    let end = ((w + 1) * chunk).min(n_items);
-                    for i in start as u32..end as u32 {
-                        emit(i, &mut |key| partial.push((key, i)));
-                    }
-                });
-            }
-        });
-        for partial in &mut self.worker {
-            self.pairs.append(partial);
-        }
-    }
-
-    /// The `(key, item)` pairs in serial insertion order.
-    pub fn pairs(&self) -> &[(K, u32)] {
-        &self.pairs
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,43 +481,6 @@ mod tests {
         }
         assert_eq!(t.stats().flushes, 10);
         assert_eq!(t.occupied(), 0);
-    }
-
-    #[test]
-    fn key_stream_parallel_matches_serial_order() {
-        use gsplat::par::ThreadPolicy;
-        let emit = |i: u32, push: &mut dyn FnMut(u32)| {
-            push(i % 5);
-            if i.is_multiple_of(2) {
-                push((i / 2) % 5);
-            }
-        };
-        let mut serial = KeyStream::default();
-        serial.build(333, ThreadPolicy::serial(), emit);
-        for policy in [
-            ThreadPolicy { threads: 3 },
-            ThreadPolicy { threads: 7 },
-            ThreadPolicy::default(),
-        ] {
-            let mut par = KeyStream::default();
-            par.build(333, policy, emit);
-            assert_eq!(par.pairs(), serial.pairs(), "{policy:?}");
-            // Replaying both streams drives identical table evolution.
-            let mut a: BinTable<u32, u32> = BinTable::new(3, 4);
-            let mut b: BinTable<u32, u32> = BinTable::new(3, 4);
-            let fa: Vec<_> = serial
-                .pairs()
-                .iter()
-                .flat_map(|&(k, v)| a.insert(k, v))
-                .collect();
-            let fb: Vec<_> = par
-                .pairs()
-                .iter()
-                .flat_map(|&(k, v)| b.insert(k, v))
-                .collect();
-            assert_eq!(fa, fb);
-            assert_eq!(a.stats(), b.stats());
-        }
     }
 
     #[test]

@@ -1,26 +1,29 @@
 //! Zero-dependency fork-join primitives for the parallel render paths.
 //!
-//! Built on `std::thread::scope` so the workspace stays buildable offline;
-//! the API is deliberately rayon-shaped (indexed fan-out, chunked map,
-//! disjoint band access) so swapping in a real work-stealing pool later is
-//! a local change.
+//! [`for_each_claimed`] is the one place a frame forks: every parallel
+//! phase (the simulated draw's prologue and tile shards, the software
+//! renderers' bands, binning, the preprocess fan-out) hands it a slice of
+//! items and one state per worker. It runs on `std::thread::scope`, so the
+//! workspace stays buildable offline; moving it onto a persistent pool is
+//! a change to that one function. [`WorkerPool`] is the other thread
+//! owner: it runs whole frame tasks of many streams.
 //!
 //! Everything here is *deterministic by construction* for the ways the
 //! renderers use it:
 //!
-//! * [`run_indexed`] returns results **in index order**
-//!   regardless of which worker produced them.
-//! * [`Bands`] hands each worker a disjoint `&mut` window of a buffer, so
-//!   pixel ownership — and therefore blend order per pixel — is identical
-//!   to the serial sweep.
-//! * [`BinScratch::build`] merges per-worker partial bins **in chunk
+//! * [`for_each_claimed`] hands every item to exactly one worker, and each
+//!   worker's state to one thread. Items own disjoint data (a tile, a row
+//!   band, a chunk's output), so which worker claims an item — which
+//!   varies from run to run — never reaches a result.
+//! * [`Bands`] hands out disjoint `&mut` windows of a buffer, each
+//!   claimable once, so ownership of every element is fixed however the
+//!   claims are scheduled.
+//! * [`BinScratch::build`] merges per-chunk partial bins **in chunk
 //!   order**, so every bin's item list preserves the input order exactly
 //!   (the stable front-to-back blend order the renderers rely on).
-//!
-//! Work is striped statically across workers, so which thread runs an
-//! item is fixed for a given worker count; the result never depends on it.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Number of worker threads for a request of `requested` (`0` = the host
@@ -73,45 +76,84 @@ impl ThreadPolicy {
     }
 }
 
-/// Runs `f(i)` for every `i in 0..n` across the policy's workers and
-/// returns the results **in index order**.
+/// Runs `job(state, item, i)` for every claimed item `i` of `items`, on
+/// one host worker per element of `states`. This is the workspace's only
+/// fork site; every parallel phase of a frame goes through it.
 ///
-/// Serial fallback (one worker or one item) calls `f` inline with no
-/// thread or lock overhead.
-pub fn run_indexed<R, F>(n: usize, policy: ThreadPolicy, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = policy.workers(n);
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+/// * **Claims.** Each worker takes the next unclaimed item as it finishes
+///   one. `order` is the claim order, a list of item indices (the
+///   simulated draw claims its heaviest tiles first); `None` claims every
+///   item in index order.
+/// * **State.** Worker `w` owns `states[w]` for the whole call, so a
+///   state is never used by two threads at once. The calling thread is
+///   worker 0.
+/// * **Inline run.** With one state, or at most one claim, every claim
+///   runs on the calling thread in claim order: no fork, no allocation.
+/// * **Panics.** A panic in `job` reaches the caller with its own payload
+///   at every worker count: the first panicking worker's, in `states`
+///   order.
+///
+/// Which worker runs which item varies from run to run. Results stay
+/// deterministic when items own disjoint data and whatever the states
+/// accumulate commutes.
+///
+/// # Examples
+///
+/// ```
+/// use gsplat::par::for_each_claimed;
+/// let mut squares = vec![0usize; 10];
+/// // Three workers, no per-worker state; claim the last items first.
+/// let order: Vec<u32> = (0..10).rev().collect();
+/// for_each_claimed(&mut [(); 3], &mut squares, Some(&order), |_, sq, i| *sq = i * i);
+/// assert_eq!(squares[9], 81);
+/// ```
+///
+/// # Panics
+///
+/// Panics when `states` is empty, when `order` names an item twice or out
+/// of range, and with the payload of a panic in `job`.
+pub fn for_each_claimed<S: Send, T: Send>(
+    states: &mut [S],
+    items: &mut [T],
+    order: Option<&[u32]>,
+    job: impl Fn(&mut S, &mut T, usize) + Sync,
+) {
+    let claims = order.map_or(items.len(), <[u32]>::len);
+    let item = |k: usize| order.map_or(k, |o| o[k] as usize);
+    let (first, rest) = states.split_at_mut(1);
+    let first = &mut first[0];
+    if rest.is_empty() || claims <= 1 {
+        for k in 0..claims {
+            let i = item(k);
+            job(first, &mut items[i], i);
+        }
+        return;
     }
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let results = &results;
-    let f = &f;
+    let next = AtomicUsize::new(0);
+    let slots = Bands::new(items, 1);
+    let work = |state: &mut S| loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        if k >= claims {
+            break;
+        }
+        let i = item(k);
+        job(state, &mut slots.take(i)[0], i);
+    };
+    let work = &work;
     std::thread::scope(|s| {
-        // Static striping: worker w owns indices w, w+W, w+2W, ...
-        for w in 0..workers {
-            s.spawn(move || {
-                let mut i = w;
-                while i < n {
-                    *results[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(f(i));
-                    i += workers;
-                }
-            });
+        let handles: Vec<_> = rest
+            .iter_mut()
+            .map(|state| s.spawn(move || work(state)))
+            .collect();
+        // A panic here unwinds out of the scope with its own payload once
+        // the other workers have stopped.
+        work(first);
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
     });
-    results
-        .iter()
-        .map(|slot| {
-            slot.lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take()
-                // vrlint: allow(VL01, reason = "the stripes write every index in 0..n before scope join")
-                .expect("every index ran")
-        })
-        .collect()
 }
 
 /// Splits `n` work items into contiguous per-worker chunks (the fan-out
@@ -171,8 +213,9 @@ pub fn chunked_ranges_mut<S>(
 }
 
 /// Disjoint mutable windows over a buffer, claimable once each from any
-/// worker thread — the safe primitive behind band-parallel framebuffer
-/// sweeps.
+/// worker thread. [`for_each_claimed`] hands out its items as one-element
+/// bands; a job can claim windows of a second buffer by item index the
+/// same way.
 pub struct Bands<'a, T> {
     slots: Vec<Mutex<Option<&'a mut [T]>>>,
 }
@@ -220,14 +263,14 @@ impl<'a, T> Bands<'a, T> {
 }
 
 /// Reusable scratch for deterministic parallel binning: items are split
-/// into contiguous chunks, each worker bins its chunk into a private
+/// into one contiguous chunk per worker, each chunk is binned into its own
 /// partial table, and partials are merged in chunk order so each bin's
 /// item list preserves input order exactly.
 #[derive(Debug, Default)]
 pub struct BinScratch {
     /// Merged per-bin item lists (valid after [`BinScratch::build`]).
     bins: Vec<Vec<u32>>,
-    /// Per-worker partial tables, kept allocated across draws.
+    /// Per-chunk partial tables, kept allocated across draws.
     partials: Vec<Vec<Vec<u32>>>,
 }
 
@@ -258,27 +301,25 @@ impl BinScratch {
             return total;
         }
 
+        // One partial per chunk, one chunk per worker.
         self.partials.resize_with(workers, Vec::new);
-        for partial in &mut self.partials {
-            partial.resize_with(n_bins, Vec::new);
-            for bin in partial.iter_mut() {
-                bin.clear();
-            }
-        }
-
         let chunk = n_items.div_ceil(workers);
-        let emit = &emit;
-        std::thread::scope(|s| {
-            for (w, partial) in self.partials.iter_mut().enumerate() {
-                s.spawn(move || {
-                    let start = (w * chunk).min(n_items);
-                    let end = ((w + 1) * chunk).min(n_items);
-                    for i in start as u32..end as u32 {
-                        emit(i, &mut |bin| partial[bin as usize].push(i));
-                    }
-                });
-            }
-        });
+        for_each_claimed(
+            &mut vec![(); workers],
+            &mut self.partials,
+            None,
+            |_, partial, c| {
+                partial.resize_with(n_bins, Vec::new);
+                for bin in partial.iter_mut() {
+                    bin.clear();
+                }
+                let start = (c * chunk).min(n_items);
+                let end = ((c + 1) * chunk).min(n_items);
+                for i in start as u32..end as u32 {
+                    emit(i, &mut |bin| partial[bin as usize].push(i));
+                }
+            },
+        );
 
         // Chunk-order merge: bin lists end up in global input order.
         let mut total = 0u64;
@@ -545,14 +586,119 @@ mod tests {
         ]
     }
 
+    /// Every item runs exactly once at 1–5 workers, for empty item lists
+    /// and for fewer items than workers; a claim order runs exactly the
+    /// items it names.
     #[test]
-    fn run_indexed_preserves_order() {
-        for policy in policies() {
-            let out = run_indexed(37, policy, |i| i * i);
+    fn every_item_runs_exactly_once() {
+        for workers in 1..=5 {
+            for n in [0usize, 1, 3, 37] {
+                let mut hits = vec![0u32; n];
+                for_each_claimed(&mut vec![(); workers], &mut hits, None, |_, h, _| *h += 1);
+                assert!(hits.iter().all(|&h| h == 1), "workers={workers} n={n}");
+
+                let order: Vec<u32> = (0..n as u32).rev().step_by(2).collect();
+                let mut hits = vec![0u32; n];
+                for_each_claimed(
+                    &mut vec![(); workers],
+                    &mut hits,
+                    Some(&order),
+                    |_, h, i| *h += 1 + i as u32,
+                );
+                for (i, &h) in hits.iter().enumerate() {
+                    let named = order.contains(&(i as u32));
+                    assert_eq!(
+                        h,
+                        if named { 1 + i as u32 } else { 0 },
+                        "workers={workers} n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Holds each worker's first job until every worker has started one,
+    /// so all workers take part (gives up after five seconds, so a broken
+    /// fork fails its test instead of hanging it).
+    fn wait_for_all(started: &AtomicUsize, workers: usize) {
+        started.fetch_add(1, Ordering::SeqCst);
+        let t0 = std::time::Instant::now();
+        while started.load(Ordering::SeqCst) < workers && t0.elapsed().as_secs() < 5 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// A worker keeps its state on one thread for the whole call, every
+    /// worker is its own thread, and the states together saw every item
+    /// once.
+    #[test]
+    fn each_state_stays_on_one_thread() {
+        for workers in 1..=4 {
+            let started = AtomicUsize::new(0);
+            let mut states = vec![Vec::new(); workers];
+            for_each_claimed(&mut states, &mut [(); 64], None, |log, _, i| {
+                if log.is_empty() {
+                    wait_for_all(&started, workers);
+                }
+                log.push((std::thread::current().id(), i));
+            });
+            let mut threads = Vec::new();
+            let mut seen = Vec::new();
+            for log in &states {
+                let thread = log[0].0;
+                assert!(log.iter().all(|&(t, _)| t == thread), "workers={workers}");
+                threads.push(thread);
+                seen.extend(log.iter().map(|&(_, i)| i));
+            }
+            threads.sort_unstable_by_key(|t| format!("{t:?}"));
+            threads.dedup();
+            assert_eq!(threads.len(), workers, "one thread per worker");
+            seen.sort_unstable();
+            assert_eq!(seen, (0..64).collect::<Vec<_>>(), "workers={workers}");
+        }
+    }
+
+    /// One worker runs inline, on the calling thread, in claim order.
+    #[test]
+    fn one_worker_follows_the_claim_order_inline() {
+        let caller = std::thread::current().id();
+        let order = [3u32, 0, 4, 1];
+        let mut log = Vec::new();
+        for_each_claimed(
+            std::slice::from_mut(&mut log),
+            &mut [(); 5],
+            Some(&order),
+            |log, _, i| {
+                assert_eq!(std::thread::current().id(), caller);
+                log.push(i);
+            },
+        );
+        assert_eq!(log, vec![3, 0, 4, 1]);
+    }
+
+    /// A job's panic reaches the caller with its own message at every
+    /// worker count, not as a generic "a scoped thread panicked". The
+    /// last worker panics — on more than one worker a spawned thread.
+    #[test]
+    fn a_job_panic_keeps_its_payload() {
+        for workers in 1..=3 {
+            let started = AtomicUsize::new(0);
+            let mut states: Vec<(usize, bool)> = (0..workers).map(|w| (w, false)).collect();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for_each_claimed(&mut states, &mut [(); 8], None, |(w, waited), _, _| {
+                    if !*waited {
+                        *waited = true;
+                        wait_for_all(&started, workers);
+                    }
+                    if *w == workers - 1 {
+                        panic!("worker {w} failed (expected in this test)");
+                    }
+                });
+            }));
+            let payload = caught.expect_err("the job panicked");
             assert_eq!(
-                out,
-                (0..37).map(|i| i * i).collect::<Vec<_>>(),
-                "{policy:?}"
+                panic_message(payload.as_ref()),
+                format!("worker {} failed (expected in this test)", workers - 1),
             );
         }
     }
@@ -563,14 +709,15 @@ mod tests {
         {
             let bands = Bands::new(&mut data, 16);
             assert_eq!(bands.len(), 7);
-            let got = run_indexed(7, ThreadPolicy { threads: 4 }, |i| {
+            let mut lens = vec![0usize; 7];
+            for_each_claimed(&mut [(); 4], &mut lens, None, |_, len, i| {
                 let band = bands.take(i);
                 for v in band.iter_mut() {
                     *v += 1 + i as u32;
                 }
-                band.len()
+                *len = band.len();
             });
-            assert_eq!(got.iter().sum::<usize>(), 100);
+            assert_eq!(lens.iter().sum::<usize>(), 100);
         }
         // Every element written exactly once, by its band's worker.
         for (i, v) in data.iter().enumerate() {

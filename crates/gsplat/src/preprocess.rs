@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use crate::camera::Camera;
 use crate::gaussian::Gaussian;
 use crate::index::{cloud_fingerprint, CellClass, CovCacheEntry, CullState, SceneIndex};
-use crate::par::{chunked_ranges_mut, ThreadPolicy};
+use crate::par::{chunked_ranges_mut, for_each_claimed, ThreadPolicy};
 use crate::projection::{
     covariance_entries, project_gaussian_frame, splat_from_covariance, ColorSource, FrameTransform,
 };
@@ -366,12 +366,11 @@ pub fn preprocess_frame(
 }
 
 /// Fills `scratch`'s staging list by running `body` over `0..n`: inline
-/// when `workers <= 1`, otherwise over `workers` contiguous chunks on
-/// scoped threads, each chunk with its own window of `state` (see
-/// [`chunked_ranges_mut`]) and its own emission buffer. Chunk-order
-/// concatenation reproduces the serial sweep's order exactly. Returns the
-/// summed per-chunk counters.
-// vrlint: hot
+/// when `workers <= 1`, otherwise over `workers` contiguous chunks claimed
+/// through [`for_each_claimed`], each chunk with its own window of `state`
+/// (see [`chunked_ranges_mut`]), its own emission buffer and its own
+/// counters. Chunk-order concatenation reproduces the serial sweep's order
+/// exactly. Returns the summed per-chunk counters.
 fn emit_ranges<S: Send>(
     n: usize,
     workers: usize,
@@ -384,30 +383,27 @@ fn emit_ranges<S: Send>(
         return body(0..n, state, &mut scratch.staging);
     }
     let parts = chunked_ranges_mut(n, workers, state);
-    // Exactly one chunk buffer per spawned part: a shorter part list must
-    // not leave stale chunks for the merge to pick up. Growth happens
-    // only on first use or a worker-count change.
+    // Exactly one chunk buffer per part: a shorter part list must not
+    // leave stale chunks for the merge to pick up. Growth happens only on
+    // first use or a worker-count change.
     scratch.workers.resize_with(parts.len(), Emitted::default);
-    let body = &body;
-    // vrlint: allow-block(VL02[collect], reason = "O(workers) scoped-thread handle lists per fan-out, not O(gaussians)")
-    let counters = std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .zip(scratch.workers.iter_mut())
-            .map(|((range, window), chunk)| {
-                s.spawn(move || {
-                    chunk.clear();
-                    body(range, window, chunk)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // A worker panic propagates to the submitter unchanged
-            // rather than re-panicking with a second message.
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .fold((0, 0), |(a, b), (r, p)| (a + r, b + p))
-    });
+    let mut chunks: Vec<_> = parts
+        .into_iter()
+        .zip(&mut scratch.workers)
+        .map(|((range, window), out)| (range, window, out, (0, 0)))
+        .collect();
+    for_each_claimed(
+        &mut vec![(); chunks.len()],
+        &mut chunks,
+        None,
+        |_, (range, window, out, counters), _| {
+            out.clear();
+            *counters = body(range.clone(), window, out);
+        },
+    );
+    let counters = chunks
+        .iter()
+        .fold((0, 0), |(a, b), &(.., (r, p))| (a + r, b + p));
     for chunk in &mut scratch.workers {
         scratch.staging.append(chunk);
     }

@@ -383,10 +383,10 @@ pub fn get_word_bit(words: &[u64], i: usize) -> bool {
 
 /// A flat bitset over tile indices, used as the retired-tile mask.
 ///
-/// Band-parallel renderers hand each worker a disjoint word range (one
+/// Band-parallel renderers hand each band a disjoint word range (one
 /// tile row per band, with whole words per row), so concurrent marking
-/// needs no atomics: ownership is positional, exactly like
-/// [`crate::par::Bands`].
+/// needs no atomics: ownership is positional, exactly like the band's
+/// pixel rows.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TileBitset {
     words: Vec<u64>,

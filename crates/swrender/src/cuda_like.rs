@@ -25,7 +25,7 @@ use gsplat::blend::{
 use gsplat::color::{PixelFormat, Rgba};
 use gsplat::framebuffer::ColorBuffer;
 use gsplat::math::Vec2;
-use gsplat::par::{Bands, BinScratch, ThreadPolicy};
+use gsplat::par::{for_each_claimed, BinScratch, ThreadPolicy};
 use gsplat::splat::Splat;
 use gsplat::stream::{get_word_bit, set_word_bit, tile_alpha_bound, FragmentKernel, SplatStream};
 use serde::{Deserialize, Serialize};
@@ -317,88 +317,94 @@ impl CudaLikeRenderer {
         retired_words.resize(words_per_row * tiles_y as usize, 0);
         let mut color = ColorBuffer::new(width, height, PixelFormat::Rgba16F);
         let tile_lists = bins.bins();
-        let bands = Bands::new(color.pixels_mut(), (tile * width) as usize);
-        let retired_bands = Bands::new(retired_words, words_per_row);
-        let band_stats = gsplat::par::run_indexed(tiles_y as usize, policy, |band_idx| {
-            let band = bands.take(band_idx);
-            let retired_row = retired_bands.take(band_idx);
-            let ty = band_idx as u32;
-            let mut stats = SwStats::default();
-            let n_px = (tile * tile) as usize;
-            let mut acc: Vec<PixelAccumulator> = vec![PixelAccumulator::new(); n_px];
-            let mut in_bounds = vec![false; n_px];
-            // SoA per-tile buffers: pixel-center coordinates and the
-            // per-warp alpha staging the flat kernel writes into.
-            let mut px_center = vec![0.0f32; n_px];
-            let mut py_center = vec![0.0f32; n_px];
-            let mut alphas = vec![0.0f32; 32];
-            let mut warp_state = Vec::new();
-            for tx in 0..tiles_x {
-                let list = &tile_lists[(ty * tiles_x + tx) as usize];
-                if list.is_empty() {
-                    continue;
+        let mut bands: Vec<_> = color
+            .pixels_mut()
+            .chunks_mut((tile * width) as usize)
+            .zip(retired_words.chunks_mut(words_per_row))
+            .map(|(band, retired_row)| (band, retired_row, SwStats::default()))
+            .collect();
+        let workers = policy.workers(bands.len());
+        for_each_claimed(
+            &mut vec![(); workers],
+            &mut bands,
+            None,
+            |_, (band, retired_row, stats), ty| {
+                let ty = ty as u32;
+                let n_px = (tile * tile) as usize;
+                let mut acc: Vec<PixelAccumulator> = vec![PixelAccumulator::new(); n_px];
+                let mut in_bounds = vec![false; n_px];
+                // SoA per-tile buffers: pixel-center coordinates and the
+                // per-warp alpha staging the flat kernel writes into.
+                let mut px_center = vec![0.0f32; n_px];
+                let mut py_center = vec![0.0f32; n_px];
+                let mut alphas = vec![0.0f32; 32];
+                let mut warp_state = Vec::new();
+                for tx in 0..tiles_x {
+                    let list = &tile_lists[(ty * tiles_x + tx) as usize];
+                    if list.is_empty() {
+                        continue;
+                    }
+                    acc.fill(PixelAccumulator::new());
+                    match self.cfg.kernel {
+                        FragmentKernel::Scalar => self.sweep_tile(
+                            splats,
+                            list,
+                            tx,
+                            ty,
+                            width,
+                            height,
+                            band,
+                            &mut acc,
+                            &mut in_bounds,
+                            stats,
+                        ),
+                        FragmentKernel::Soa => self.sweep_tile_soa(
+                            stream,
+                            list,
+                            tx,
+                            ty,
+                            width,
+                            height,
+                            band,
+                            SoaTileScratch {
+                                acc: &mut acc,
+                                in_bounds: &mut in_bounds,
+                                px_center: &mut px_center,
+                                py_center: &mut py_center,
+                                alphas: &mut alphas,
+                                warp_state: &mut warp_state,
+                                retired_row,
+                            },
+                            stats,
+                        ),
+                    }
+                    // Tile retirement bookkeeping (kernel-independent result):
+                    // a tile whose every in-bounds pixel saturated past the
+                    // termination threshold is dead for all remaining work.
+                    // The SoA sweep marks the band's bitset row when it
+                    // abandons a tile mid-list (all warps exited), which
+                    // short-circuits the accumulator scan here; a tile that
+                    // saturates only on its final splat is caught by the scan
+                    // in either kernel.
+                    stats.tiles_swept += 1;
+                    let retired = get_word_bit(retired_row, tx as usize)
+                        || acc
+                            .iter()
+                            .zip(&in_bounds)
+                            .all(|(a, &ib)| !ib || a.alpha() >= EARLY_TERMINATION_THRESHOLD);
+                    if retired {
+                        stats.retired_tiles += 1;
+                        set_word_bit(retired_row, tx as usize);
+                    }
                 }
-                acc.fill(PixelAccumulator::new());
-                match self.cfg.kernel {
-                    FragmentKernel::Scalar => self.sweep_tile(
-                        splats,
-                        list,
-                        tx,
-                        ty,
-                        width,
-                        height,
-                        band,
-                        &mut acc,
-                        &mut in_bounds,
-                        &mut stats,
-                    ),
-                    FragmentKernel::Soa => self.sweep_tile_soa(
-                        stream,
-                        list,
-                        tx,
-                        ty,
-                        width,
-                        height,
-                        band,
-                        SoaTileScratch {
-                            acc: &mut acc,
-                            in_bounds: &mut in_bounds,
-                            px_center: &mut px_center,
-                            py_center: &mut py_center,
-                            alphas: &mut alphas,
-                            warp_state: &mut warp_state,
-                            retired_row: &mut *retired_row,
-                        },
-                        &mut stats,
-                    ),
-                }
-                // Tile retirement bookkeeping (kernel-independent result):
-                // a tile whose every in-bounds pixel saturated past the
-                // termination threshold is dead for all remaining work.
-                // The SoA sweep marks the band's bitset row when it
-                // abandons a tile mid-list (all warps exited), which
-                // short-circuits the accumulator scan here; a tile that
-                // saturates only on its final splat is caught by the scan
-                // in either kernel.
-                stats.tiles_swept += 1;
-                let retired = get_word_bit(retired_row, tx as usize)
-                    || acc
-                        .iter()
-                        .zip(&in_bounds)
-                        .all(|(a, &ib)| !ib || a.alpha() >= EARLY_TERMINATION_THRESHOLD);
-                if retired {
-                    stats.retired_tiles += 1;
-                    set_word_bit(retired_row, tx as usize);
-                }
-            }
-            stats
-        });
+            },
+        );
 
         let mut stats = SwStats {
             duplicated_keys,
             ..SwStats::default()
         };
-        for band in &band_stats {
+        for (.., band) in &bands {
             stats.merge(band);
         }
 

@@ -9,7 +9,7 @@
 //! free (fast but *incorrect*: the blend order becomes nondeterministic).
 
 use gsplat::blend::{ALPHA_MAX, ALPHA_PRUNE_THRESHOLD};
-use gsplat::par::{run_indexed, Bands, ThreadPolicy};
+use gsplat::par::{for_each_claimed, ThreadPolicy};
 use gsplat::splat::Splat;
 use gsplat::stream::{tile_alpha_bound, FragmentKernel, SplatStream};
 use serde::{Deserialize, Serialize};
@@ -124,8 +124,6 @@ pub fn fragment_workload_with(
 /// kernel scans a [`SplatStream`] with a hoisted per-row falloff term and
 /// skips band visits whose conservative [`tile_alpha_bound`] proves every
 /// fragment alpha-pruned; counts are identical to the scalar oracle.
-// vrlint: hot
-// vrlint: allow-block(VL01[index], reason = "band-local pixel indices are clamped to the band's row window; SoA lanes iterate 0..stream.len()")
 pub fn fragment_workload_kernel(
     splats: &[Splat],
     width: u32,
@@ -137,7 +135,6 @@ pub fn fragment_workload_kernel(
         FragmentKernel::Scalar => None,
         FragmentKernel::Soa => Some(SplatStream::from_splats(splats)),
     };
-    // vrlint: allow(VL02, reason = "per-pixel count buffer is allocated per call; this kernel is a modelled workload probe, not the vrpipe scratch-reusing frame loop")
     let mut per_pixel = vec![0u32; (width * height) as usize];
     let workers = policy.workers(height as usize);
     let band_rows = if workers <= 1 {
@@ -145,98 +142,120 @@ pub fn fragment_workload_kernel(
     } else {
         height.div_ceil((workers * 4) as u32).max(1)
     };
-    let n_bands = height.div_ceil(band_rows) as usize;
-    let bands = Bands::new(&mut per_pixel, (band_rows * width) as usize);
-    let per_band = run_indexed(n_bands, policy, |b| {
-        let band = bands.take(b);
-        let row0 = b as u32 * band_rows;
-        let row1 = (row0 + band_rows).min(height);
-        let mut fragments = 0u64;
-        match &stream {
-            None => {
-                for s in splats {
-                    let (lo, hi) = s.aabb();
-                    if hi.x < 0.0 || hi.y < 0.0 || lo.x >= width as f32 || lo.y >= height as f32 {
-                        continue;
-                    }
-                    let x0 = lo.x.max(0.0) as u32;
-                    let y0 = (lo.y.max(0.0) as u32).max(row0);
-                    let x1 = (hi.x.min(width as f32 - 1.0)).max(0.0) as u32;
-                    let y1 = ((hi.y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
-                    if y0 > y1 || y0 >= row1 {
-                        continue;
-                    }
-                    for y in y0..=y1 {
-                        for x in x0..=x1 {
-                            let dx = x as f32 + 0.5 - s.center.x;
-                            let dy = y as f32 + 0.5 - s.center.y;
-                            if gsplat::blend::fragment_alpha(s.opacity, s.conic, dx, dy).is_some() {
-                                fragments += 1;
-                                band[((y - row0) * width + x) as usize] += 1;
-                            }
-                        }
-                    }
+    // Per row band: its per-pixel counts, fragments and longest chain.
+    let mut bands: Vec<_> = per_pixel
+        .chunks_mut((band_rows * width) as usize)
+        .map(|band| (band, 0u64, 0u64))
+        .collect();
+    for_each_claimed(
+        &mut vec![(); workers],
+        &mut bands,
+        None,
+        |_, (band, fragments, max_chain), b| {
+            let row0 = b as u32 * band_rows;
+            let row1 = (row0 + band_rows).min(height);
+            *fragments = scan_band(splats, stream.as_ref(), band, (row0, row1), width, height);
+            *max_chain = band.iter().copied().max().unwrap_or(0) as u64;
+        },
+    );
+    let fragments: u64 = bands.iter().map(|&(_, f, _)| f).sum();
+    let max_chain = bands.iter().map(|&(.., c)| c).max().unwrap_or(0);
+    // Quads approximated as fragments / mean quad occupancy (~3.2 of 4
+    // lanes covered for ellipse footprints).
+    let quads = (fragments as f64 / 3.2).ceil() as u64;
+    (fragments, quads, max_chain)
+}
+
+/// Counts the fragments of every splat in the row band `row0..row1`
+/// (`band` holds its per-pixel counts) and returns the band's total.
+// vrlint: hot
+// vrlint: allow-block(VL01[index], reason = "band-local pixel indices are clamped to the band's row window; SoA lanes iterate 0..stream.len()")
+fn scan_band(
+    splats: &[Splat],
+    stream: Option<&SplatStream>,
+    band: &mut [u32],
+    (row0, row1): (u32, u32),
+    width: u32,
+    height: u32,
+) -> u64 {
+    let mut fragments = 0u64;
+    match stream {
+        None => {
+            for s in splats {
+                let (lo, hi) = s.aabb();
+                if hi.x < 0.0 || hi.y < 0.0 || lo.x >= width as f32 || lo.y >= height as f32 {
+                    continue;
                 }
-            }
-            Some(stream) => {
-                for si in 0..stream.len() {
-                    let cx = stream.center_x()[si];
-                    let cy = stream.center_y()[si];
-                    let (a, bq, c) = stream.conic(si);
-                    let opacity = stream.opacity()[si];
-                    let (maj, min_ax) = stream.axes(si);
-                    let ext_x = maj.x.abs() + min_ax.x.abs();
-                    let ext_y = maj.y.abs() + min_ax.y.abs();
-                    let (lo_x, lo_y) = (cx - ext_x, cy - ext_y);
-                    let (hi_x, hi_y) = (cx + ext_x, cy + ext_y);
-                    if hi_x < 0.0 || hi_y < 0.0 || lo_x >= width as f32 || lo_y >= height as f32 {
-                        continue;
-                    }
-                    let x0 = lo_x.max(0.0) as u32;
-                    let y0 = (lo_y.max(0.0) as u32).max(row0);
-                    let x1 = (hi_x.min(width as f32 - 1.0)).max(0.0) as u32;
-                    let y1 = ((hi_y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
-                    if y0 > y1 || y0 >= row1 {
-                        continue;
-                    }
-                    // Conservative band bound: every fragment would be
-                    // alpha-pruned, so the counters cannot change.
-                    let bound = tile_alpha_bound(
-                        (a, bq, c),
-                        opacity,
-                        gsplat::math::Vec2::new(cx, cy),
-                        (x0 as f32 + 0.5, y0 as f32 + 0.5),
-                        (x1 as f32 + 0.5, y1 as f32 + 0.5),
-                    );
-                    if bound < ALPHA_PRUNE_THRESHOLD {
-                        continue;
-                    }
-                    for y in y0..=y1 {
-                        let dy = y as f32 + 0.5 - cy;
-                        let cdy2 = c * dy * dy;
-                        for x in x0..=x1 {
-                            let dx = x as f32 + 0.5 - cx;
-                            let power = -0.5 * (a * dx * dx + cdy2) - bq * dx * dy;
-                            let falloff = if power > 0.0 { 0.0 } else { power.exp() };
-                            let alpha = (opacity * falloff).min(ALPHA_MAX);
-                            if alpha >= ALPHA_PRUNE_THRESHOLD {
-                                fragments += 1;
-                                band[((y - row0) * width + x) as usize] += 1;
-                            }
+                let x0 = lo.x.max(0.0) as u32;
+                let y0 = (lo.y.max(0.0) as u32).max(row0);
+                let x1 = (hi.x.min(width as f32 - 1.0)).max(0.0) as u32;
+                let y1 = ((hi.y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
+                if y0 > y1 || y0 >= row1 {
+                    continue;
+                }
+                for y in y0..=y1 {
+                    for x in x0..=x1 {
+                        let dx = x as f32 + 0.5 - s.center.x;
+                        let dy = y as f32 + 0.5 - s.center.y;
+                        if gsplat::blend::fragment_alpha(s.opacity, s.conic, dx, dy).is_some() {
+                            fragments += 1;
+                            band[((y - row0) * width + x) as usize] += 1;
                         }
                     }
                 }
             }
         }
-        let max_chain = band.iter().copied().max().unwrap_or(0) as u64;
-        (fragments, max_chain)
-    });
-    let fragments: u64 = per_band.iter().map(|(f, _)| f).sum();
-    let max_chain = per_band.iter().map(|(_, c)| *c).max().unwrap_or(0);
-    // Quads approximated as fragments / mean quad occupancy (~3.2 of 4
-    // lanes covered for ellipse footprints).
-    let quads = (fragments as f64 / 3.2).ceil() as u64;
-    (fragments, quads, max_chain)
+        Some(stream) => {
+            for si in 0..stream.len() {
+                let cx = stream.center_x()[si];
+                let cy = stream.center_y()[si];
+                let (a, bq, c) = stream.conic(si);
+                let opacity = stream.opacity()[si];
+                let (maj, min_ax) = stream.axes(si);
+                let ext_x = maj.x.abs() + min_ax.x.abs();
+                let ext_y = maj.y.abs() + min_ax.y.abs();
+                let (lo_x, lo_y) = (cx - ext_x, cy - ext_y);
+                let (hi_x, hi_y) = (cx + ext_x, cy + ext_y);
+                if hi_x < 0.0 || hi_y < 0.0 || lo_x >= width as f32 || lo_y >= height as f32 {
+                    continue;
+                }
+                let x0 = lo_x.max(0.0) as u32;
+                let y0 = (lo_y.max(0.0) as u32).max(row0);
+                let x1 = (hi_x.min(width as f32 - 1.0)).max(0.0) as u32;
+                let y1 = ((hi_y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
+                if y0 > y1 || y0 >= row1 {
+                    continue;
+                }
+                // Conservative band bound: every fragment would be
+                // alpha-pruned, so the counters cannot change.
+                let bound = tile_alpha_bound(
+                    (a, bq, c),
+                    opacity,
+                    gsplat::math::Vec2::new(cx, cy),
+                    (x0 as f32 + 0.5, y0 as f32 + 0.5),
+                    (x1 as f32 + 0.5, y1 as f32 + 0.5),
+                );
+                if bound < ALPHA_PRUNE_THRESHOLD {
+                    continue;
+                }
+                for y in y0..=y1 {
+                    let dy = y as f32 + 0.5 - cy;
+                    let cdy2 = c * dy * dy;
+                    for x in x0..=x1 {
+                        let dx = x as f32 + 0.5 - cx;
+                        let power = -0.5 * (a * dx * dx + cdy2) - bq * dx * dy;
+                        let falloff = if power > 0.0 { 0.0 } else { power.exp() };
+                        let alpha = (opacity * falloff).min(ALPHA_MAX);
+                        if alpha >= ALPHA_PRUNE_THRESHOLD {
+                            fragments += 1;
+                            band[((y - row0) * width + x) as usize] += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    fragments
 }
 
 /// Normalized rasterization time of `strategy` relative to ROP-based

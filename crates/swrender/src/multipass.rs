@@ -18,7 +18,7 @@ use gsplat::blend::{
 };
 use gsplat::color::{PixelFormat, Rgba};
 use gsplat::framebuffer::ColorBuffer;
-use gsplat::par::{run_indexed, Bands, ThreadPolicy};
+use gsplat::par::{for_each_claimed, ThreadPolicy};
 use gsplat::splat::Splat;
 use gsplat::stream::{FragmentKernel, SplatStream};
 use serde::{Deserialize, Serialize};
@@ -106,8 +106,6 @@ pub struct MultiPassFrame {
 /// let four = render_multipass(&pre.splats, cam.width(), cam.height(), 4, &MultiPassConfig::default());
 /// assert!(four.blended_fragments <= one.blended_fragments);
 /// ```
-// vrlint: hot
-// vrlint: allow-block(VL01[index], reason = "band-local pixel indices are clamped to the band's row window of the framebuffer split")
 pub fn render_multipass(
     splats: &[Splat],
     width: u32,
@@ -119,7 +117,6 @@ pub fn render_multipass(
     let policy = cfg.thread_policy();
     let mut color = ColorBuffer::new(width, height, PixelFormat::Rgba16F);
     // Stencil: true = terminated (stencil value 1 in Algorithm 1).
-    // vrlint: allow(VL02, reason = "whole-frame render targets are allocated per call; this kernel is a modelled workload probe, not the vrpipe scratch-reusing frame loop")
     let mut stencil = vec![false; (width * height) as usize];
     let mut blended = 0u64;
     let mut discarded = 0u64;
@@ -133,7 +130,16 @@ pub fn render_multipass(
     } else {
         height.div_ceil((workers * 4) as u32).max(1)
     };
-    let n_bands = height.div_ceil(band_rows) as usize;
+    let band_len = (band_rows * width) as usize;
+    // Per row band: its color and stencil rows and the current pass's
+    // (rasterized, blended, discarded) fragment counts.
+    let mut bands: Vec<_> = color
+        .pixels_mut()
+        .chunks_mut(band_len)
+        .zip(stencil.chunks_mut(band_len))
+        .map(|(color, stencil)| (color, stencil, (0u64, 0u64, 0u64)))
+        .collect();
+    let workers = &mut vec![(); workers];
 
     let batch_len = splats.len().div_ceil(passes);
     let mut time_cycles = 0.0f64;
@@ -147,121 +153,20 @@ pub fn render_multipass(
     for (pass, batch) in splats.chunks(batch_len.max(1)).enumerate() {
         let batch_start = pass * batch_len.max(1);
         // --- Draw call 1: blend the batch under the stencil test. ---
-        let color_bands = Bands::new(color.pixels_mut(), (band_rows * width) as usize);
-        let stencil_bands = Bands::new(&mut stencil, (band_rows * width) as usize);
-        let band_counts = run_indexed(n_bands, policy, |b| {
-            let band_color = color_bands.take(b);
-            let band_stencil = stencil_bands.take(b);
-            let row0 = b as u32 * band_rows;
-            let row1 = (row0 + band_rows).min(height);
-            let mut pass_raster = 0u64;
-            let mut pass_blend = 0u64;
-            let mut pass_discarded = 0u64;
-            match &stream {
-                None => {
-                    for s in batch {
-                        let (lo, hi) = s.aabb();
-                        if hi.x < 0.0 || hi.y < 0.0 || lo.x >= width as f32 || lo.y >= height as f32
-                        {
-                            continue;
-                        }
-                        let x0 = lo.x.max(0.0) as u32;
-                        let y0 = (lo.y.max(0.0) as u32).max(row0);
-                        let x1 = (hi.x.min(width as f32 - 1.0)).max(0.0) as u32;
-                        let y1 = ((hi.y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
-                        if y0 > y1 || y0 >= row1 {
-                            continue;
-                        }
-                        for y in y0..=y1 {
-                            for x in x0..=x1 {
-                                pass_raster += 1;
-                                let idx = ((y - row0) * width + x) as usize;
-                                if band_stencil[idx] {
-                                    pass_discarded += 1;
-                                    continue;
-                                }
-                                let dx = x as f32 + 0.5 - s.center.x;
-                                let dy = y as f32 + 0.5 - s.center.y;
-                                if let Some(alpha) = fragment_alpha(s.opacity, s.conic, dx, dy) {
-                                    let dest = band_color[idx];
-                                    let t = 1.0 - dest.a;
-                                    band_color[idx] = Rgba::new(
-                                        dest.r + t * s.color.x * alpha,
-                                        dest.g + t * s.color.y * alpha,
-                                        dest.b + t * s.color.z * alpha,
-                                        dest.a + t * alpha,
-                                    );
-                                    pass_blend += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                Some(stream) => {
-                    // SoA kernel: flat-slice parameter loads, the per-row
-                    // `c·dy·dy` term hoisted (same value, same rounding),
-                    // otherwise operation-for-operation the scalar oracle.
-                    for j in 0..batch.len() {
-                        let si = batch_start + j;
-                        let cx = stream.center_x()[si];
-                        let cy = stream.center_y()[si];
-                        let (a, bq, c) = stream.conic(si);
-                        let opacity = stream.opacity()[si];
-                        let (maj, min_ax) = stream.axes(si);
-                        let ext_x = maj.x.abs() + min_ax.x.abs();
-                        let ext_y = maj.y.abs() + min_ax.y.abs();
-                        let (lo_x, lo_y) = (cx - ext_x, cy - ext_y);
-                        let (hi_x, hi_y) = (cx + ext_x, cy + ext_y);
-                        if hi_x < 0.0 || hi_y < 0.0 || lo_x >= width as f32 || lo_y >= height as f32
-                        {
-                            continue;
-                        }
-                        let x0 = lo_x.max(0.0) as u32;
-                        let y0 = (lo_y.max(0.0) as u32).max(row0);
-                        let x1 = (hi_x.min(width as f32 - 1.0)).max(0.0) as u32;
-                        let y1 = ((hi_y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
-                        if y0 > y1 || y0 >= row1 {
-                            continue;
-                        }
-                        let (cr, cg, cb) = {
-                            let v = stream.color(si);
-                            (v.x, v.y, v.z)
-                        };
-                        for y in y0..=y1 {
-                            let dy = y as f32 + 0.5 - cy;
-                            let cdy2 = c * dy * dy;
-                            for x in x0..=x1 {
-                                pass_raster += 1;
-                                let idx = ((y - row0) * width + x) as usize;
-                                if band_stencil[idx] {
-                                    pass_discarded += 1;
-                                    continue;
-                                }
-                                let dx = x as f32 + 0.5 - cx;
-                                let power = -0.5 * (a * dx * dx + cdy2) - bq * dx * dy;
-                                let falloff = if power > 0.0 { 0.0 } else { power.exp() };
-                                let alpha = (opacity * falloff).min(ALPHA_MAX);
-                                if alpha >= ALPHA_PRUNE_THRESHOLD {
-                                    let dest = band_color[idx];
-                                    let t = 1.0 - dest.a;
-                                    band_color[idx] = Rgba::new(
-                                        dest.r + t * cr * alpha,
-                                        dest.g + t * cg * alpha,
-                                        dest.b + t * cb * alpha,
-                                        dest.a + t * alpha,
-                                    );
-                                    pass_blend += 1;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            (pass_raster, pass_blend, pass_discarded)
-        });
+        for_each_claimed(
+            workers,
+            &mut bands,
+            None,
+            |_, (color, stencil, counts), b| {
+                let row0 = b as u32 * band_rows;
+                let rows = (row0, (row0 + band_rows).min(height));
+                let batch = (batch, batch_start, stream.as_ref());
+                *counts = blend_band(batch, color, stencil, rows, width, height);
+            },
+        );
         let mut pass_raster = 0u64;
         let mut pass_blend = 0u64;
-        for (raster, blend, disc) in band_counts {
+        for &(.., (raster, blend, disc)) in &bands {
             pass_raster += raster;
             pass_blend += blend;
             discarded += disc;
@@ -273,12 +178,8 @@ pub fn render_multipass(
 
         // --- Draw call 2: stencil update (skipped after the last pass). ---
         if pass + 1 < passes {
-            let color_bands = Bands::new(color.pixels_mut(), (band_rows * width) as usize);
-            let stencil_bands = Bands::new(&mut stencil, (band_rows * width) as usize);
-            run_indexed(n_bands, policy, |b| {
-                let band_color = color_bands.take(b);
-                let band_stencil = stencil_bands.take(b);
-                for (st, px) in band_stencil.iter_mut().zip(band_color.iter()) {
+            for_each_claimed(workers, &mut bands, None, |_, (color, stencil, _), _| {
+                for (st, px) in stencil.iter_mut().zip(color.iter()) {
                     if !*st && px.a >= EARLY_TERMINATION_THRESHOLD {
                         *st = true;
                     }
@@ -296,6 +197,125 @@ pub fn render_multipass(
         stencil_discarded_fragments: discarded,
         time_ms: time_cycles / (cfg.core_freq_mhz * 1e3),
     }
+}
+
+/// Blends one batch — its splats, the index of its first splat and the
+/// SoA view of the whole splat list (`Soa` kernel only) — into the row
+/// band `rows` under the stencil test. `color` and `stencil` are the
+/// band's pixels. Returns the band's (rasterized, blended, discarded)
+/// fragment counts.
+// vrlint: hot
+// vrlint: allow-block(VL01[index], reason = "band-local pixel indices are clamped to the band's row window of the framebuffer split")
+fn blend_band(
+    (batch, batch_start, stream): (&[Splat], usize, Option<&SplatStream>),
+    band_color: &mut [Rgba],
+    band_stencil: &[bool],
+    (row0, row1): (u32, u32),
+    width: u32,
+    height: u32,
+) -> (u64, u64, u64) {
+    let mut pass_raster = 0u64;
+    let mut pass_blend = 0u64;
+    let mut pass_discarded = 0u64;
+    match stream {
+        None => {
+            for s in batch {
+                let (lo, hi) = s.aabb();
+                if hi.x < 0.0 || hi.y < 0.0 || lo.x >= width as f32 || lo.y >= height as f32 {
+                    continue;
+                }
+                let x0 = lo.x.max(0.0) as u32;
+                let y0 = (lo.y.max(0.0) as u32).max(row0);
+                let x1 = (hi.x.min(width as f32 - 1.0)).max(0.0) as u32;
+                let y1 = ((hi.y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
+                if y0 > y1 || y0 >= row1 {
+                    continue;
+                }
+                for y in y0..=y1 {
+                    for x in x0..=x1 {
+                        pass_raster += 1;
+                        let idx = ((y - row0) * width + x) as usize;
+                        if band_stencil[idx] {
+                            pass_discarded += 1;
+                            continue;
+                        }
+                        let dx = x as f32 + 0.5 - s.center.x;
+                        let dy = y as f32 + 0.5 - s.center.y;
+                        if let Some(alpha) = fragment_alpha(s.opacity, s.conic, dx, dy) {
+                            let dest = band_color[idx];
+                            let t = 1.0 - dest.a;
+                            band_color[idx] = Rgba::new(
+                                dest.r + t * s.color.x * alpha,
+                                dest.g + t * s.color.y * alpha,
+                                dest.b + t * s.color.z * alpha,
+                                dest.a + t * alpha,
+                            );
+                            pass_blend += 1;
+                        }
+                    }
+                }
+            }
+        }
+        Some(stream) => {
+            // SoA kernel: flat-slice parameter loads, the per-row
+            // `c·dy·dy` term hoisted (same value, same rounding),
+            // otherwise operation-for-operation the scalar oracle.
+            for j in 0..batch.len() {
+                let si = batch_start + j;
+                let cx = stream.center_x()[si];
+                let cy = stream.center_y()[si];
+                let (a, bq, c) = stream.conic(si);
+                let opacity = stream.opacity()[si];
+                let (maj, min_ax) = stream.axes(si);
+                let ext_x = maj.x.abs() + min_ax.x.abs();
+                let ext_y = maj.y.abs() + min_ax.y.abs();
+                let (lo_x, lo_y) = (cx - ext_x, cy - ext_y);
+                let (hi_x, hi_y) = (cx + ext_x, cy + ext_y);
+                if hi_x < 0.0 || hi_y < 0.0 || lo_x >= width as f32 || lo_y >= height as f32 {
+                    continue;
+                }
+                let x0 = lo_x.max(0.0) as u32;
+                let y0 = (lo_y.max(0.0) as u32).max(row0);
+                let x1 = (hi_x.min(width as f32 - 1.0)).max(0.0) as u32;
+                let y1 = ((hi_y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
+                if y0 > y1 || y0 >= row1 {
+                    continue;
+                }
+                let (cr, cg, cb) = {
+                    let v = stream.color(si);
+                    (v.x, v.y, v.z)
+                };
+                for y in y0..=y1 {
+                    let dy = y as f32 + 0.5 - cy;
+                    let cdy2 = c * dy * dy;
+                    for x in x0..=x1 {
+                        pass_raster += 1;
+                        let idx = ((y - row0) * width + x) as usize;
+                        if band_stencil[idx] {
+                            pass_discarded += 1;
+                            continue;
+                        }
+                        let dx = x as f32 + 0.5 - cx;
+                        let power = -0.5 * (a * dx * dx + cdy2) - bq * dx * dy;
+                        let falloff = if power > 0.0 { 0.0 } else { power.exp() };
+                        let alpha = (opacity * falloff).min(ALPHA_MAX);
+                        if alpha >= ALPHA_PRUNE_THRESHOLD {
+                            let dest = band_color[idx];
+                            let t = 1.0 - dest.a;
+                            band_color[idx] = Rgba::new(
+                                dest.r + t * cr * alpha,
+                                dest.g + t * cg * alpha,
+                                dest.b + t * cb * alpha,
+                                dest.a + t * alpha,
+                            );
+                            pass_blend += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (pass_raster, pass_blend, pass_discarded)
 }
 
 #[cfg(test)]

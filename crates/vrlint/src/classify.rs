@@ -15,7 +15,11 @@
 //!   applies, against [`LOCK_ORDER`].
 //! * **exempt**: tests, benches, examples, the offline shims, the
 //!   bench harness and vrlint itself — panicking is how tests fail
-//!   and harnesses time things. Only VL05 (unsafe-audit) still runs.
+//!   and harnesses time things. Only VL05 (unsafe-audit) and VL06 still
+//!   run.
+//! * **fork rule** (`fork_rule`): every file but [`FORK_SITE`] and test
+//!   code (`tests/` directories). VL06 applies: no other file starts a
+//!   thread.
 //!
 //! `#[cfg(test)]` blocks inside library files are exempted by the rule
 //! engine, not here.
@@ -31,9 +35,15 @@ pub struct FileClass {
     pub determinism: bool,
     /// VL04 applies (module acquires locks).
     pub lock_rules: bool,
-    /// Test/bench/example/shim/harness code: only VL05 applies.
+    /// Test/bench/example/shim/harness code: only VL05 and VL06 apply.
     pub exempt: bool,
+    /// VL06 applies (not the fork site, not test code).
+    pub fork_rule: bool,
 }
+
+/// The one file allowed to start threads: `gsplat::par`, home of the
+/// fork-join primitive and the worker pool (VL06).
+pub const FORK_SITE: &str = "crates/gsplat/src/par.rs";
 
 /// Hot-path modules: a panic here drops a served frame (VL01).
 const HOT_PATH: &[&str] = &[
@@ -67,9 +77,11 @@ pub fn classify(rel: &str) -> FileClass {
         || rel.contains("/tests/")
         || rel.contains("/benches/")
         || rel.contains("/examples/");
+    let fork_rule = rel != FORK_SITE && !rel.starts_with("tests/") && !rel.contains("/tests/");
     if exempt {
         return FileClass {
             exempt: true,
+            fork_rule,
             ..FileClass::default()
         };
     }
@@ -79,6 +91,7 @@ pub fn classify(rel: &str) -> FileClass {
         determinism: rel.starts_with("crates/") && rel.contains("/src/"),
         lock_rules: LOCK_MODULES.contains(&rel),
         exempt: false,
+        fork_rule,
     }
 }
 
@@ -89,7 +102,6 @@ pub fn classify(rel: &str) -> FileClass {
 pub const LOCK_ORDER: &[&str] = &[
     "serve.stream_state",
     "par.pool_queue",
-    "par.result_slot",
     "par.band_slot",
     "asset.intern_table",
 ];
@@ -135,16 +147,6 @@ pub const LOCK_SITES: &[LockSite] = &[
         path: "crates/gsplat/src/par.rs",
         segment: "idle",
         lock: "par.pool_queue",
-    },
-    LockSite {
-        path: "crates/gsplat/src/par.rs",
-        segment: "results",
-        lock: "par.result_slot",
-    },
-    LockSite {
-        path: "crates/gsplat/src/par.rs",
-        segment: "slot",
-        lock: "par.result_slot",
     },
     LockSite {
         path: "crates/gsplat/src/par.rs",

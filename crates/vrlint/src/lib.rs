@@ -14,6 +14,7 @@
 //! | VL03 | determinism: no wall clock / seed-ordered containers / entropy in result-affecting modules |
 //! | VL04 | lock discipline: declared locks, declared order, poison recovery, no panics while a guard is live |
 //! | VL05 | unsafe audit: every `unsafe` carries `// SAFETY:` and the workspace count stays pinned |
+//! | VL06 | one fork site: `std::thread::{scope, spawn, Builder}` only in `gsplat::par`, outside test code |
 //!
 //! The tool is dependency-free — a hand-rolled lexer
 //! ([`lexer`]), not `syn` — so it builds offline with the rest of the
@@ -68,8 +69,8 @@ impl WorkspaceLint {
 
     /// `(found, suppressed)` per rule, in [`Rule::ALL`] order. Found
     /// counts exclude advisory (pedantic-only) findings.
-    pub fn per_rule(&self) -> [(usize, usize); 6] {
-        let mut out = [(0usize, 0usize); 6];
+    pub fn per_rule(&self) -> [(usize, usize); Rule::ALL.len()] {
+        let mut out = [(0usize, 0usize); Rule::ALL.len()];
         for (_, f) in self.findings() {
             if f.advisory {
                 continue;

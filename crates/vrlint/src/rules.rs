@@ -1,4 +1,4 @@
-//! The rule catalog (VL01–VL05) and the scoped matching engine.
+//! The rule catalog (VL01–VL06) and the scoped matching engine.
 //!
 //! Rules run over the token stream from [`crate::lexer`], scoped three
 //! ways:
@@ -6,7 +6,7 @@
 //! * by **file class** ([`mod@crate::classify`]) — which rule families
 //!   apply to the file at all;
 //! * by **`#[cfg(test)]` / `#[test]` blocks** — test code is exempt
-//!   from VL01–VL04 (panicking is how tests fail);
+//!   from VL01–VL04 (panicking is how tests fail) and from VL06;
 //! * by **`// vrlint: hot` functions** — the steady-state frame loop,
 //!   where VL02 (no allocation) and VL01's index sub-rule apply.
 //!
@@ -44,16 +44,20 @@ pub enum Rule {
     /// Unsafe audit: every `unsafe` carries a `// SAFETY:` comment and
     /// the workspace count stays pinned.
     VL05,
+    /// One fork site: no `std::thread::{scope, spawn, Builder}` outside
+    /// `gsplat::par`.
+    VL06,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 7] = [
         Rule::VL00,
         Rule::VL01,
         Rule::VL02,
         Rule::VL03,
         Rule::VL04,
         Rule::VL05,
+        Rule::VL06,
     ];
 
     pub fn id(self) -> &'static str {
@@ -64,6 +68,7 @@ impl Rule {
             Rule::VL03 => "VL03",
             Rule::VL04 => "VL04",
             Rule::VL05 => "VL05",
+            Rule::VL06 => "VL06",
         }
     }
 
@@ -75,6 +80,7 @@ impl Rule {
             "VL03" => Some(Rule::VL03),
             "VL04" => Some(Rule::VL04),
             "VL05" => Some(Rule::VL05),
+            "VL06" => Some(Rule::VL06),
             _ => None,
         }
     }
@@ -633,6 +639,23 @@ pub fn lint_source_with_class(rel: &str, src: &str, class: FileClass, opts: Opti
             continue;
         }
 
+        // --- VL06: one fork site ---
+        if class.fork_rule && t.is_ident("thread") {
+            if let Some((j, name)) = thread_fork_call(toks, i) {
+                push(
+                    &mut pending,
+                    Rule::VL06,
+                    "fork",
+                    j,
+                    toks[j].line,
+                    format!("`thread::{name}` outside gsplat::par forks a second way"),
+                    "fan out through gsplat::par::for_each_claimed (whole tasks: \
+                     par::WorkerPool); std threads start only in crates/gsplat/src/par.rs",
+                    false,
+                );
+            }
+        }
+
         // --- VL01: no-panic ---
         let vl01_scope = class.no_panic || in_hot;
         if vl01_scope || (opts.pedantic && !class.exempt) {
@@ -791,6 +814,32 @@ pub fn lint_source_with_class(rel: &str, src: &str, class: FileClass, opts: Opti
     out.findings.append(&mut pending);
     out.findings.sort_by_key(|f| (f.line, f.rule));
     out
+}
+
+/// Thread-starting items of `std::thread`: VL06 allows them only in the
+/// fork site.
+const FORK_ITEMS: &[&str] = &["scope", "spawn", "Builder"];
+
+/// For a `thread` token at `i`: the token index and name of the
+/// thread-starting item it paths to — `thread::spawn`, or one named in a
+/// `thread::{…}` import group.
+fn thread_fork_call<'a>(toks: &[Tok<'a>], i: usize) -> Option<(usize, &'a str)> {
+    let colons = toks.get(i + 1)?.is_punct(':') && toks.get(i + 2)?.is_punct(':');
+    if !colons {
+        return None;
+    }
+    let next = toks.get(i + 3)?;
+    if next.is_punct('{') {
+        return toks[i + 4..]
+            .iter()
+            .take_while(|t| !t.is_punct('}'))
+            .position(|t| FORK_ITEMS.iter().any(|f| t.is_ident(f)))
+            .map(|k| (i + 4 + k, toks[i + 4 + k].text));
+    }
+    FORK_ITEMS
+        .iter()
+        .any(|f| next.is_ident(f))
+        .then_some((i + 3, next.text))
 }
 
 /// `.collect(` and `.collect::<…>(` both match.

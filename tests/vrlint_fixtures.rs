@@ -146,7 +146,7 @@ fn vl03_wall_clock_and_entropy() {
 // ---------------------------------------------------------------- VL04
 
 /// The lock-discipline fixtures borrow `par.rs`'s declared table:
-/// `state` → `par.pool_queue` (rank 1), `results` → `par.result_slot`
+/// `state` → `par.pool_queue` (rank 1), `slots` → `par.band_slot`
 /// (rank 2).
 const LOCKED: &str = "crates/gsplat/src/par.rs";
 
@@ -154,7 +154,7 @@ const LOCKED: &str = "crates/gsplat/src/par.rs";
 fn vl04_order_violation_exact_line() {
     let src = "impl P {\n\
                \x20   fn f(&self) {\n\
-               \x20       let slot = self.results.lock().unwrap_or_else(|p| p.into_inner());\n\
+               \x20       let slot = self.slots.lock().unwrap_or_else(|p| p.into_inner());\n\
                \x20       let q = self.state.lock().unwrap_or_else(|p| p.into_inner());\n\
                \x20       drop(q);\n\
                \x20       drop(slot);\n\
@@ -165,11 +165,11 @@ fn vl04_order_violation_exact_line() {
 
 #[test]
 fn vl04_ordered_nesting_is_clean() {
-    // pool_queue (rank 1) then result_slot (rank 2): declared order.
+    // pool_queue (rank 1) then band_slot (rank 2): declared order.
     let src = "impl P {\n\
                \x20   fn f(&self) {\n\
                \x20       let q = self.state.lock().unwrap_or_else(|p| p.into_inner());\n\
-               \x20       let slot = self.results.lock().unwrap_or_else(|p| p.into_inner());\n\
+               \x20       let slot = self.slots.lock().unwrap_or_else(|p| p.into_inner());\n\
                \x20       drop(slot);\n\
                \x20       drop(q);\n\
                \x20   }\n\
@@ -268,6 +268,49 @@ fn vl05_safety_comment_justifies() {
     let lint = lint_source(LIB, src, Options::default());
     assert_eq!(lint.unsafe_count, 1, "audited even when justified");
     assert_eq!(denied(LIB, src), vec![]);
+}
+
+// ---------------------------------------------------------------- VL06
+
+#[test]
+fn vl06_thread_starts_outside_par_exact_line() {
+    let src = "fn f() {\n\
+               \x20   std::thread::scope(|s| {\n\
+               \x20       s.spawn(|| ());\n\
+               \x20   });\n\
+               \x20   let h = thread::spawn(|| ());\n\
+               \x20   let b = std::thread::Builder::new();\n\
+               \x20   drop((h, b, std::thread::current()));\n\
+               }\n";
+    // The scope's own `s.spawn` is not a path into std::thread, and
+    // `thread::current` starts nothing.
+    assert_eq!(
+        denied(LIB, src),
+        vec![
+            ("VL06", "fork".into(), 2),
+            ("VL06", "fork".into(), 5),
+            ("VL06", "fork".into(), 6),
+        ]
+    );
+    let import = "use std::thread::{\n    sleep,\n    spawn,\n};\n";
+    assert_eq!(denied(LIB, import), vec![("VL06", "fork".into(), 3)]);
+    // Harness and example code count too; only tests are exempt.
+    assert_eq!(
+        denied("crates/bench/src/main.rs", src).len(),
+        3,
+        "the bench harness starts no threads of its own"
+    );
+}
+
+#[test]
+fn vl06_allows_the_fork_site_and_tests() {
+    let src = "fn f() {\n    std::thread::scope(|_| ());\n}\n";
+    assert_eq!(denied("crates/gsplat/src/par.rs", src), vec![]);
+    assert_eq!(denied("tests/parallel_determinism.rs", src), vec![]);
+    assert_eq!(denied("crates/gpu-sim/tests/props.rs", src), vec![]);
+    let in_test_block =
+        "#[cfg(test)]\nmod tests {\n    fn f() {\n        std::thread::spawn(|| ());\n    }\n}\n";
+    assert_eq!(denied(LIB, in_test_block), vec![]);
 }
 
 // ------------------------------------------------- suppressions & VL00
