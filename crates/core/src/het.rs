@@ -11,8 +11,12 @@
 //!    argument).
 //! 3. **Termination update unit** (in ZROP): sets the stencil MSB with a
 //!    bitwise OR, preserving the low 7 stencil bits.
+//!
+//! A screen tile's flags are held as bit rows ([`TerminationRows`]): the
+//! test compares a quad's 4-bit coverage with the 4 flag bits under it,
+//! and an update sets one bit.
 
-use gpu_sim::quad::Quad;
+use gpu_sim::config::MAX_SCREEN_TILE_PX;
 use gsplat::blend::EARLY_TERMINATION_THRESHOLD;
 use gsplat::framebuffer::DepthStencilBuffer;
 
@@ -27,48 +31,60 @@ pub struct TerminationTest {
     pub terminated_fragments: u32,
 }
 
-/// Per-pixel termination flags (the stencil MSB) that the HET units read
-/// and set: a whole depth/stencil buffer, or the window of it that one
-/// screen tile's flush processing owns.
-pub trait TerminationFlags {
-    /// `true` when pixel `(x, y)` lies on this target and its flag is set.
-    fn is_terminated(&self, x: u32, y: u32) -> bool;
-    /// Sets the flag of pixel `(x, y)`, which lies on this target.
-    fn set_terminated(&mut self, x: u32, y: u32);
-}
+/// The termination flags (stencil MSBs) of one screen tile's pixel window,
+/// one bit row per pixel row: bit `x` of row `y` is window pixel `(x, y)`.
+/// Screen tiles are at most [`MAX_SCREEN_TILE_PX`] pixels wide, so a `u16`
+/// holds a row; bits outside the window stay clear.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TerminationRows([u16; MAX_SCREEN_TILE_PX as usize]);
 
-impl TerminationFlags for DepthStencilBuffer {
-    fn is_terminated(&self, x: u32, y: u32) -> bool {
-        x < self.width() && y < self.height() && DepthStencilBuffer::is_terminated(self, x, y)
+impl TerminationRows {
+    /// The flags of the quad whose top-left pixel is window pixel `(x, y)`
+    /// (both even), as a 4-bit mask in [`Quad::coverage`] fragment order.
+    ///
+    /// [`Quad::coverage`]: gpu_sim::quad::Quad::coverage
+    #[inline]
+    pub fn quad(&self, x: u32, y: u32) -> u8 {
+        let row = |r: u32| (self.0[r as usize] >> x) as u8 & 3;
+        row(y) | row(y + 1) << 2
     }
 
-    fn set_terminated(&mut self, x: u32, y: u32) {
-        DepthStencilBuffer::set_terminated(self, x, y);
+    /// Termination update unit: flags window pixel `(x, y)`.
+    #[inline]
+    pub fn set(&mut self, x: u32, y: u32) {
+        self.0[y as usize] |= 1 << x;
+    }
+
+    /// `true` when every pixel of a `w`×`h` window is flagged.
+    pub fn all(&self, w: u32, h: u32) -> bool {
+        let full = ((1u32 << w) - 1) as u16;
+        self.0[..h as usize].iter().all(|&row| row & full == full)
+    }
+
+    /// Sets the stencil MSB in `ds` of every flagged pixel, for a window
+    /// whose top-left pixel is `(x0, y0)`; the low stencil bits stay.
+    pub fn write_back(&self, ds: &mut DepthStencilBuffer, x0: u32, y0: u32) {
+        for (y, &row) in (y0..).zip(&self.0) {
+            let mut bits = row;
+            while bits != 0 {
+                ds.set_terminated(x0 + bits.trailing_zeros(), y);
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
-/// Termination test unit: checks a quad against the stencil MSB.
+/// Termination test unit: checks a quad's 4-bit `coverage` against the
+/// 4-bit `terminated` flags of its pixels ([`TerminationRows::quad`]).
 ///
 /// A quad is discarded only when *all* its covered pixels are terminated
 /// (paper: "quads with at least one fragment that passes the early
 /// termination test are sent back to the PROP").
-pub fn termination_test<F: TerminationFlags + ?Sized>(quad: &Quad, flags: &F) -> TerminationTest {
-    let mut terminated = 0u32;
-    let mut any_alive = false;
-    for i in 0..4 {
-        if !quad.covers(i) {
-            continue;
-        }
-        let (x, y) = quad.fragment_xy(i);
-        if flags.is_terminated(x, y) {
-            terminated += 1;
-        } else {
-            any_alive = true;
-        }
-    }
+#[inline]
+pub fn termination_test(coverage: u8, terminated: u8) -> TerminationTest {
     TerminationTest {
-        survives: any_alive,
-        terminated_fragments: terminated,
+        survives: coverage & !terminated & 0xF != 0,
+        terminated_fragments: (coverage & terminated & 0xF).count_ones(),
     }
 }
 
@@ -88,64 +104,121 @@ pub fn alpha_test(prev_alpha: f32, new_alpha: f32) -> bool {
     prev_alpha < EARLY_TERMINATION_THRESHOLD && new_alpha >= EARLY_TERMINATION_THRESHOLD
 }
 
-/// Termination update unit: sets the stencil MSB for a newly terminated
-/// pixel (bitwise OR write-back through the z-cache).
-#[inline]
-pub fn termination_update<F: TerminationFlags + ?Sized>(flags: &mut F, x: u32, y: u32) {
-    flags.set_terminated(x, y);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::tiles::{QuadPos, TileId};
 
-    fn quad_at(x: u32, y: u32, coverage: u8) -> Quad {
-        Quad {
-            tile: TileId {
-                x: x / 16,
-                y: y / 16,
-            },
-            pos: QuadPos {
-                x: ((x % 16) / 2) as u8,
-                y: ((y % 16) / 2) as u8,
-            },
-            origin: (x, y),
-            coverage,
-            splat: 0,
+    fn rows_with(pixels: &[(u32, u32)]) -> TerminationRows {
+        let mut rows = TerminationRows::default();
+        for &(x, y) in pixels {
+            rows.set(x, y);
         }
+        rows
     }
 
     #[test]
     fn quad_survives_with_one_live_pixel() {
-        let mut ds = DepthStencilBuffer::new(16, 16);
-        ds.set_terminated(0, 0);
-        ds.set_terminated(1, 0);
-        ds.set_terminated(0, 1);
-        let t = termination_test(&quad_at(0, 0, 0xF), &ds);
+        let rows = rows_with(&[(0, 0), (1, 0), (0, 1)]);
+        let t = termination_test(0xF, rows.quad(0, 0));
         assert!(t.survives);
         assert_eq!(t.terminated_fragments, 3);
     }
 
     #[test]
     fn quad_discarded_when_all_covered_terminated() {
-        let mut ds = DepthStencilBuffer::new(16, 16);
-        ds.set_terminated(0, 0);
-        ds.set_terminated(1, 0);
+        let rows = rows_with(&[(0, 0), (1, 0)]);
         // Coverage only over the two terminated pixels.
-        let t = termination_test(&quad_at(0, 0, 0b0011), &ds);
+        let t = termination_test(0b0011, rows.quad(0, 0));
         assert!(!t.survives);
         assert_eq!(t.terminated_fragments, 2);
     }
 
     #[test]
     fn uncovered_fragments_do_not_keep_quad_alive() {
-        let mut ds = DepthStencilBuffer::new(16, 16);
-        for (x, y) in [(2u32, 2u32), (3, 2), (2, 3), (3, 3)] {
-            ds.set_terminated(x, y);
-        }
-        let t = termination_test(&quad_at(2, 2, 0xF), &ds);
+        // The uncovered live pixel (3, 3) does not save the quad.
+        let rows = rows_with(&[(2, 2), (3, 2), (2, 3)]);
+        let t = termination_test(0b0111, rows.quad(2, 2));
         assert!(!t.survives);
+        assert_eq!(t.terminated_fragments, 3);
+    }
+
+    /// The old per-pixel test: one flag lookup per covered fragment of the
+    /// quad at window pixel `(x, y)`.
+    fn per_pixel_test(
+        coverage: u8,
+        x: u32,
+        y: u32,
+        flagged: impl Fn(u32, u32) -> bool,
+    ) -> TerminationTest {
+        let mut terminated = 0;
+        let mut any_alive = false;
+        for i in (0..4u32).filter(|i| coverage & 1 << i != 0) {
+            if flagged(x + (i & 1), y + (i >> 1)) {
+                terminated += 1;
+            } else {
+                any_alive = true;
+            }
+        }
+        TerminationTest {
+            survives: any_alive,
+            terminated_fragments: terminated,
+        }
+    }
+
+    #[test]
+    fn mask_test_matches_per_pixel_reference_for_every_pattern() {
+        let n = MAX_SCREEN_TILE_PX;
+        for flags in 0..16u8 {
+            for (x, y) in [(0, 0), (6, 4), (n - 2, n - 2)] {
+                let pixels: Vec<_> = (0..4u32)
+                    .filter(|i| flags & 1 << i != 0)
+                    .map(|i| (x + (i & 1), y + (i >> 1)))
+                    .collect();
+                let rows = rows_with(&pixels);
+                assert_eq!(rows.quad(x, y), flags);
+                for coverage in 0..16u8 {
+                    assert_eq!(
+                        termination_test(coverage, rows.quad(x, y)),
+                        per_pixel_test(coverage, x, y, |px, py| pixels.contains(&(px, py))),
+                        "coverage {coverage:04b}, flags {flags:04b} at ({x}, {y})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mask_test_matches_per_pixel_reference_in_clipped_windows() {
+        // Partial edge tiles: a window narrower or shorter than the tile,
+        // quads straddling its edge, flags only inside it.
+        let n = MAX_SCREEN_TILE_PX;
+        for (w, h) in [(1, 1), (5, 3), (7, n), (n, 9), (n, n)] {
+            let flagged = |x: u32, y: u32| x < w && y < h && !(x * 7 + y * 3).is_multiple_of(5);
+            let mut rows = TerminationRows::default();
+            for y in 0..h {
+                for x in (0..w).filter(|&x| flagged(x, y)) {
+                    rows.set(x, y);
+                }
+            }
+            for y in (0..n).step_by(2) {
+                for x in (0..n).step_by(2) {
+                    for coverage in 0..16u8 {
+                        assert_eq!(
+                            termination_test(coverage, rows.quad(x, y)),
+                            per_pixel_test(coverage, x, y, flagged),
+                            "{w}x{h} window, quad ({x}, {y}), coverage {coverage:04b}"
+                        );
+                    }
+                }
+            }
+            assert!(!rows.all(w, h));
+            for y in 0..h {
+                for x in 0..w {
+                    rows.set(x, y);
+                }
+            }
+            assert!(rows.all(w, h), "{w}x{h}");
+        }
     }
 
     #[test]
@@ -159,10 +232,14 @@ mod tests {
 
     #[test]
     fn update_sets_msb_only() {
-        let mut ds = DepthStencilBuffer::new(4, 4);
-        ds.set_stencil(1, 1, 0x3C);
-        termination_update(&mut ds, 1, 1);
-        assert!(ds.is_terminated(1, 1));
-        assert_eq!(ds.stencil(1, 1), 0x3C | 0x80);
+        let mut ds = DepthStencilBuffer::new(8, 8);
+        ds.set_stencil(5, 3, 0x3C);
+        ds.set_stencil(4, 3, 0x11);
+        // Window pixel (1, 1) of a window at (4, 2) is pixel (5, 3).
+        rows_with(&[(1, 1)]).write_back(&mut ds, 4, 2);
+        assert!(ds.is_terminated(5, 3));
+        assert_eq!(ds.stencil(5, 3), 0x3C | 0x80);
+        assert_eq!(ds.stencil(4, 3), 0x11);
+        assert_eq!(ds.terminated_count(), 1);
     }
 }

@@ -50,7 +50,7 @@ use gsplat::par::for_each_claimed;
 use gsplat::splat::Splat;
 use gsplat::stream::{FragmentKernel, SplatStream};
 
-use crate::het::{alpha_test, termination_test, termination_update, TerminationFlags};
+use crate::het::{alpha_test, termination_test, TerminationRows};
 use crate::qm::{plan_warps_into, pooled_warp, WarpPlan, WarpSlot};
 use crate::shading::{merge_pair, premultiplied_fragment, shade_quad, shade_quad_stream};
 use crate::variant::PipelineVariant;
@@ -706,9 +706,9 @@ impl FlushCounters {
 }
 
 /// Everything one screen tile's TC flushes touch: the tile's pixels (color
-/// and termination flags), its termination count and retired flag, the
-/// work counters, and the per-flush outcomes and ROP-cache access log the
-/// serial tail replays. A shard is owned by one worker at a time.
+/// and termination flags), its retired flag, the work counters, and the
+/// per-flush outcomes and ROP-cache access log the serial tail replays. A
+/// shard is owned by one worker at a time.
 #[derive(Debug, Default)]
 struct TileShard {
     /// The tile has had a flush this draw (its pixel window is live).
@@ -724,11 +724,10 @@ struct TileShard {
     h: u32,
     /// Row-major color of the window.
     color: Vec<Rgba>,
-    /// Row-major termination flags (stencil MSB) of the window.
-    terminated: Vec<bool>,
-    /// Terminated pixels so far; the tile retires when all have.
-    term: u32,
-    /// Every pixel of the tile has terminated (HET variants).
+    /// Termination flags (stencil MSBs) of the window, one bit row per
+    /// pixel row: the ZROP test reads a quad's four bits at once.
+    terminated: TerminationRows,
+    /// Every pixel of the window has terminated (HET variants).
     retired: bool,
     counters: FlushCounters,
     /// One per flush of the current round, in this tile's spine order.
@@ -751,9 +750,7 @@ impl TileShard {
         let n = (self.w * self.h) as usize;
         self.color.clear();
         self.color.resize(n, Rgba::TRANSPARENT);
-        self.terminated.clear();
-        self.terminated.resize(n, false);
-        self.term = 0;
+        self.terminated = TerminationRows::default();
         self.retired = false;
         self.counters = FlushCounters::default();
         self.end_round();
@@ -797,21 +794,7 @@ impl TileShard {
             let start = (self.y0 as usize + r) * width + self.x0 as usize;
             color.pixels_mut()[start..start + w].copy_from_slice(row);
         }
-        for (i, _) in self.terminated.iter().enumerate().filter(|(_, &t)| t) {
-            ds.set_terminated(self.x0 + (i % w) as u32, self.y0 + (i / w) as u32);
-        }
-    }
-}
-
-impl TerminationFlags for TileShard {
-    fn is_terminated(&self, x: u32, y: u32) -> bool {
-        self.index(x, y).is_some_and(|i| self.terminated[i])
-    }
-
-    fn set_terminated(&mut self, x: u32, y: u32) {
-        if let Some(i) = self.index(x, y) {
-            self.terminated[i] = true;
-        }
+        self.terminated.write_back(ds, self.x0, self.y0);
     }
 }
 
@@ -1277,7 +1260,10 @@ impl ShardCtx<'_> {
                 for q in items.iter().map(|q| q.quad(tile, tile_px)) {
                     // One z-cache line read per quad (stencil MSBs).
                     shard.log_access(log_from, self.z_line(q.origin));
-                    let t = termination_test(&q, &*shard);
+                    let terminated = shard
+                        .terminated
+                        .quad(2 * q.pos.x as u32, 2 * q.pos.y as u32);
+                    let t = termination_test(q.coverage, terminated);
                     if t.survives {
                         shard.counters.zrop_term_discarded_fragments +=
                             t.terminated_fragments as u64;
@@ -1389,13 +1375,10 @@ impl ShardCtx<'_> {
                     shard.counters.term_updates += 1;
                     shard.log_access(log_from, self.z_line((x, y)) | Z_WRITE);
                     batch.add(Unit::Zrop, 0.5);
-                    termination_update(shard, x, y);
-                    // Alpha accumulation is monotone and `alpha_test`
-                    // fires exactly at the crossing, so each pixel is
-                    // counted once and the retired flag is identical for
-                    // both kernels (only its *consumption* is `Soa`-gated).
-                    shard.term += 1;
-                    if shard.term == shard.w * shard.h {
+                    shard.terminated.set(x - shard.x0, y - shard.y0);
+                    // The retired flag is identical for both kernels (only
+                    // its *consumption* is `Soa`-gated).
+                    if !shard.retired && shard.terminated.all(shard.w, shard.h) {
                         shard.retired = true;
                         shard.counters.retired_tiles += 1;
                     }

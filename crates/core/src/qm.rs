@@ -8,6 +8,7 @@
 //! (legal because front-to-back blending is associative, paper Eq. 2), so
 //! a single merged quad reaches the ROP.
 
+use gpu_sim::config::MAX_TC_BIN_SIZE;
 use gpu_sim::quad::Quad;
 
 /// One warp slot as planned by the QRU.
@@ -91,7 +92,10 @@ pub(crate) fn pooled_warp(pool: &mut Vec<Vec<WarpSlot>>) -> Vec<WarpSlot> {
 ///
 /// Panics when the bin exceeds the QRU's 128-entry quad buffer.
 pub fn plan_warps_into(bin: &[Quad], plan: &mut WarpPlan, pool: &mut Vec<Vec<WarpSlot>>) {
-    assert!(bin.len() <= 128, "QRU buffer holds at most 128 quads");
+    assert!(
+        bin.len() <= MAX_TC_BIN_SIZE,
+        "QRU buffer holds at most {MAX_TC_BIN_SIZE} quads"
+    );
     for mut warp in plan.warps.drain(..) {
         warp.clear();
         pool.push(warp);

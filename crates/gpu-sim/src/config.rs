@@ -6,6 +6,14 @@ use serde::{Deserialize, Serialize};
 use gsplat::color::PixelFormat;
 use gsplat::stream::FragmentKernel;
 
+/// Widest screen tile the quad reorder unit can track: its 64 quad-position
+/// registers are one per 2×2 quad of a 16×16-pixel tile (paper §V-C).
+pub const MAX_SCREEN_TILE_PX: u32 = 16;
+
+/// Largest TC bin the quad reorder unit can take in one flush: its quad
+/// buffer holds 128 quads (7-bit QIDs, paper §V-C).
+pub const MAX_TC_BIN_SIZE: usize = 128;
+
 /// Full simulator configuration. Defaults reproduce Table I (a single-GPC
 /// GPU configured like the Jetson AGX Orin in 30 W mode).
 ///
@@ -29,7 +37,8 @@ pub struct GpuConfig {
     /// Lanes per SIMT core. Table I: 64 (4 warp schedulers).
     pub lanes_per_core: u32,
 
-    /// Screen tile edge in pixels (NVIDIA GPUs: 16×16).
+    /// Screen tile edge in pixels (NVIDIA GPUs: 16×16). At most
+    /// [`MAX_SCREEN_TILE_PX`].
     pub screen_tile_px: u32,
     /// Raster tile edge in pixels within a screen tile. Table I: 8×8.
     pub raster_tile_px: u32,
@@ -43,7 +52,8 @@ pub struct GpuConfig {
     pub tgc_bin_size: usize,
     /// Number of TC bins. Table I / §VII-A: 32.
     pub tc_bins: usize,
-    /// TC bin capacity in quads. Table I: 128.
+    /// TC bin capacity in quads. Table I: 128, which is also the most
+    /// the quad reorder unit takes ([`MAX_TC_BIN_SIZE`]).
     pub tc_bin_size: usize,
 
     /// CROP cache size in bytes. Table I / Fig. 20a: 16 KB.
@@ -198,12 +208,20 @@ impl GpuConfig {
     }
 
     /// Validates structural invariants (tile sizes divide evenly, non-zero
-    /// bins), returning a description of the first violation.
+    /// bins, the QRU's tile and bin limits), returning a description of
+    /// the first violation.
     pub fn validate(&self) -> Result<(), String> {
         // Zero tile geometry would pass the divisibility checks below
         // (0 is a multiple of everything) and panic deep in `Tiling`.
         if self.screen_tile_px == 0 || self.raster_tile_px == 0 {
             return Err("tile sizes must be non-zero".into());
+        }
+        if self.screen_tile_px > MAX_SCREEN_TILE_PX {
+            return Err(format!(
+                "screen tile {} px exceeds the {MAX_SCREEN_TILE_PX} px the QRU's \
+                 64 quad-position registers cover",
+                self.screen_tile_px
+            ));
         }
         if self.tile_grid_tiles == 0 {
             return Err("tile grid must span at least one screen tile".into());
@@ -219,6 +237,12 @@ impl GpuConfig {
         }
         if self.tc_bins == 0 || self.tc_bin_size == 0 {
             return Err("TC unit must have bins".into());
+        }
+        if self.tc_bin_size > MAX_TC_BIN_SIZE {
+            return Err(format!(
+                "TC bin size {} exceeds the QRU's {MAX_TC_BIN_SIZE}-quad buffer",
+                self.tc_bin_size
+            ));
         }
         if self.tgc_bins == 0 || self.tgc_bin_size == 0 {
             return Err("TGC unit must have bins".into());
@@ -302,6 +326,17 @@ mod tests {
             ..GpuConfig::default()
         };
         assert!(c3.validate().is_err());
+        // The QRU limits: the largest tile and bin pass, larger ones fail.
+        let qru = |screen_tile_px, tc_bin_size| GpuConfig {
+            screen_tile_px,
+            tc_bin_size,
+            ..GpuConfig::default()
+        };
+        assert!(qru(MAX_SCREEN_TILE_PX, MAX_TC_BIN_SIZE).validate().is_ok());
+        let err = qru(32, MAX_TC_BIN_SIZE).validate().unwrap_err();
+        assert!(err.contains("QRU"), "{err}");
+        let err = qru(MAX_SCREEN_TILE_PX, 129).validate().unwrap_err();
+        assert!(err.contains("QRU"), "{err}");
     }
 
     #[test]

@@ -5,14 +5,28 @@
 //! Splats are rendered as oriented bounding boxes (two triangles sharing a
 //! diagonal — geometrically the OBB parallelogram), so the inside test is
 //! performed against the parallelogram: a pixel is covered when its
-//! coordinates in the OBB's axis frame are within `[-1, 1]²`.
+//! coordinates in the OBB's axis frame are within `[-1, 1]²`
+//! ([`SplatSetup::covers`]).
+//!
+//! The fine raster evaluates that test a pixel row at a time: for each
+//! (primitive, screen tile) pair it forms the column and row halves of the
+//! inside test once, evaluates every candidate row as one branch-free lane
+//! loop into a `u16` coverage row, and cuts each quad's 4 coverage bits out
+//! of two rows. The bits equal the per-pixel test's (DESIGN.md §4);
+//! `crates/gpu-sim/tests/props.rs` keeps the per-pixel raster as the
+//! oracle.
 
 use gsplat::math::{Mat2, Vec2};
 use gsplat::splat::Splat;
 use gsplat::stream::SplatStream;
 
+use crate::config::MAX_SCREEN_TILE_PX;
 use crate::quad::Quad;
-use crate::tiles::{TileId, Tiling};
+use crate::tiles::{QuadPos, TileId, Tiling};
+
+/// Pixels per coverage bit row: the widest screen tile
+/// [`GpuConfig::validate`](crate::config::GpuConfig::validate) accepts.
+const LANES: usize = MAX_SCREEN_TILE_PX as usize;
 
 /// Per-primitive setup state computed by the setup unit: the inverse of the
 /// OBB axis matrix, used for the fine-raster inside test (the hardware
@@ -62,50 +76,75 @@ impl SplatSetup {
         })
     }
 
-    /// Fine-raster inside test at a pixel center.
+    /// Fine-raster inside test at a pixel center: the definition every
+    /// coverage bit of [`rasterize_in_tile_with`] reproduces.
     #[inline]
     pub fn covers(&self, px: f32, py: f32) -> bool {
         let local = self.inv_axes * (Vec2::new(px, py) - self.center);
         local.x.abs() <= 1.0 && local.y.abs() <= 1.0
     }
-}
 
-/// Output of rasterizing one primitive within one screen tile.
-#[derive(Debug, Clone, Default)]
-pub struct TileRasterOutput {
-    /// Quads with at least one covered fragment, in raster scan order.
-    pub quads: Vec<Quad>,
-    /// 8×8 raster tiles visited by the coarse raster.
-    pub coarse_tiles: u64,
-}
-
-/// Rasterizes one primitive (already set up) within one screen tile,
-/// producing covered quads in scan order.
-///
-/// Mirrors the hardware flow: the coarse raster walks the raster tiles of
-/// the screen tile that intersect the primitive's AABB; the fine raster
-/// tests each pixel of a visited raster tile and assembles 2×2 quads.
-pub fn rasterize_in_tile(
-    setup: &SplatSetup,
-    splat_index: u32,
-    tile: TileId,
-    tiling: &Tiling,
-    raster_tile_px: u32,
-) -> TileRasterOutput {
-    let mut quads = Vec::new();
-    let coarse_tiles =
-        rasterize_in_tile_with(setup, splat_index, tile, tiling, raster_tile_px, |q| {
-            quads.push(q)
-        });
-    TileRasterOutput {
-        quads,
-        coarse_tiles,
+    /// Coverage bit rows of the candidate pixels of the screen tile at
+    /// `origin`: bit `c` of row `r` is [`SplatSetup::covers`] at the
+    /// center of tile pixel `(c, r)`, for the inclusive tile-relative
+    /// column range `cols` and row range `rows`; every other bit is 0.
+    ///
+    /// `covers` forms `inv_axes * (p - center)` as `col0 * dx + col1 * dy`.
+    /// Here the products with `dx` are formed once per column and those
+    /// with `dy` once per row, and each pixel adds its two products: the
+    /// same f32 operations on the same operands, so every bit equals the
+    /// per-pixel test (Rust never contracts a multiply and an add into an
+    /// FMA).
+    fn row_masks(&self, origin: (u32, u32), cols: (u32, u32), rows: (u32, u32)) -> [u16; LANES] {
+        let [c0, c1] = self.inv_axes.cols;
+        let mut ax = [0.0f32; LANES];
+        let mut ay = [0.0f32; LANES];
+        for (c, (ax, ay)) in ax.iter_mut().zip(&mut ay).enumerate() {
+            let dx = (origin.0 + c as u32) as f32 + 0.5 - self.center.x;
+            *ax = c0.x * dx;
+            *ay = c0.y * dx;
+        }
+        let window = ((2u32 << cols.1) - (1u32 << cols.0)) as u16;
+        let mut masks = [0u16; LANES];
+        for r in rows.0..=rows.1 {
+            let dy = (origin.1 + r) as f32 + 0.5 - self.center.y;
+            masks[r as usize] = row_mask(&ax, &ay, c1.x * dy, c1.y * dy) & window;
+        }
+        masks
     }
 }
 
-/// [`rasterize_in_tile`] handing each covered quad to `emit`, in raster
-/// scan order (the allocation-free frame-loop entry point). Returns the
-/// coarse-raster tile count.
+/// One row of the inside test over all [`LANES`] columns, branch-free so
+/// the compiler can evaluate it as vector lanes: bit `c` is set when
+/// `|ax[c] + bx| <= 1` and `|ay[c] + by| <= 1`.
+#[inline]
+fn row_mask(ax: &[f32; LANES], ay: &[f32; LANES], bx: f32, by: f32) -> u16 {
+    let mut mask = 0u16;
+    for c in 0..LANES {
+        let inside = ((ax[c] + bx).abs() <= 1.0) & ((ay[c] + by).abs() <= 1.0);
+        mask |= (inside as u16) << c;
+    }
+    mask
+}
+
+/// Rasterizes one primitive (already set up) within one screen tile,
+/// handing each covered quad to `emit` in raster scan order, and returns
+/// the coarse-raster tile count.
+///
+/// Mirrors the hardware flow: the coarse raster walks the raster tiles of
+/// the screen tile that intersect the primitive's AABB; the fine raster
+/// tests each candidate pixel of a visited raster tile — the quad-aligned
+/// AABB clipped to the tile and the viewport — and assembles 2×2 quads,
+/// raster tile by raster tile, quad rows top to bottom, left to right.
+/// The candidate pixels are evaluated as one coverage bit row per pixel
+/// row; a quad's coverage is two bits from each of its two rows.
+///
+/// # Panics
+///
+/// Panics when the tiling's screen tiles are wider than
+/// [`MAX_SCREEN_TILE_PX`] (which [`GpuConfig::validate`] rejects).
+///
+/// [`GpuConfig::validate`]: crate::config::GpuConfig::validate
 pub fn rasterize_in_tile_with(
     setup: &SplatSetup,
     splat_index: u32,
@@ -114,6 +153,10 @@ pub fn rasterize_in_tile_with(
     raster_tile_px: u32,
     mut emit: impl FnMut(Quad),
 ) -> u64 {
+    assert!(
+        tiling.tile_px() <= MAX_SCREEN_TILE_PX,
+        "screen tiles are at most {MAX_SCREEN_TILE_PX} px wide"
+    );
     let (tile_x0, tile_y0) = tiling.tile_origin(tile);
     let tile_x1 = (tile_x0 + tiling.tile_px()).min(tiling.width());
     let tile_y1 = (tile_y0 + tiling.tile_px()).min(tiling.height());
@@ -126,89 +169,50 @@ pub fn rasterize_in_tile_with(
     if min_x > max_x || min_y > max_y {
         return 0;
     }
+    let (min_x, min_y) = (min_x as u32 - tile_x0, min_y as u32 - tile_y0);
+    let (max_x, max_y) = (max_x as u32 - tile_x0, max_y as u32 - tile_y0);
 
-    // Coarse raster: visit intersecting raster tiles.
-    let rt0_x = (min_x as u32 - tile_x0) / raster_tile_px;
-    let rt0_y = (min_y as u32 - tile_y0) / raster_tile_px;
-    let rt1_x = (max_x as u32 - tile_x0) / raster_tile_px;
-    let rt1_y = (max_y as u32 - tile_y0) / raster_tile_px;
+    // Coarse raster: the raster tiles the clipped AABB intersects.
+    let (rt0_x, rt1_x) = (min_x / raster_tile_px, max_x / raster_tile_px);
+    let (rt0_y, rt1_y) = (min_y / raster_tile_px, max_y / raster_tile_px);
 
-    let mut coarse_tiles = 0u64;
+    // Fine raster. Tile origins and raster tiles are quad-aligned, so the
+    // candidate quads of all visited raster tiles together cover one
+    // pixel rect: from the quad holding the clipped AABB's first pixel to
+    // the quad holding its last, minus pixels past the viewport's edge.
+    let cols = (min_x & !1, (max_x | 1).min(tiling.width() - 1 - tile_x0));
+    let rows = (min_y & !1, (max_y | 1).min(tiling.height() - 1 - tile_y0));
+    let masks = setup.row_masks((tile_x0, tile_y0), cols, rows);
+    let rt_cols = (1u32 << raster_tile_px) - 1;
     for rty in rt0_y..=rt1_y {
+        let qy0 = (rty * raster_tile_px).max(rows.0);
+        let qy1 = (rty * raster_tile_px + raster_tile_px - 1).min(rows.1);
         for rtx in rt0_x..=rt1_x {
-            coarse_tiles += 1;
-            let rt_x0 = tile_x0 + rtx * raster_tile_px;
-            let rt_y0 = tile_y0 + rty * raster_tile_px;
-            fine_raster_tile(
-                setup,
-                splat_index,
-                rt_x0,
-                rt_y0,
-                raster_tile_px,
-                tile,
-                tiling,
-                (min_x, min_y, max_x, max_y),
-                &mut emit,
-            );
-        }
-    }
-    coarse_tiles
-}
-
-/// Fine raster of one 8×8 raster tile: tests pixels quad by quad.
-#[allow(clippy::too_many_arguments)]
-fn fine_raster_tile(
-    setup: &SplatSetup,
-    splat_index: u32,
-    rt_x0: u32,
-    rt_y0: u32,
-    raster_tile_px: u32,
-    tile: TileId,
-    tiling: &Tiling,
-    clip: (f32, f32, f32, f32),
-    emit: &mut impl FnMut(Quad),
-) {
-    let (min_x, min_y, max_x, max_y) = clip;
-    // Quad-aligned bounds within the raster tile, clipped to the AABB so we
-    // do not evaluate obviously-outside quads (the hardware's fine raster
-    // similarly walks only candidate stamps).
-    let qx0 = ((min_x as u32).max(rt_x0) & !1).max(rt_x0 & !1);
-    let qy0 = ((min_y as u32).max(rt_y0) & !1).max(rt_y0 & !1);
-    let qx1 = (max_x as u32)
-        .min(rt_x0 + raster_tile_px - 1)
-        .min(tiling.width() - 1);
-    let qy1 = (max_y as u32)
-        .min(rt_y0 + raster_tile_px - 1)
-        .min(tiling.height() - 1);
-
-    let mut qy = qy0;
-    while qy <= qy1 {
-        let mut qx = qx0;
-        while qx <= qx1 {
-            let mut coverage = 0u8;
-            for i in 0..4u32 {
-                let px = qx + (i & 1);
-                let py = qy + (i >> 1);
-                if px < tiling.width()
-                    && py < tiling.height()
-                    && setup.covers(px as f32 + 0.5, py as f32 + 0.5)
-                {
-                    coverage |= 1 << i;
+            let in_rt = rt_cols << (rtx * raster_tile_px);
+            for qy in (qy0..=qy1).step_by(2) {
+                let top = masks[qy as usize] as u32 & in_rt;
+                let bottom = masks[qy as usize + 1] as u32 & in_rt;
+                let any = top | bottom;
+                // Bit c (c even) set when quad column c has a covered pixel.
+                let mut quads = (any | any >> 1) & 0x5555;
+                while quads != 0 {
+                    let c = quads.trailing_zeros();
+                    quads &= quads - 1;
+                    emit(Quad {
+                        tile,
+                        pos: QuadPos {
+                            x: (c / 2) as u8,
+                            y: (qy / 2) as u8,
+                        },
+                        origin: (tile_x0 + c, tile_y0 + qy),
+                        coverage: ((top >> c & 3) | (bottom >> c & 3) << 2) as u8,
+                        splat: splat_index,
+                    });
                 }
             }
-            if coverage != 0 {
-                emit(Quad {
-                    tile,
-                    pos: tiling.quad_pos(qx, qy),
-                    origin: (qx, qy),
-                    coverage,
-                    splat: splat_index,
-                });
-            }
-            qx += 2;
         }
-        qy += 2;
     }
+    ((rt1_x - rt0_x + 1) * (rt1_y - rt0_y + 1)) as u64
 }
 
 #[cfg(test)]
@@ -231,6 +235,22 @@ mod tests {
 
     fn tiling() -> Tiling {
         Tiling::new(64, 64, 16, 4)
+    }
+
+    /// The quads and coarse-tile count of one (primitive, tile) pair.
+    fn rasterize_in_tile(
+        setup: &SplatSetup,
+        splat_index: u32,
+        tile: TileId,
+        tiling: &Tiling,
+        raster_tile_px: u32,
+    ) -> (Vec<Quad>, u64) {
+        let mut quads = Vec::new();
+        let coarse =
+            rasterize_in_tile_with(setup, splat_index, tile, tiling, raster_tile_px, |q| {
+                quads.push(q)
+            });
+        (quads, coarse)
     }
 
     #[test]
@@ -282,31 +302,33 @@ mod tests {
         // A huge splat covering the whole 16x16 tile → 64 quads, all full.
         let s = axis_splat(8.0, 8.0, 100.0, 100.0);
         let setup = SplatSetup::new(&s).unwrap();
-        let out = rasterize_in_tile(&setup, 0, TileId { x: 0, y: 0 }, &tiling(), 8);
-        assert_eq!(out.quads.len(), 64);
-        assert!(out.quads.iter().all(|q| q.coverage == 0xF));
-        assert_eq!(out.coarse_tiles, 4); // 2x2 raster tiles of 8x8
+        let (quads, coarse_tiles) =
+            rasterize_in_tile(&setup, 0, TileId { x: 0, y: 0 }, &tiling(), 8);
+        assert_eq!(quads.len(), 64);
+        assert!(quads.iter().all(|q| q.coverage == 0xF));
+        assert_eq!(coarse_tiles, 4); // 2x2 raster tiles of 8x8
     }
 
     #[test]
     fn small_splat_emits_few_quads() {
         let s = axis_splat(8.0, 8.0, 1.4, 1.4);
         let setup = SplatSetup::new(&s).unwrap();
-        let out = rasterize_in_tile(&setup, 3, TileId { x: 0, y: 0 }, &tiling(), 8);
-        assert!(!out.quads.is_empty() && out.quads.len() <= 4);
-        let frags: u32 = out.quads.iter().map(|q| q.coverage_count()).sum();
+        let (quads, _) = rasterize_in_tile(&setup, 3, TileId { x: 0, y: 0 }, &tiling(), 8);
+        assert!(!quads.is_empty() && quads.len() <= 4);
+        let frags: u32 = quads.iter().map(|q| q.coverage_count()).sum();
         // ~2.8x2.8 px box around (8,8) covers pixels 6..10 in each axis.
         assert!((4..=16).contains(&frags), "frags = {frags}");
-        assert!(out.quads.iter().all(|q| q.splat == 3));
+        assert!(quads.iter().all(|q| q.splat == 3));
     }
 
     #[test]
     fn out_of_tile_splat_produces_nothing() {
         let s = axis_splat(8.0, 8.0, 2.0, 2.0);
         let setup = SplatSetup::new(&s).unwrap();
-        let out = rasterize_in_tile(&setup, 0, TileId { x: 3, y: 3 }, &tiling(), 8);
-        assert!(out.quads.is_empty());
-        assert_eq!(out.coarse_tiles, 0);
+        let (quads, coarse_tiles) =
+            rasterize_in_tile(&setup, 0, TileId { x: 3, y: 3 }, &tiling(), 8);
+        assert!(quads.is_empty());
+        assert_eq!(coarse_tiles, 0);
     }
 
     #[test]
@@ -321,8 +343,8 @@ mod tests {
         let mut emitted = std::collections::HashSet::new();
         for ty in 0..4 {
             for tx in 0..4 {
-                let out = rasterize_in_tile(&setup, 0, TileId { x: tx, y: ty }, &t, 8);
-                for q in out.quads {
+                let (quads, _) = rasterize_in_tile(&setup, 0, TileId { x: tx, y: ty }, &t, 8);
+                for q in quads {
                     for i in 0..4 {
                         if q.covers(i) {
                             emitted.insert(q.fragment_xy(i));
@@ -347,10 +369,10 @@ mod tests {
     fn quads_are_in_scan_order_within_tile() {
         let s = axis_splat(8.0, 8.0, 100.0, 100.0);
         let setup = SplatSetup::new(&s).unwrap();
-        let out = rasterize_in_tile(&setup, 0, TileId { x: 0, y: 0 }, &tiling(), 8);
+        let (quads, _) = rasterize_in_tile(&setup, 0, TileId { x: 0, y: 0 }, &tiling(), 8);
         // Raster-tile-major, then scan order within; positions never repeat.
         let mut seen = std::collections::HashSet::new();
-        for q in &out.quads {
+        for q in &quads {
             assert!(seen.insert((q.origin.0, q.origin.1)));
         }
     }

@@ -2,8 +2,13 @@
 
 use gpu_sim::binning::{BinTable, Flush};
 use gpu_sim::cache::Cache;
+use gpu_sim::config::MAX_SCREEN_TILE_PX;
+use gpu_sim::raster::{rasterize_in_tile_with, SplatSetup};
 use gpu_sim::stats::Unit;
+use gpu_sim::tiles::{TileId, Tiling};
 use gpu_sim::timing::{PipelineTimer, WorkBatch};
+use gsplat::math::{Vec2, Vec3};
+use gsplat::splat::Splat;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -180,6 +185,197 @@ mod reference {
 
         pub fn reset_stats(&mut self) {
             self.stats = CacheStats::default();
+        }
+    }
+}
+
+/// The fine raster as it was before the bit-row rewrite: every candidate
+/// quad of every visited raster tile, one [`SplatSetup::covers`] test per
+/// pixel. Kept as the oracle the row-mask raster must match quad for
+/// quad.
+mod raster_reference {
+    use gpu_sim::quad::Quad;
+    use gpu_sim::raster::SplatSetup;
+    use gpu_sim::tiles::{TileId, Tiling};
+
+    /// The quads of one (primitive, tile) pair in raster scan order, and
+    /// the coarse-raster tile count.
+    pub fn rasterize_in_tile(
+        setup: &SplatSetup,
+        splat_index: u32,
+        tile: TileId,
+        tiling: &Tiling,
+        raster_tile_px: u32,
+    ) -> (Vec<Quad>, u64) {
+        let mut quads = Vec::new();
+        let (tile_x0, tile_y0) = tiling.tile_origin(tile);
+        let tile_x1 = (tile_x0 + tiling.tile_px()).min(tiling.width());
+        let tile_y1 = (tile_y0 + tiling.tile_px()).min(tiling.height());
+
+        // Clip the primitive AABB to this tile.
+        let min_x = setup.aabb.0.x.max(tile_x0 as f32);
+        let min_y = setup.aabb.0.y.max(tile_y0 as f32);
+        let max_x = setup.aabb.1.x.min(tile_x1 as f32 - 1.0);
+        let max_y = setup.aabb.1.y.min(tile_y1 as f32 - 1.0);
+        if min_x > max_x || min_y > max_y {
+            return (quads, 0);
+        }
+
+        // Coarse raster: visit intersecting raster tiles.
+        let rt0_x = (min_x as u32 - tile_x0) / raster_tile_px;
+        let rt0_y = (min_y as u32 - tile_y0) / raster_tile_px;
+        let rt1_x = (max_x as u32 - tile_x0) / raster_tile_px;
+        let rt1_y = (max_y as u32 - tile_y0) / raster_tile_px;
+
+        let mut coarse_tiles = 0u64;
+        for rty in rt0_y..=rt1_y {
+            for rtx in rt0_x..=rt1_x {
+                coarse_tiles += 1;
+                let rt_x0 = tile_x0 + rtx * raster_tile_px;
+                let rt_y0 = tile_y0 + rty * raster_tile_px;
+                fine_raster_tile(
+                    setup,
+                    splat_index,
+                    (rt_x0, rt_y0),
+                    raster_tile_px,
+                    tile,
+                    tiling,
+                    (min_x, min_y, max_x, max_y),
+                    &mut quads,
+                );
+            }
+        }
+        (quads, coarse_tiles)
+    }
+
+    /// Fine raster of one raster tile: tests pixels quad by quad.
+    #[allow(clippy::too_many_arguments)]
+    fn fine_raster_tile(
+        setup: &SplatSetup,
+        splat_index: u32,
+        (rt_x0, rt_y0): (u32, u32),
+        raster_tile_px: u32,
+        tile: TileId,
+        tiling: &Tiling,
+        clip: (f32, f32, f32, f32),
+        quads: &mut Vec<Quad>,
+    ) {
+        let (min_x, min_y, max_x, max_y) = clip;
+        // Quad-aligned bounds within the raster tile, clipped to the AABB.
+        let qx0 = ((min_x as u32).max(rt_x0) & !1).max(rt_x0 & !1);
+        let qy0 = ((min_y as u32).max(rt_y0) & !1).max(rt_y0 & !1);
+        let qx1 = (max_x as u32)
+            .min(rt_x0 + raster_tile_px - 1)
+            .min(tiling.width() - 1);
+        let qy1 = (max_y as u32)
+            .min(rt_y0 + raster_tile_px - 1)
+            .min(tiling.height() - 1);
+
+        let mut qy = qy0;
+        while qy <= qy1 {
+            let mut qx = qx0;
+            while qx <= qx1 {
+                let mut coverage = 0u8;
+                for i in 0..4u32 {
+                    let px = qx + (i & 1);
+                    let py = qy + (i >> 1);
+                    if px < tiling.width()
+                        && py < tiling.height()
+                        && setup.covers(px as f32 + 0.5, py as f32 + 0.5)
+                    {
+                        coverage |= 1 << i;
+                    }
+                }
+                if coverage != 0 {
+                    quads.push(Quad {
+                        tile,
+                        pos: tiling.quad_pos(qx, qy),
+                        origin: (qx, qy),
+                        coverage,
+                        splat: splat_index,
+                    });
+                }
+                qx += 2;
+            }
+            qy += 2;
+        }
+    }
+}
+
+/// Every (screen tile, raster tile) edge pair `GpuConfig::validate`
+/// accepts: raster tiles even and dividing the screen tile.
+fn tile_pairs() -> impl Iterator<Item = (u32, u32)> {
+    (2..=MAX_SCREEN_TILE_PX)
+        .step_by(2)
+        .flat_map(|s| (2..=s).step_by(2).map(move |r| (s, r)))
+        .filter(|&(s, r)| s % r == 0)
+}
+
+/// An OBB splat centred at `(cx, cy)` with major axis `len` px long at
+/// `angle` radians and a minor axis `aspect` times as long.
+fn obb(cx: f32, cy: f32, len: f32, aspect: f32, angle: f32) -> Splat {
+    let (s, c) = angle.sin_cos();
+    Splat {
+        center: Vec2::new(cx, cy),
+        depth: 1.0,
+        conic: (1.0, 0.0, 1.0),
+        axis_major: Vec2::new(c * len, s * len),
+        axis_minor: Vec2::new(-s * len * aspect, c * len * aspect),
+        color: Vec3::splat(1.0),
+        opacity: 0.5,
+        source: 0,
+    }
+}
+
+/// Asserts that the row-mask raster and the per-pixel reference emit the
+/// same quads in the same order, and the same coarse-tile count, for
+/// `splat` in every tile of a `w`×`h` viewport that overlaps the 48-px
+/// square at `(x0, y0)`, at every valid tile pair.
+fn assert_raster_matches_reference(splat: &Splat, (w, h): (u32, u32), (x0, y0): (u32, u32)) {
+    let Some(setup) = SplatSetup::new(splat) else {
+        return;
+    };
+    for (screen, raster) in tile_pairs() {
+        let tiling = Tiling::new(w, h, screen, 1);
+        let tiles = |from: u32, n: u32| from / screen..n.min((from + 48).div_ceil(screen));
+        for ty in tiles(y0, tiling.tiles_y()) {
+            for tx in tiles(x0, tiling.tiles_x()) {
+                let tile = TileId { x: tx, y: ty };
+                let mut quads = Vec::new();
+                let coarse =
+                    rasterize_in_tile_with(&setup, 7, tile, &tiling, raster, |q| quads.push(q));
+                let (expect, expect_coarse) =
+                    raster_reference::rasterize_in_tile(&setup, 7, tile, &tiling, raster);
+                let at = format!("{splat:?} in {w}x{h}, tile {tile:?} of {screen}/{raster} px");
+                assert_eq!(quads, expect, "{at}");
+                assert_eq!(coarse, expect_coarse, "{at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn raster_matches_reference_on_edge_cases() {
+    let pi = std::f32::consts::PI;
+    let cases = [
+        // Axis-aligned, pixel-center and pixel-edge aligned extents.
+        obb(8.0, 8.0, 4.0, 1.0, 0.0),
+        obb(8.5, 8.5, 3.5, 0.5, 0.0),
+        obb(7.0, 9.0, 2.0, 1.0, pi / 2.0),
+        // 45° and near-axis rotations.
+        obb(10.3, 6.7, 9.0, 0.2, pi / 4.0),
+        obb(12.0, 12.0, 30.0, 0.01, 1e-4),
+        // Sub-pixel, between and on pixel centers.
+        obb(5.5, 5.5, 0.2, 1.0, 0.3),
+        obb(5.0, 5.0, 0.05, 0.5, 1.0),
+        // Larger than the viewport, centred off-screen on each side.
+        obb(-6.0, 9.0, 25.0, 0.8, 0.7),
+        obb(40.0, -5.0, 25.0, 0.8, 2.2),
+        obb(14.0, 30.0, 60.0, 1.0, 0.0),
+    ];
+    for splat in &cases {
+        for (w, h) in [(34, 27), (16, 16), (1, 1), (3, 40)] {
+            assert_raster_matches_reference(splat, (w, h), (0, 0));
         }
     }
 }
@@ -444,5 +640,46 @@ proptest! {
         runs.flush();
         oracle.flush();
         prop_assert_eq!(runs.stats(), oracle.stats());
+    }
+
+    /// The row-mask raster emits exactly the per-pixel reference's quads
+    /// over random OBBs: thin, rotated, sub-pixel and larger than a tile,
+    /// centred on or off screen, in viewports with partial edge tiles, at
+    /// every valid tile pair.
+    #[test]
+    fn raster_matches_per_pixel_reference(
+        (w, h) in (1u32..48, 1u32..48),
+        (cx, cy) in (-24.0f32..72.0, -24.0f32..72.0),
+        len_log in -4.0f32..5.5,
+        aspect_log in -6.0f32..0.0,
+        angle in 0.0f32..std::f32::consts::TAU,
+    ) {
+        let splat = obb(cx, cy, len_log.exp2(), aspect_log.exp2(), angle);
+        assert_raster_matches_reference(&splat, (w, h), (0, 0));
+    }
+
+    /// Pixels exactly on an OBB edge, offset from a center with a long
+    /// fraction so that f32 rounding of the offsets decides coverage: the
+    /// row-mask raster rounds as the per-pixel test does.
+    #[test]
+    fn raster_matches_reference_on_rounding_boundaries(
+        (cx, cy) in (0.0f32..3.0, 0.0f32..3.0),
+        k in 8u32..44,
+        minor in 0.5f32..6.0,
+        vertical in 0u32..2,
+    ) {
+        // The major axis ends on pixel `k`'s center, offset as the raster
+        // offsets it.
+        let (major, minor) = if vertical == 0 {
+            (Vec2::new(k as f32 + 0.5 - cx, 0.0), Vec2::new(0.0, minor))
+        } else {
+            (Vec2::new(0.0, k as f32 + 0.5 - cy), Vec2::new(minor, 0.0))
+        };
+        let splat = Splat {
+            axis_major: major,
+            axis_minor: minor,
+            ..obb(cx, cy, 1.0, 1.0, 0.0)
+        };
+        assert_raster_matches_reference(&splat, (48, 48), (0, 0));
     }
 }

@@ -211,11 +211,23 @@ fn non_finite_gaussians_are_culled_and_render_cleanly() {
 
 /// Invalid GPU configurations come back as `DrawError`s from the fallible
 /// entry points — a long-running frame loop can reject them without
-/// unwinding.
+/// unwinding. That includes tiles and TC bins larger than the quad reorder
+/// unit holds, which would otherwise overrun its 64 position registers or
+/// its 128-quad buffer mid-draw.
 #[test]
 fn invalid_configs_error_instead_of_panicking() {
-    let splats = vec![splat(16.0, 16.0, 4.0, 1.0, 0.5)];
+    let mut splats = vec![splat(16.0, 16.0, 4.0, 1.0, 0.5)];
+    // Faint splats stacked over one 16-px tile: 256 quads reach its TC bin.
+    splats.extend((0..4).map(|i| splat(8.0, 8.0, 4.0, 2.0 + i as f32, 0.1)));
     let bads = [
+        GpuConfig {
+            screen_tile_px: 32,
+            ..GpuConfig::default()
+        },
+        GpuConfig {
+            tc_bin_size: 256,
+            ..GpuConfig::default()
+        },
         GpuConfig {
             raster_tile_px: 5,
             ..GpuConfig::default()
@@ -230,8 +242,10 @@ fn invalid_configs_error_instead_of_panicking() {
         },
     ];
     for bad in bads {
-        let err = try_draw(&splats, 32, 32, &bad, PipelineVariant::HetQm).unwrap_err();
-        assert!(matches!(err, DrawError::InvalidConfig(_)), "{err}");
+        for v in PipelineVariant::ALL {
+            let err = try_draw(&splats, 32, 32, &bad, v).unwrap_err();
+            assert!(matches!(err, DrawError::InvalidConfig(_)), "{v}: {err}");
+        }
     }
 }
 
