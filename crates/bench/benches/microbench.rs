@@ -1,65 +1,8 @@
-//! Criterion bench for Fig. 20 / §VII-A: fixed-function unit probes, plus
-//! the fragment-kernel microbench (scalar AoS oracle vs SoA stream).
+//! Criterion bench for Fig. 20 / §VII-A: fixed-function unit probes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::config::GpuConfig;
 use gpu_sim::microbench::{crop_cache_probe, tile_binning_probe};
-use gsplat::preprocess::{preprocess_into_stream, PreprocessScratch};
-use gsplat::scene::EVALUATED_SCENES;
-use gsplat::stream::{FragmentKernel, SplatStream};
-use gsplat::ThreadPolicy;
-use swrender::cuda_like::{CudaLikeRenderer, SwConfig, SwScratch};
-
-/// Fragment-kernel throughput: one warm frame loop per kernel, serial
-/// threading so the measurement isolates the kernel itself. Parity-gated.
-/// The SoA loop consumes the stream `preprocess_into_stream` produced, so
-/// it pays no per-frame re-layout.
-fn bench_fragment_kernel(c: &mut Criterion) {
-    let scene = EVALUATED_SCENES[4].generate_scaled(0.08); // Lego
-    let cam = scene.default_camera();
-    let mut pre_scratch = PreprocessScratch::default();
-    let mut splats = Vec::new();
-    let mut stream = SplatStream::new();
-    preprocess_into_stream(
-        &scene,
-        &cam,
-        ThreadPolicy::default(),
-        &mut pre_scratch,
-        &mut splats,
-        &mut stream,
-    );
-    let mut group = c.benchmark_group("fragment_kernel");
-    group.sample_size(10);
-    let mut parity: Option<gsplat::ColorBuffer> = None;
-    for kernel in FragmentKernel::ALL {
-        let sw = CudaLikeRenderer::new(
-            SwConfig {
-                threads: 1,
-                kernel,
-                ..SwConfig::default()
-            },
-            true,
-        );
-        let mut scratch = SwScratch::default();
-        let frame = sw.render_prepared(&splats, &stream, cam.width(), cam.height(), &mut scratch);
-        match &parity {
-            None => parity = Some(frame.color),
-            Some(reference) => assert_eq!(
-                reference.max_abs_diff(&frame.color),
-                0.0,
-                "{kernel:?} diverged from the oracle"
-            ),
-        }
-        group.bench_function(BenchmarkId::from_parameter(kernel.label()), |b| {
-            b.iter(|| {
-                sw.render_prepared(&splats, &stream, cam.width(), cam.height(), &mut scratch)
-                    .stats
-                    .blended_fragments
-            })
-        });
-    }
-    group.finish();
-}
 
 fn bench_microbench(c: &mut Criterion) {
     let cfg = GpuConfig::default();
@@ -83,5 +26,5 @@ fn bench_microbench(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_microbench, bench_fragment_kernel);
+criterion_group!(benches, bench_microbench);
 criterion_main!(benches);

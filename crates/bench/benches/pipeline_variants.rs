@@ -1,6 +1,6 @@
 //! Criterion bench for Fig. 16: the simulated draw per pipeline variant,
 //! in the shape a served frame runs it — persistent targets, a warmed
-//! `DrawScratch`, `draw_in_place`, the SoA kernel — serially
+//! `DrawScratch`, `draw_in_place`, the retirement check on — serially
 //! (`threads: 1`, the serving configuration) and tile-sharded over two
 //! host workers (`threads: 2`).
 //!

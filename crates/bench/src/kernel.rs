@@ -1,137 +1,67 @@
-//! Fragment-kernel experiment: SoA vs scalar throughput and the
-//! tile-retirement ratios, on the indoor and outdoor archetypes.
+//! Tile-retirement experiment on the indoor and outdoor archetypes: how
+//! often the software renderer's fragment kernel retires tiles and skips
+//! pruned tile visits, and what the simulated pipeline's tile-granularity
+//! retirement check (`GpuConfig::kernel = Soa`) saves in ZROP tests.
 //!
-//! Parity-gated: the experiment asserts bit-exact images between the two
-//! kernels before timing anything, so a reported speedup can never hide a
-//! quality regression.
-
-use std::time::Instant;
+//! Deterministic: every number is a count or ratio from the renderers,
+//! never a host timing. Bit-exactness of the kernels is gated by
+//! `tests/kernel_parity.rs`.
 
 use gpu_sim::config::GpuConfig;
-use gsplat::preprocess::{preprocess_into_stream, PreprocessScratch};
+use gsplat::preprocess::preprocess;
 use gsplat::scene::EVALUATED_SCENES;
-use gsplat::stream::{FragmentKernel, SplatStream};
-use gsplat::ThreadPolicy;
-use swrender::cuda_like::{CudaLikeRenderer, SwConfig, SwScratch};
+use gsplat::stream::FragmentKernel;
+use swrender::cuda_like::{CudaLikeRenderer, SwConfig};
 use vrpipe::{FrameScratch, PipelineVariant, Renderer};
 
 use crate::common::{banner, default_scale};
 
-/// Median wall seconds of `reps` runs of `f`.
-fn median_secs<F: FnMut()>(mut f: F, reps: usize) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    times[times.len() / 2]
-}
-
-/// One archetype's software-renderer kernel measurement.
+/// One archetype's software-renderer tile-retirement measurement.
 pub struct KernelMeasurement {
     /// Scene name.
     pub scene: &'static str,
-    /// Fragment throughput of the scalar oracle in Mfrag/s.
-    pub scalar_mfrag_s: f64,
-    /// Fragment throughput of the SoA kernel in Mfrag/s.
-    pub soa_mfrag_s: f64,
     /// Fraction of swept tiles that fully retired.
     pub retired_tile_ratio: f64,
     /// Warp iterations elided by the conservative tile alpha bound.
     pub bound_skipped_iterations: u64,
 }
 
-/// Measures both kernels on one scene spec, gating on bit-exact parity.
-/// The SoA stream comes straight out of `preprocess_into_stream`, so the
-/// timed SoA loop pays no per-frame re-layout.
+/// Renders one scene spec through the software renderer with early
+/// termination on.
 pub fn measure_sw_kernels(spec_index: usize, scale: f32) -> KernelMeasurement {
     let spec = &EVALUATED_SCENES[spec_index];
     let scene = spec.generate_scaled(scale);
     let cam = scene.default_camera();
-    let mut pre_scratch = PreprocessScratch::default();
-    let mut splats = Vec::new();
-    let mut stream = SplatStream::new();
-    preprocess_into_stream(
-        &scene,
-        &cam,
-        ThreadPolicy::default(),
-        &mut pre_scratch,
-        &mut splats,
-        &mut stream,
+    let pre = preprocess(&scene, &cam);
+    let frame = CudaLikeRenderer::new(SwConfig::default(), true).render(
+        &pre.splats,
+        cam.width(),
+        cam.height(),
     );
-    let scalar = CudaLikeRenderer::new(SwConfig::default(), true);
-    let soa = CudaLikeRenderer::new(
-        SwConfig {
-            kernel: FragmentKernel::Soa,
-            ..SwConfig::default()
-        },
-        true,
-    );
-
-    // Parity gate before any timing.
-    let mut scratch = SwScratch::default();
-    let a = scalar.render(&splats, cam.width(), cam.height());
-    let b = soa.render_prepared(&splats, &stream, cam.width(), cam.height(), &mut scratch);
-    assert_eq!(
-        a.color.max_abs_diff(&b.color),
-        0.0,
-        "{}: SoA kernel diverged from the scalar oracle",
-        spec.name
-    );
-    let mut masked = b.stats;
-    masked.bound_skipped_iterations = 0;
-    assert_eq!(masked, a.stats, "{}: kernel stats diverged", spec.name);
-
-    let reps = 5;
-    let t_scalar = median_secs(
-        || {
-            scalar.render_with_scratch(&splats, cam.width(), cam.height(), &mut scratch);
-        },
-        reps,
-    );
-    let t_soa = median_secs(
-        || {
-            soa.render_prepared(&splats, &stream, cam.width(), cam.height(), &mut scratch);
-        },
-        reps,
-    );
-    let frags = a.stats.blended_fragments as f64;
     KernelMeasurement {
         scene: spec.name,
-        scalar_mfrag_s: frags / t_scalar / 1e6,
-        soa_mfrag_s: frags / t_soa / 1e6,
-        retired_tile_ratio: b.stats.retired_tile_ratio(),
-        bound_skipped_iterations: b.stats.bound_skipped_iterations,
+        retired_tile_ratio: frame.stats.retired_tile_ratio(),
+        bound_skipped_iterations: frame.stats.bound_skipped_iterations,
     }
 }
 
-/// The `kernel` experiment: fragment-kernel throughput and retired-tile
-/// ratios on the indoor (Room) and outdoor (Train) archetypes, for the
-/// software renderer and the simulated VR-Pipe pipeline.
+/// The `kernel` experiment: retired-tile ratios and bound skips on the
+/// indoor (Room) and outdoor (Train) archetypes, for the software
+/// renderer and the simulated VR-Pipe pipeline.
 pub fn kernel() {
     banner(
         "kernel",
-        "SoA fragment-kernel throughput and tile retirement (indoor/outdoor)",
+        "tile retirement in the fragment kernels (indoor/outdoor)",
     );
     let scale = default_scale();
 
     println!("software (CUDA-style) renderer, early termination on:");
-    println!(
-        "  scene        scalar Mfrag/s   soa Mfrag/s   speedup   retired-tile ratio   bound-skips"
-    );
+    println!("  scene        retired-tile ratio   bound-skips");
     for spec_index in [1usize, 2] {
         let m = measure_sw_kernels(spec_index, scale);
         println!(
-            "  {:<12} {:>14.1} {:>13.1} {:>8.2}x {:>20.3} {:>13}",
-            m.scene,
-            m.scalar_mfrag_s,
-            m.soa_mfrag_s,
-            m.soa_mfrag_s / m.scalar_mfrag_s.max(1e-12),
-            m.retired_tile_ratio,
-            m.bound_skipped_iterations,
+            "  {:<12} {:>18.3} {:>13}",
+            m.scene, m.retired_tile_ratio, m.bound_skipped_iterations,
         );
         assert!(
             m.retired_tile_ratio > 0.0,
@@ -141,7 +71,7 @@ pub fn kernel() {
     }
 
     println!();
-    println!("vrpipe pipeline (HET+QM), tile-granularity ZROP fast path:");
+    println!("vrpipe pipeline (HET+QM), tile-granularity ZROP retirement check:");
     println!("  scene        retired tiles   wholesale flush discards   zrop tests scalar->soa");
     for spec_index in [1usize, 2] {
         let spec = &EVALUATED_SCENES[spec_index];
@@ -162,7 +92,7 @@ pub fn kernel() {
         assert_eq!(
             scalar.color.max_abs_diff(&soa.color),
             0.0,
-            "{}: pipeline kernels diverged",
+            "{}: the retirement check changed the image",
             spec.name
         );
         println!(

@@ -7,7 +7,7 @@
 //!                           # table1 table2 table3
 //!                           # fig16 fig17 fig18 fig19
 //!                           # fig20 tilebins fig21 fig22 fig23
-//!                           # kernel (SoA fragment-kernel throughput)
+//!                           # kernel (tile retirement in the fragment kernels)
 //!                           # sequence (temporal-coherence frame sequences)
 //!                           # serve (multi-stream serving over one shared scene)
 //!                           # serve-faults / serve --faults (fault-injection smoke)

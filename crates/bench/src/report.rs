@@ -498,19 +498,13 @@ fn asset_measurement(scale: f32) -> String {
     )
 }
 
-/// Fragment-kernel measurement for the JSON trail: SoA vs scalar
-/// throughput and the retired-tile ratio on the indoor archetype
-/// (parity-gated inside [`crate::kernel::measure_sw_kernels`]).
+/// Fragment-kernel measurement for the JSON trail: the retired-tile ratio
+/// and bound-skipped iterations on the indoor archetype.
 fn kernel_measurement(scale: f32) -> String {
     let m = crate::kernel::measure_sw_kernels(1, scale.min(0.12));
     format!(
-        "{{\"scene\": \"{}\", \"scalar_mfrag_s\": {:.2}, \"soa_mfrag_s\": {:.2}, \"soa_speedup\": {:.3}, \"retired_tile_ratio\": {:.4}, \"bound_skipped_iterations\": {}}}",
-        m.scene,
-        m.scalar_mfrag_s,
-        m.soa_mfrag_s,
-        m.soa_mfrag_s / m.scalar_mfrag_s.max(1e-12),
-        m.retired_tile_ratio,
-        m.bound_skipped_iterations
+        "{{\"scene\": \"{}\", \"retired_tile_ratio\": {:.4}, \"bound_skipped_iterations\": {}}}",
+        m.scene, m.retired_tile_ratio, m.bound_skipped_iterations
     )
 }
 

@@ -48,11 +48,11 @@ use gsplat::color::Rgba;
 use gsplat::framebuffer::{ColorBuffer, DepthStencilBuffer};
 use gsplat::par::for_each_claimed;
 use gsplat::splat::Splat;
-use gsplat::stream::{FragmentKernel, SplatStream};
+use gsplat::stream::FragmentKernel;
 
 use crate::het::{alpha_test, termination_test, TerminationRows};
 use crate::qm::{plan_warps_into, pooled_warp, WarpPlan, WarpSlot};
-use crate::shading::{merge_pair, premultiplied_fragment, shade_quad, shade_quad_stream};
+use crate::shading::{merge_pair, premultiplied_fragment, shade_quad};
 use crate::variant::PipelineVariant;
 
 /// Result of one simulated draw call.
@@ -87,6 +87,13 @@ pub enum DrawError {
         /// Depth/stencil-buffer dimensions.
         depth_stencil: (u32, u32),
     },
+    /// The requested viewport has no pixels: `width` or `height` is zero.
+    EmptyViewport {
+        /// Requested width in pixels.
+        width: u32,
+        /// Requested height in pixels.
+        height: u32,
+    },
     /// A runtime backend fault: the stream's renderer (or an injected
     /// fault, see `vrpipe::serve::faults`) failed while producing a frame.
     /// `transient` marks faults worth retrying (momentary resource
@@ -110,9 +117,9 @@ impl DrawError {
 
     /// `true` when retrying the failed operation may succeed, so retry
     /// loops (e.g. the serve scheduler's bounded exponential backoff) can
-    /// classify errors without string inspection. Configuration and
-    /// target-shape errors are deterministic — a retry would fail
-    /// identically — so only transient [`DrawError::Backend`] faults
+    /// classify errors without string inspection. Configuration,
+    /// target-shape and viewport errors are deterministic — a retry would
+    /// fail identically — so only transient [`DrawError::Backend`] faults
     /// qualify.
     pub fn is_transient(&self) -> bool {
         matches!(
@@ -137,6 +144,9 @@ impl std::fmt::Display for DrawError {
                 "render target dimensions disagree: color {}x{} vs depth/stencil {}x{}",
                 color.0, color.1, depth_stencil.0, depth_stencil.1
             ),
+            DrawError::EmptyViewport { width, height } => {
+                write!(f, "empty viewport: {width}x{height} has no pixels")
+            }
             DrawError::Backend { reason, transient } => write!(
                 f,
                 "backend fault ({}): {reason}",
@@ -182,8 +192,6 @@ pub struct DrawScratch {
     tile_order: Vec<u32>,
     /// Raster and flush-processing staging, one per host worker.
     staging: Vec<FlushStaging>,
-    /// SoA view of the splat list (rebuilt per draw, `Soa` kernel only).
-    stream: SplatStream,
 }
 
 /// Simulates one draw call of depth-sorted splats.
@@ -205,8 +213,8 @@ pub struct DrawScratch {
 ///
 /// # Panics
 ///
-/// Panics when the configuration fails [`GpuConfig::validate`]; use
-/// [`try_draw`] to handle invalid configurations as values.
+/// Panics when the configuration fails [`GpuConfig::validate`] or the
+/// viewport is empty; use [`try_draw`] to handle both as values.
 pub fn draw(
     splats: &[Splat],
     width: u32,
@@ -218,9 +226,9 @@ pub fn draw(
     try_draw(splats, width, height, cfg, variant).expect("draw rejected")
 }
 
-/// Fallible [`draw`]: returns [`DrawError::InvalidConfig`] instead of
-/// panicking, so long-running frame loops can surface bad configurations
-/// as errors.
+/// Fallible [`draw`]: returns [`DrawError::InvalidConfig`] or
+/// [`DrawError::EmptyViewport`] instead of panicking, so long-running
+/// frame loops can surface bad configurations and viewports as errors.
 pub fn try_draw(
     splats: &[Splat],
     width: u32,
@@ -242,8 +250,8 @@ pub fn try_draw(
 ///
 /// # Panics
 ///
-/// Panics when the configuration fails [`GpuConfig::validate`]; use
-/// [`try_draw_with_scratch`] for the fallible form.
+/// Panics when the configuration fails [`GpuConfig::validate`] or the
+/// viewport is empty; use [`try_draw_with_scratch`] for the fallible form.
 pub fn draw_with_scratch(
     splats: &[Splat],
     width: u32,
@@ -265,6 +273,9 @@ pub fn try_draw_with_scratch(
     variant: PipelineVariant,
     scratch: &mut DrawScratch,
 ) -> Result<DrawOutput, DrawError> {
+    if width == 0 || height == 0 {
+        return Err(DrawError::EmptyViewport { width, height });
+    }
     let mut color = ColorBuffer::new(width, height, cfg.pixel_format);
     let mut ds = DepthStencilBuffer::new(width, height);
     let stats = try_draw_in_place(splats, cfg, variant, &mut color, &mut ds, scratch)?;
@@ -318,9 +329,6 @@ pub fn try_draw_in_place(
     color.reset(width, height, cfg.pixel_format);
     ds.reset(width, height);
     let tiling = Tiling::new(width, height, cfg.screen_tile_px, cfg.tile_grid_tiles);
-    if cfg.kernel == FragmentKernel::Soa {
-        scratch.stream.rebuild_from(splats);
-    }
     let units = Units::power_on(&mut scratch.units, cfg);
     scratch.flushes.clear();
     scratch.flush_quads.clear();
@@ -838,13 +846,10 @@ impl Pipeline<'_> {
     /// Parallel prologue: triangle setup and fine raster of every
     /// primitive over its whole tile rect. Pure per-splat work over
     /// contiguous chunks, one arena part per chunk, so every result is
-    /// independent of the thread count. The `Soa` kernel reads the
-    /// [`SplatStream`] (identical field values → identical setups).
+    /// independent of the thread count.
     fn prologue(&mut self) {
         let (splats, cfg, tiling) = (self.splats, self.cfg, &self.tiling);
-        let soa = cfg.kernel == FragmentKernel::Soa;
-        let DrawScratch { raster, stream, .. } = &mut *self.scratch;
-        let stream = &*stream;
+        let raster = &mut self.scratch.raster;
         let n = splats.len();
         let workers = cfg.thread_policy().workers(n);
         let chunks = if workers > 1 {
@@ -872,12 +877,7 @@ impl Pipeline<'_> {
                 part.quads.clear();
                 let start = c * chunk;
                 for (i, splat) in splats.iter().enumerate().take(start + chunk).skip(start) {
-                    let setup = if soa {
-                        SplatSetup::from_stream(stream, i)
-                    } else {
-                        SplatSetup::new(splat)
-                    };
-                    part.push_prim(setup, i as u32, tiling, cfg, lazy);
+                    part.push_prim(SplatSetup::new(splat), i as u32, tiling, cfg, lazy);
                 }
             },
         );
@@ -1002,10 +1002,11 @@ impl Pipeline<'_> {
     /// Retired tiles are deliberately *not* skipped here: their quads must
     /// keep flowing into the TC bins so bin-pressure evictions — and with
     /// them every other tile's flush boundaries, ZROP test timing and
-    /// blend rounding — stay identical between kernels. The fast path
-    /// instead discards a retired tile's quads wholesale at flush time
-    /// (see [`ShardCtx::process_flush`]), which is exact. This is also what
-    /// lets the spine run ahead of all pixel work.
+    /// blend rounding — stay identical with and without the retirement
+    /// check (`GpuConfig::kernel`). The check instead discards a retired
+    /// tile's quads wholesale at flush time (see
+    /// [`ShardCtx::process_flush`]), which is exact. This is also what lets
+    /// the spine run ahead of all pixel work.
     fn rasterize_rect(
         &mut self,
         raster: &mut RasterArena,
@@ -1115,7 +1116,6 @@ impl Pipeline<'_> {
             tiles,
             tile_order,
             staging,
-            stream,
             ..
         } = &mut *self.scratch;
         let ctx = ShardCtx {
@@ -1123,7 +1123,6 @@ impl Pipeline<'_> {
             cfg: self.cfg,
             variant: self.variant,
             tiling: &self.tiling,
-            stream,
             flushes,
             flush_quads,
             line_block: line_block(self.cfg),
@@ -1191,7 +1190,6 @@ struct ShardCtx<'a> {
     cfg: &'a GpuConfig,
     variant: PipelineVariant,
     tiling: &'a Tiling,
-    stream: &'a SplatStream,
     flushes: &'a [SpineFlush],
     flush_quads: &'a [BinQuad],
     /// Color-cache line geometry (pixels per line block).
@@ -1314,13 +1312,8 @@ impl ShardCtx<'_> {
         batch.add(Unit::Sm, warp_cycles as f64 / cfg.simt_cores as f64);
 
         st.shaded.clear();
-        let soa = cfg.kernel == FragmentKernel::Soa;
         for q in bin {
-            let sq = if soa {
-                shade_quad_stream(q, self.stream)
-            } else {
-                shade_quad(q, &self.splats[q.splat as usize])
-            };
+            let sq = shade_quad(q, &self.splats[q.splat as usize]);
             let covered = q.coverage_count() as u64;
             shard.counters.shaded_fragments += covered;
             shard.counters.alpha_pruned_fragments += covered - sq.alive_count() as u64;
@@ -1376,8 +1369,8 @@ impl ShardCtx<'_> {
                     shard.log_access(log_from, self.z_line((x, y)) | Z_WRITE);
                     batch.add(Unit::Zrop, 0.5);
                     shard.terminated.set(x - shard.x0, y - shard.y0);
-                    // The retired flag is identical for both kernels (only
-                    // its *consumption* is `Soa`-gated).
+                    // The retired flag is set either way (only its
+                    // *consumption* is gated on `kernel == Soa`).
                     if !shard.retired && shard.terminated.all(shard.w, shard.h) {
                         shard.retired = true;
                         shard.counters.retired_tiles += 1;
@@ -1710,8 +1703,8 @@ mod tests {
             );
             assert_eq!(soa.depth_stencil, scalar.depth_stencil, "{v}");
             if !v.het() {
-                // Without HET there is no retirement fast path: the SoA
-                // kernel is a pure re-layout and stats match exactly.
+                // Without HET there is no retirement check, so `kernel`
+                // has no effect and stats match exactly.
                 assert_eq!(soa.stats, scalar.stats, "{v}");
             } else {
                 // With HET the fast path removes only ZROP test work and

@@ -8,8 +8,8 @@
 //! * a [`Session`] preprocesses each frame into persistent scratch — the
 //!   depth sort warm-starts from the previous frame's near-sorted order
 //!   through [`gsplat::sort::IncrementalSorter`] (bit-exact with the
-//!   from-scratch sort), and projection chunks, sort buffers and the SoA
-//!   [`SplatStream`] all survive across frames;
+//!   from-scratch sort), and projection chunks, sort buffers and the
+//!   splat list all survive across frames;
 //! * any backend renders the frames: [`Session::render_frame`] hands one
 //!   frame's preprocessed splats to a caller closure (the three
 //!   `swrender` backends plug in here). The simulated hardware pipeline
@@ -36,7 +36,6 @@ use gsplat::preprocess::{
 use gsplat::scene::Scene;
 use gsplat::sort::ResortStats;
 use gsplat::splat::Splat;
-use gsplat::stream::SplatStream;
 use gsplat::ThreadPolicy;
 
 use crate::pipeline::{try_draw_in_place, DrawError, DrawScratch};
@@ -132,8 +131,7 @@ impl SequenceConfig {
 }
 
 /// Everything a backend needs to render one frame of a sequence: the
-/// camera, the front-to-back sorted splats, the SoA stream mirror (when
-/// the session was built [`Session::with_stream`]) and the preprocessing
+/// camera, the front-to-back sorted splats and the preprocessing
 /// counters.
 pub struct FrameInput<'a> {
     /// Frame index within the sequence.
@@ -142,8 +140,6 @@ pub struct FrameInput<'a> {
     pub camera: &'a Camera,
     /// Visible splats, sorted front-to-back.
     pub splats: &'a [Splat],
-    /// SoA mirror of `splats` (empty unless [`Session::with_stream`]).
-    pub stream: &'a SplatStream,
     /// Preprocessing statistics of this frame.
     pub preprocess: PreprocessStats,
     /// This frame's incremental-culling counters (all zero unless
@@ -205,10 +201,8 @@ pub struct SequenceFrameRecord {
 #[derive(Debug, Default)]
 pub struct Session {
     policy: ThreadPolicy,
-    build_stream: bool,
     pre: PreprocessScratch,
     splats: Vec<Splat>,
-    stream: SplatStream,
     /// Spatial index for [`SequenceConfig::indexed`] sequences. Either
     /// this session's own (built lazily per scene, fingerprint-guarded,
     /// reused across runs) or a [`SharedScene`]'s — shared immutable
@@ -230,14 +224,6 @@ impl Session {
             policy,
             ..Self::default()
         }
-    }
-
-    /// Also maintain the SoA [`SplatStream`] mirror each frame, for
-    /// backends that consume streams directly (e.g.
-    /// `CudaLikeRenderer::render_prepared`).
-    pub fn with_stream(mut self) -> Self {
-        self.build_stream = true;
-        self
     }
 
     /// Counters of the incremental re-sort across the frames run so far.
@@ -404,16 +390,10 @@ impl Session {
         };
         let preprocess = preprocess_frame(scene, &camera, request, &mut self.pre, &mut self.splats);
         let cull = cull.stats().delta_since(&cull_before);
-        if self.build_stream {
-            self.stream.rebuild_from(&self.splats);
-        } else {
-            self.stream.clear();
-        }
         render(FrameInput {
             index,
             camera: &camera,
             splats: &self.splats,
-            stream: &self.stream,
             preprocess,
             cull,
             rung: cfg.rung,
@@ -763,17 +743,6 @@ mod tests {
             let sep = (eyes[2 * k] - eyes[2 * k + 1]).length();
             assert!((sep - 0.065).abs() < 1e-3, "pair {k}: separation {sep}");
         }
-    }
-
-    #[test]
-    fn session_stream_mirrors_splats() {
-        let scene = EVALUATED_SCENES[4].generate_scaled(0.03);
-        let cfg = orbit_cfg(&scene, 3);
-        let mut session = Session::default().with_stream();
-        session.run(&scene, &cfg, |f| {
-            assert_eq!(f.stream.len(), f.splats.len());
-            assert!((0..f.splats.len()).all(|i| f.stream.get(i) == f.splats[i]));
-        });
     }
 
     #[test]

@@ -362,7 +362,6 @@ impl StreamPhase {
 pub struct StreamSpec<R> {
     name: String,
     cfg: SequenceConfig,
-    build_stream: bool,
     backend: TryRenderFn<R>,
     deadline_ms: Option<f64>,
     drop_late: bool,
@@ -416,7 +415,6 @@ impl<R: Send + 'static> StreamSpec<R> {
         Self {
             name: name.into(),
             cfg,
-            build_stream: false,
             backend: Box::new(render),
             deadline_ms: None,
             drop_late: false,
@@ -425,14 +423,6 @@ impl<R: Send + 'static> StreamSpec<R> {
             ladder: QualityLadder::new(),
             priority: 0,
         }
-    }
-
-    /// Also maintain the SoA [`gsplat::stream::SplatStream`] mirror each
-    /// frame (for backends consuming streams directly, e.g.
-    /// `CudaLikeRenderer::render_prepared`).
-    pub fn with_stream(mut self) -> Self {
-        self.build_stream = true;
-        self
     }
 
     /// Sets a per-frame deadline: frame *i* is due `(i+1)·period_ms`
@@ -1361,9 +1351,6 @@ impl<R: Send + 'static> Server<R> {
     /// Builds the entry for an admitted spec.
     fn register(&mut self, id: usize, spec: StreamSpec<R>) {
         let mut session = Session::new(ThreadPolicy::serial());
-        if spec.build_stream {
-            session = session.with_stream();
-        }
         session.prepare_shared(&self.shared, &spec.cfg);
         let baseline = (session.resort_stats(), session.cull_stats());
         // Precompute the ladder's derived configurations once: rung

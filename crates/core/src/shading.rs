@@ -9,7 +9,6 @@ use gpu_sim::quad::{Quad, ShadedQuad};
 use gsplat::blend::fragment_alpha;
 use gsplat::math::Vec3;
 use gsplat::splat::Splat;
-use gsplat::stream::SplatStream;
 
 /// Shades one quad: evaluates the Gaussian falloff alpha per covered
 /// fragment and applies alpha pruning (α < 1/255 lanes are killed).
@@ -28,48 +27,6 @@ pub fn shade_quad(quad: &Quad, splat: &Splat) -> ShadedQuad {
         let dy = y as f32 + 0.5 - splat.center.y;
         if let Some(a) = fragment_alpha(splat.opacity, splat.conic, dx, dy) {
             rgb[i] = splat.color;
-            alpha[i] = a;
-            alive |= 1 << i;
-        }
-    }
-    ShadedQuad {
-        quad: *quad,
-        rgb,
-        alpha,
-        alive,
-        merged: false,
-    }
-}
-
-/// [`shade_quad`] reading the quad's source splat from a SoA
-/// [`SplatStream`] instead of the AoS list.
-///
-/// The stream's scalar loads (center, conic, opacity, color) come from
-/// flat slices — four sequential cache lines instead of one strided
-/// 64-byte struct — and the per-fragment arithmetic is the identical
-/// [`fragment_alpha`] call, so the shaded quad is bit-exact with the
-/// scalar path's.
-// vrlint: hot
-// vrlint: allow-block(VL01[index], reason = "quad.splat indexes the SoA stream the quad was rasterized from; lanes index fixed [T; 4] arrays")
-pub fn shade_quad_stream(quad: &Quad, stream: &SplatStream) -> ShadedQuad {
-    let si = quad.splat as usize;
-    let cx = stream.center_x()[si];
-    let cy = stream.center_y()[si];
-    let conic = stream.conic(si);
-    let opacity = stream.opacity()[si];
-    let color = stream.color(si);
-    let mut rgb = [Vec3::ZERO; 4];
-    let mut alpha = [0.0f32; 4];
-    let mut alive = 0u8;
-    for i in 0..4 {
-        if !quad.covers(i) {
-            continue;
-        }
-        let (x, y) = quad.fragment_xy(i);
-        let dx = x as f32 + 0.5 - cx;
-        let dy = y as f32 + 0.5 - cy;
-        if let Some(a) = fragment_alpha(opacity, conic, dx, dy) {
-            rgb[i] = color;
             alpha[i] = a;
             alive |= 1 << i;
         }
@@ -193,24 +150,6 @@ mod tests {
         assert!(sq.alive & 1 != 0, "center fragment must be alive");
         // Near the center, alpha approaches the opacity.
         assert!(sq.alpha[0] > 0.8);
-    }
-
-    #[test]
-    fn stream_shading_matches_scalar_bit_exactly() {
-        let splats: Vec<Splat> = (0..6)
-            .map(|i| {
-                let mut s = test_splat(3.0 + i as f32, 2.0, 0.2 + 0.1 * i as f32, Vec3::splat(0.4));
-                s.conic = (0.05 + 0.01 * i as f32, 0.005, 0.06);
-                s
-            })
-            .collect();
-        let stream = SplatStream::from_splats(&splats);
-        for (i, s) in splats.iter().enumerate() {
-            let mut q = full_quad(2, 2);
-            q.splat = i as u32;
-            q.coverage = 0b1101;
-            assert_eq!(shade_quad_stream(&q, &stream), shade_quad(&q, s), "{i}");
-        }
     }
 
     #[test]

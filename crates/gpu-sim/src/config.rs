@@ -114,15 +114,15 @@ pub struct GpuConfig {
     /// calling thread; with one worker every phase does. This is a *host*
     /// knob: it changes simulation wall time, never simulated results.
     pub threads: usize,
-    /// Host fragment-kernel implementation: the AoS `Scalar` oracle, or
-    /// the SoA [`gsplat::stream::SplatStream`] kernel, which additionally
-    /// enables the tile-retirement fast path on HET variants: a retired
-    /// tile's TC flushes are discarded on a single ZROP tile-flag read
-    /// instead of per-quad stencil-line tests — the hardware's
-    /// tile-granularity transmittance check. Rendered images, depth/
-    /// stencil state and work counters are bit-exact between kernels
-    /// except `zrop_term_tests`, the z-cache traffic and the cycles they
-    /// cost, all of which shrink under `Soa`.
+    /// Simulated tile-granularity retirement check. Despite its name this
+    /// is not a host knob: every draw runs the same host code. On HET
+    /// variants, `Soa` turns the check on: a retired tile's TC flushes
+    /// are discarded on a single ZROP tile-flag read instead of per-quad
+    /// stencil-line tests — the hardware's tile-granularity transmittance
+    /// check. Rendered images, depth/stencil state and work counters are
+    /// the same either way except `zrop_term_tests`, `retired_tile_skips`,
+    /// the z-cache traffic and the cycles they cost, all of which shrink
+    /// under `Soa`. On non-HET variants the value has no effect.
     pub kernel: FragmentKernel,
 }
 

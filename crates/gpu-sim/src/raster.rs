@@ -18,7 +18,6 @@
 
 use gsplat::math::{Mat2, Vec2};
 use gsplat::splat::Splat;
-use gsplat::stream::SplatStream;
 
 use crate::config::MAX_SCREEN_TILE_PX;
 use crate::quad::Quad;
@@ -51,28 +50,6 @@ impl SplatSetup {
             center: splat.center,
             inv_axes,
             aabb: splat.aabb(),
-        })
-    }
-
-    /// [`SplatSetup::new`] reading splat `i` from a SoA [`SplatStream`].
-    ///
-    /// The stream stores the exact field values of the AoS splat, and the
-    /// construction performs the same operations, so the setup — and every
-    /// raster decision downstream of it — is bit-identical to the scalar
-    /// path's.
-    pub fn from_stream(stream: &SplatStream, i: usize) -> Option<Self> {
-        let (axis_major, axis_minor) = stream.axes(i);
-        let axes = Mat2::from_cols(axis_major, axis_minor);
-        let inv_axes = axes.inverse()?;
-        let center = stream.center(i);
-        let ext = Vec2::new(
-            axis_major.x.abs() + axis_minor.x.abs(),
-            axis_major.y.abs() + axis_minor.y.abs(),
-        );
-        Some(Self {
-            center,
-            inv_axes,
-            aabb: (center - ext, center + ext),
         })
     }
 
@@ -259,20 +236,6 @@ mod tests {
         s.axis_minor = Vec2::ZERO;
         assert!(SplatSetup::new(&s).is_none());
         assert!(SplatSetup::new(&axis_splat(8.0, 8.0, 2.0, 2.0)).is_some());
-    }
-
-    #[test]
-    fn from_stream_matches_aos_setup() {
-        let mut s = axis_splat(20.0, 36.0, 5.0, 3.0);
-        s.axis_major = Vec2::new(3.0, 4.0);
-        s.axis_minor = Vec2::new(-1.2, 0.9);
-        let stream = SplatStream::from_splats(std::slice::from_ref(&s));
-        assert_eq!(SplatSetup::from_stream(&stream, 0), SplatSetup::new(&s));
-        // Degenerate OBB rejected identically.
-        let mut d = s;
-        d.axis_minor = Vec2::ZERO;
-        let stream = SplatStream::from_splats(std::slice::from_ref(&d));
-        assert!(SplatSetup::from_stream(&stream, 0).is_none());
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub struct PipelineStats {
     /// saturation the fast path exploits).
     pub retired_tiles: u64,
     /// TC flushes of retired tiles discarded wholesale by the tile flag
-    /// (`Soa` kernel on HET variants only): one ZROP tile-flag read
+    /// (HET variants with `GpuConfig::kernel = Soa` only): one ZROP tile-flag read
     /// replaces the flush's per-quad stencil-line tests.
     pub retired_tile_skips: u64,
 

@@ -11,9 +11,8 @@
 //! picks the threading policy, the SH degree cap and the
 //! [`PreprocessMode`] — a full sweep, a full sweep with a warm-started
 //! sort, or the spatially indexed sweep over one member of a
-//! [`CullState`] round. [`preprocess`], [`preprocess_with`],
-//! [`preprocess_into`] and [`preprocess_into_stream`] are the full-sweep
-//! conveniences. Projection is embarrassingly parallel, so every mode
+//! [`CullState`] round. [`preprocess`], [`preprocess_with`] and
+//! [`preprocess_into`] are the full-sweep conveniences. Projection is embarrassingly parallel, so every mode
 //! fans the Gaussian list out over worker chunks and concatenates the
 //! surviving splats in chunk order — bit-exact with the serial sweep.
 //! With a reusable [`PreprocessScratch`] the whole stage (projection,
@@ -34,7 +33,6 @@ use crate::scene::Scene;
 use crate::sh::MAX_SH_DEGREE;
 use crate::sort::{sort_splats_by_depth_into, IncrementalSorter, ResortStats, SortScratch};
 use crate::splat::Splat;
-use crate::stream::SplatStream;
 
 /// Output of preprocessing: visible splats in front-to-back order, plus the
 /// work counters the cost models consume.
@@ -527,24 +525,6 @@ fn project_indexed_range(
     (refreshed, reprojected)
 }
 
-/// [`preprocess_into`] that additionally produces the SoA [`SplatStream`]
-/// consumed by the `Soa` fragment kernels. `stream` is rebuilt from the
-/// sorted AoS output, so `stream.get(i) == out[i]` bit-for-bit; with warm
-/// buffers the extra cost is one linear copy and no allocation.
-// vrlint: hot
-pub fn preprocess_into_stream(
-    scene: &Scene,
-    camera: &Camera,
-    policy: ThreadPolicy,
-    scratch: &mut PreprocessScratch,
-    out: &mut Vec<Splat>,
-    stream: &mut SplatStream,
-) -> PreprocessStats {
-    let stats = preprocess_into(scene, camera, policy, scratch, out);
-    stream.rebuild_from(out);
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -631,26 +611,6 @@ mod tests {
                 "{policy:?}: splat stream diverged"
             );
         }
-    }
-
-    #[test]
-    fn stream_output_matches_aos_output() {
-        let scene = EVALUATED_SCENES[0].generate_scaled(0.05);
-        let cam = scene.default_camera();
-        let mut scratch = PreprocessScratch::default();
-        let mut out = Vec::new();
-        let mut stream = SplatStream::new();
-        let stats = preprocess_into_stream(
-            &scene,
-            &cam,
-            ThreadPolicy::default(),
-            &mut scratch,
-            &mut out,
-            &mut stream,
-        );
-        assert_eq!(stats.visible_splats, out.len());
-        assert_eq!(stream.len(), out.len());
-        assert!((0..out.len()).all(|i| stream.get(i) == out[i]));
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Structure-of-arrays splat streams — the cache-friendly post-preprocess
-//! representation behind the vectorizable fragment kernels.
+//! Structure-of-arrays splat streams — the layout the software
+//! renderers' fragment kernels read (`swrender`'s CUDA-style, multi-pass
+//! and in-shader models).
 //!
-//! The AoS [`Splat`] is 64 bytes, but the per-fragment hot loop of every
-//! renderer touches only a handful of its fields (center, conic, opacity,
-//! color). [`SplatStream`] stores each field in its own contiguous `f32`
-//! slice so the fragment kernel becomes a branch-light loop over flat
-//! slices the compiler can autovectorize, and so a splat's scalar
-//! parameters load as broadcast-friendly values instead of a strided
-//! gather.
+//! The AoS [`Splat`] is 64 bytes, but the per-fragment hot loop of a
+//! software renderer touches only a handful of its fields (center,
+//! conic, opacity, color). [`SplatStream`] stores each field in its own
+//! contiguous `f32` slice so the fragment kernel becomes a branch-light
+//! loop over flat slices the compiler can autovectorize, and so a
+//! splat's scalar parameters load as broadcast-friendly values instead
+//! of a strided gather. The simulated pipeline does not use it: its
+//! quads look a splat up by index, and one `Splat` is one cache line.
 //!
 //! The stream is a *lossless* re-layout: [`SplatStream::push`] copies every
 //! field bit-for-bit and [`SplatStream::get`] reconstructs the identical
-//! [`Splat`] (verified by a round-trip property test). Because the SoA
-//! kernels execute the same `f32` operations in the same per-pixel order
-//! as the scalar oracle, the rendered images are bit-exact by
-//! construction — selecting [`FragmentKernel::Soa`] is a host-performance
-//! decision, never a quality trade.
+//! [`Splat`] (verified by a round-trip property test). The kernels built
+//! on it execute the same `f32` operations in the same per-pixel order as
+//! the scalar AoS reference kernels the tests keep, so images are bit-exact
+//! by construction (DESIGN.md §5).
 //!
 //! On top of the stream sit the two tile-retirement primitives of the
 //! fast path (paper §V-B at tile granularity, GSCore-style shape-aware
@@ -35,18 +36,20 @@ use serde::{Deserialize, Serialize};
 use crate::math::{Vec2, Vec3};
 use crate::splat::Splat;
 
-/// Which fragment-kernel implementation a renderer runs.
+/// The value of `gpu_sim::config::GpuConfig::kernel`.
 ///
-/// `Scalar` is the original AoS per-pixel loop, kept as the oracle;
-/// `Soa` consumes a [`SplatStream`] and enables the tile-retirement fast
-/// path. Images are bit-exact between the two (enforced by the
-/// `kernel_parity` tests and the bench parity gates).
+/// It does not pick host code: every renderer runs one fragment kernel.
+/// Its one effect is in the simulated pipeline: on HET variants, `Soa`
+/// turns on the simulated tile-granularity retirement check (a retired
+/// tile's TC flushes are discarded on one ZROP tile-flag read). The type and its variant names stay because
+/// `GpuConfig` and the benchmark name them; replacing the field with an
+/// explicit hardware flag is a benchmark change.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum FragmentKernel {
-    /// AoS oracle: per-pixel scalar `fragment_alpha` calls.
+    /// Per-quad ZROP termination tests only.
     #[default]
     Scalar,
-    /// SoA fast path: flat-slice kernel + tile retirement.
+    /// Adds the tile-granularity retirement check on HET variants.
     Soa,
 }
 
@@ -59,7 +62,7 @@ impl FragmentKernel {
         }
     }
 
-    /// Both kernels, oracle first.
+    /// Both values, the default first.
     pub const ALL: [FragmentKernel; 2] = [FragmentKernel::Scalar, FragmentKernel::Soa];
 }
 
@@ -217,12 +220,6 @@ impl SplatStream {
         }
     }
 
-    /// Screen-space center of splat `i` in pixels.
-    #[inline]
-    pub fn center(&self, i: usize) -> Vec2 {
-        Vec2::new(self.center_x[i], self.center_y[i])
-    }
-
     /// Conic `(a, b, c)` of splat `i`.
     #[inline]
     pub fn conic(&self, i: usize) -> (f32, f32, f32) {
@@ -241,19 +238,6 @@ impl SplatStream {
         (
             Vec2::new(self.axis_major_x[i], self.axis_major_y[i]),
             Vec2::new(self.axis_minor_x[i], self.axis_minor_y[i]),
-        )
-    }
-
-    /// Conservative upper bound on splat `i`'s alpha anywhere in the pixel-
-    /// center rectangle `[x0, x1] × [y0, y1]` (see [`tile_alpha_bound`]).
-    #[inline]
-    pub fn alpha_bound_in_rect(&self, i: usize, x0: f32, y0: f32, x1: f32, y1: f32) -> f32 {
-        tile_alpha_bound(
-            self.conic(i),
-            self.opacity[i],
-            self.center(i),
-            (x0, y0),
-            (x1, y1),
         )
     }
 

@@ -7,11 +7,16 @@
 //! stalls the warps holding them, collapsing effective parallelism — the
 //! paper measures a ~5–10× slowdown. Without the interlock the threads run
 //! free (fast but *incorrect*: the blend order becomes nondeterministic).
+//!
+//! The fragment workload comes from a coverage scan over a SoA
+//! [`SplatStream`] copy of the splat list; its counts equal those of the
+//! plain per-fragment scan the tests keep as the reference
+//! (`tests/support/sw_oracle.rs`).
 
 use gsplat::blend::{ALPHA_MAX, ALPHA_PRUNE_THRESHOLD};
 use gsplat::par::{for_each_claimed, ThreadPolicy};
 use gsplat::splat::Splat;
-use gsplat::stream::{tile_alpha_bound, FragmentKernel, SplatStream};
+use gsplat::stream::{tile_alpha_bound, SplatStream};
 use serde::{Deserialize, Serialize};
 
 /// Blending strategies compared in Fig. 10.
@@ -117,24 +122,7 @@ pub fn fragment_workload_with(
     height: u32,
     policy: ThreadPolicy,
 ) -> (u64, u64, u64) {
-    fragment_workload_kernel(splats, width, height, policy, FragmentKernel::Scalar)
-}
-
-/// [`fragment_workload_with`] with an explicit fragment kernel. The `Soa`
-/// kernel scans a [`SplatStream`] with a hoisted per-row falloff term and
-/// skips band visits whose conservative [`tile_alpha_bound`] proves every
-/// fragment alpha-pruned; counts are identical to the scalar oracle.
-pub fn fragment_workload_kernel(
-    splats: &[Splat],
-    width: u32,
-    height: u32,
-    policy: ThreadPolicy,
-    kernel: FragmentKernel,
-) -> (u64, u64, u64) {
-    let stream = match kernel {
-        FragmentKernel::Scalar => None,
-        FragmentKernel::Soa => Some(SplatStream::from_splats(splats)),
-    };
+    let stream = SplatStream::from_splats(splats);
     let mut per_pixel = vec![0u32; (width * height) as usize];
     let workers = policy.workers(height as usize);
     let band_rows = if workers <= 1 {
@@ -154,7 +142,7 @@ pub fn fragment_workload_kernel(
         |_, (band, fragments, max_chain), b| {
             let row0 = b as u32 * band_rows;
             let row1 = (row0 + band_rows).min(height);
-            *fragments = scan_band(splats, stream.as_ref(), band, (row0, row1), width, height);
+            *fragments = scan_band(&stream, band, (row0, row1), width, height);
             *max_chain = band.iter().copied().max().unwrap_or(0) as u64;
         },
     );
@@ -168,89 +156,64 @@ pub fn fragment_workload_kernel(
 
 /// Counts the fragments of every splat in the row band `row0..row1`
 /// (`band` holds its per-pixel counts) and returns the band's total.
+///
+/// The per-row falloff term is hoisted, and a splat whose conservative
+/// [`tile_alpha_bound`] over its band rectangle proves every fragment
+/// alpha-pruned is skipped; the counts equal a per-fragment
+/// `gsplat::blend::fragment_alpha` scan.
 // vrlint: hot
 // vrlint: allow-block(VL01[index], reason = "band-local pixel indices are clamped to the band's row window; SoA lanes iterate 0..stream.len()")
 fn scan_band(
-    splats: &[Splat],
-    stream: Option<&SplatStream>,
+    stream: &SplatStream,
     band: &mut [u32],
     (row0, row1): (u32, u32),
     width: u32,
     height: u32,
 ) -> u64 {
     let mut fragments = 0u64;
-    match stream {
-        None => {
-            for s in splats {
-                let (lo, hi) = s.aabb();
-                if hi.x < 0.0 || hi.y < 0.0 || lo.x >= width as f32 || lo.y >= height as f32 {
-                    continue;
-                }
-                let x0 = lo.x.max(0.0) as u32;
-                let y0 = (lo.y.max(0.0) as u32).max(row0);
-                let x1 = (hi.x.min(width as f32 - 1.0)).max(0.0) as u32;
-                let y1 = ((hi.y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
-                if y0 > y1 || y0 >= row1 {
-                    continue;
-                }
-                for y in y0..=y1 {
-                    for x in x0..=x1 {
-                        let dx = x as f32 + 0.5 - s.center.x;
-                        let dy = y as f32 + 0.5 - s.center.y;
-                        if gsplat::blend::fragment_alpha(s.opacity, s.conic, dx, dy).is_some() {
-                            fragments += 1;
-                            band[((y - row0) * width + x) as usize] += 1;
-                        }
-                    }
-                }
-            }
+    for si in 0..stream.len() {
+        let cx = stream.center_x()[si];
+        let cy = stream.center_y()[si];
+        let (a, bq, c) = stream.conic(si);
+        let opacity = stream.opacity()[si];
+        let (maj, min_ax) = stream.axes(si);
+        let ext_x = maj.x.abs() + min_ax.x.abs();
+        let ext_y = maj.y.abs() + min_ax.y.abs();
+        let (lo_x, lo_y) = (cx - ext_x, cy - ext_y);
+        let (hi_x, hi_y) = (cx + ext_x, cy + ext_y);
+        if hi_x < 0.0 || hi_y < 0.0 || lo_x >= width as f32 || lo_y >= height as f32 {
+            continue;
         }
-        Some(stream) => {
-            for si in 0..stream.len() {
-                let cx = stream.center_x()[si];
-                let cy = stream.center_y()[si];
-                let (a, bq, c) = stream.conic(si);
-                let opacity = stream.opacity()[si];
-                let (maj, min_ax) = stream.axes(si);
-                let ext_x = maj.x.abs() + min_ax.x.abs();
-                let ext_y = maj.y.abs() + min_ax.y.abs();
-                let (lo_x, lo_y) = (cx - ext_x, cy - ext_y);
-                let (hi_x, hi_y) = (cx + ext_x, cy + ext_y);
-                if hi_x < 0.0 || hi_y < 0.0 || lo_x >= width as f32 || lo_y >= height as f32 {
-                    continue;
-                }
-                let x0 = lo_x.max(0.0) as u32;
-                let y0 = (lo_y.max(0.0) as u32).max(row0);
-                let x1 = (hi_x.min(width as f32 - 1.0)).max(0.0) as u32;
-                let y1 = ((hi_y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
-                if y0 > y1 || y0 >= row1 {
-                    continue;
-                }
-                // Conservative band bound: every fragment would be
-                // alpha-pruned, so the counters cannot change.
-                let bound = tile_alpha_bound(
-                    (a, bq, c),
-                    opacity,
-                    gsplat::math::Vec2::new(cx, cy),
-                    (x0 as f32 + 0.5, y0 as f32 + 0.5),
-                    (x1 as f32 + 0.5, y1 as f32 + 0.5),
-                );
-                if bound < ALPHA_PRUNE_THRESHOLD {
-                    continue;
-                }
-                for y in y0..=y1 {
-                    let dy = y as f32 + 0.5 - cy;
-                    let cdy2 = c * dy * dy;
-                    for x in x0..=x1 {
-                        let dx = x as f32 + 0.5 - cx;
-                        let power = -0.5 * (a * dx * dx + cdy2) - bq * dx * dy;
-                        let falloff = if power > 0.0 { 0.0 } else { power.exp() };
-                        let alpha = (opacity * falloff).min(ALPHA_MAX);
-                        if alpha >= ALPHA_PRUNE_THRESHOLD {
-                            fragments += 1;
-                            band[((y - row0) * width + x) as usize] += 1;
-                        }
-                    }
+        let x0 = lo_x.max(0.0) as u32;
+        let y0 = (lo_y.max(0.0) as u32).max(row0);
+        let x1 = (hi_x.min(width as f32 - 1.0)).max(0.0) as u32;
+        let y1 = ((hi_y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
+        if y0 > y1 || y0 >= row1 {
+            continue;
+        }
+        // Conservative band bound: every fragment would be alpha-pruned,
+        // so the counters cannot change.
+        let bound = tile_alpha_bound(
+            (a, bq, c),
+            opacity,
+            gsplat::math::Vec2::new(cx, cy),
+            (x0 as f32 + 0.5, y0 as f32 + 0.5),
+            (x1 as f32 + 0.5, y1 as f32 + 0.5),
+        );
+        if bound < ALPHA_PRUNE_THRESHOLD {
+            continue;
+        }
+        for y in y0..=y1 {
+            let dy = y as f32 + 0.5 - cy;
+            let cdy2 = c * dy * dy;
+            for x in x0..=x1 {
+                let dx = x as f32 + 0.5 - cx;
+                let power = -0.5 * (a * dx * dx + cdy2) - bq * dx * dy;
+                let falloff = if power > 0.0 { 0.0 } else { power.exp() };
+                let alpha = (opacity * falloff).min(ALPHA_MAX);
+                if alpha >= ALPHA_PRUNE_THRESHOLD {
+                    fragments += 1;
+                    band[((y - row0) * width + x) as usize] += 1;
                 }
             }
         }
@@ -354,27 +317,6 @@ mod tests {
                 serial,
                 "{policy:?}"
             );
-        }
-    }
-
-    #[test]
-    fn soa_workload_matches_scalar_exactly() {
-        let splats: Vec<Splat> = (0..60)
-            .map(|i| Splat {
-                center: Vec2::new(5.0 + (i % 9) as f32 * 7.0, 4.0 + (i % 6) as f32 * 8.0),
-                depth: 1.0 + i as f32,
-                conic: (0.3 + 0.01 * i as f32, 0.02, 0.4),
-                axis_major: Vec2::new(9.0, 1.0),
-                axis_minor: Vec2::new(-1.0, 8.0),
-                color: Vec3::splat(0.5),
-                opacity: 0.05 + 0.02 * (i % 10) as f32,
-                source: i,
-            })
-            .collect();
-        for policy in [ThreadPolicy::serial(), ThreadPolicy::default()] {
-            let scalar = fragment_workload_kernel(&splats, 64, 48, policy, FragmentKernel::Scalar);
-            let soa = fragment_workload_kernel(&splats, 64, 48, policy, FragmentKernel::Soa);
-            assert_eq!(soa, scalar, "{policy:?}");
         }
     }
 

@@ -12,15 +12,18 @@
 //! band the batch's splats blend in draw order, so every pixel sees the
 //! exact serial blend sequence — the parallel render is bit-exact with
 //! `threads: 1`.
+//!
+//! The blend reads a SoA [`SplatStream`] copy of the splat list, built once
+//! per render, and hoists the per-row falloff term; its image and counts
+//! equal those of the plain per-fragment stencil blend the tests keep as
+//! the reference (`tests/support/sw_oracle.rs`).
 
-use gsplat::blend::{
-    fragment_alpha, ALPHA_MAX, ALPHA_PRUNE_THRESHOLD, EARLY_TERMINATION_THRESHOLD,
-};
+use gsplat::blend::{ALPHA_MAX, ALPHA_PRUNE_THRESHOLD, EARLY_TERMINATION_THRESHOLD};
 use gsplat::color::{PixelFormat, Rgba};
 use gsplat::framebuffer::ColorBuffer;
 use gsplat::par::{for_each_claimed, ThreadPolicy};
 use gsplat::splat::Splat;
-use gsplat::stream::{FragmentKernel, SplatStream};
+use gsplat::stream::SplatStream;
 use serde::{Deserialize, Serialize};
 
 /// Cost model for the multi-pass OpenGL renderer, expressed in the same
@@ -41,10 +44,6 @@ pub struct MultiPassConfig {
     pub core_freq_mhz: f64,
     /// Host worker threads for the functional render (`0` = all cores).
     pub threads: usize,
-    /// Fragment-kernel implementation (AoS `Scalar` oracle vs SoA fast
-    /// path). Images, fragment counts and modelled times are bit-exact
-    /// between the two.
-    pub kernel: FragmentKernel,
 }
 
 impl Default for MultiPassConfig {
@@ -56,7 +55,6 @@ impl Default for MultiPassConfig {
             draw_call_overhead_cycles: 60_000.0,
             core_freq_mhz: 612.0,
             threads: 0,
-            kernel: FragmentKernel::Scalar,
         }
     }
 }
@@ -141,17 +139,14 @@ pub fn render_multipass(
         .collect();
     let workers = &mut vec![(); workers];
 
-    let batch_len = splats.len().div_ceil(passes);
+    let batch_len = splats.len().div_ceil(passes).max(1);
     let mut time_cycles = 0.0f64;
 
-    // SoA view for the `Soa` kernel, built once for all passes.
-    let stream = match cfg.kernel {
-        FragmentKernel::Scalar => None,
-        FragmentKernel::Soa => Some(SplatStream::from_splats(splats)),
-    };
+    // SoA copy of the splat list, built once for all passes.
+    let stream = SplatStream::from_splats(splats);
 
-    for (pass, batch) in splats.chunks(batch_len.max(1)).enumerate() {
-        let batch_start = pass * batch_len.max(1);
+    for (pass, start) in (0..splats.len()).step_by(batch_len).enumerate() {
+        let batch = start..(start + batch_len).min(splats.len());
         // --- Draw call 1: blend the batch under the stencil test. ---
         for_each_claimed(
             workers,
@@ -160,8 +155,7 @@ pub fn render_multipass(
             |_, (color, stencil, counts), b| {
                 let row0 = b as u32 * band_rows;
                 let rows = (row0, (row0 + band_rows).min(height));
-                let batch = (batch, batch_start, stream.as_ref());
-                *counts = blend_band(batch, color, stencil, rows, width, height);
+                *counts = blend_band(&stream, batch.clone(), color, stencil, rows, width, height);
             },
         );
         let mut pass_raster = 0u64;
@@ -199,15 +193,18 @@ pub fn render_multipass(
     }
 }
 
-/// Blends one batch — its splats, the index of its first splat and the
-/// SoA view of the whole splat list (`Soa` kernel only) — into the row
-/// band `rows` under the stencil test. `color` and `stencil` are the
-/// band's pixels. Returns the band's (rasterized, blended, discarded)
-/// fragment counts.
+/// Blends the splats `batch` of `stream` into the row band `rows` under
+/// the stencil test. `color` and `stencil` are the band's pixels. Returns
+/// the band's (rasterized, blended, discarded) fragment counts.
+///
+/// The per-row `c·dy·dy` term is hoisted (same operation tree, so the same
+/// value); otherwise the arithmetic is operation-for-operation
+/// `gsplat::blend::fragment_alpha` and `Splat::aabb`.
 // vrlint: hot
 // vrlint: allow-block(VL01[index], reason = "band-local pixel indices are clamped to the band's row window of the framebuffer split")
 fn blend_band(
-    (batch, batch_start, stream): (&[Splat], usize, Option<&SplatStream>),
+    stream: &SplatStream,
+    batch: std::ops::Range<usize>,
     band_color: &mut [Rgba],
     band_stencil: &[bool],
     (row0, row1): (u32, u32),
@@ -217,100 +214,54 @@ fn blend_band(
     let mut pass_raster = 0u64;
     let mut pass_blend = 0u64;
     let mut pass_discarded = 0u64;
-    match stream {
-        None => {
-            for s in batch {
-                let (lo, hi) = s.aabb();
-                if hi.x < 0.0 || hi.y < 0.0 || lo.x >= width as f32 || lo.y >= height as f32 {
-                    continue;
-                }
-                let x0 = lo.x.max(0.0) as u32;
-                let y0 = (lo.y.max(0.0) as u32).max(row0);
-                let x1 = (hi.x.min(width as f32 - 1.0)).max(0.0) as u32;
-                let y1 = ((hi.y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
-                if y0 > y1 || y0 >= row1 {
-                    continue;
-                }
-                for y in y0..=y1 {
-                    for x in x0..=x1 {
-                        pass_raster += 1;
-                        let idx = ((y - row0) * width + x) as usize;
-                        if band_stencil[idx] {
-                            pass_discarded += 1;
-                            continue;
-                        }
-                        let dx = x as f32 + 0.5 - s.center.x;
-                        let dy = y as f32 + 0.5 - s.center.y;
-                        if let Some(alpha) = fragment_alpha(s.opacity, s.conic, dx, dy) {
-                            let dest = band_color[idx];
-                            let t = 1.0 - dest.a;
-                            band_color[idx] = Rgba::new(
-                                dest.r + t * s.color.x * alpha,
-                                dest.g + t * s.color.y * alpha,
-                                dest.b + t * s.color.z * alpha,
-                                dest.a + t * alpha,
-                            );
-                            pass_blend += 1;
-                        }
-                    }
-                }
-            }
+    for si in batch {
+        let cx = stream.center_x()[si];
+        let cy = stream.center_y()[si];
+        let (a, bq, c) = stream.conic(si);
+        let opacity = stream.opacity()[si];
+        let (maj, min_ax) = stream.axes(si);
+        let ext_x = maj.x.abs() + min_ax.x.abs();
+        let ext_y = maj.y.abs() + min_ax.y.abs();
+        let (lo_x, lo_y) = (cx - ext_x, cy - ext_y);
+        let (hi_x, hi_y) = (cx + ext_x, cy + ext_y);
+        if hi_x < 0.0 || hi_y < 0.0 || lo_x >= width as f32 || lo_y >= height as f32 {
+            continue;
         }
-        Some(stream) => {
-            // SoA kernel: flat-slice parameter loads, the per-row
-            // `c·dy·dy` term hoisted (same value, same rounding),
-            // otherwise operation-for-operation the scalar oracle.
-            for j in 0..batch.len() {
-                let si = batch_start + j;
-                let cx = stream.center_x()[si];
-                let cy = stream.center_y()[si];
-                let (a, bq, c) = stream.conic(si);
-                let opacity = stream.opacity()[si];
-                let (maj, min_ax) = stream.axes(si);
-                let ext_x = maj.x.abs() + min_ax.x.abs();
-                let ext_y = maj.y.abs() + min_ax.y.abs();
-                let (lo_x, lo_y) = (cx - ext_x, cy - ext_y);
-                let (hi_x, hi_y) = (cx + ext_x, cy + ext_y);
-                if hi_x < 0.0 || hi_y < 0.0 || lo_x >= width as f32 || lo_y >= height as f32 {
+        let x0 = lo_x.max(0.0) as u32;
+        let y0 = (lo_y.max(0.0) as u32).max(row0);
+        let x1 = (hi_x.min(width as f32 - 1.0)).max(0.0) as u32;
+        let y1 = ((hi_y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
+        if y0 > y1 || y0 >= row1 {
+            continue;
+        }
+        let (cr, cg, cb) = {
+            let v = stream.color(si);
+            (v.x, v.y, v.z)
+        };
+        for y in y0..=y1 {
+            let dy = y as f32 + 0.5 - cy;
+            let cdy2 = c * dy * dy;
+            for x in x0..=x1 {
+                pass_raster += 1;
+                let idx = ((y - row0) * width + x) as usize;
+                if band_stencil[idx] {
+                    pass_discarded += 1;
                     continue;
                 }
-                let x0 = lo_x.max(0.0) as u32;
-                let y0 = (lo_y.max(0.0) as u32).max(row0);
-                let x1 = (hi_x.min(width as f32 - 1.0)).max(0.0) as u32;
-                let y1 = ((hi_y.min(height as f32 - 1.0)).max(0.0) as u32).min(row1 - 1);
-                if y0 > y1 || y0 >= row1 {
-                    continue;
-                }
-                let (cr, cg, cb) = {
-                    let v = stream.color(si);
-                    (v.x, v.y, v.z)
-                };
-                for y in y0..=y1 {
-                    let dy = y as f32 + 0.5 - cy;
-                    let cdy2 = c * dy * dy;
-                    for x in x0..=x1 {
-                        pass_raster += 1;
-                        let idx = ((y - row0) * width + x) as usize;
-                        if band_stencil[idx] {
-                            pass_discarded += 1;
-                            continue;
-                        }
-                        let dx = x as f32 + 0.5 - cx;
-                        let power = -0.5 * (a * dx * dx + cdy2) - bq * dx * dy;
-                        let falloff = if power > 0.0 { 0.0 } else { power.exp() };
-                        let alpha = (opacity * falloff).min(ALPHA_MAX);
-                        if alpha >= ALPHA_PRUNE_THRESHOLD {
-                            let dest = band_color[idx];
-                            let t = 1.0 - dest.a;
-                            band_color[idx] = Rgba::new(
-                                dest.r + t * cr * alpha,
-                                dest.g + t * cg * alpha,
-                                dest.b + t * cb * alpha,
-                                dest.a + t * alpha,
-                            );
-                            pass_blend += 1;
-                        }
-                    }
+                let dx = x as f32 + 0.5 - cx;
+                let power = -0.5 * (a * dx * dx + cdy2) - bq * dx * dy;
+                let falloff = if power > 0.0 { 0.0 } else { power.exp() };
+                let alpha = (opacity * falloff).min(ALPHA_MAX);
+                if alpha >= ALPHA_PRUNE_THRESHOLD {
+                    let dest = band_color[idx];
+                    let t = 1.0 - dest.a;
+                    band_color[idx] = Rgba::new(
+                        dest.r + t * cr * alpha,
+                        dest.g + t * cg * alpha,
+                        dest.b + t * cb * alpha,
+                        dest.a + t * alpha,
+                    );
+                    pass_blend += 1;
                 }
             }
         }
@@ -381,30 +332,6 @@ mod tests {
     #[should_panic(expected = "at least one pass")]
     fn zero_passes_panics() {
         let _ = render_multipass(&[], 32, 32, 0, &MultiPassConfig::default());
-    }
-
-    #[test]
-    fn soa_kernel_matches_scalar_bit_exactly() {
-        let splats = stacked(48, 0.8);
-        for passes in [1usize, 4, 9] {
-            let scalar = render_multipass(&splats, 70, 50, passes, &MultiPassConfig::default());
-            let soa_cfg = MultiPassConfig {
-                kernel: FragmentKernel::Soa,
-                ..MultiPassConfig::default()
-            };
-            let soa = render_multipass(&splats, 70, 50, passes, &soa_cfg);
-            assert_eq!(soa.blended_fragments, scalar.blended_fragments, "{passes}");
-            assert_eq!(
-                soa.stencil_discarded_fragments,
-                scalar.stencil_discarded_fragments
-            );
-            assert_eq!(soa.time_ms, scalar.time_ms, "{passes}");
-            assert_eq!(
-                soa.color.max_abs_diff(&scalar.color),
-                0.0,
-                "passes={passes}: image diverged"
-            );
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use gsplat::splat::Splat;
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig};
 use swrender::inshader::fragment_workload;
 use swrender::multipass::{render_multipass, MultiPassConfig};
-use vrpipe::{draw, try_draw, DrawError, PipelineVariant};
+use vrpipe::{draw, try_draw, try_draw_with_scratch, DrawError, DrawScratch, PipelineVariant};
 
 fn splat(cx: f32, cy: f32, r: f32, depth: f32, opacity: f32) -> Splat {
     Splat {
@@ -101,17 +101,11 @@ fn odd_framebuffers_survive_every_backend() {
         splat(8.0, 5.0, 3.0, 2.0, 0.6),
     ];
     for (w, h) in [(1u32, 1u32), (17, 9), (31, 33), (16, 1), (3, 47)] {
-        for kernel in gsplat::stream::FragmentKernel::ALL {
-            let sw_cfg = SwConfig {
-                kernel,
-                ..SwConfig::default()
-            };
-            let f = CudaLikeRenderer::new(sw_cfg, true).render(&splats, w, h);
-            assert!(
-                f.color.pixels().iter().all(|p| p.is_finite()),
-                "cuda_like {kernel:?} {w}x{h}"
-            );
-        }
+        let f = CudaLikeRenderer::new(SwConfig::default(), true).render(&splats, w, h);
+        assert!(
+            f.color.pixels().iter().all(|p| p.is_finite()),
+            "cuda_like {w}x{h}"
+        );
         let mp = render_multipass(&splats, w, h, 3, &MultiPassConfig::default());
         assert!(
             mp.color.pixels().iter().all(|p| p.is_finite()),
@@ -135,15 +129,9 @@ fn odd_framebuffers_survive_every_backend() {
 #[test]
 fn empty_scene_renders_through_every_backend() {
     let splats: Vec<Splat> = Vec::new();
-    for kernel in gsplat::stream::FragmentKernel::ALL {
-        let sw_cfg = SwConfig {
-            kernel,
-            ..SwConfig::default()
-        };
-        let f = CudaLikeRenderer::new(sw_cfg, true).render(&splats, 32, 32);
-        assert_eq!(f.stats.blended_fragments, 0, "{kernel:?}");
-        assert_eq!(f.color.mean_alpha(), 0.0, "{kernel:?}");
-    }
+    let f = CudaLikeRenderer::new(SwConfig::default(), true).render(&splats, 32, 32);
+    assert_eq!(f.stats.blended_fragments, 0);
+    assert_eq!(f.color.mean_alpha(), 0.0);
     let mp = render_multipass(&splats, 32, 32, 4, &MultiPassConfig::default());
     assert_eq!(mp.blended_fragments, 0);
     assert_eq!(fragment_workload(&splats, 32, 32), (0, 0, 0));
@@ -245,6 +233,26 @@ fn invalid_configs_error_instead_of_panicking() {
         for v in PipelineVariant::ALL {
             let err = try_draw(&splats, 32, 32, &bad, v).unwrap_err();
             assert!(matches!(err, DrawError::InvalidConfig(_)), "{v}: {err}");
+        }
+    }
+}
+
+/// A viewport with no pixels is a typed, permanent error from both
+/// fallible draw entry points, never the framebuffer's panic.
+#[test]
+fn empty_viewports_error_instead_of_panicking() {
+    let splats = vec![splat(4.0, 4.0, 2.0, 1.0, 0.5)];
+    let gpu = GpuConfig::default();
+    for (width, height) in [(0u32, 0u32), (0, 8), (8, 0)] {
+        for v in PipelineVariant::ALL {
+            let expect = DrawError::EmptyViewport { width, height };
+            let err = try_draw(&splats, width, height, &gpu, v).unwrap_err();
+            assert_eq!(err, expect, "{v} {width}x{height}");
+            assert!(!err.is_transient());
+            let mut scratch = DrawScratch::default();
+            let err =
+                try_draw_with_scratch(&splats, width, height, &gpu, v, &mut scratch).unwrap_err();
+            assert_eq!(err, expect, "{v} {width}x{height}");
         }
     }
 }

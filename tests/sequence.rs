@@ -101,34 +101,21 @@ fn indexed_vrpipe_sequence_is_bit_exact_with_isolated_frames() {
 fn check_cuda_like_sequence(indexed: bool) {
     let scene = train_scene();
     let cfg = flythrough_cfg(&scene, indexed);
-    for kernel in FragmentKernel::ALL {
-        let sw_cfg = SwConfig {
-            kernel,
-            ..SwConfig::default()
-        };
-        let sw = CudaLikeRenderer::new(sw_cfg, true);
-        let mut session = Session::default().with_stream();
-        let mut scratch = SwScratch::default();
-        let frames = {
-            let scratch = &mut scratch;
-            let sw = &sw;
-            session.run(&scene, &cfg, |f| {
-                sw.render_prepared(f.splats, f.stream, cfg.width, cfg.height, scratch)
-            })
-        };
-        for (i, frame) in frames.iter().enumerate() {
-            let splats = isolated_splats(&scene, &cfg, i);
-            let fresh = sw.render(&splats, cfg.width, cfg.height);
-            assert_eq!(
-                frame.stats, fresh.stats,
-                "{kernel:?} indexed={indexed}: frame {i}"
-            );
-            assert_eq!(
-                frame.color.max_abs_diff(&fresh.color),
-                0.0,
-                "{kernel:?} indexed={indexed}: frame {i} image diverged"
-            );
-        }
+    let sw = CudaLikeRenderer::new(SwConfig::default(), true);
+    let mut session = Session::default();
+    let mut scratch = SwScratch::default();
+    let frames = session.run(&scene, &cfg, |f| {
+        sw.render_with_scratch(f.splats, cfg.width, cfg.height, &mut scratch)
+    });
+    for (i, frame) in frames.iter().enumerate() {
+        let splats = isolated_splats(&scene, &cfg, i);
+        let fresh = sw.render(&splats, cfg.width, cfg.height);
+        assert_eq!(frame.stats, fresh.stats, "indexed={indexed}: frame {i}");
+        assert_eq!(
+            frame.color.max_abs_diff(&fresh.color),
+            0.0,
+            "indexed={indexed}: frame {i} image diverged"
+        );
     }
 }
 

@@ -12,7 +12,6 @@ use gsplat::camera::CameraPath;
 use gsplat::framebuffer::ColorBuffer;
 use gsplat::math::Vec3;
 use gsplat::scene::{Scene, EVALUATED_SCENES};
-use gsplat::stream::FragmentKernel;
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig, SwScratch};
 use swrender::inshader::fragment_workload;
 use swrender::multipass::{render_multipass, MultiPassConfig};
@@ -47,41 +46,32 @@ fn image_digest(color: &ColorBuffer) -> u64 {
 /// backend produces no image).
 type Digest = (String, u64);
 
-/// One stream's definition: name, sequence, whether the session must
-/// maintain the SoA stream mirror, and the backend closure.
+/// One stream's definition: name, sequence and the backend closure.
 type StreamDef = (
     &'static str,
     SequenceConfig,
-    bool,
     Box<dyn FnMut(FrameInput<'_>) -> Digest + Send>,
 );
 
 /// The four stream definitions — each its own camera path, resolution and
-/// backend. Returned as `(name, cfg, needs_stream, closure)` constructors
+/// backend. Returned as `(name, cfg, closure)` constructors
 /// so the serve run and the solo reference build *identical* closures.
 fn stream_defs(scene: &Scene) -> Vec<StreamDef> {
     let center = scene.center;
     let radius = scene.view_radius;
     let mut defs: Vec<StreamDef> = Vec::new();
 
-    // Stream 0: cuda_like renderer, SoA kernel, prepared-stream entry.
+    // Stream 0: cuda_like renderer with a reused scratch.
     let cfg0 = SequenceConfig::new(CameraPath::orbit(center, radius, 1.2, 0.03), FRAMES, 96, 64)
         .with_index();
-    let sw = CudaLikeRenderer::new(
-        SwConfig {
-            kernel: FragmentKernel::Soa,
-            ..SwConfig::default()
-        },
-        true,
-    );
+    let sw = CudaLikeRenderer::new(SwConfig::default(), true);
     let mut sw_scratch = SwScratch::default();
     let (w0, h0) = (cfg0.width, cfg0.height);
     defs.push((
         "cuda_like",
         cfg0,
-        true,
         Box::new(move |f: FrameInput<'_>| {
-            let frame = sw.render_prepared(f.splats, f.stream, w0, h0, &mut sw_scratch);
+            let frame = sw.render_with_scratch(f.splats, w0, h0, &mut sw_scratch);
             (format!("{:?}", frame.stats), image_digest(&frame.color))
         }),
     ));
@@ -99,7 +89,6 @@ fn stream_defs(scene: &Scene) -> Vec<StreamDef> {
     defs.push((
         "multipass",
         cfg1,
-        false,
         Box::new(move |f: FrameInput<'_>| {
             let frame = render_multipass(f.splats, w1, h1, 4, &mp_cfg);
             (
@@ -125,7 +114,6 @@ fn stream_defs(scene: &Scene) -> Vec<StreamDef> {
     defs.push((
         "inshader",
         cfg2,
-        false,
         Box::new(move |f: FrameInput<'_>| {
             (format!("{:?}", fragment_workload(f.splats, w2, h2)), 0)
         }),
@@ -145,7 +133,6 @@ fn stream_defs(scene: &Scene) -> Vec<StreamDef> {
     defs.push((
         "vrpipe-stereo",
         cfg3,
-        false,
         Box::new(move |f: FrameInput<'_>| {
             let out = vrpipe::try_draw_with_scratch(
                 f.splats,
@@ -170,23 +157,14 @@ fn check_serve_matches_solo(threads: usize) {
 
     // Solo references: each stream runs alone in its own Session.
     let mut solo: Vec<Vec<Digest>> = Vec::new();
-    for (_, cfg, needs_stream, mut render) in stream_defs(&scene) {
-        let mut session = if needs_stream {
-            Session::default().with_stream()
-        } else {
-            Session::default()
-        };
-        solo.push(session.run(&scene, &cfg, &mut render));
+    for (_, cfg, mut render) in stream_defs(&scene) {
+        solo.push(Session::default().run(&scene, &cfg, &mut render));
     }
 
     // The served run: same closures, one shared scene, one pool.
     let mut server = Server::new(SharedScene::new(scene.clone()), threads);
-    for (name, cfg, needs_stream, render) in stream_defs(&scene) {
-        let mut spec = StreamSpec::new(name, cfg, render);
-        if needs_stream {
-            spec = spec.with_stream();
-        }
-        server.add_stream(spec);
+    for (name, cfg, render) in stream_defs(&scene) {
+        server.add_stream(StreamSpec::new(name, cfg, render));
     }
 
     // One SceneIndex allocation, shared by all four sessions: the shared
