@@ -13,7 +13,7 @@ use gsplat::preprocess::preprocess;
 use gsplat::scene::{EVALUATED_SCENES, LARGE_SCALE_SCENES};
 use vrpipe::{PipelineVariant, Renderer};
 
-use crate::common::{banner, default_scale, geomean};
+use crate::common::{banner, default_scale, geomean, viewpoints};
 
 /// Fig. 20a/b/c: ROP and CROP-cache microbenchmarks.
 pub fn fig20() {
@@ -90,13 +90,12 @@ pub fn tilebins() {
 /// Fig. 21: early-termination ratio across viewpoints.
 pub fn fig21() {
     let scale = default_scale();
-    let viewpoints: usize = std::env::var("VRPIPE_VIEWPOINTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
+    let viewpoints = viewpoints();
     banner(
         "Fig. 21",
-        "Early-termination ratio across viewpoints (blended frags without/with ET)",
+        &format!(
+            "Early-termination ratio across {viewpoints} viewpoints (blended frags without/with ET)"
+        ),
     );
     println!(
         "{:<8} {:>6} {:>6} {:>6}  per-viewpoint ratios",

@@ -1,14 +1,11 @@
-//! Scene-asset pipeline experiment: encode/decode throughput of the
-//! checksummed `.gspa` format, a seeded corruption sweep (every damaged
-//! file must be *detected* — a typed error, never a panic or a silent
-//! wrong load), quarantine degradation counters, and the hot-reload
-//! rollback gate.
+//! Scene-asset pipeline experiment: the size of the checksummed `.gspa`
+//! encoding, a seeded corruption sweep (every damaged file must be
+//! *detected* — a typed error, never a panic or a silent wrong load),
+//! quarantine degradation counters, and the hot-reload rollback gate.
 //!
 //! Parity-gated like the other serving experiments: before anything is
 //! reported, a quarantined load is rendered and asserted bit-exact
 //! against a scene rebuilt from the surviving residents.
-
-use std::time::Instant;
 
 use gsplat::asset::faults::seeded_corruptions;
 use gsplat::asset::{decode_scene, encode_scene, LoadPolicy};
@@ -26,34 +23,6 @@ pub const CORRUPTION_SEED: u64 = 0xA55E7;
 /// Corruptions injected per sweep.
 pub const CORRUPTIONS: usize = 32;
 
-/// One asset-pipeline measurement, for the JSON trail.
-pub struct AssetMeasurement {
-    /// Scene name.
-    pub scene: String,
-    /// Residents stored in the file.
-    pub gaussians: usize,
-    /// Encoded size in bytes.
-    pub bytes: usize,
-    /// Best-of-reps encode wall time, ms.
-    pub encode_ms: f64,
-    /// Best-of-reps validated strict decode wall time, ms.
-    pub decode_ms: f64,
-    /// Validated decode throughput, MB/s.
-    pub decode_mb_s: f64,
-    /// Seeded corruptions injected.
-    pub corruptions_tested: usize,
-    /// Corruptions that surfaced as a typed error (must equal tested).
-    pub corruptions_detected: usize,
-    /// Residents stored in the poisoned quarantine probe.
-    pub quarantine_total: usize,
-    /// Residents surviving the quarantine load.
-    pub quarantine_kept: usize,
-    /// Whether the corrupt hot reload was refused with the epoch intact.
-    pub reload_refused: bool,
-    /// Scene epoch after the successful survivor swap.
-    pub reload_epoch: u64,
-}
-
 /// FNV-1a over a color buffer's pixel bits.
 fn image_digest(color: &gsplat::ColorBuffer) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -69,29 +38,20 @@ fn image_digest(color: &gsplat::ColorBuffer) -> u64 {
     h
 }
 
-/// Measures the asset pipeline on one scene archetype. **Parity-gated**:
-/// the quarantined load renders bit-exact with a rebuilt survivor scene
-/// before any number is reported.
-pub fn measure_asset(spec_index: usize, scale: f32) -> AssetMeasurement {
-    let spec = &EVALUATED_SCENES[spec_index];
-    let scene = spec.generate_scaled(scale);
-    let reps = 3;
-
-    // --- Encode / decode timing (best of reps). ---
-    let mut encode_ms = f64::INFINITY;
-    let mut bytes = Vec::new();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        bytes = encode_scene(&scene);
-        encode_ms = encode_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let mut decode_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let loaded = decode_scene(&bytes, LoadPolicy::Strict).expect("clean bytes decode");
-        decode_ms = decode_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        assert!(loaded.report.is_clean());
-    }
+/// The `asset` experiment: checksummed encoding size, corruption
+/// detection and quarantine/hot-reload robustness counters.
+/// **Parity-gated**: the quarantined load renders bit-exact with a
+/// rebuilt survivor scene before the counters are printed.
+pub fn asset() {
+    banner(
+        "asset",
+        "corruption-tolerant scene assets (CRC32 format, quarantine, hot reload)",
+    );
+    let spec = &EVALUATED_SCENES[2];
+    let scene = spec.generate_scaled(default_scale().min(0.1));
+    let bytes = encode_scene(&scene);
+    let clean = decode_scene(&bytes, LoadPolicy::Strict).expect("clean bytes decode");
+    assert!(clean.report.is_clean());
 
     // --- Seeded corruption sweep: every damaged file is detected. ---
     let plan = seeded_corruptions(CORRUPTION_SEED, bytes.len(), CORRUPTIONS);
@@ -162,48 +122,22 @@ pub fn measure_asset(spec_index: usize, scale: f32) -> AssetMeasurement {
     assert!(outcome.changed);
     assert_eq!(outcome.quarantined, dropped.len());
 
-    AssetMeasurement {
-        scene: spec.name.to_string(),
-        gaussians: scene.len(),
-        bytes: bytes.len(),
-        encode_ms,
-        decode_ms,
-        decode_mb_s: bytes.len() as f64 / 1e6 / (decode_ms / 1e3).max(1e-12),
-        corruptions_tested: plan.len(),
-        corruptions_detected: detected,
-        quarantine_total: loaded.report.total,
-        quarantine_kept: loaded.report.kept,
-        reload_refused: refused,
-        reload_epoch: outcome.epoch,
-    }
-}
-
-/// The `asset` experiment: checksummed save/load throughput, corruption
-/// detection and quarantine/hot-reload robustness counters.
-pub fn asset() {
-    banner(
-        "asset",
-        "corruption-tolerant scene assets (CRC32 format, quarantine, hot reload)",
-    );
-    let m = measure_asset(2, default_scale().min(0.1));
     println!(
         "'{}': {} Gaussians → {} bytes ({:.2} bytes/Gaussian)",
-        m.scene,
-        m.gaussians,
-        m.bytes,
-        m.bytes as f64 / m.gaussians.max(1) as f64
-    );
-    println!(
-        "  encode {:.3} ms, validated decode {:.3} ms ({:.1} MB/s)",
-        m.encode_ms, m.decode_ms, m.decode_mb_s
+        spec.name,
+        scene.len(),
+        bytes.len(),
+        bytes.len() as f64 / scene.len().max(1) as f64
     );
     println!(
         "  corruption sweep (seed {:#x}): {}/{} detected as typed errors",
-        CORRUPTION_SEED, m.corruptions_detected, m.corruptions_tested
+        CORRUPTION_SEED,
+        detected,
+        plan.len()
     );
     println!(
         "  quarantine probe: {}/{} residents kept; corrupt reload refused = {}, survivor swap at epoch {}",
-        m.quarantine_kept, m.quarantine_total, m.reload_refused, m.reload_epoch
+        loaded.report.kept, loaded.report.total, refused, outcome.epoch
     );
     println!("  parity gate passed: quarantined load renders bit-exact with rebuilt survivors");
 }

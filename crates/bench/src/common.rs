@@ -7,14 +7,31 @@ use vrpipe::{Frame, PipelineVariant, Renderer};
 /// Default linear scene scale for experiments. Override with the
 /// `VRPIPE_SCALE` environment variable (e.g. `VRPIPE_SCALE=0.2`).
 ///
-/// Ratios (speedups, reductions, utilisations) are scale-stable
-/// (DESIGN.md §2); absolute times are extrapolated to full scale.
+/// Ratios (speedups, reductions, utilisations) are not scale-stable below
+/// about 0.5: at small scales the frame shrinks while the unit
+/// capacities of `GpuConfig` do not, and e.g. the HET speedup of Fig. 16
+/// moves by ~25% between 0.06 and 1.0. Compare numbers at one scale.
 pub fn default_scale() -> f32 {
     std::env::var("VRPIPE_SCALE")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|s| *s > 0.0 && *s <= 1.0)
         .unwrap_or(0.12)
+}
+
+/// Viewpoints per scene for Fig. 21. Override with the
+/// `VRPIPE_VIEWPOINTS` environment variable; see [`parse_viewpoints`].
+pub fn viewpoints() -> usize {
+    parse_viewpoints(std::env::var("VRPIPE_VIEWPOINTS").ok().as_deref())
+}
+
+/// Parses a viewpoint count: a positive integer, else the default of 8.
+/// Zero is rejected like an unparsable value, because a sweep over no
+/// viewpoints has no min, average or max to report.
+pub fn parse_viewpoints(var: Option<&str>) -> usize {
+    var.and_then(|v| v.parse().ok())
+        .filter(|n: &usize| *n > 0)
+        .unwrap_or(8)
 }
 
 /// Renders one scene with every pipeline variant at the given scale.
@@ -53,6 +70,15 @@ mod tests {
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn viewpoints_reject_zero_and_garbage() {
+        assert_eq!(parse_viewpoints(None), 8);
+        assert_eq!(parse_viewpoints(Some("0")), 8);
+        assert_eq!(parse_viewpoints(Some("-3")), 8);
+        assert_eq!(parse_viewpoints(Some("many")), 8);
+        assert_eq!(parse_viewpoints(Some("3")), 3);
     }
 
     #[test]

@@ -16,35 +16,6 @@ use vrpipe::{FrameScratch, PipelineVariant, Renderer};
 
 use crate::common::{banner, default_scale};
 
-/// One archetype's software-renderer tile-retirement measurement.
-pub struct KernelMeasurement {
-    /// Scene name.
-    pub scene: &'static str,
-    /// Fraction of swept tiles that fully retired.
-    pub retired_tile_ratio: f64,
-    /// Warp iterations elided by the conservative tile alpha bound.
-    pub bound_skipped_iterations: u64,
-}
-
-/// Renders one scene spec through the software renderer with early
-/// termination on.
-pub fn measure_sw_kernels(spec_index: usize, scale: f32) -> KernelMeasurement {
-    let spec = &EVALUATED_SCENES[spec_index];
-    let scene = spec.generate_scaled(scale);
-    let cam = scene.default_camera();
-    let pre = preprocess(&scene, &cam);
-    let frame = CudaLikeRenderer::new(SwConfig::default(), true).render(
-        &pre.splats,
-        cam.width(),
-        cam.height(),
-    );
-    KernelMeasurement {
-        scene: spec.name,
-        retired_tile_ratio: frame.stats.retired_tile_ratio(),
-        bound_skipped_iterations: frame.stats.bound_skipped_iterations,
-    }
-}
-
 /// The `kernel` experiment: retired-tile ratios and bound skips on the
 /// indoor (Room) and outdoor (Train) archetypes, for the software
 /// renderer and the simulated VR-Pipe pipeline.
@@ -57,24 +28,30 @@ pub fn kernel() {
 
     println!("software (CUDA-style) renderer, early termination on:");
     println!("  scene        retired-tile ratio   bound-skips");
-    for spec_index in [1usize, 2] {
-        let m = measure_sw_kernels(spec_index, scale);
+    for spec in &EVALUATED_SCENES[1..3] {
+        let scene = spec.generate_scaled(scale);
+        let cam = scene.default_camera();
+        let pre = preprocess(&scene, &cam);
+        let stats = CudaLikeRenderer::new(SwConfig::default(), true)
+            .render(&pre.splats, cam.width(), cam.height())
+            .stats;
         println!(
             "  {:<12} {:>18.3} {:>13}",
-            m.scene, m.retired_tile_ratio, m.bound_skipped_iterations,
+            spec.name,
+            stats.retired_tile_ratio(),
+            stats.bound_skipped_iterations,
         );
         assert!(
-            m.retired_tile_ratio > 0.0,
+            stats.retired_tile_ratio() > 0.0,
             "{}: expected a nonzero retired-tile ratio",
-            m.scene
+            spec.name
         );
     }
 
     println!();
     println!("vrpipe pipeline (HET+QM), tile-granularity ZROP retirement check:");
     println!("  scene        retired tiles   wholesale flush discards   zrop tests scalar->soa");
-    for spec_index in [1usize, 2] {
-        let spec = &EVALUATED_SCENES[spec_index];
+    for spec in &EVALUATED_SCENES[1..3] {
         let scene = spec.generate_scaled(scale);
         let cam = scene.default_camera();
         let mut scratch = FrameScratch::default();

@@ -14,14 +14,21 @@
 //!                           # serve-degrade / serve --degrade (overload quality-ladder smoke)
 //!                           # serve-batch / serve --batch (cross-stream batched preprocessing)
 //!                           # asset (checksummed scene assets, corruption sweep)
-//!                           # lint (vrlint invariant check, per-rule tallies)
 //! figures all               # everything, in paper order
 //! ```
 //!
+//! Every number printed is a simulated cycle count, a counter or a ratio
+//! of them, so the output is a pure function of the experiment list and
+//! the two variables below (the serve smokes excepted: their deadline
+//! outcomes depend on host speed by design). Host time is measured by
+//! `perfbench`, not here. `tests/figures_golden.rs` pins the output.
+//!
 //! Environment:
-//! * `VRPIPE_SCALE` — linear scene scale (default 0.12; ratios are
-//!   scale-stable, see DESIGN.md §2).
-//! * `VRPIPE_VIEWPOINTS` — viewpoints for fig21 (default 8).
+//! * `VRPIPE_SCALE` — linear scene scale (default 0.12). Ratios still
+//!   drift with scale below about 0.5 (speedups and reductions settle
+//!   only from there on), so compare numbers at one scale.
+//! * `VRPIPE_VIEWPOINTS` — viewpoints for fig21 (default 8; 0 and
+//!   unparsable values fall back to the default).
 
 mod ablation;
 mod analysis;
@@ -29,9 +36,7 @@ mod asset;
 mod common;
 mod evaluation;
 mod kernel;
-mod lint;
 mod motivation;
-mod report;
 mod sequence;
 mod serve;
 
@@ -64,7 +69,6 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("serve-degrade", serve::serve_degrade),
     ("serve-batch", serve::serve_batch),
     ("asset", asset::asset),
-    ("lint", lint::lint),
     ("ablation-tgc", ablation::ablation_tgc),
     ("ablation-tc", ablation::ablation_tc),
     ("ablation-cache", ablation::ablation_crop_cache),
@@ -85,20 +89,16 @@ fn main() {
         );
         std::process::exit(2);
     }
-    println!(
-        "VR-Pipe figure harness (scale = {})",
-        common::default_scale()
-    );
-    let mut report = report::Report::default();
+    // Resolve every argument before running anything, so a typo fails
+    // fast instead of after the experiments in front of it.
+    let mut run: Vec<fn()> = Vec::new();
     for arg in &args {
         if arg == "all" {
-            for (name, f) in EXPERIMENTS {
-                report.run(name, *f);
-            }
+            run.extend(EXPERIMENTS.iter().map(|(_, f)| *f));
             continue;
         }
-        // `figures serve --faults` / `--degrade` are the CI spellings of
-        // the fault-injection and overload-degradation smokes.
+        // `figures serve --faults` / `--degrade` / `--batch` are the CI
+        // spellings of the fault-injection, overload and batching smokes.
         let arg = match arg.as_str() {
             "--faults" => "serve-faults",
             "--degrade" => "serve-degrade",
@@ -106,20 +106,18 @@ fn main() {
             a => a,
         };
         match EXPERIMENTS.iter().find(|(n, _)| *n == arg) {
-            Some((name, f)) => report.run(name, *f),
+            Some((_, f)) => run.push(*f),
             None => {
                 eprintln!("unknown experiment: {arg}");
                 std::process::exit(2);
             }
         }
     }
-    match report.write(common::default_scale()) {
-        Ok(path) => println!("\nwrote {path}"),
-        Err(e) => {
-            // A missing benchmark trail is a failed run: CI must not read
-            // a stale BENCH_pipeline.json as this invocation's result.
-            eprintln!("could not write {}: {e}", report::REPORT_PATH);
-            std::process::exit(1);
-        }
+    println!(
+        "VR-Pipe figure harness (scale = {})",
+        common::default_scale()
+    );
+    for f in run {
+        f();
     }
 }

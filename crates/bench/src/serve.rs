@@ -1,18 +1,17 @@
-//! Multi-stream serving experiment: aggregate throughput as the number of
-//! concurrent viewers of one shared scene grows (1/2/4/8 streams), plus
-//! the index-share hit rate (how many sessions reuse the single
-//! `Arc<SceneIndex>` allocation) and per-stream health counters (p50/p99
-//! frame latency, deadline misses, dropped frames, terminal phase).
+//! Multi-stream serving experiment: four concurrent viewers of one shared
+//! scene, the index-share hit rate (how many sessions reuse the single
+//! `Arc<SceneIndex>` allocation), the summed re-sort and culling counters
+//! and per-stream health counters (deadline misses, dropped frames,
+//! terminal phase).
 //!
-//! Parity-gated: before anything is timed, every stream of a 4-stream
-//! server run is asserted bit-exact against running that stream alone in
-//! a solo [`Session`], so a reported throughput can never hide a
-//! scheduling or state-sharing bug. The companion `serve-faults` smoke
+//! Parity-gated: every stream of the server run is asserted bit-exact
+//! against running that stream alone in a solo [`Session`], so a
+//! reported counter can never hide a scheduling or state-sharing bug.
+//! Host time is not measured here; `perfbench` does that. The companion
+//! `serve-faults` smoke
 //! ([`serve_faults`]) drives the server through a seeded fault plan plus
 //! a deadline/stall eviction and applies the same gate to every *produced*
 //! frame.
-
-use std::time::Instant;
 
 use gpu_sim::config::GpuConfig;
 use gsplat::camera::CameraPath;
@@ -30,13 +29,13 @@ use crate::common::{banner, default_scale};
 /// Frames each stream renders.
 pub const SERVE_FRAMES: usize = 8;
 
-/// Concurrent-stream counts swept by the experiment.
-pub const STREAM_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Concurrent streams of the `serve` and `serve-batch` fleets.
+pub const STREAMS: usize = 4;
 
 /// Seed of the fault plan driven by the `serve-faults` smoke.
 pub const FAULT_SEED: u64 = 0xC0FFEE;
 
-/// Per-stream health counters of one serve run, for the JSON trail.
+/// Per-stream health counters of one serve run.
 pub struct StreamDetail {
     /// Stream name.
     pub name: String,
@@ -51,10 +50,6 @@ pub struct StreamDetail {
     pub deadline_misses: usize,
     /// Backend retries performed.
     pub retries: u32,
-    /// Median accepted frame latency, ms.
-    pub latency_p50_ms: f64,
-    /// 99th-percentile accepted frame latency, ms.
-    pub latency_p99_ms: f64,
 }
 
 /// Flattens a [`StreamPhase`] to a stable report label.
@@ -76,28 +71,22 @@ fn detail_of<R>(s: &StreamReport<R>) -> StreamDetail {
         frames_dropped: s.frames_dropped,
         deadline_misses: s.deadline_misses,
         retries: s.retries,
-        latency_p50_ms: s.latency_p50_ms,
-        latency_p99_ms: s.latency_p99_ms,
     }
 }
 
-/// One stream-count configuration's measurement.
+/// The `serve` fleet's outcome.
 pub struct ServePoint {
     /// Concurrent streams served.
     pub streams: usize,
     /// Frames delivered across all streams.
     pub total_frames: usize,
-    /// Wall time of the serve run, ms (best of the reps).
-    pub wall_ms: f64,
-    /// Aggregate delivered frame rate (all streams / wall clock).
-    pub aggregate_fps: f64,
     /// Fraction of indexed streams sharing the single `Arc<SceneIndex>`.
     pub index_share: f64,
     /// Summed incremental re-sort counters across streams.
     pub resort: ResortStats,
     /// Summed incremental culling counters across streams.
     pub cull: CullStats,
-    /// Per-stream health counters of the final rep.
+    /// Per-stream health counters.
     pub details: Vec<StreamDetail>,
 }
 
@@ -180,10 +169,9 @@ fn assert_stream_parity(
     }
 }
 
-/// Measures aggregate serve throughput per stream count. **Parity-gated**:
-/// a 4-stream server is first checked stream-by-stream against solo
-/// sessions, bit for bit, before any timing runs.
-pub fn measure_serve(spec_index: usize, scale: f32, frames: usize) -> Vec<ServePoint> {
+/// Serves [`STREAMS`] viewers of one scene. **Parity-gated**: every
+/// stream is checked against its solo session, bit for bit.
+pub fn measure_serve(spec_index: usize, scale: f32, frames: usize) -> ServePoint {
     let spec = &EVALUATED_SCENES[spec_index];
     let scene = spec.generate_scaled(scale);
     let (w, h) = spec.scaled_viewport(scale);
@@ -192,68 +180,43 @@ pub fn measure_serve(spec_index: usize, scale: f32, frames: usize) -> Vec<ServeP
         ..GpuConfig::default()
     };
 
-    // --- Parity gate: served == solo, stream by stream, bit for bit. ---
-    {
-        let mut server = build_server(SharedScene::new(scene.clone()), 4, frames, w, h, &gpu);
-        let report = server.run();
+    let mut server = build_server(SharedScene::new(scene.clone()), STREAMS, frames, w, h, &gpu);
+    let report = server.run();
+    assert_eq!(
+        report.index_sharers, STREAMS,
+        "{}: not every session shares the scene index",
+        spec.name
+    );
+    for k in 0..report.streams.len() {
         assert_eq!(
-            report.index_sharers, 4,
-            "{}: not every session shares the scene index",
+            report.streams[k].frames.len(),
+            frames,
+            "{}: stream {k}",
             spec.name
         );
-        for k in 0..report.streams.len() {
-            assert_eq!(
-                report.streams[k].frames.len(),
-                frames,
-                "{}: stream {k}",
-                spec.name
-            );
-            assert_stream_parity(&scene, &report, k, frames, w, h, &gpu, spec.name);
-        }
+        assert_stream_parity(&scene, &report, k, frames, w, h, &gpu, spec.name);
     }
-
-    // --- Timing: fresh server per stream count (cold temporal state on
-    // rep 1; later reps rewind with warm state — reported is the best,
-    // matching steady-state serving). ---
-    let reps = 3;
-    STREAM_COUNTS
+    let resort = report.streams.iter().fold(ResortStats::default(), |a, s| {
+        let r = s.resort;
+        ResortStats {
+            frames: a.frames + r.frames,
+            repaired: a.repaired + r.repaired,
+            radix_fallbacks: a.radix_fallbacks + r.radix_fallbacks,
+            repair_shifts: a.repair_shifts + r.repair_shifts,
+        }
+    });
+    let cull = report
+        .streams
         .iter()
-        .map(|&n| {
-            let mut server = build_server(SharedScene::new(scene.clone()), n, frames, w, h, &gpu);
-            let mut best_wall = f64::INFINITY;
-            let mut last = None;
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let report = server.run();
-                best_wall = best_wall.min(t0.elapsed().as_secs_f64() * 1e3);
-                last = Some(report);
-            }
-            let report = last.expect("at least one rep");
-            let resort = report.streams.iter().fold(ResortStats::default(), |a, s| {
-                let r = s.resort;
-                ResortStats {
-                    frames: a.frames + r.frames,
-                    repaired: a.repaired + r.repaired,
-                    radix_fallbacks: a.radix_fallbacks + r.radix_fallbacks,
-                    repair_shifts: a.repair_shifts + r.repair_shifts,
-                }
-            });
-            let cull = report
-                .streams
-                .iter()
-                .fold(CullStats::default(), |a, s| sum_cull(a, s.cull));
-            ServePoint {
-                streams: n,
-                total_frames: report.total_frames,
-                wall_ms: best_wall,
-                aggregate_fps: report.total_frames as f64 / (best_wall / 1e3).max(1e-12),
-                index_share: report.index_share(),
-                resort,
-                cull,
-                details: report.streams.iter().map(detail_of).collect(),
-            }
-        })
-        .collect()
+        .fold(CullStats::default(), |a, s| sum_cull(a, s.cull));
+    ServePoint {
+        streams: STREAMS,
+        total_frames: report.total_frames,
+        index_share: report.index_share(),
+        resort,
+        cull,
+        details: report.streams.iter().map(detail_of).collect(),
+    }
 }
 
 fn sum_cull(a: CullStats, b: CullStats) -> CullStats {
@@ -299,7 +262,7 @@ pub fn measure_serve_faults(
     };
 
     // --- (a) Deterministic chaos matrix. Stream k renders viewer_cfg(k)
-    // so the solo references are the same as the throughput gate's. ---
+    // so the solo references are the same as the `serve` fleet's. ---
     let mut server = Server::new(SharedScene::new(scene.clone()), 0).with_watchdog(2.0);
     let mk = |k: usize, server: &Server<vrpipe::SequenceFrameRecord>| {
         StreamSpec::vrpipe(
@@ -416,8 +379,8 @@ pub const DEGRADE_PERIOD_MS: f64 = 150.0;
 /// post-spike room for the hysteresis to climb all the way back up.
 pub const DEGRADE_FRAMES: usize = 10;
 
-/// Per-stream outcome of the overload-degradation smoke, for the JSON
-/// trail: the recorded rung trace plus occupancy and step counters.
+/// Per-stream outcome of the overload-degradation smoke: the recorded
+/// rung trace plus occupancy and step counters.
 pub struct DegradeStreamDetail {
     /// Stream name.
     pub name: String,
@@ -440,13 +403,20 @@ pub struct DegradeStreamDetail {
 }
 
 fn degrade_detail_of(s: &StreamReport<vrpipe::SequenceFrameRecord>) -> DegradeStreamDetail {
+    let occupancy = s.rung_occupancy();
+    assert_eq!(
+        occupancy.iter().sum::<usize>(),
+        s.frames.len(),
+        "{}: rung occupancy {occupancy:?} must account for every produced frame",
+        s.name
+    );
     DegradeStreamDetail {
         name: s.name.clone(),
         phase: phase_label(&s.phase),
         frames: s.frames.len(),
         deadline_misses: s.deadline_misses,
         rungs: s.rungs.clone(),
-        occupancy: s.rung_occupancy(),
+        occupancy,
         steps_down: s.rung_steps_down,
         steps_up: s.rung_steps_up,
         brownout_steps: s.brownout_steps,
@@ -700,43 +670,13 @@ fn batch_viewer_cfg(
     .with_index()
 }
 
-/// One stream-count configuration of the batched-vs-unbatched comparison.
-pub struct ServeBatchPoint {
-    /// Concurrent translation-bound streams served.
-    pub streams: usize,
-    /// Frames delivered across all streams.
-    pub total_frames: usize,
-    /// Wall time of the unbatched (exact per-stream) server, ms.
-    pub unbatched_wall_ms: f64,
-    /// Aggregate fps of the unbatched server.
-    pub unbatched_fps: f64,
-    /// Wall time of the batching server, ms.
-    pub batched_wall_ms: f64,
-    /// Aggregate fps of the batching server.
-    pub batched_fps: f64,
-    /// `unbatched_wall / batched_wall`.
-    pub speedup: f64,
-    /// Batched preprocessing wall per stream, ms.
-    pub preprocess_ms_per_stream: f64,
-    /// Frames served by ≥2-member rounds.
-    pub batched_frames: usize,
-    /// Frames that fell back to the exact solo path.
-    pub solo_frames: usize,
-    /// Fraction of dispatch rounds that fell back to solo.
-    pub fallback_ratio: f64,
-    /// Round-occupancy histogram: `occupancy[i]` rounds had `i + 1`
-    /// members. `Σ (i+1)·occupancy[i]` equals the preprocessed frames.
-    pub occupancy: Vec<usize>,
-}
-
-/// The `serve-batch` measurement: a translation-bound fleet served
-/// batched vs unbatched, parity-gated, plus the stereo eye-pair
-/// occupancy proof.
+/// The `serve-batch` measurement: a translation-bound fleet's batch
+/// accounting, plus the stereo eye-pair occupancy proof.
 pub struct ServeBatchMeasurement {
     /// Frames per stream.
     pub frames: usize,
-    /// One point per stream count in [`STREAM_COUNTS`].
-    pub points: Vec<ServeBatchPoint>,
+    /// Batch accounting of the [`STREAMS`]-stream batching server.
+    pub batch: vrpipe::BatchStats,
     /// Dispatch rounds of the lone stereo stream.
     pub stereo_rounds: usize,
     /// Rounds that carried both eyes (must equal `stereo_rounds`).
@@ -744,66 +684,64 @@ pub struct ServeBatchMeasurement {
 }
 
 /// Measures cross-stream batched preprocessing: one classification pass
-/// serving M translation-bound cameras vs the exact per-stream path.
-/// **Parity-gated**: every stream of a 4-stream batching server is
-/// asserted bit-exact against its solo session, and a stereo stream is
-/// asserted to pair both eyes on 100% of rounds, before any timing runs.
-/// Timing uses a 1-worker pool on both sides so the comparison isolates
-/// shared-vs-duplicated preprocessing work at a fixed core budget.
+/// serving M translation-bound cameras. **Parity-gated**: every stream
+/// of a [`STREAMS`]-stream batching server is asserted bit-exact against
+/// its solo session, and a stereo stream is asserted to pair both eyes
+/// on 100% of rounds.
 pub fn measure_serve_batch(spec_index: usize, scale: f32, frames: usize) -> ServeBatchMeasurement {
     let spec = &EVALUATED_SCENES[spec_index];
     let scene = spec.generate_scaled(scale);
     let (w, h) = spec.scaled_viewport(scale);
 
-    // The gate fleets hash every splat (`batch_digest`) so divergence is
-    // provable; the timing fleets use a length sink so the clock weighs
-    // the preprocessing under comparison, not the checksum.
-    let build = |scene: &gsplat::Scene,
-                 n: usize,
-                 batching: bool,
-                 workers: usize,
-                 vw: u32,
-                 vh: u32,
-                 render: fn(vrpipe::FrameInput) -> u64|
-     -> Server<u64> {
-        let mut server = Server::new(SharedScene::new(scene.clone()), workers);
-        if batching {
-            server = server.with_batching();
-        }
-        for k in 0..n {
-            let cfg = batch_viewer_cfg(server.shared().scene(), k, frames, vw, vh);
-            server.add_stream(StreamSpec::new(format!("viewer-{k}"), cfg, render));
-        }
-        server
-    };
-
-    // --- Parity gate: batched == solo, stream by stream, bit for bit,
-    // before anything is timed. ---
-    {
-        let mut server = build(&scene, 4, true, 0, w, h, |f| batch_digest(&f));
-        let report = server.run();
-        assert!(
-            report.batch.batched_frames > 0,
-            "{}: the translation-bound fleet must actually batch: {:?}",
-            spec.name,
-            report.batch
+    // --- Parity gate: batched == solo, stream by stream, bit for bit.
+    // Every stream hashes its splats (`batch_digest`) so divergence is
+    // provable. ---
+    let mut server = Server::new(SharedScene::new(scene.clone()), 0).with_batching();
+    for k in 0..STREAMS {
+        let cfg = batch_viewer_cfg(&scene, k, frames, w, h);
+        server.add_stream(StreamSpec::new(format!("viewer-{k}"), cfg, |f| {
+            batch_digest(&f)
+        }));
+    }
+    let report = server.run();
+    let batch = report.batch.clone();
+    assert!(
+        batch.batched_frames > 0,
+        "{}: the translation-bound fleet must actually batch: {batch:?}",
+        spec.name
+    );
+    assert_eq!(
+        batch.dispatched_frames(),
+        STREAMS * frames,
+        "batch accounting must cover every frame"
+    );
+    let accounted: usize = batch
+        .occupancy
+        .iter()
+        .enumerate()
+        .map(|(i, n)| (i + 1) * n)
+        .sum();
+    assert_eq!(
+        accounted,
+        batch.dispatched_frames(),
+        "occupancy {:?} must sum to the preprocessed frames",
+        batch.occupancy
+    );
+    for (k, s) in report.streams.iter().enumerate() {
+        assert_eq!(s.phase, StreamPhase::Completed, "{}", s.name);
+        let cfg = batch_viewer_cfg(&scene, k, frames, w, h);
+        let solo = Session::default().run(&scene, &cfg, |f| batch_digest(&f));
+        assert_eq!(
+            s.frames, solo,
+            "{}: stream {k} batched frames diverged from its solo render",
+            spec.name
         );
-        for (k, s) in report.streams.iter().enumerate() {
-            assert_eq!(s.phase, StreamPhase::Completed, "{}", s.name);
-            let cfg = batch_viewer_cfg(&scene, k, frames, w, h);
-            let solo = Session::default().run(&scene, &cfg, |f| batch_digest(&f));
-            assert_eq!(
-                s.frames, solo,
-                "{}: stream {k} batched frames diverged from its solo render",
-                spec.name
-            );
-        }
     }
 
     // --- Stereo eye pairing: both eyes ride one round on 100% of
     // eligible frames, bit-exact with the solo session. An eye pair is
     // two frames, so this gate needs a budget of at least two even when
-    // the timing sweep measures the single-frame cold join. ---
+    // the fleet above joins for a single frame. ---
     let (stereo_rounds, stereo_paired_rounds) = {
         let stereo_frames = frames.max(2);
         let start = scene.center + gsplat::math::Vec3::new(0.0, 0.0, scene.view_radius);
@@ -834,63 +772,9 @@ pub fn measure_serve_batch(spec_index: usize, scale: f32, frames: usize) -> Serv
         (b.rounds, b.batched_rounds)
     };
 
-    // --- Timing: batched vs unbatched per stream count, 1 worker. A
-    // fresh server per rep keeps every stream's temporal state cold:
-    // this measures the serving scenario batching targets — M viewers
-    // join and the server preprocesses their frames, paying the
-    // classification pass and the WΣWᵀ projection once per round
-    // instead of once per stream. The timing scene is denser and the
-    // timing viewport halved so the comparison weighs the per-Gaussian
-    // preprocessing that batching shares rather than the per-pixel
-    // raster that it cannot, and so wall times clear the noise floor;
-    // the parity gates above run at the reported scale and viewport. ---
-    let tscene = spec.generate_scaled((scale * 2.0).min(0.12));
-    let (tw, th) = (w.div_ceil(2), h.div_ceil(2));
-    let reps = 5;
-    let points = STREAM_COUNTS
-        .iter()
-        .map(|&n| {
-            let time = |batching: bool| {
-                let mut best = f64::INFINITY;
-                let mut last = None;
-                for _ in 0..reps {
-                    let mut server =
-                        build(&tscene, n, batching, 1, tw, th, |f| f.splats.len() as u64);
-                    let t0 = Instant::now();
-                    let report = server.run();
-                    best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-                    last = Some(report);
-                }
-                (best, last.expect("at least one rep"))
-            };
-            let (unbatched_wall, _) = time(false);
-            let (batched_wall, report) = time(true);
-            let b = &report.batch;
-            assert_eq!(
-                b.dispatched_frames(),
-                n * frames,
-                "batch accounting must cover every frame"
-            );
-            ServeBatchPoint {
-                streams: n,
-                total_frames: report.total_frames,
-                unbatched_wall_ms: unbatched_wall,
-                unbatched_fps: (n * frames) as f64 / (unbatched_wall / 1e3).max(1e-12),
-                batched_wall_ms: batched_wall,
-                batched_fps: (n * frames) as f64 / (batched_wall / 1e3).max(1e-12),
-                speedup: unbatched_wall / batched_wall.max(1e-12),
-                preprocess_ms_per_stream: batched_wall / n as f64,
-                batched_frames: b.batched_frames,
-                solo_frames: b.solo_frames,
-                fallback_ratio: b.fallback_ratio(),
-                occupancy: b.occupancy.clone(),
-            }
-        })
-        .collect();
-
     ServeBatchMeasurement {
         frames,
-        points,
+        batch,
         stereo_rounds,
         stereo_paired_rounds,
     }
@@ -899,7 +783,7 @@ pub fn measure_serve_batch(spec_index: usize, scale: f32, frames: usize) -> Serv
 /// The `serve-batch` experiment (also reachable as `figures serve
 /// --batch`): cross-stream batched preprocessing — one widened
 /// classification pass and one covariance replay serving every
-/// translation-bound camera of a round, parity-gated before timing.
+/// translation-bound camera of a round, parity-gated.
 pub fn serve_batch() {
     banner(
         "serve-batch",
@@ -908,25 +792,16 @@ pub fn serve_batch() {
     let scale = default_scale().min(0.06);
     let m = measure_serve_batch(2, scale, BATCH_FRAMES);
     println!(
-        "translation-bound fleet, {} frames/stream, batched vs exact per-stream (1 worker):",
+        "translation-bound fleet, {} frames/stream, batching server:",
         m.frames
     );
+    println!("  {:>8} {:>10} {:>12}", "streams", "fallback", "occupancy");
     println!(
-        "  {:>8} {:>12} {:>12} {:>8} {:>14} {:>10} {:>12}",
-        "streams", "solo-fps", "batch-fps", "speedup", "ms/stream", "fallback", "occupancy"
+        "  {:>8} {:>10.3} {:>12}",
+        STREAMS,
+        m.batch.fallback_ratio(),
+        format!("{:?}", m.batch.occupancy),
     );
-    for p in &m.points {
-        println!(
-            "  {:>8} {:>12.1} {:>12.1} {:>7.2}x {:>14.3} {:>10.3} {:>12}",
-            p.streams,
-            p.unbatched_fps,
-            p.batched_fps,
-            p.speedup,
-            p.preprocess_ms_per_stream,
-            p.fallback_ratio,
-            format!("{:?}", p.occupancy),
-        );
-    }
     println!(
         "  stereo: {}/{} rounds carried both eyes (100% required)",
         m.stereo_paired_rounds, m.stereo_rounds
@@ -934,8 +809,8 @@ pub fn serve_batch() {
     println!("  parity gate passed: every batched frame bit-exact with its solo session");
 }
 
-/// The `serve` experiment: aggregate throughput vs concurrent stream
-/// count over one shared scene, parity-gated.
+/// The `serve` experiment: a multi-stream fleet over one shared scene,
+/// parity-gated.
 pub fn serve() {
     banner(
         "serve",
@@ -943,54 +818,39 @@ pub fn serve() {
     );
     let scale = default_scale().min(0.06);
     let spec = &EVALUATED_SCENES[2]; // outdoor Train
-    let points = measure_serve(2, scale, SERVE_FRAMES);
+    let p = measure_serve(2, scale, SERVE_FRAMES);
     println!(
         "'{}' viewers of one shared scene, {} frames each (HET+QM, SoA kernel, indexed):",
         spec.name, SERVE_FRAMES
     );
     println!(
-        "  {:>8} {:>8} {:>10} {:>10} {:>12} {:>16} {:>22}",
-        "streams",
-        "frames",
-        "wall-ms",
-        "agg-fps",
-        "index-share",
-        "repaired/fallbk",
-        "skip/refr/reproj"
+        "  {:>8} {:>8} {:>12} {:>16} {:>22}",
+        "streams", "frames", "index-share", "repaired/fallbk", "skip/refr/reproj"
     );
-    for p in &points {
+    println!(
+        "  {:>8} {:>8} {:>12.2} {:>10}/{} {:>12}/{}/{}",
+        p.streams,
+        p.total_frames,
+        p.index_share,
+        p.resort.repaired,
+        p.resort.radix_fallbacks,
+        p.cull.gaussians_skipped,
+        p.cull.gaussians_refreshed,
+        p.cull.gaussians_reprojected,
+    );
+    assert!(
+        (p.index_share - 1.0).abs() < 1e-12,
+        "every indexed session must share the one scene index"
+    );
+    assert_eq!(p.total_frames, p.streams * SERVE_FRAMES);
+    println!("  per-stream:");
+    for d in &p.details {
         println!(
-            "  {:>8} {:>8} {:>10.2} {:>10.1} {:>12.2} {:>10}/{} {:>12}/{}/{}",
-            p.streams,
-            p.total_frames,
-            p.wall_ms,
-            p.aggregate_fps,
-            p.index_share,
-            p.resort.repaired,
-            p.resort.radix_fallbacks,
-            p.cull.gaussians_skipped,
-            p.cull.gaussians_refreshed,
-            p.cull.gaussians_reprojected,
-        );
-        assert!(
-            (p.index_share - 1.0).abs() < 1e-12,
-            "every indexed session must share the one scene index"
-        );
-        assert_eq!(p.total_frames, p.streams * SERVE_FRAMES);
-    }
-    let largest = points.last().expect("non-empty sweep");
-    println!("  per-stream (at {} streams):", largest.streams);
-    for d in &largest.details {
-        println!(
-            "    {:>10}  p50 {:>7.3} ms  p99 {:>7.3} ms  misses {}  dropped {}  {}",
-            d.name,
-            d.latency_p50_ms,
-            d.latency_p99_ms,
-            d.deadline_misses,
-            d.frames_dropped,
-            d.phase
+            "    {:>10}  misses {}  dropped {}  {}",
+            d.name, d.deadline_misses, d.frames_dropped, d.phase
         );
     }
+    println!("  parity gate passed: every stream bit-exact with its solo session");
 }
 
 /// The `serve-faults` experiment (also reachable as `figures serve
@@ -1006,14 +866,8 @@ pub fn serve_faults() {
     println!("seeded fault plan 0x{:X}; chaos matrix outcomes:", m.seed);
     for d in &m.streams {
         println!(
-            "  {:>10}  frames {}  dropped {}  misses {}  retries {}  p50 {:.3} ms  {}",
-            d.name,
-            d.frames,
-            d.frames_dropped,
-            d.deadline_misses,
-            d.retries,
-            d.latency_p50_ms,
-            d.phase
+            "  {:>10}  frames {}  dropped {}  misses {}  retries {}  {}",
+            d.name, d.frames, d.frames_dropped, d.deadline_misses, d.retries, d.phase
         );
     }
     println!("  parity gate passed: every produced frame bit-exact with its solo session");

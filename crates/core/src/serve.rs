@@ -866,7 +866,7 @@ pub struct StreamReport<R> {
 impl<R> StreamReport<R> {
     /// Produced frames per rung: `occupancy()[r]` counts the frames
     /// rendered at rung `r`. Always sums to `produced.len()` — the
-    /// invariant the bench report's schema check enforces.
+    /// invariant the `serve-degrade` experiment gates on.
     pub fn rung_occupancy(&self) -> Vec<usize> {
         let mut occ = vec![0usize; self.rung_count.max(1)];
         let top = occ.len() - 1;
@@ -921,7 +921,7 @@ pub struct BatchStats {
     /// Occupancy histogram: `occupancy[i]` counts rounds that
     /// dispatched `i + 1` member frames. The schema invariant
     /// `Σ (i+1)·occupancy[i] == batched_frames + solo_frames` always
-    /// holds (the bench report gates on it).
+    /// holds (the `serve-batch` experiment gates on it).
     pub occupancy: Vec<usize>,
 }
 

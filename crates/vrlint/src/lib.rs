@@ -19,10 +19,9 @@
 //! The tool is dependency-free — a hand-rolled lexer
 //! ([`lexer`]), not `syn` — so it builds offline with the rest of the
 //! workspace and runs as both a CLI (`cargo run -p vrlint -- --deny`)
-//! and a library (the `figures` harness embeds it for the `lint`
-//! block of `BENCH_pipeline.json`; the fixture suite drives
-//! [`rules::lint_source_with_class`] directly). DESIGN.md §11 is the
-//! prose half of this catalog.
+//! and a library (the fixture suite, `tests/vrlint_fixtures.rs`,
+//! drives [`rules::lint_source_with_class`] and the workspace scan
+//! directly). DESIGN.md §11 is the prose half of this catalog.
 
 pub mod classify;
 pub mod lexer;

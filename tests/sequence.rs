@@ -8,8 +8,12 @@
 use gpu_sim::config::GpuConfig;
 use gsplat::camera::CameraPath;
 use gsplat::math::Vec3;
-use gsplat::preprocess::preprocess;
+use gsplat::preprocess::{
+    preprocess, preprocess_frame, PreprocessMode, PreprocessRequest, PreprocessScratch,
+};
+use gsplat::projection::project_gaussian;
 use gsplat::scene::{Scene, EVALUATED_SCENES};
+use gsplat::sort::{depth_key, IncrementalSorter};
 use gsplat::stream::FragmentKernel;
 use gsplat::ThreadPolicy;
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig, SwScratch};
@@ -276,4 +280,62 @@ fn sequence_respects_thread_policy_bit_exactly() {
             }
         }
     }
+}
+
+/// The temporal full preprocess (hoisted camera constants, fused key
+/// extraction) emits exactly what projecting every Gaussian on its own
+/// and ordering the survivors with a warm-started depth/id sorter emits,
+/// frame by frame across the flythrough.
+#[test]
+fn temporal_preprocess_matches_per_gaussian_projection_and_sort() {
+    let scene = train_scene();
+    let cfg = flythrough_cfg(&scene, false);
+    let mut scratch = PreprocessScratch::default();
+    let mut sorter = IncrementalSorter::default();
+    let (mut out, mut order) = (Vec::new(), Vec::new());
+    for i in 0..FRAMES {
+        let cam = cfg
+            .path
+            .camera(i, cfg.frames, cfg.width, cfg.height, cfg.fov_y);
+        let request = PreprocessRequest::new(ThreadPolicy::default(), PreprocessMode::Temporal);
+        preprocess_frame(&scene, &cam, request, &mut scratch, &mut out);
+
+        let staging: Vec<gsplat::Splat> = scene
+            .gaussians
+            .iter()
+            .enumerate()
+            .filter_map(|(k, g)| project_gaussian(g, &cam, k as u32))
+            .collect();
+        let depths: Vec<f32> = staging.iter().map(|s| s.depth).collect();
+        let ids: Vec<u32> = staging.iter().map(|s| s.source).collect();
+        sorter.sort_depths_with_ids_into(&depths, &ids, &mut order);
+        let reference: Vec<gsplat::Splat> = order.iter().map(|&k| staging[k as usize]).collect();
+        assert_eq!(out, reference, "frame {i}");
+    }
+}
+
+/// Replaying a session's per-frame (depth key, source id) streams through
+/// a fresh id-keyed sorter reproduces the session's repair/fallback
+/// decisions: they depend on the key streams alone.
+#[test]
+fn sorter_replay_reproduces_the_session_resort_decisions() {
+    let scene = train_scene();
+    let cfg = flythrough_cfg(&scene, false);
+    let mut session = Session::default();
+    let streams = session.run(&scene, &cfg, |f| {
+        let keys: Vec<u32> = f.splats.iter().map(|s| depth_key(s.depth)).collect();
+        let ids: Vec<u32> = f.splats.iter().map(|s| s.source).collect();
+        (keys, ids)
+    });
+    let mut sorter = IncrementalSorter::default();
+    let mut order = Vec::new();
+    for (keys, ids) in &streams {
+        sorter.sort_keys_with_ids_into(keys, ids, &mut order);
+    }
+    let (replay, live) = (sorter.stats(), session.resort_stats());
+    assert_eq!(
+        (replay.repaired, replay.radix_fallbacks),
+        (live.repaired, live.radix_fallbacks)
+    );
+    assert!(live.repaired > 0, "coherent flythrough must repair");
 }
