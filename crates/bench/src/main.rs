@@ -10,18 +10,15 @@
 //!                           # kernel (tile retirement in the fragment kernels)
 //!                           # sequence (temporal-coherence frame sequences)
 //!                           # serve (multi-stream serving over one shared scene)
-//!                           # serve-faults / serve --faults (fault-injection smoke)
-//!                           # serve-degrade / serve --degrade (overload quality-ladder smoke)
-//!                           # serve-batch / serve --batch (cross-stream batched preprocessing)
+//!                           # serve-batch (cross-stream batched preprocessing)
 //!                           # asset (checksummed scene assets, corruption sweep)
 //! figures all               # everything, in paper order
 //! ```
 //!
 //! Every number printed is a simulated cycle count, a counter or a ratio
 //! of them, so the output is a pure function of the experiment list and
-//! the two variables below (the serve smokes excepted: their deadline
-//! outcomes depend on host speed by design). Host time is measured by
-//! `perfbench`, not here. `tests/figures_golden.rs` pins the output.
+//! the two variables below. Host time is measured by `perfbench`, not
+//! here. `tests/figures_golden.rs` pins the output.
 //!
 //! Environment:
 //! * `VRPIPE_SCALE` — linear scene scale (default 0.12). Ratios still
@@ -65,8 +62,6 @@ const EXPERIMENTS: &[(&str, fn())] = &[
     ("kernel", kernel::kernel),
     ("sequence", sequence::sequence),
     ("serve", serve::serve),
-    ("serve-faults", serve::serve_faults),
-    ("serve-degrade", serve::serve_degrade),
     ("serve-batch", serve::serve_batch),
     ("asset", asset::asset),
     ("ablation-tgc", ablation::ablation_tgc),
@@ -97,15 +92,7 @@ fn main() {
             run.extend(EXPERIMENTS.iter().map(|(_, f)| *f));
             continue;
         }
-        // `figures serve --faults` / `--degrade` / `--batch` are the CI
-        // spellings of the fault-injection, overload and batching smokes.
-        let arg = match arg.as_str() {
-            "--faults" => "serve-faults",
-            "--degrade" => "serve-degrade",
-            "--batch" => "serve-batch",
-            a => a,
-        };
-        match EXPERIMENTS.iter().find(|(n, _)| *n == arg) {
+        match EXPERIMENTS.iter().find(|(n, _)| n == arg) {
             Some((_, f)) => run.push(*f),
             None => {
                 eprintln!("unknown experiment: {arg}");

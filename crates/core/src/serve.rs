@@ -34,7 +34,10 @@
 //! [`StreamSpec::with_frame_dropping`] shed frames that are already a
 //! full period past their deadline before they start: dropped frames are
 //! *recorded* (`frames_dropped`, the `produced` index list), never
-//! silently rendered differently.
+//! silently rendered differently. All of these rules are plain
+//! functions of `now` (ms since the run started): [`Server::run`] reads
+//! the clock once per wake-up and passes it in, so no other scheduler
+//! step reads a clock.
 //!
 //! **Failure containment.** A backend returning a *transient*
 //! [`DrawError`] ([`DrawError::is_transient`]) is retried with bounded
@@ -427,7 +430,10 @@ impl<R: Send + 'static> StreamSpec<R> {
 
     /// Sets a per-frame deadline: frame *i* is due `(i+1)·period_ms`
     /// after the stream starts running. Enables the watchdog and makes
-    /// the stream eligible for [`SchedulePolicy::Deadline`].
+    /// the stream eligible for [`SchedulePolicy::Deadline`]. An infinite
+    /// period — or one so long that its due times overflow to infinity —
+    /// means "never due": no frame is missed, dropped or evicted, and EDF
+    /// ranks the stream after every finite deadline.
     pub fn with_deadline_ms(mut self, period_ms: f64) -> Self {
         self.deadline_ms = (period_ms > 0.0).then_some(period_ms);
         self
@@ -537,11 +543,6 @@ impl StreamSpec<SequenceFrameRecord> {
 /// Mutable per-stream state, touched by at most one worker at a time (the
 /// scheduler never has two frames of one stream in flight).
 struct StreamState<R> {
-    cfg: SequenceConfig,
-    /// Per-rung derived configurations, rung order (len ≥ 1; index 0 is
-    /// the base `cfg` tagged rung 0). Precomputed at registration so rung
-    /// switches never derive anything inside the frame task.
-    rung_cfgs: Vec<SequenceConfig>,
     /// Per-rung render-cost factors, scaling [`FaultKind::Load`]
     /// injections at the backend seam.
     cost_scales: Vec<f64>,
@@ -553,13 +554,14 @@ struct StreamState<R> {
 
 /// Scheduler-owned bookkeeping of one stream — everything the run loop
 /// mutates without touching the stream's mutex (which a stalled zombie
-/// task may hold).
+/// task may hold). Times are ms since the current run started: the
+/// scheduler's rules read them against the `now_ms` that
+/// [`Server::run`] passes in, never against a clock of their own.
 struct Sched<R> {
     phase: StreamPhase,
-    busy: bool,
     /// Frames of this stream currently in flight (0 or 1 for rounds of
-    /// one; a stereo self-pair dispatches 2). `busy` is maintained as
-    /// `in_flight_frames > 0`.
+    /// one; a stereo self-pair dispatches 2). The stream is busy while
+    /// this is non-zero.
     in_flight_frames: usize,
     /// Frames of this stream delivered by ≥2-member batch rounds.
     frames_batched: usize,
@@ -578,10 +580,11 @@ struct Sched<R> {
     /// Dispatch epoch: bumped on eviction/detach so completions from
     /// zombie tasks are recognised and discarded.
     generation: u32,
-    /// When the stream entered `Running` (deadline origin).
-    started_at: Option<Instant>,
-    /// When the in-flight frame was dispatched (watchdog origin).
-    dispatched_at: Option<Instant>,
+    /// When the stream entered `Running`, ms (deadline origin).
+    started_at: f64,
+    /// When the in-flight frame was dispatched, ms (watchdog origin;
+    /// meaningful only while `in_flight_frames > 0`).
+    dispatched_at: f64,
     /// Current quality-ladder rung (0 = full quality). Only the scheduler
     /// writes it, and only while no frame is in flight for the stream —
     /// rung switches happen *between* dispatches, never mid-frame.
@@ -604,7 +607,6 @@ impl<R> Default for Sched<R> {
     fn default() -> Self {
         Self {
             phase: StreamPhase::Admitted,
-            busy: false,
             in_flight_frames: 0,
             frames_batched: 0,
             cursor: 0,
@@ -615,8 +617,8 @@ impl<R> Default for Sched<R> {
             retries: 0,
             busy_ms: 0.0,
             generation: 0,
-            started_at: None,
-            dispatched_at: None,
+            started_at: 0.0,
+            dispatched_at: 0.0,
             rung: 0,
             rungs: Vec::new(),
             consec_misses: 0,
@@ -639,8 +641,6 @@ struct StreamEntry<R> {
     indexed: bool,
     deadline_ms: Option<f64>,
     drop_late: bool,
-    /// Quality-ladder depth (1 = no degradation headroom).
-    rung_count: usize,
     /// Hysteresis: consecutive misses before stepping down.
     down_after: u32,
     /// Hysteresis: consecutive on-time frames before stepping up.
@@ -652,12 +652,13 @@ struct StreamEntry<R> {
     /// The session's temporal state must be invalidated before the next
     /// run (set when a run ends in a non-`Completed` phase).
     needs_reset: bool,
-    /// Scheduler-side clone of the per-rung derived configurations
-    /// (always non-empty; index 0 is the base). Batch formation computes
-    /// candidate cameras from these without touching the stream's mutex
-    /// — the expression is the one [`Session::render_frame`]
-    /// evaluates, so the bits match and membership proofs hold.
-    cam_cfgs: Vec<SequenceConfig>,
+    /// The quality ladder's derived configurations in rung order, built
+    /// once at registration (never empty: index 0 is the base config
+    /// tagged rung 0, and its length is the ladder depth). Immutable, so
+    /// batch formation reads cameras from it without the stream's mutex
+    /// and each frame task renders from a clone of the same `Arc` — the
+    /// formation-time cameras are the bits the render computes.
+    rung_cfgs: Arc<[SequenceConfig]>,
     /// Session-lifetime counter baseline at the start of the current run.
     baseline: (ResortStats, CullStats),
     /// The server scene epoch this stream's session is bound to; when it
@@ -666,6 +667,38 @@ struct StreamEntry<R> {
     scene_epoch: u64,
     sched: Sched<R>,
     state: Arc<Mutex<StreamState<R>>>,
+}
+
+impl<R> StreamEntry<R> {
+    /// Quality-ladder depth (1 = no degradation headroom).
+    fn rung_count(&self) -> usize {
+        self.rung_cfgs.len()
+    }
+
+    /// When `frame` is due, ms since the run started:
+    /// `started + (frame+1)·period`. Infinite without a deadline or with
+    /// an infinite period — such a frame is never due.
+    fn due_ms(&self, frame: usize) -> f64 {
+        self.deadline_ms.map_or(f64::INFINITY, |period| {
+            self.sched.started_at + (frame + 1) as f64 * period
+        })
+    }
+
+    /// Running, nothing in flight and frames left: dispatchable now.
+    fn is_ready(&self) -> bool {
+        matches!(self.sched.phase, StreamPhase::Running)
+            && self.sched.in_flight_frames == 0
+            && self.sched.cursor < self.budget
+    }
+
+    /// The camera this stream renders `frame` with at its current rung —
+    /// the expression the frame task evaluates, so formation-time
+    /// membership proofs hold bit for bit at render time.
+    fn camera(&self, frame: usize) -> Camera {
+        let cfg = &self.rung_cfgs[self.sched.rung];
+        cfg.path
+            .camera(frame, cfg.frames, cfg.width, cfg.height, cfg.fov_y)
+    }
 }
 
 /// Where a [`Server::reload_scene`] gets its replacement scene from.
@@ -866,7 +899,7 @@ pub struct StreamReport<R> {
 impl<R> StreamReport<R> {
     /// Produced frames per rung: `occupancy()[r]` counts the frames
     /// rendered at rung `r`. Always sums to `produced.len()` — the
-    /// invariant the `serve-degrade` experiment gates on.
+    /// invariant `tests/serve_degrade.rs` checks.
     pub fn rung_occupancy(&self) -> Vec<usize> {
         let mut occ = vec![0usize; self.rung_count.max(1)];
         let top = occ.len() - 1;
@@ -1192,11 +1225,6 @@ impl<R: Send + 'static> Server<R> {
     ///
     /// Whatever [`gsplat::asset`]'s loader reports for the source.
     pub fn reload_scene(&mut self, source: SceneSource) -> Result<ReloadOutcome, AssetError> {
-        self.do_reload(source)
-    }
-
-    /// The swap point shared by the sync and handle-driven reload paths.
-    fn do_reload(&mut self, source: SceneSource) -> Result<ReloadOutcome, AssetError> {
         // Decode/validate first: any failure returns before a single field
         // of the server (or any stream) is mutated — that *is* the
         // rollback guarantee.
@@ -1271,24 +1299,30 @@ impl<R: Send + 'static> Server<R> {
     /// built now, once, if this is the first). Under
     /// [`AdmissionPolicy::Reject`] at capacity, the spec is handed back.
     pub fn attach(&mut self, spec: StreamSpec<R>) -> AttachOutcome<R> {
-        if self.admission == AdmissionPolicy::Reject {
-            if let Some(cap) = self.capacity {
-                let active = self
-                    .streams
-                    .iter()
-                    .filter(|e| !e.sched.phase.is_terminal() && !e.detached)
-                    .count();
-                if active >= cap {
-                    return AttachOutcome::Rejected {
-                        spec: Box::new(spec),
-                        capacity: cap,
-                    };
-                }
-            }
+        if let Some(capacity) = self.rejecting_at() {
+            return AttachOutcome::Rejected {
+                spec: Box::new(spec),
+                capacity,
+            };
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.register(id, spec);
         AttachOutcome::Admitted { id }
+    }
+
+    /// The admission check shared by [`Server::attach`] and the handle's
+    /// attach: `Some(capacity)` when [`AdmissionPolicy::Reject`] is armed
+    /// and the live (non-terminal, attached) streams fill the capacity.
+    fn rejecting_at(&self) -> Option<usize> {
+        let cap = self
+            .capacity
+            .filter(|_| self.admission == AdmissionPolicy::Reject)?;
+        let active = self
+            .streams
+            .iter()
+            .filter(|e| !e.sched.phase.is_terminal() && !e.detached)
+            .count();
+        (active >= cap).then_some(cap)
     }
 
     /// [`Server::attach`] for servers without admission limits: returns
@@ -1353,18 +1387,6 @@ impl<R: Send + 'static> Server<R> {
         let mut session = Session::new(ThreadPolicy::serial());
         session.prepare_shared(&self.shared, &spec.cfg);
         let baseline = (session.resort_stats(), session.cull_stats());
-        // Precompute the ladder's derived configurations once: rung
-        // switches inside the scheduler are then pure index changes.
-        let rung_cfgs = spec.ladder.derive_all(&spec.cfg);
-        let cost_scales = spec.ladder.cost_scales(&spec.cfg);
-        // The scheduler-side camera-config mirror: rung_cfgs when the
-        // ladder has rungs, else the base config — exactly what the
-        // frame task resolves, so formation-time cameras match the bits
-        // the render computes.
-        let mut cam_cfgs = rung_cfgs.clone();
-        if cam_cfgs.is_empty() {
-            cam_cfgs.push(spec.cfg.clone());
-        }
         self.streams.push(StreamEntry {
             id,
             name: spec.name,
@@ -1372,20 +1394,18 @@ impl<R: Send + 'static> Server<R> {
             indexed: spec.cfg.indexed,
             deadline_ms: spec.deadline_ms,
             drop_late: spec.drop_late,
-            rung_count: spec.ladder.len().max(1),
             down_after: spec.ladder.down_after(),
             up_after: spec.ladder.up_after(),
             priority: spec.priority,
             detached: false,
             needs_reset: false,
-            cam_cfgs,
+            // Derived once: rung switches are then pure index changes.
+            rung_cfgs: spec.ladder.derive_all(&spec.cfg).into(),
             baseline,
             scene_epoch: self.scene_epoch,
             sched: Sched::default(),
             state: Arc::new(Mutex::new(StreamState {
-                cfg: spec.cfg,
-                rung_cfgs,
-                cost_scales,
+                cost_scales: spec.ladder.cost_scales(&spec.cfg),
                 session,
                 backend: spec.backend,
                 injector: spec.injector,
@@ -1418,18 +1438,27 @@ impl<R: Send + 'static> Server<R> {
         self.begin_run();
         let workers = self.pool.workers();
         let mut in_flight = 0usize;
+        let mut msg = None;
         loop {
-            // Apply everything that arrived while we slept (or before the
-            // run started), then make progress deterministically:
-            // promotions first, sheds second, dispatch last.
-            self.pump(&mut in_flight);
-            self.promote_admitted();
-            self.drop_late_frames();
-            self.dispatch_ready(&mut in_flight, workers);
+            // The scheduler's one clock read per wake-up: every
+            // time-driven rule below takes `now_ms` as an argument.
+            let now_ms = t0.elapsed().as_secs_f64() * 1e3;
+            if let Some(m) = msg.take() {
+                self.handle_msg(m, &mut in_flight, now_ms);
+            }
+            self.watchdog(&mut in_flight, now_ms);
+            // Apply everything else that arrived while we slept (or
+            // before the run started), then make progress
+            // deterministically: promotions first, sheds second, dispatch
+            // last.
+            self.pump(&mut in_flight, now_ms);
+            self.promote_admitted(now_ms);
+            self.drop_late_frames(now_ms);
+            self.dispatch_ready(&mut in_flight, workers, now_ms);
             if in_flight == 0 && self.all_settled() {
                 break;
             }
-            let msg = match self.watch_tick() {
+            msg = match self.watch_tick() {
                 // Deadline streams need wall-clock ticks for the watchdog
                 // and the frame-shedding rule even while nothing
                 // completes.
@@ -1444,19 +1473,15 @@ impl<R: Send + 'static> Server<R> {
                 // vrlint: allow(VL01, reason = "self.tx keeps a sender alive for the scheduler's lifetime, so the channel cannot disconnect")
                 None => Some(self.rx.recv().expect("scheduler holds a sender")),
             };
-            if let Some(m) = msg {
-                self.handle_msg(m, &mut in_flight);
-            }
-            self.watchdog(&mut in_flight);
         }
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         self.finish_run(wall_ms)
     }
 
     /// Drains the channel without blocking.
-    fn pump(&mut self, in_flight: &mut usize) {
+    fn pump(&mut self, in_flight: &mut usize, now_ms: f64) {
         while let Ok(m) = self.rx.try_recv() {
-            self.handle_msg(m, in_flight);
+            self.handle_msg(m, in_flight, now_ms);
         }
     }
 
@@ -1464,7 +1489,9 @@ impl<R: Send + 'static> Server<R> {
     /// previous run, and re-arms sessions flagged for a temporal reset.
     fn begin_run(&mut self) {
         let mut stray = 0usize;
-        self.pump(&mut stray);
+        // Only commands and zombies of the previous run's generations can
+        // be queued here, and neither reads the time.
+        self.pump(&mut stray, 0.0);
         debug_assert_eq!(stray, 0, "no live dispatches outside run()");
         // Fresh per-run batch accounting.
         self.batch = BatchStats::default();
@@ -1483,8 +1510,9 @@ impl<R: Send + 'static> Server<R> {
         }
     }
 
-    /// `Admitted → Running` while capacity allows, in registration order.
-    fn promote_admitted(&mut self) {
+    /// `Admitted → Running` while capacity allows, in registration order;
+    /// a promoted stream's deadlines count from `now_ms`.
+    fn promote_admitted(&mut self, now_ms: f64) {
         let cap = self.capacity.unwrap_or(usize::MAX);
         let mut running = self
             .streams
@@ -1498,7 +1526,7 @@ impl<R: Send + 'static> Server<R> {
             if running >= cap {
                 break;
             }
-            e.sched.started_at = Some(Instant::now());
+            e.sched.started_at = now_ms;
             if e.budget == 0 {
                 e.sched.phase = StreamPhase::Completed;
             } else {
@@ -1509,21 +1537,15 @@ impl<R: Send + 'static> Server<R> {
     }
 
     /// Graceful degradation: sheds frames that are already a full period
-    /// past their deadline before they start (opt-in per stream).
-    fn drop_late_frames(&mut self) {
+    /// past their deadline before they start (opt-in per stream) — frame
+    /// `i` goes once `now_ms` is past `due(i) + period`, which is
+    /// `due(i + 1)`.
+    fn drop_late_frames(&mut self, now_ms: f64) {
         for e in &mut self.streams {
-            if !e.drop_late || e.sched.busy || !matches!(e.sched.phase, StreamPhase::Running) {
+            if !e.drop_late || !e.is_ready() {
                 continue;
             }
-            let (Some(period), Some(start)) = (e.deadline_ms, e.sched.started_at) else {
-                continue;
-            };
-            let now_ms = start.elapsed().as_secs_f64() * 1e3;
-            while e.sched.cursor < e.budget {
-                let due = (e.sched.cursor + 1) as f64 * period;
-                if now_ms <= due + period {
-                    break;
-                }
+            while e.sched.cursor < e.budget && now_ms > e.due_ms(e.sched.cursor + 1) {
                 e.sched.dropped.push(e.sched.cursor);
                 e.sched.cursor += 1;
                 // A shed frame is a missed deadline for the ladder too:
@@ -1540,12 +1562,12 @@ impl<R: Send + 'static> Server<R> {
     /// Fills the pool with ready frames, one round per pool task. A round
     /// has one member unless batching is on, the picked stream is
     /// indexed, and batch-mates are provable.
-    fn dispatch_ready(&mut self, in_flight: &mut usize, workers: usize) {
+    fn dispatch_ready(&mut self, in_flight: &mut usize, workers: usize, now_ms: f64) {
         while *in_flight < workers {
             let Some(k) = self.pick() else { break };
             if !(self.batching && self.streams[k].indexed) {
                 let frame = self.streams[k].sched.cursor;
-                self.dispatch(vec![(k, frame)], in_flight);
+                self.dispatch(vec![(k, frame)], in_flight, now_ms);
                 continue;
             }
             let members = self.form_batch(k);
@@ -1563,22 +1585,8 @@ impl<R: Send + 'static> Server<R> {
                 // one, exactly as on an unbatched server.
                 self.batch.solo_frames += 1;
             }
-            self.dispatch(members, in_flight);
+            self.dispatch(members, in_flight, now_ms);
         }
-    }
-
-    /// The camera stream `k` renders frame `frame` with at its current
-    /// rung, computed lock-free from the scheduler-side config mirror —
-    /// the exact expression the frame task evaluates, so formation-time
-    /// membership proofs hold bit-for-bit at render time.
-    fn stream_camera(&self, k: usize, frame: usize) -> Option<Camera> {
-        let e = &self.streams[k];
-        let rung = e.sched.rung.min(e.rung_count.saturating_sub(1));
-        let cfg = e.cam_cfgs.get(rung).or_else(|| e.cam_cfgs.first())?;
-        Some(
-            cfg.path
-                .camera(frame, cfg.frames, cfg.width, cfg.height, cfg.fov_y),
-        )
     }
 
     /// Collects the batch round led by stream `k`'s next frame: the
@@ -1594,26 +1602,14 @@ impl<R: Send + 'static> Server<R> {
     fn form_batch(&self, k: usize) -> Vec<(usize, usize)> {
         let lead_frame = self.streams[k].sched.cursor;
         let mut members = vec![(k, lead_frame)];
-        let Some(leader) = self.stream_camera(k, lead_frame) else {
-            return members;
-        };
+        let leader = self.streams[k].camera(lead_frame);
         let key = leader.group_key();
         self.push_stereo_sibling(k, lead_frame, &leader, &mut members);
-        for j in 0..self.streams.len() {
-            if j == k {
+        for (j, o) in self.streams.iter().enumerate() {
+            if j == k || !o.is_ready() || !o.indexed {
                 continue;
             }
-            let o = &self.streams[j];
-            let ready = matches!(o.sched.phase, StreamPhase::Running)
-                && !o.sched.busy
-                && o.sched.cursor < o.budget
-                && o.indexed;
-            if !ready {
-                continue;
-            }
-            let Some(cam) = self.stream_camera(j, o.sched.cursor) else {
-                continue;
-            };
+            let cam = o.camera(o.sched.cursor);
             if cam.group_key() == key && cam.is_translation_of(&leader) {
                 members.push((j, o.sched.cursor));
                 self.push_stereo_sibling(j, o.sched.cursor, &leader, &mut members);
@@ -1634,55 +1630,48 @@ impl<R: Send + 'static> Server<R> {
         members: &mut Vec<(usize, usize)>,
     ) {
         let e = &self.streams[j];
-        let rung = e.sched.rung.min(e.rung_count.saturating_sub(1));
-        let stereo = e
-            .cam_cfgs
-            .get(rung)
-            .or_else(|| e.cam_cfgs.first())
-            .is_some_and(|cfg| matches!(cfg.path, CameraPath::Stereo { .. }));
-        if !stereo || !frame.is_multiple_of(2) || frame + 1 >= e.budget {
-            return;
-        }
-        if let Some(sibling) = self.stream_camera(j, frame + 1) {
-            if sibling.is_translation_of(leader) {
-                members.push((j, frame + 1));
-            }
+        let stereo = matches!(e.rung_cfgs[e.sched.rung].path, CameraPath::Stereo { .. });
+        if stereo
+            && frame.is_multiple_of(2)
+            && frame + 1 < e.budget
+            && e.camera(frame + 1).is_translation_of(leader)
+        {
+            members.push((j, frame + 1));
         }
     }
 
     /// Dispatches one round — `members[0]` is the leader — as a single
-    /// pool task. Each member frame runs lock → rebind → fault seam →
-    /// retry → `catch_unwind` ([`render_member`]) and sends its own
-    /// completion, so a faulting member fails only its own stream. A round
-    /// of one renders through its stream's session, which runs the frame
-    /// as a round of one on its own [`CullState`]; a round of several
-    /// borrows the **leader** stream's `CullState` for one widened
-    /// classification pass and one covariance replay serving every member,
-    /// and the round's cull counters accrue to the leader's session.
-    fn dispatch(&mut self, members: Vec<(usize, usize)>, in_flight: &mut usize) {
-        let now = Instant::now();
+    /// pool task at `now_ms`. Each member frame runs lock → rebind →
+    /// fault seam → retry → `catch_unwind` ([`render_member`]) and sends
+    /// its own completion, so a faulting member fails only its own
+    /// stream. A round of one renders through its stream's session, which
+    /// runs the frame as a round of one on its own [`CullState`]; a round
+    /// of several borrows the **leader** stream's `CullState` for one
+    /// widened classification pass and one covariance replay serving
+    /// every member, and the round's cull counters accrue to the leader's
+    /// session.
+    fn dispatch(&mut self, members: Vec<(usize, usize)>, in_flight: &mut usize, now_ms: f64) {
         let batched = members.len() >= 2;
         let mut tasks: Vec<RoundMember<R>> = Vec::with_capacity(members.len());
         for &(k, frame) in &members {
             let e = &mut self.streams[k];
             e.sched.cursor = frame + 1;
-            e.sched.busy = true;
             e.sched.in_flight_frames += 1;
-            e.sched.dispatched_at = Some(now);
+            e.sched.dispatched_at = now_ms;
             *in_flight += 1;
-            // The rung is latched here, between dispatches — the task
-            // renders this whole frame at one rung, and hysteresis or
-            // brownout can only move the *next* frame.
-            e.sched.rung = e.sched.rung.min(e.rung_count.saturating_sub(1));
             // Scene-epoch fence, latched on the stream's first member of
             // the round: a stream that trails a successful reload re-binds
             // inside its own lock before this frame renders.
             let rebind = e.scene_epoch != self.scene_epoch;
             e.scene_epoch = self.scene_epoch;
+            // The rung is latched here, between dispatches — the task
+            // renders this whole frame at one rung, and hysteresis or
+            // brownout can only move the *next* frame.
             tasks.push(RoundMember {
                 id: e.id,
                 frame,
                 rung: e.sched.rung as u8,
+                cfgs: Arc::clone(&e.rung_cfgs),
                 generation: e.sched.generation,
                 rebind,
                 indexed: e.indexed,
@@ -1713,7 +1702,7 @@ impl<R: Send + 'static> Server<R> {
             // Lock every distinct member stream in ascending stream-id
             // order — a total order shared by every round task, so
             // concurrent rounds cannot deadlock (they cannot overlap in
-            // streams anyway: a member is !busy at formation and busy
+            // streams anyway: a member is idle at formation and in flight
             // from dispatch to its last completion).
             let mut order: Vec<usize> = Vec::new();
             for (i, m) in tasks.iter().enumerate() {
@@ -1749,10 +1738,8 @@ impl<R: Send + 'static> Server<R> {
             let mut round = batched.then(|| {
                 let cameras: Vec<Camera> = tasks
                     .iter()
-                    .enumerate()
-                    .map(|(i, m)| {
-                        let st = &*guards[guard_of[i]];
-                        let cfg = st.rung_cfgs.get(m.rung as usize).unwrap_or(&st.cfg);
+                    .map(|m| {
+                        let cfg = m.cfg();
                         cfg.path
                             .camera(m.frame, cfg.frames, cfg.width, cfg.height, cfg.fov_y)
                     })
@@ -1785,44 +1772,25 @@ impl<R: Send + 'static> Server<R> {
         });
     }
 
-    /// Handles one completion or command.
-    fn handle_msg(&mut self, msg: Msg<R>, in_flight: &mut usize) {
+    /// Handles one completion or command; `now_ms` is when it was
+    /// observed (deadline-miss accounting and brownout lateness).
+    fn handle_msg(&mut self, msg: Msg<R>, in_flight: &mut usize, now_ms: f64) {
         match msg {
             Msg::Cmd(Command::Attach { id, spec }) => {
-                if self.admission == AdmissionPolicy::Reject {
-                    if let Some(cap) = self.capacity {
-                        let active = self
-                            .streams
-                            .iter()
-                            .filter(|e| !e.sched.phase.is_terminal() && !e.detached)
-                            .count();
-                        if active >= cap {
-                            return; // handle-attach is fire-and-forget
-                        }
-                    }
+                // Handle-attach is fire-and-forget: a rejection drops it.
+                if self.rejecting_at().is_none() {
+                    self.register(id, *spec);
                 }
-                self.register(id, *spec);
             }
             Msg::Cmd(Command::Reload { source }) => {
-                let outcome = self.do_reload(source);
+                let outcome = self.reload_scene(source);
                 self.reloads.push(outcome);
             }
             Msg::Cmd(Command::Detach { id }) => {
                 let Some(k) = self.find(id) else { return };
-                let e = &mut self.streams[k];
-                e.detached = true;
-                if !e.sched.phase.is_terminal() {
-                    if e.sched.busy {
-                        // In-flight frames become zombies; their
-                        // completions are recognised by generation and
-                        // dropped.
-                        e.sched.generation += 1;
-                        e.sched.busy = false;
-                        e.sched.dispatched_at = None;
-                        *in_flight -= e.sched.in_flight_frames;
-                        e.sched.in_flight_frames = 0;
-                    }
-                    e.sched.phase = StreamPhase::Evicted(EvictReason::Detached);
+                self.streams[k].detached = true;
+                if !self.streams[k].sched.phase.is_terminal() {
+                    self.evict(k, EvictReason::Detached, in_flight);
                 }
             }
             Msg::Done {
@@ -1842,10 +1810,6 @@ impl<R: Send + 'static> Server<R> {
                 let budget_ms = self.stall_budget(k);
                 let e = &mut self.streams[k];
                 e.sched.in_flight_frames = e.sched.in_flight_frames.saturating_sub(1);
-                e.sched.busy = e.sched.in_flight_frames > 0;
-                if !e.sched.busy {
-                    e.sched.dispatched_at = None;
-                }
                 *in_flight -= 1;
                 e.sched.busy_ms += latency_ms;
                 e.sched.retries += retries;
@@ -1860,36 +1824,22 @@ impl<R: Send + 'static> Server<R> {
                 // inline on the scheduler thread could not be evicted
                 // mid-stall, so evict on its (late) completion instead —
                 // both pool shapes converge on the same report.
-                if let Some(budget_ms) = budget_ms {
-                    if latency_ms > budget_ms {
-                        // Batch-mates still in flight become zombies of
-                        // the bumped generation; free their pool slots
-                        // now (their Dones stop at the fence).
-                        *in_flight -= e.sched.in_flight_frames;
-                        e.sched.in_flight_frames = 0;
-                        e.sched.busy = false;
-                        e.sched.dispatched_at = None;
-                        e.sched.generation += 1;
-                        e.sched.phase = StreamPhase::Evicted(EvictReason::Stalled {
-                            frame,
-                            waited_ms: latency_ms,
-                            budget_ms,
-                        });
-                        return;
-                    }
+                if let Some(budget_ms) = budget_ms.filter(|&b| latency_ms > b) {
+                    let reason = EvictReason::Stalled {
+                        frame,
+                        waited_ms: latency_ms,
+                        budget_ms,
+                    };
+                    self.evict(k, reason, in_flight);
+                    return;
                 }
-                let mut accepted = false;
                 match result {
                     Ok(out) => {
-                        accepted = true;
                         e.sched.latencies.push(latency_ms);
-                        let mut missed = false;
-                        if let (Some(period), Some(start)) = (e.deadline_ms, e.sched.started_at) {
-                            let due = (frame + 1) as f64 * period;
-                            if start.elapsed().as_secs_f64() * 1e3 > due {
-                                e.sched.deadline_misses += 1;
-                                missed = true;
-                            }
+                        // On time up to and including the due instant.
+                        let missed = now_ms > e.due_ms(frame);
+                        if missed {
+                            e.sched.deadline_misses += 1;
                         }
                         e.sched.rungs.push(rung);
                         e.sched.outputs.push((frame, out));
@@ -1905,18 +1855,30 @@ impl<R: Send + 'static> Server<R> {
                         if e.sched.cursor >= e.budget && e.sched.in_flight_frames == 0 {
                             e.sched.phase = StreamPhase::Completed;
                         }
+                        // Evaluated at completions only: at most one
+                        // brownout step per delivered frame.
+                        self.brownout_shed(now_ms);
                     }
                     Err(fault) => {
                         e.sched.phase = StreamPhase::Failed(fault);
                     }
                 }
-                if accepted {
-                    // Evaluated at completions only: at most one brownout
-                    // step per delivered frame.
-                    self.brownout_shed();
-                }
             }
         }
+    }
+
+    /// The one eviction path (watchdog, late completion on a serial pool,
+    /// detach): frames still in flight become zombies of the bumped
+    /// generation — their completions stop at the fence in
+    /// [`Server::handle_msg`] and their scheduler capacity is freed now,
+    /// so healthy and queued streams proceed — and the stream ends
+    /// `Evicted(reason)`.
+    fn evict(&mut self, k: usize, reason: EvictReason, in_flight: &mut usize) {
+        let s = &mut self.streams[k].sched;
+        *in_flight -= s.in_flight_frames;
+        s.in_flight_frames = 0;
+        s.generation += 1;
+        s.phase = StreamPhase::Evicted(reason);
     }
 
     /// Per-stream ladder hysteresis: `down_after` consecutive deadline
@@ -1924,13 +1886,14 @@ impl<R: Send + 'static> Server<R> {
     /// step back up. Counters reset on every step and on every
     /// miss/hit flip, so a stream oscillating at the boundary stays put.
     fn apply_hysteresis(e: &mut StreamEntry<R>, missed: bool) {
-        if e.rung_count <= 1 {
+        let rung_count = e.rung_count();
+        if rung_count <= 1 {
             return;
         }
         if missed {
             e.sched.consec_hits = 0;
             e.sched.consec_misses += 1;
-            if e.sched.consec_misses >= e.down_after && e.sched.rung + 1 < e.rung_count {
+            if e.sched.consec_misses >= e.down_after && e.sched.rung + 1 < rung_count {
                 e.sched.rung += 1;
                 e.sched.steps_down += 1;
                 e.sched.consec_misses = 0;
@@ -1946,24 +1909,20 @@ impl<R: Send + 'static> Server<R> {
         }
     }
 
-    /// Aggregate lateness across running deadline streams, ms: for each,
-    /// how far its next undelivered frame is past its deadline. Frames
-    /// already shed by frame dropping count as delivered — the metric
-    /// recovers once a stream is back on schedule by any means.
-    fn aggregate_lateness_ms(&self) -> f64 {
-        let mut total = 0.0;
-        for e in &self.streams {
-            if !matches!(e.sched.phase, StreamPhase::Running) {
-                continue;
-            }
-            let (Some(period), Some(start)) = (e.deadline_ms, e.sched.started_at) else {
-                continue;
-            };
-            let delivered = e.sched.outputs.len() + e.sched.dropped.len();
-            let due = (delivered + 1) as f64 * period;
-            total += (start.elapsed().as_secs_f64() * 1e3 - due).max(0.0);
-        }
-        total
+    /// Aggregate lateness across running deadline streams at `now_ms`:
+    /// for each, how far its next undelivered frame is past its
+    /// deadline. Frames already shed by frame dropping count as
+    /// delivered — the metric recovers once a stream is back on schedule
+    /// by any means.
+    fn aggregate_lateness_ms(&self, now_ms: f64) -> f64 {
+        self.streams
+            .iter()
+            .filter(|e| matches!(e.sched.phase, StreamPhase::Running))
+            .map(|e| {
+                let delivered = e.sched.outputs.len() + e.sched.dropped.len();
+                (now_ms - e.due_ms(delivered)).max(0.0)
+            })
+            .sum()
     }
 
     /// The stream the brownout detector would step down next: the
@@ -1975,7 +1934,7 @@ impl<R: Send + 'static> Server<R> {
             if !matches!(e.sched.phase, StreamPhase::Running) {
                 continue;
             }
-            if e.sched.rung + 1 >= e.rung_count {
+            if e.sched.rung + 1 >= e.rung_count() {
                 continue;
             }
             match best {
@@ -1991,14 +1950,14 @@ impl<R: Send + 'static> Server<R> {
     }
 
     /// Server-level overload shedding: one ladder step down for the
-    /// brownout target when aggregate lateness exceeds the armed
-    /// threshold — quality degrades fleet-wide in priority order before
-    /// the watchdog ever has to evict.
-    fn brownout_shed(&mut self) {
+    /// brownout target when aggregate lateness at `now_ms` exceeds the
+    /// armed threshold — quality degrades fleet-wide in priority order
+    /// before the watchdog ever has to evict.
+    fn brownout_shed(&mut self, now_ms: f64) {
         let Some(threshold) = self.brownout_ms else {
             return;
         };
-        if self.aggregate_lateness_ms() <= threshold {
+        if self.aggregate_lateness_ms(now_ms) <= threshold {
             return;
         }
         let Some(k) = self.brownout_target() else {
@@ -2012,37 +1971,28 @@ impl<R: Send + 'static> Server<R> {
         e.sched.consec_hits = 0;
     }
 
-    /// Evicts running deadline streams whose in-flight frame blew the
-    /// stall budget (threaded pools; serial pools converge via the
-    /// late-completion check in [`Server::handle_msg`]).
-    fn watchdog(&mut self, in_flight: &mut usize) {
+    /// Evicts running deadline streams whose in-flight frame has waited
+    /// more than the stall budget at `now_ms` (threaded pools; serial
+    /// pools converge via the late-completion check in
+    /// [`Server::handle_msg`]).
+    fn watchdog(&mut self, in_flight: &mut usize, now_ms: f64) {
         for k in 0..self.streams.len() {
             let Some(budget_ms) = self.stall_budget(k) else {
                 continue;
             };
-            let e = &mut self.streams[k];
-            if !e.sched.busy || !matches!(e.sched.phase, StreamPhase::Running) {
+            let s = &self.streams[k].sched;
+            if s.in_flight_frames == 0 || !matches!(s.phase, StreamPhase::Running) {
                 continue;
             }
-            let Some(t) = e.sched.dispatched_at else {
-                continue;
-            };
-            let waited_ms = t.elapsed().as_secs_f64() * 1e3;
+            let waited_ms = now_ms - s.dispatched_at;
             if waited_ms > budget_ms {
-                // The zombie task keeps a pool worker until it returns;
-                // its completion is discarded by generation. Scheduler
-                // capacity is freed now so healthy/queued streams
-                // proceed.
-                e.sched.generation += 1;
-                e.sched.busy = false;
-                e.sched.dispatched_at = None;
-                e.sched.phase = StreamPhase::Evicted(EvictReason::Stalled {
-                    frame: e.sched.cursor - 1,
+                // The zombie task keeps a pool worker until it returns.
+                let reason = EvictReason::Stalled {
+                    frame: s.cursor - 1,
                     waited_ms,
                     budget_ms,
-                });
-                *in_flight -= e.sched.in_flight_frames;
-                e.sched.in_flight_frames = 0;
+                };
+                self.evict(k, reason, in_flight);
             }
         }
     }
@@ -2069,21 +2019,16 @@ impl<R: Send + 'static> Server<R> {
     }
 
     /// Picks the next stream to dispatch among the ready ones (running,
-    /// not busy, frames remaining), or `None`.
+    /// idle, frames remaining), or `None`.
     fn pick(&mut self) -> Option<usize> {
         let ready: Vec<usize> = (0..self.streams.len())
-            .filter(|&i| {
-                let e = &self.streams[i];
-                matches!(e.sched.phase, StreamPhase::Running)
-                    && !e.sched.busy
-                    && e.sched.cursor < e.budget
-            })
+            .filter(|&i| self.streams[i].is_ready())
             .collect();
         if ready.is_empty() {
             return None;
         }
         match self.policy {
-            SchedulePolicy::OldestFirst => Some(self.pick_oldest(&ready)),
+            SchedulePolicy::OldestFirst => self.pick_oldest(&ready),
             SchedulePolicy::Seeded(seed) => {
                 // SplitMix64 step over the running state (seeded once).
                 if self.rng == 0 {
@@ -2094,43 +2039,31 @@ impl<R: Send + 'static> Server<R> {
                 Some(ready[(z % ready.len() as u64) as usize])
             }
             SchedulePolicy::Deadline => {
-                // EDF over the ready deadline streams; deadline-less
-                // streams only when no deadline stream is ready.
+                // EDF over the ready deadline streams (the first
+                // registered wins a tie); deadline-less streams only when
+                // no deadline stream is ready.
+                let due = |i: usize| self.streams[i].due_ms(self.streams[i].sched.cursor);
                 let edf = ready
                     .iter()
-                    .filter_map(|&i| {
-                        let e = &self.streams[i];
-                        let period = e.deadline_ms?;
-                        let start = e.sched.started_at?;
-                        let due = start
-                            + Duration::from_secs_f64((e.sched.cursor + 1) as f64 * period / 1e3);
-                        Some((due, i))
-                    })
-                    .min_by_key(|&(due, _)| due);
-                match edf {
-                    Some((_, i)) => Some(i),
-                    None => Some(self.pick_oldest(&ready)),
-                }
+                    .copied()
+                    .filter(|&i| self.streams[i].deadline_ms.is_some())
+                    .min_by(|&a, &b| due(a).total_cmp(&due(b)));
+                edf.or_else(|| self.pick_oldest(&ready))
             }
         }
     }
 
     /// Fewest started frames first; ties rotate round-robin from the
-    /// cursor so equal streams are served fairly.
-    // vrlint: allow-block(VL01[expect], reason = "dispatch_ready only calls with a non-empty ready set, and the round-robin scan covers every index, so some ready stream attains the minimum cursor")
-    fn pick_oldest(&mut self, ready: &[usize]) -> usize {
-        let oldest = ready
-            .iter()
-            .map(|&i| self.streams[i].sched.cursor)
-            .min()
-            .expect("non-empty");
+    /// cursor so equal streams are served fairly. `None` only for an
+    /// empty `ready`.
+    fn pick_oldest(&mut self, ready: &[usize]) -> Option<usize> {
         let n = self.streams.len();
-        let sid = (0..n)
-            .map(|k| (self.rr_next + k) % n)
-            .find(|&i| ready.contains(&i) && self.streams[i].sched.cursor == oldest)
-            .expect("some ready stream has the oldest frame");
+        let sid = ready
+            .iter()
+            .copied()
+            .min_by_key(|&i| (self.streams[i].sched.cursor, (i + n - self.rr_next % n) % n))?;
         self.rr_next = (sid + 1) % n;
-        sid
+        Some(sid)
     }
 
     /// Builds the report, rewinds every stream for the next run and
@@ -2195,7 +2128,7 @@ impl<R: Send + 'static> Server<R> {
                 deadline_misses: sched.deadline_misses,
                 retries: sched.retries,
                 rungs: sched.rungs,
-                rung_count: e.rung_count,
+                rung_count: e.rung_count(),
                 rung_steps_down: sched.steps_down,
                 rung_steps_up: sched.steps_up,
                 brownout_steps: sched.brownout_steps,
@@ -2228,6 +2161,8 @@ struct RoundMember<R> {
     id: usize,
     frame: usize,
     rung: u8,
+    /// The stream's rung table (shared with its scheduler entry).
+    cfgs: Arc<[SequenceConfig]>,
     generation: u32,
     /// Re-bind the stream's session to the current scene before its
     /// first frame of this round (scene-epoch fence, once per stream).
@@ -2236,6 +2171,13 @@ struct RoundMember<R> {
     /// re-bind then adopts the new scene's index).
     indexed: bool,
     state: Arc<Mutex<StreamState<R>>>,
+}
+
+impl<R> RoundMember<R> {
+    /// The configuration this frame renders at (its latched rung).
+    fn cfg(&self) -> &SequenceConfig {
+        &self.cfgs[usize::from(self.rung)]
+    }
 }
 
 /// Renders one round member's frame on its locked stream state: the fault
@@ -2277,16 +2219,10 @@ fn render_member<R>(
                     std::thread::sleep(d);
                 }
                 let StreamState {
-                    cfg,
-                    rung_cfgs,
-                    session,
-                    backend,
-                    ..
+                    session, backend, ..
                 } = &mut *st;
-                // The rung's derived configuration drives the whole frame;
-                // a missing index falls back to the base config (rung 0
-                // derivation == base).
-                let cfg = rung_cfgs.get(rung_ix).unwrap_or(cfg);
+                // The rung's derived configuration drives the whole frame.
+                let cfg = m.cfg();
                 let round = round.as_deref_mut();
                 // catch_unwind INSIDE the locks: a panicking backend
                 // unwinds into this Err arm, not past the guards, so no
@@ -2899,6 +2835,250 @@ mod tests {
         server.streams[1].sched.rung = 0;
         server.streams[1].sched.phase = StreamPhase::Completed;
         assert_eq!(server.brownout_target(), None);
+    }
+
+    // ---- the scheduler's time-driven rules at scripted times ----
+
+    /// A server whose streams (one per entry of `periods`, `frames` each,
+    /// backends never run) were promoted at `started_ms`. The rules are
+    /// then called directly at chosen `now_ms` values: no clock, no
+    /// sleeps.
+    fn scripted(
+        policy: SchedulePolicy,
+        periods: &[Option<f64>],
+        frames: usize,
+        started_ms: f64,
+    ) -> Server<usize> {
+        let mut server = Server::new(shared_scene(), 1).with_policy(policy);
+        for (k, &period) in periods.iter().enumerate() {
+            let cfg = SequenceConfig::new(
+                CameraPath::orbit(server.shared().scene().center, 2.0, 1.0, 0.05),
+                frames,
+                32,
+                24,
+            );
+            let mut spec = StreamSpec::new(format!("s{k}"), cfg, |f| f.index)
+                .with_ladder(QualityLadder::standard());
+            if let Some(period) = period {
+                spec = spec.with_deadline_ms(period).with_frame_dropping();
+            }
+            server.add_stream(spec);
+        }
+        server.promote_admitted(started_ms);
+        server
+    }
+
+    /// Marks stream `k`'s next frame in flight since `at_ms`, as
+    /// [`Server::dispatch`] would, without running it.
+    fn start_frame(server: &mut Server<usize>, k: usize, at_ms: f64, in_flight: &mut usize) {
+        let s = &mut server.streams[k].sched;
+        s.cursor += 1;
+        s.in_flight_frames += 1;
+        s.dispatched_at = at_ms;
+        *in_flight += 1;
+    }
+
+    /// Stream `k`'s completion of `frame` after `latency_ms` of work.
+    fn done(server: &Server<usize>, k: usize, frame: usize, latency_ms: f64) -> Msg<usize> {
+        Msg::Done {
+            id: server.streams[k].id,
+            generation: server.streams[k].sched.generation,
+            frame,
+            rung: 0,
+            latency_ms,
+            retries: 0,
+            batched: false,
+            result: Ok(frame),
+        }
+    }
+
+    #[test]
+    fn completion_at_the_due_instant_is_on_time_and_later_is_a_miss() {
+        // Started at 5 ms with a 10 ms period: frame i is due at 15 + 10i.
+        let mut server = scripted(SchedulePolicy::OldestFirst, &[Some(10.0)], 4, 5.0);
+        let mut in_flight = 0;
+        start_frame(&mut server, 0, 5.0, &mut in_flight);
+        server.handle_msg(done(&server, 0, 0, 1.0), &mut in_flight, 15.0);
+        assert_eq!(
+            server.streams[0].sched.deadline_misses, 0,
+            "at due: on time"
+        );
+        start_frame(&mut server, 0, 15.0, &mut in_flight);
+        server.handle_msg(done(&server, 0, 1, 1.0), &mut in_flight, 25.000_001);
+        assert_eq!(
+            server.streams[0].sched.deadline_misses, 1,
+            "past due: a miss"
+        );
+        assert_eq!(in_flight, 0);
+        assert_eq!(server.streams[0].sched.outputs, vec![(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn frames_drop_only_once_past_due_plus_period() {
+        // Frame i is due at 10(i+1) and droppable only past 10(i+2).
+        let mut server = scripted(SchedulePolicy::OldestFirst, &[Some(10.0)], 4, 0.0);
+        server.drop_late_frames(20.0);
+        assert!(
+            server.streams[0].sched.dropped.is_empty(),
+            "at due + period"
+        );
+        server.drop_late_frames(20.5);
+        assert_eq!(server.streams[0].sched.dropped, vec![0]);
+        assert_eq!(server.streams[0].sched.cursor, 1);
+        server.drop_late_frames(30.0);
+        assert_eq!(server.streams[0].sched.dropped, vec![0], "frame 1 not yet");
+        // A frame in flight is never shed from under its stream.
+        let mut in_flight = 0;
+        start_frame(&mut server, 0, 30.0, &mut in_flight);
+        server.drop_late_frames(100.0);
+        assert_eq!(server.streams[0].sched.dropped, vec![0]);
+        // Once idle again, every overdue frame goes and the budget is
+        // accounted: 45 ms is past frame 2's 40 but not frame 3's 50.
+        server.streams[0].sched.in_flight_frames = 0;
+        server.drop_late_frames(45.0);
+        assert_eq!(server.streams[0].sched.dropped, vec![0, 2]);
+        assert_eq!(server.streams[0].sched.phase, StreamPhase::Running);
+        server.drop_late_frames(50.5);
+        assert_eq!(server.streams[0].sched.dropped, vec![0, 2, 3]);
+        assert_eq!(server.streams[0].sched.phase, StreamPhase::Completed);
+    }
+
+    #[test]
+    fn watchdog_evicts_only_once_waited_exceeds_k_periods() {
+        // Budget 4 × 10 ms; the frame was dispatched at 3 ms.
+        let mut server = scripted(SchedulePolicy::OldestFirst, &[Some(10.0), None], 4, 0.0);
+        let mut in_flight = 0;
+        start_frame(&mut server, 0, 3.0, &mut in_flight);
+        start_frame(&mut server, 1, 3.0, &mut in_flight);
+        server.watchdog(&mut in_flight, 43.0);
+        assert_eq!(
+            server.streams[0].sched.phase,
+            StreamPhase::Running,
+            "waited = k·period"
+        );
+        let zombie = done(&server, 0, 0, 0.0);
+        server.watchdog(&mut in_flight, 43.5);
+        let stalled = StreamPhase::Evicted(EvictReason::Stalled {
+            frame: 0,
+            waited_ms: 40.5,
+            budget_ms: 40.0,
+        });
+        assert_eq!(server.streams[0].sched.phase, stalled);
+        assert_eq!(in_flight, 1, "the evicted frame's slot is freed");
+        assert_eq!(
+            server.streams[1].sched.phase,
+            StreamPhase::Running,
+            "no deadline: never watchdogged"
+        );
+        // The zombie's completion stops at the generation fence.
+        server.handle_msg(zombie, &mut in_flight, 50.0);
+        assert!(server.streams[0].sched.outputs.is_empty());
+        assert_eq!(in_flight, 1);
+
+        // A serial pool ran the frame inline: the same budget, checked on
+        // the late completion, converges on the same report.
+        let mut server = scripted(SchedulePolicy::OldestFirst, &[Some(10.0)], 4, 0.0);
+        let mut in_flight = 0;
+        start_frame(&mut server, 0, 3.0, &mut in_flight);
+        server.handle_msg(done(&server, 0, 0, 40.0), &mut in_flight, 43.0);
+        assert_eq!(
+            server.streams[0].sched.outputs.len(),
+            1,
+            "latency = budget: kept"
+        );
+        start_frame(&mut server, 0, 43.0, &mut in_flight);
+        server.handle_msg(done(&server, 0, 1, 40.5), &mut in_flight, 83.5);
+        let stalled = StreamPhase::Evicted(EvictReason::Stalled {
+            frame: 1,
+            waited_ms: 40.5,
+            budget_ms: 40.0,
+        });
+        assert_eq!(server.streams[0].sched.phase, stalled);
+        assert_eq!(in_flight, 0);
+    }
+
+    #[test]
+    fn edf_serves_the_earliest_due_frame_first() {
+        let periods = [
+            Some(30.0),
+            None,
+            Some(10.0),
+            Some(10.0),
+            Some(f64::INFINITY),
+        ];
+        let mut server = scripted(SchedulePolicy::Deadline, &periods, 4, 0.0);
+        let mut in_flight = 0;
+        let mut order = Vec::new();
+        while let Some(k) = server.pick() {
+            order.push(k);
+            start_frame(&mut server, k, 0.0, &mut in_flight);
+        }
+        // Dues 10, 10 (tie: registration order), 30, never (still a
+        // deadline stream), then the deadline-less stream.
+        assert_eq!(order, vec![2, 3, 0, 4, 1]);
+        // Frame 1 of stream 2 (due 20) now precedes frame 0 of stream 0
+        // (due 30).
+        server.streams[0].sched.cursor = 0;
+        server.streams[0].sched.in_flight_frames = 0;
+        server.streams[2].sched.in_flight_frames = 0;
+        assert_eq!(server.pick(), Some(2));
+    }
+
+    #[test]
+    fn aggregate_lateness_sums_running_streams_past_due() {
+        let periods = [Some(10.0), Some(4.0), None, Some(10.0)];
+        let mut server = scripted(SchedulePolicy::OldestFirst, &periods, 4, 0.0);
+        // Stream 1 delivered two frames (one produced, one shed): its next
+        // frame is due at 12. Stream 3 completed: it no longer counts.
+        server.streams[1].sched.outputs.push((0, 0));
+        server.streams[1].sched.dropped.push(1);
+        server.streams[3].sched.phase = StreamPhase::Completed;
+        assert_eq!(server.aggregate_lateness_ms(10.0), 0.0, "at due: not late");
+        assert_eq!(server.aggregate_lateness_ms(25.0), 15.0 + 13.0);
+        // Brownout steps only above its threshold, lowest priority first.
+        server.brownout_ms = Some(28.0);
+        server.brownout_shed(25.0);
+        assert_eq!(server.streams[0].sched.brownout_steps, 0, "at threshold");
+        server.brownout_ms = Some(27.5);
+        server.brownout_shed(25.0);
+        assert_eq!(server.streams[0].sched.brownout_steps, 1);
+        assert_eq!(server.streams[0].sched.rung, 1);
+    }
+
+    /// An infinite period (or one whose dues overflow to infinity) is
+    /// never due: the stream completes with no miss, drop or eviction,
+    /// and EDF ranks it without converting the due to a clock type.
+    #[test]
+    fn streams_that_are_never_due_complete_under_edf() {
+        let never_due: [fn(StreamSpec<usize>) -> StreamSpec<usize>; 3] = [
+            |s| s.with_deadline_ms(f64::INFINITY),
+            |s| s.with_deadline_ms(1e25),
+            |s| s.with_target_fps(1e-30),
+        ];
+        for (i, set_period) in never_due.iter().enumerate() {
+            for threads in [1usize, 2] {
+                let mut server =
+                    Server::new(shared_scene(), threads).with_policy(SchedulePolicy::Deadline);
+                let cfg = SequenceConfig::new(
+                    CameraPath::orbit(server.shared().scene().center, 2.0, 1.0, 0.05),
+                    3,
+                    32,
+                    24,
+                );
+                let spec = StreamSpec::new("never-due", cfg, |f| f.index).with_frame_dropping();
+                server.add_stream(set_period(spec));
+                let report = server.run();
+                let s = &report.streams[0];
+                assert_eq!(
+                    s.phase,
+                    StreamPhase::Completed,
+                    "case {i}, threads {threads}"
+                );
+                assert_eq!(s.frames, vec![0, 1, 2], "case {i}, threads {threads}");
+                assert_eq!(s.deadline_misses, 0, "case {i}, threads {threads}");
+                assert_eq!(s.frames_dropped, 0, "case {i}, threads {threads}");
+            }
+        }
     }
 
     // ---- cross-stream batched preprocessing ----

@@ -184,7 +184,8 @@ pub const BUILTIN_ALLOWS: &[BuiltinAllow] = &[
         rule: Rule::VL03,
         path: "crates/core/src/serve.rs",
         ident: "Instant",
-        reason: "wall-clock feeds deadline/watchdog scheduling only; frame bits are \
+        reason: "Server::run reads the clock once per wake-up and passes now_ms to the \
+                 scheduler rules; the frame task times its own latency. Frame bits are \
                  proven time-independent (DESIGN.md §9)",
     },
     BuiltinAllow {

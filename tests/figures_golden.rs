@@ -15,9 +15,30 @@ use std::process::{Command, Output};
 
 /// The experiments of the golden file, in file order.
 const EXPERIMENTS: &[&str] = &[
-    "table1", "table2", "fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig16",
-    "fig17", "fig18", "fig19", "table3", "fig20", "tilebins", "fig22", "fig23", "kernel",
-    "sequence", "asset",
+    "table1",
+    "table2",
+    "fig1",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig16",
+    "fig17",
+    "fig18",
+    "fig19",
+    "table3",
+    "fig20",
+    "tilebins",
+    "fig22",
+    "fig23",
+    "kernel",
+    "sequence",
+    "asset",
+    "serve",
+    "serve-batch",
 ];
 
 /// The first experiment of the second half.

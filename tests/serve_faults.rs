@@ -172,7 +172,9 @@ fn check_stall_eviction(threads: usize) {
             .with_deadline_ms(200.0)
             .with_faults(FaultInjector::at(1, FaultKind::Stall(1_500))),
     );
-    server.add_stream(vr_spec(&scene, 1));
+    // A healthy neighbour with a generous deadline: the stall must not
+    // cost it a single miss.
+    server.add_stream(vr_spec(&scene, 1).with_deadline_ms(10_000.0));
     server.add_stream(vr_spec(&scene, 2));
     let report = server.run();
 
@@ -192,6 +194,7 @@ fn check_stall_eviction(threads: usize) {
         if k != 0 {
             assert_eq!(stream.phase, StreamPhase::Completed, "stream {k}");
             assert_eq!(stream.frames.len(), FRAMES, "stream {k}");
+            assert_eq!(stream.deadline_misses, 0, "stream {k}");
         }
     }
 }
@@ -244,7 +247,8 @@ fn panic_is_contained_and_the_stream_healable() {
 }
 
 /// Same seed, same chaos: two servers driven by one seeded [`FaultPlan`]
-/// end in identical phases with identical bits.
+/// end in identical phases with identical bits. A third run gives the
+/// stalled stream a deadline, so the watchdog joins the chaos.
 #[test]
 fn seeded_chaos_is_replayable() {
     let scene = lego_scene();
@@ -253,15 +257,24 @@ fn seeded_chaos_is_replayable() {
         !plan.faults().is_empty(),
         "seed 0xD1CE must inject something for this test to bite"
     );
-    let run = || {
+    // `stall_deadline_ms` gives every stream the plan stalls a deadline,
+    // so the watchdog joins the chaos.
+    let run = |stall_deadline_ms: Option<f64>| {
         let mut server = Server::new(SharedScene::new(scene.clone()), 2);
         for k in 0..4 {
-            server.add_stream(vr_spec(&scene, k).with_faults(plan.injector(k)));
+            let mut spec = vr_spec(&scene, k).with_faults(plan.injector(k));
+            let stalls = plan
+                .faults_for(k)
+                .any(|f| matches!(f.kind, FaultKind::Stall(_)));
+            if let (true, Some(period)) = (stalls, stall_deadline_ms) {
+                spec = spec.with_deadline_ms(period);
+            }
+            server.add_stream(spec);
         }
         server.run()
     };
-    let a = run();
-    let b = run();
+    let a = run(None);
+    let b = run(None);
     for k in 0..4 {
         assert_eq!(a.streams[k].phase, b.streams[k].phase, "stream {k}");
         assert_eq!(a.streams[k].produced, b.streams[k].produced, "stream {k}");
@@ -277,6 +290,24 @@ fn seeded_chaos_is_replayable() {
         if plan.faults_for(k).next().is_none() {
             assert_eq!(a.streams[k].phase, StreamPhase::Completed, "stream {k}");
             assert_eq!(a.streams[k].frames.len(), FRAMES, "stream {k}");
+        }
+    }
+
+    // With a 5 ms deadline on the stalled stream its outcome depends on
+    // host speed (watchdog eviction, misses), so it is not replayed; its
+    // produced bits and the unfaulted streams are still pinned.
+    assert!(
+        plan.faults()
+            .iter()
+            .any(|f| matches!(f.kind, FaultKind::Stall(_))),
+        "seed 0xD1CE must stall a stream for the watchdog input to bite"
+    );
+    let c = run(Some(5.0));
+    for (k, stream) in c.streams.iter().enumerate() {
+        assert_produced_bits_match_solo(&scene, stream, k);
+        if plan.faults_for(k).next().is_none() {
+            assert_eq!(stream.phase, StreamPhase::Completed, "stream {k}");
+            assert_eq!(stream.frames.len(), FRAMES, "stream {k}");
         }
     }
 }
