@@ -21,23 +21,27 @@
 //! 1. **Prologue** (parallel): triangle setup and fine raster of every
 //!    primitive over its whole tile rect — pure per primitive.
 //! 2. **Spine** (serial): vertex accounting, TGC/TC insertion, evictions
-//!    and drains in draw order. It records each TC flush with the
-//!    upstream work batch it closes, and reads no pixel.
+//!    and drains in draw order; a (primitive, tile) pair's quads enter the
+//!    TC bins as one run. It records each TC flush with the upstream work
+//!    batch it closes, and reads no pixel.
 //! 3. **Shards** (parallel, per screen tile): each tile's flushes in spine
-//!    order through ZROP, QRU, shading, merge and CROP, on the tile's own
-//!    pixels and termination state, logging their ROP-cache accesses.
+//!    order, on the tile's own pixels and termination state. ZROP tests a
+//!    flush's quads into a survivor mask, the QRU pairs the survivors, and
+//!    one pass in bin order shades each front quad with its back, merges
+//!    and blends it in CROP, logging the ROP-cache accesses. Nothing is
+//!    staged between the units.
 //! 4. **Tail** (serial): replays the cache logs through the CROP/z/L2
 //!    models and pushes each flush's timing batch, in spine order.
 //!
 //! Simulated results are bit-exact for every `threads` setting (DESIGN.md
-//! §4). Every per-primitive / per-flush buffer, like the bin tables and
-//! caches themselves (reset to power-on state per draw), lives in a
-//! reusable [`DrawScratch`]; at `threads: 1` every phase runs inline and
-//! the steady-state frame loop is allocation-free.
+//! §4). The raster arena, the flush records and the tile shards, like the
+//! bin tables and caches themselves (reset to power-on state per draw),
+//! live in a reusable [`DrawScratch`]; at `threads: 1` every phase runs
+//! inline and the steady-state frame loop is allocation-free.
 
 use gpu_sim::binning::{BinTable, Flush, FlushReason};
 use gpu_sim::cache::Cache;
-use gpu_sim::config::GpuConfig;
+use gpu_sim::config::{GpuConfig, L2_BYTES, L2_WAYS, MAX_TC_BIN_SIZE};
 use gpu_sim::quad::{Quad, ShadedQuad};
 use gpu_sim::raster::{rasterize_in_tile_with, SplatSetup};
 use gpu_sim::stats::{PipelineStats, Unit};
@@ -51,7 +55,7 @@ use gsplat::splat::Splat;
 use gsplat::stream::FragmentKernel;
 
 use crate::het::{alpha_test, termination_test, TerminationRows};
-use crate::qm::{plan_warps_into, pooled_warp, WarpPlan, WarpSlot};
+use crate::qm::{warp_counts, QuadPairs};
 use crate::shading::{merge_pair, premultiplied_fragment, shade_quad};
 use crate::variant::PipelineVariant;
 
@@ -168,8 +172,8 @@ impl From<gsplat::asset::AssetError> for DrawError {
 }
 
 /// Reusable per-draw buffers: the prologue's setup and fine-raster arena,
-/// the spine's flush records, the per-tile shards, the per-worker staging
-/// and the hardware-unit models (bin tables and caches, reset to power-on
+/// the spine's flush records, the per-tile shards and the hardware-unit
+/// models (bin tables and caches, reset to power-on
 /// state at the top of every draw). Holding one of these across draws
 /// removes all steady-state allocation from a `threads: 1` draw; it never
 /// changes a result.
@@ -190,8 +194,6 @@ pub struct DrawScratch {
     /// Tiles with flushes, heaviest first: the claim order of the
     /// parallel shard phase.
     tile_order: Vec<u32>,
-    /// Raster and flush-processing staging, one per host worker.
-    staging: Vec<FlushStaging>,
 }
 
 /// Simulates one draw call of depth-sorted splats.
@@ -362,19 +364,6 @@ pub fn try_draw_in_place(
     pipeline.run_round();
     Ok(pipeline.finish(color, ds))
 }
-
-/// Color-cache line geometry: a 128-B line covers a
-/// `(128/bpp/4)`-wide × 4-tall pixel block.
-fn line_block(cfg: &GpuConfig) -> (u32, u32) {
-    let bpp = cfg.pixel_format.bytes_per_pixel() as u32;
-    let block_h = 4u32;
-    let block_w = (cfg.cache_line_bytes as u32 / (bpp * block_h)).max(1);
-    (block_w, block_h)
-}
-
-/// L2 model geometry: 4 MB, 16-way.
-const L2_BYTES: usize = 4 * 1024 * 1024;
-const L2_WAYS: usize = 16;
 
 /// Cache-log tag of a z-cache (stencil-line) access; it doubles as the
 /// address-space tag that keeps z lines distinct from color lines in L2.
@@ -806,22 +795,6 @@ impl TileShard {
     }
 }
 
-/// Per-worker staging of the flush being processed.
-#[derive(Debug, Default)]
-struct FlushStaging {
-    /// Surviving quads of the flush.
-    bin: Vec<Quad>,
-    /// Shaded quads of the flush.
-    shaded: Vec<ShadedQuad>,
-    /// Merge replacements (front slots).
-    replacement: Vec<Option<ShadedQuad>>,
-    /// Back-quad skip marks.
-    skip: Vec<bool>,
-    /// QRU output, with its warp vectors recycled through `warp_pool`.
-    plan: WarpPlan,
-    warp_pool: Vec<Vec<WarpSlot>>,
-}
-
 /// Internal per-draw-call state of the serial phases.
 struct Pipeline<'a> {
     splats: &'a [Splat],
@@ -1028,21 +1001,33 @@ impl Pipeline<'_> {
                     coarse_tiles as f64 / self.cfg.coarse_raster_tiles_per_cycle as f64
                         + quads.len() as f64 / self.cfg.fine_raster_quads_per_cycle as f64,
                 );
-                for &q in quads {
-                    self.stats.raster_quads += 1;
-                    self.stats.raster_fragments += (q.coverage & 0xF).count_ones() as u64;
-                    self.tc_insert(TileId { x: tx, y: ty }, q);
-                }
+                let n = quads.len() as u64;
+                self.stats.raster_quads += n;
+                self.stats.raster_fragments += quads
+                    .iter()
+                    .map(|q| (q.coverage & 0xF).count_ones() as u64)
+                    .sum::<u64>();
+                self.stats.tc_insertions += n;
+                self.tc_insert_run(TileId { x: tx, y: ty }, quads);
             }
         }
     }
 
-    fn tc_insert(&mut self, tile: TileId, q: BinQuad) {
-        self.stats.tc_insertions += 1;
-        self.pending
-            .add(Unit::Tc, 1.0 / self.cfg.tc_quads_per_cycle as f64);
-        for flush in self.units.tc.insert(tile, q) {
-            self.record_tc_flush(flush);
+    /// Inserts one (primitive, tile) pair's quads into the TC unit as a
+    /// run. Each quad still adds its TC cycles to `pending` one by one,
+    /// before the flushes its insert causes, so the `f64` sums each flush
+    /// closes are formed exactly as by per-quad inserts.
+    fn tc_insert_run(&mut self, tile: TileId, mut quads: &[BinQuad]) {
+        let cycles = 1.0 / self.cfg.tc_quads_per_cycle as f64;
+        while !quads.is_empty() {
+            let (n, flushes) = self.units.tc.insert_run(tile, quads);
+            for _ in 0..n {
+                self.pending.add(Unit::Tc, cycles);
+            }
+            for flush in flushes {
+                self.record_tc_flush(flush);
+            }
+            quads = &quads[n..];
         }
     }
 
@@ -1115,26 +1100,27 @@ impl Pipeline<'_> {
             flush_quads,
             tiles,
             tile_order,
-            staging,
             ..
         } = &mut *self.scratch;
-        let ctx = ShardCtx {
-            splats: self.splats,
-            cfg: self.cfg,
-            variant: self.variant,
-            tiling: &self.tiling,
+        let ctx = ShardCtx::new(
+            self.splats,
+            self.cfg,
+            self.variant,
+            &self.tiling,
             flushes,
             flush_quads,
-            line_block: line_block(self.cfg),
-        };
+        );
         let workers = self.cfg.thread_policy().workers(tile_order.len());
         if workers > 1 {
             tile_order.sort_unstable_by_key(|&t| std::cmp::Reverse(tiles[t as usize].quads));
         }
-        staging.resize_with(workers, FlushStaging::default);
-        for_each_claimed(staging, tiles, Some(tile_order), |st, shard, t| {
-            ctx.run_tile(shard, t, st)
-        });
+        // Shard workers need no state of their own (see `prologue`).
+        for_each_claimed(
+            &mut vec![(); workers],
+            tiles,
+            Some(tile_order),
+            |_, shard, t| ctx.run_tile(shard, t),
+        );
     }
 
     /// Serial tail: replays each flush's ROP-cache log (adding the L2/DRAM
@@ -1194,11 +1180,37 @@ struct ShardCtx<'a> {
     flush_quads: &'a [BinQuad],
     /// Color-cache line geometry (pixels per line block).
     line_block: (u32, u32),
+    /// Line blocks per framebuffer row.
+    line_blocks_x: u64,
 }
 
-impl ShardCtx<'_> {
+impl<'a> ShardCtx<'a> {
+    fn new(
+        splats: &'a [Splat],
+        cfg: &'a GpuConfig,
+        variant: PipelineVariant,
+        tiling: &'a Tiling,
+        flushes: &'a [SpineFlush],
+        flush_quads: &'a [BinQuad],
+    ) -> Self {
+        // A 128-B color line covers a `(128/bpp/4)`-wide × 4-tall pixel
+        // block.
+        let bpp = cfg.pixel_format.bytes_per_pixel() as u32;
+        let line_block = ((cfg.cache_line_bytes as u32 / (bpp * 4)).max(1), 4);
+        Self {
+            splats,
+            cfg,
+            variant,
+            tiling,
+            flushes,
+            flush_quads,
+            line_block,
+            line_blocks_x: tiling.width().div_ceil(line_block.0) as u64,
+        }
+    }
+
     /// Processes the round's flushes of tile `index`, in spine order.
-    fn run_tile(&self, shard: &mut TileShard, index: usize, staging: &mut FlushStaging) {
+    fn run_tile(&self, shard: &mut TileShard, index: usize) {
         let tiles_x = self.tiling.tiles_x();
         let tile = TileId {
             x: index as u32 % tiles_x,
@@ -1208,7 +1220,7 @@ impl ShardCtx<'_> {
             let (start, end) = self.flushes[shard.flushes[k] as usize].quads;
             let items = &self.flush_quads[start as usize..end as usize];
             let log_start = shard.log.len() as u32;
-            let cycles = self.process_flush(shard, staging, tile, items);
+            let cycles = self.process_flush(shard, tile, items);
             shard.outcomes.push(FlushOutcome {
                 cycles,
                 log: (log_start, shard.log.len() as u32),
@@ -1217,200 +1229,198 @@ impl ShardCtx<'_> {
     }
 
     /// The heart of the pipeline: one TC-bin flush travels through ZROP
-    /// (HET), PROP/QRU (QM), the SMs and CROP. Returns those units' cycles;
-    /// the ROP-cache accesses go to the shard's log for the serial tail.
-    fn process_flush(
-        &self,
-        shard: &mut TileShard,
-        st: &mut FlushStaging,
-        tile: TileId,
-        items: &[BinQuad],
-    ) -> WorkBatch {
+    /// (HET), PROP/QRU (QM), the SMs and CROP. ZROP tests every quad
+    /// first, leaving the survivors as a bin mask; the rest is one pass in
+    /// bin order: each front quad is shaded, merged with its back quad
+    /// (which the pass then skips) and blended. Returns those units'
+    /// cycles; the ROP-cache accesses go to the shard's log for the serial
+    /// tail.
+    fn process_flush(&self, shard: &mut TileShard, tile: TileId, items: &[BinQuad]) -> WorkBatch {
         let cfg = self.cfg;
-        let tile_px = self.tiling.tile_px();
         let log_from = shard.log.len();
         let mut batch = WorkBatch::default();
 
         // --- ZROP early-termination test (HET) ---
-        st.bin.clear();
-        if self.variant.het() {
-            if cfg.kernel == FragmentKernel::Soa && shard.retired {
-                // Tile-granularity transmittance check: every pixel of the
-                // tile is terminated, so the whole flush is discarded on
-                // one tile-flag read instead of per-quad stencil-line
-                // tests. The surviving set (empty) is what the per-quad
-                // loop would produce, so images and downstream state are
-                // bit-identical; only ZROP/z-cache work disappears.
-                let c = &mut shard.counters;
-                c.retired_tile_skips += 1;
-                c.zrop_term_discards += items.len() as u64;
-                c.zrop_term_discarded_fragments += items
-                    .iter()
-                    .map(|q| (q.coverage & 0xF).count_ones() as u64)
-                    .sum::<u64>();
-                batch.add(Unit::Zrop, 1.0 / cfg.zrop_quads_per_cycle as f64);
-            } else {
-                shard.counters.zrop_term_tests += items.len() as u64;
-                batch.add(
-                    Unit::Zrop,
-                    items.len() as f64 / cfg.zrop_quads_per_cycle as f64,
-                );
-                for q in items.iter().map(|q| q.quad(tile, tile_px)) {
-                    // One z-cache line read per quad (stencil MSBs).
-                    shard.log_access(log_from, self.z_line(q.origin));
-                    let terminated = shard
-                        .terminated
-                        .quad(2 * q.pos.x as u32, 2 * q.pos.y as u32);
-                    let t = termination_test(q.coverage, terminated);
-                    if t.survives {
-                        shard.counters.zrop_term_discarded_fragments +=
-                            t.terminated_fragments as u64;
-                        st.bin.push(q);
-                    } else {
-                        shard.counters.zrop_term_discards += 1;
-                        shard.counters.zrop_term_discarded_fragments += q.coverage_count() as u64;
-                    }
-                }
-            }
+        let survivors = if !self.variant.het() {
+            u128::MAX >> (MAX_TC_BIN_SIZE - items.len())
+        } else if cfg.kernel == FragmentKernel::Soa && shard.retired {
+            // Tile-granularity transmittance check: every pixel of the
+            // tile is terminated, so the whole flush is discarded on one
+            // tile-flag read instead of per-quad stencil-line tests. The
+            // surviving set (empty) is what the per-quad test would
+            // produce, so images and downstream state are bit-identical;
+            // only ZROP/z-cache work disappears.
+            let c = &mut shard.counters;
+            c.retired_tile_skips += 1;
+            c.zrop_term_discards += items.len() as u64;
+            c.zrop_term_discarded_fragments += items
+                .iter()
+                .map(|q| (q.coverage & 0xF).count_ones() as u64)
+                .sum::<u64>();
+            batch.add(Unit::Zrop, 1.0 / cfg.zrop_quads_per_cycle as f64);
+            0
         } else {
-            st.bin.extend(items.iter().map(|q| q.quad(tile, tile_px)));
-        }
-        if st.bin.is_empty() {
+            shard.counters.zrop_term_tests += items.len() as u64;
+            batch.add(
+                Unit::Zrop,
+                items.len() as f64 / cfg.zrop_quads_per_cycle as f64,
+            );
+            self.zrop_test(shard, items)
+        };
+        if survivors == 0 {
             return batch;
         }
-        let bin = &st.bin;
 
         // --- PROP routing / quad reorder unit (QM) ---
-        if self.variant.qm() {
-            plan_warps_into(bin, &mut st.plan, &mut st.warp_pool);
+        let pairs = if self.variant.qm() {
+            QuadPairs::scan(bits(survivors).map(|i| (i, items[i].pos)))
         } else {
-            sequential_plan_into(bin.len(), &mut st.plan, &mut st.warp_pool);
-        }
-        let plan = &st.plan;
+            QuadPairs::NONE
+        };
+        let n = survivors.count_ones() as usize;
         // Pre-shading routing (and QRU examination, which proceeds at the
         // routing rate — the scan is simple register compares pipelined
         // with dispatch).
-        batch.add(
-            Unit::Prop,
-            bin.len() as f64 / cfg.prop_quads_per_cycle as f64,
-        );
-        shard.counters.warps_launched += plan.warp_count() as u64;
-        shard.counters.warp_quad_slots_used += plan.slots_used() as u64;
-        shard.counters.merged_pairs += plan.pairs as u64;
+        batch.add(Unit::Prop, n as f64 / cfg.prop_quads_per_cycle as f64);
+        let warps = warp_counts(n, pairs.count());
+        shard.counters.warps_launched += warps.warps as u64;
+        shard.counters.warp_quad_slots_used += warps.slots as u64;
+        shard.counters.merged_pairs += pairs.count() as u64;
 
         // --- SM fragment shading ---
-        let mut warp_cycles = 0u64;
-        for warp in &plan.warps {
-            let has_pair = warp.iter().any(|s| matches!(s, WarpSlot::Pair(..)));
-            warp_cycles += cfg.frag_shader_cycles_per_warp as u64
-                + if has_pair {
-                    cfg.qm_extra_cycles_per_warp as u64
-                } else {
-                    0
-                };
-        }
+        let warp_cycles = warps.warps as u64 * cfg.frag_shader_cycles_per_warp as u64
+            + warps.warps_with_pair as u64 * cfg.qm_extra_cycles_per_warp as u64;
         batch.add(Unit::Sm, warp_cycles as f64 / cfg.simt_cores as f64);
 
-        st.shaded.clear();
-        for q in bin {
-            let sq = shade_quad(q, &self.splats[q.splat as usize]);
-            let covered = q.coverage_count() as u64;
-            shard.counters.shaded_fragments += covered;
-            shard.counters.alpha_pruned_fragments += covered - sq.alive_count() as u64;
-            st.shaded.push(sq);
-        }
-
-        // Merge pairs: replace the front quad, skip the back quad.
-        st.replacement.clear();
-        st.replacement.resize(bin.len(), None);
-        st.skip.clear();
-        st.skip.resize(bin.len(), false);
-        for warp in &plan.warps {
-            for slot in warp {
-                if let WarpSlot::Pair(front, back) = *slot {
-                    st.replacement[front] = Some(merge_pair(&st.shaded[front], &st.shaded[back]));
-                    st.skip[back] = true;
-                }
+        // --- Shading, merge, CROP blending (+ HET alpha test unit) ---
+        let mut crop_quads = 0u64;
+        for front in bits(survivors & !pairs.backs) {
+            let mut sq = self.shade(shard, tile, items[front]);
+            if let Some(back) = pairs.back_of(front) {
+                sq = merge_pair(&sq, &self.shade(shard, tile, items[back]));
             }
-        }
-
-        // --- CROP blending (+ HET alpha test unit) ---
-        let mut crop_quads_here = 0u64;
-        for idx in 0..bin.len() {
-            if st.skip[idx] {
-                continue;
-            }
-            let sq = st.replacement[idx].as_ref().unwrap_or(&st.shaded[idx]);
             if sq.is_dead() {
                 shard.counters.dead_quads += 1;
                 continue;
             }
-            crop_quads_here += 1;
-            shard.counters.crop_quads += 1;
-            self.crop_lines(sq.quad.origin, |line| shard.log_access(log_from, line));
-            for i in 0..4 {
-                if sq.alive & (1 << i) == 0 {
-                    continue;
-                }
-                let (x, y) = sq.quad.fragment_xy(i);
-                let Some(px) = shard.index(x, y) else {
-                    continue;
-                };
-                shard.counters.crop_fragments += 1;
-                let (rgb, a) = premultiplied_fragment(sq, i);
-                let dest = shard.color[px];
-                let prev_alpha = dest.a;
-                let blended = blend_over(dest, Rgba::from_rgb(rgb, a));
-                shard.color[px] = blended;
-                if self.variant.het() && alpha_test(prev_alpha, blended.a) {
-                    // Termination signal → ZROP update (read-modify-write
-                    // of the stencil line through the z-cache).
-                    shard.counters.term_updates += 1;
-                    shard.log_access(log_from, self.z_line((x, y)) | Z_WRITE);
-                    batch.add(Unit::Zrop, 0.5);
-                    shard.terminated.set(x - shard.x0, y - shard.y0);
-                    // The retired flag is set either way (only its
-                    // *consumption* is gated on `kernel == Soa`).
-                    if !shard.retired && shard.terminated.all(shard.w, shard.h) {
-                        shard.retired = true;
-                        shard.counters.retired_tiles += 1;
-                    }
-                }
-            }
+            crop_quads += 1;
+            self.blend(shard, &sq, log_from, &mut batch);
         }
-        batch.add(
-            Unit::Crop,
-            crop_quads_here as f64 / cfg.crop_quads_per_cycle() as f64,
-        );
+        shard.counters.crop_quads += crop_quads;
+        let crop_cycles = crop_quads as f64 / cfg.crop_quads_per_cycle() as f64;
+        batch.add(Unit::Crop, crop_cycles);
         // Post-shading ordering in PROP proceeds at CROP pace (PROP
         // orchestrates the color-fragment flow into CROP).
-        batch.add(
-            Unit::Prop,
-            crop_quads_here as f64 / cfg.crop_quads_per_cycle() as f64,
-        );
+        batch.add(Unit::Prop, crop_cycles);
         batch
     }
 
-    /// Logs the CROP-cache accesses for the color line(s) under a quad.
-    fn crop_lines(&self, origin: (u32, u32), mut log: impl FnMut(u64)) {
-        let (bw, bh) = self.line_block;
-        let (width, height) = (self.tiling.width(), self.tiling.height());
-        let blocks_x = width.div_ceil(bw) as u64;
-        let mut lines = [u64::MAX; 4];
-        let mut n = 0;
-        for (dx, dy) in [(0u32, 0u32), (1, 0), (0, 1), (1, 1)] {
-            let x = origin.0 + dx;
-            let y = origin.1 + dy;
-            if x >= width || y >= height {
-                continue;
-            }
-            let line = (y / bh) as u64 * blocks_x + (x / bw) as u64;
-            if !lines[..n].contains(&line) {
-                lines[n] = line;
-                n += 1;
+    /// The ZROP termination test of every quad of a flush: returns the
+    /// survivors as a bin mask. Each quad reads one z-cache (stencil)
+    /// line; the reads are logged as [`TileShard::log_access`] would fold
+    /// them (the flush's log is empty before them).
+    fn zrop_test(&self, shard: &mut TileShard, items: &[BinQuad]) -> u128 {
+        let mut survivors = 0u128;
+        let mut entry = None;
+        for (i, q) in items.iter().enumerate() {
+            let (x, y) = (2 * q.pos.x as u32, 2 * q.pos.y as u32);
+            let line = self.z_line((shard.x0 + x, shard.y0 + y));
+            entry = match entry {
+                Some(e) if e & !RUN_MASK == line && e & RUN_MASK != RUN_MASK => {
+                    Some(e + (1 << RUN_SHIFT))
+                }
+                done => {
+                    shard.log.extend(done);
+                    Some(line)
+                }
+            };
+            let t = termination_test(q.coverage, shard.terminated.quad(x, y));
+            let c = &mut shard.counters;
+            if t.survives {
+                survivors |= 1 << i;
+                c.zrop_term_discarded_fragments += t.terminated_fragments as u64;
+            } else {
+                c.zrop_term_discards += 1;
+                c.zrop_term_discarded_fragments += (q.coverage & 0xF).count_ones() as u64;
             }
         }
-        lines[..n].iter().for_each(|&line| log(line));
+        shard.log.extend(entry);
+        survivors
+    }
+
+    /// Shades one quad, counting its shaded and alpha-pruned fragments.
+    fn shade(&self, shard: &mut TileShard, tile: TileId, q: BinQuad) -> ShadedQuad {
+        let q = q.quad(tile, self.tiling.tile_px());
+        let sq = shade_quad(&q, &self.splats[q.splat as usize]);
+        let covered = q.coverage_count() as u64;
+        shard.counters.shaded_fragments += covered;
+        shard.counters.alpha_pruned_fragments += covered - sq.alive_count() as u64;
+        sq
+    }
+
+    /// CROP: writes a live quad's color line(s) and blends its live
+    /// fragments into the tile; the HET alpha test unit sends each newly
+    /// terminated pixel to ZROP as a termination update.
+    fn blend(
+        &self,
+        shard: &mut TileShard,
+        sq: &ShadedQuad,
+        log_from: usize,
+        batch: &mut WorkBatch,
+    ) {
+        self.crop_lines(sq.quad.origin, |line| shard.log_access(log_from, line));
+        for i in 0..4 {
+            if sq.alive & (1 << i) == 0 {
+                continue;
+            }
+            let (x, y) = sq.quad.fragment_xy(i);
+            let Some(px) = shard.index(x, y) else {
+                continue;
+            };
+            shard.counters.crop_fragments += 1;
+            let (rgb, a) = premultiplied_fragment(sq, i);
+            let dest = shard.color[px];
+            let prev_alpha = dest.a;
+            let blended = blend_over(dest, Rgba::from_rgb(rgb, a));
+            shard.color[px] = blended;
+            if self.variant.het() && alpha_test(prev_alpha, blended.a) {
+                // Termination signal → ZROP update (read-modify-write
+                // of the stencil line through the z-cache).
+                shard.counters.term_updates += 1;
+                shard.log_access(log_from, self.z_line((x, y)) | Z_WRITE);
+                batch.add(Unit::Zrop, 0.5);
+                shard.terminated.set(x - shard.x0, y - shard.y0);
+                // The retired flag is set either way (only its
+                // *consumption* is gated on `kernel == Soa`).
+                if !shard.retired && shard.terminated.all(shard.w, shard.h) {
+                    shard.retired = true;
+                    shard.counters.retired_tiles += 1;
+                }
+            }
+        }
+    }
+
+    /// Logs the CROP-cache accesses for the color line(s) under the quad
+    /// at `(x, y)`, in the order its fragments (0,0), (1,0), (0,1), (1,1)
+    /// first touch each line. The quad's second column (row) lies in the
+    /// next line block exactly when its first one ends a block, and
+    /// counts only inside the viewport.
+    fn crop_lines(&self, (x, y): (u32, u32), mut log: impl FnMut(u64)) {
+        let (bw, bh) = self.line_block;
+        let (lx, ly) = (x / bw, y / bh);
+        let next_x = x % bw == bw - 1 && x + 1 < self.tiling.width();
+        let next_y = y % bh == bh - 1 && y + 1 < self.tiling.height();
+        let line = |dx: u32, dy: u32| (ly + dy) as u64 * self.line_blocks_x + (lx + dx) as u64;
+        log(line(0, 0));
+        if next_x {
+            log(line(1, 0));
+        }
+        if next_y {
+            log(line(0, 1));
+        }
+        if next_x && next_y {
+            log(line(1, 1));
+        }
     }
 
     /// The [`Z_LINE`]-tagged stencil line under a quad or pixel.
@@ -1422,22 +1432,15 @@ impl ShardCtx<'_> {
     }
 }
 
-/// Baseline warp packing: quads in bin order, eight per warp, no pairs.
-fn sequential_plan_into(n: usize, plan: &mut WarpPlan, pool: &mut Vec<Vec<WarpSlot>>) {
-    for mut warp in plan.warps.drain(..) {
-        warp.clear();
-        pool.push(warp);
-    }
-    plan.merge_bitmap = 0;
-    plan.pairs = 0;
-    let mut i = 0;
-    while i < n {
-        let end = (i + 8).min(n);
-        let mut warp = pooled_warp(pool);
-        warp.extend((i..end).map(WarpSlot::Single));
-        plan.warps.push(warp);
-        i = end;
-    }
+/// The indices of the set bits of `mask`, lowest first.
+fn bits(mut mask: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 #[cfg(test)]
@@ -1767,6 +1770,50 @@ mod tests {
     }
 
     #[test]
+    fn crop_lines_match_per_fragment_lines() {
+        // The per-quad line arithmetic against its definition: the line
+        // under each in-viewport pixel of the quad, each line once, in
+        // fragment order. Line blocks 1, 2, 4 and 8 px wide; odd and even
+        // viewports (the quads of an odd last column or row are clipped).
+        use gsplat::color::PixelFormat;
+        for (cache_line_bytes, pixel_format) in [
+            (32, PixelFormat::Rgba16F),
+            (64, PixelFormat::Rgba16F),
+            (128, PixelFormat::Rgba16F),
+            (128, PixelFormat::Rgba8),
+        ] {
+            let gpu = GpuConfig {
+                cache_line_bytes,
+                pixel_format,
+                ..cfg()
+            };
+            for (w, h) in [(33, 27), (32, 32), (7, 5)] {
+                let tiling = Tiling::new(w, h, gpu.screen_tile_px, gpu.tile_grid_tiles);
+                let ctx = ShardCtx::new(&[], &gpu, PipelineVariant::Baseline, &tiling, &[], &[]);
+                let (bw, bh) = ctx.line_block;
+                for (x, y) in (0..h)
+                    .step_by(2)
+                    .flat_map(|y| (0..w).step_by(2).map(move |x| (x, y)))
+                {
+                    let mut want = Vec::new();
+                    for (px, py) in [(x, y), (x + 1, y), (x, y + 1), (x + 1, y + 1)] {
+                        let line = (py / bh) as u64 * w.div_ceil(bw) as u64 + (px / bw) as u64;
+                        if px < w && py < h && !want.contains(&line) {
+                            want.push(line);
+                        }
+                    }
+                    let mut got = Vec::new();
+                    ctx.crop_lines((x, y), |line| got.push(line));
+                    assert_eq!(
+                        got, want,
+                        "{cache_line_bytes} B {pixel_format:?} {w}x{h} at ({x}, {y})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn try_draw_rejects_invalid_config_without_panicking() {
         let splats = stacked_splats(5, 0.5);
         let bad = GpuConfig {
@@ -1786,6 +1833,41 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, err2);
+        // Configurations whose caches cannot be built, or whose units
+        // would take no work per cycle, are rejected before the draw.
+        let cases = [
+            GpuConfig {
+                cache_ways: 3,
+                ..cfg()
+            },
+            GpuConfig {
+                cache_ways: 0,
+                ..cfg()
+            },
+            GpuConfig {
+                z_cache_bytes: 1000,
+                ..cfg()
+            },
+            GpuConfig {
+                cache_line_bytes: 96,
+                crop_cache_bytes: 96 * 128,
+                ..cfg()
+            },
+            GpuConfig {
+                tc_quads_per_cycle: 0,
+                ..cfg()
+            },
+            GpuConfig {
+                simt_cores: 0,
+                ..cfg()
+            },
+        ];
+        for bad in cases {
+            for v in PipelineVariant::ALL {
+                let err = try_draw(&splats, 32, 32, &bad, v).unwrap_err();
+                assert!(matches!(err, DrawError::InvalidConfig(_)), "{v}: {err}");
+            }
+        }
     }
 
     /// The retry classifier: only transient backend faults are worth

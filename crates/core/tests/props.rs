@@ -1,4 +1,5 @@
-//! Property-based tests for the VR-Pipe extensions: QRU invariants, merge
+//! Property-based tests for the VR-Pipe extensions: QRU invariants and
+//! the closed-form warp accounting against a slot-by-slot packer, merge
 //! correctness, and cross-variant image equivalence on randomized scenes.
 
 use gpu_sim::config::GpuConfig;
@@ -7,7 +8,7 @@ use gpu_sim::tiles::{QuadPos, TileId};
 use gsplat::math::{Vec2, Vec3};
 use gsplat::splat::Splat;
 use proptest::prelude::*;
-use vrpipe::qm::{plan_warps, WarpSlot};
+use vrpipe::qm::{warp_counts, QuadPairs};
 use vrpipe::{draw, PipelineVariant};
 
 fn quad_at(pos_idx: u8, splat: u32) -> Quad {
@@ -21,6 +22,81 @@ fn quad_at(pos_idx: u8, splat: u32) -> Quad {
         origin: (pos.x as u32 * 2, pos.y as u32 * 2),
         coverage: 0xF,
         splat,
+    }
+}
+
+/// The QRU as a slot-by-slot warp packer: the reference the library's
+/// register scan and closed-form warp accounting are checked against.
+mod oracle {
+    use gpu_sim::quad::Quad;
+
+    /// One warp slot as planned by the QRU.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum WarpSlot {
+        /// An unmerged quad (index into the flushed bin).
+        Single(usize),
+        /// A merge pair `(front, back)` occupying two adjacent quad slots.
+        Pair(usize, usize),
+    }
+
+    impl WarpSlot {
+        /// Quad slots this entry occupies in the warp (a pair takes two).
+        pub fn slots(&self) -> usize {
+            match self {
+                WarpSlot::Single(_) => 1,
+                WarpSlot::Pair(..) => 2,
+            }
+        }
+    }
+
+    /// The QRU's warp launch plan for one flushed bin.
+    pub struct WarpPlan {
+        /// Planned warps, each holding at most 8 quad slots.
+        pub warps: Vec<Vec<WarpSlot>>,
+        /// Bit `i` set when bin quad `i` takes part in a merge.
+        pub merge_bitmap: u128,
+        /// Merge pairs `(front, back)` in detection order.
+        pub pairs: Vec<(usize, usize)>,
+    }
+
+    /// Scans the bin with 64 position registers (a second quad at an
+    /// occupied position pairs and clears the register), then packs
+    /// pairs first in detection order, then the unmerged quads in bin
+    /// order, 8 slots per warp, never splitting a pair across warps.
+    pub fn plan_warps(bin: &[Quad]) -> WarpPlan {
+        let mut registers: [Option<usize>; 64] = [None; 64];
+        let mut pairs = Vec::new();
+        let mut merge_bitmap = 0u128;
+        for (qid, quad) in bin.iter().enumerate() {
+            let reg = quad.pos.register_index();
+            match registers[reg].take() {
+                Some(front) => {
+                    pairs.push((front, qid));
+                    merge_bitmap |= 1 << front | 1 << qid;
+                }
+                None => registers[reg] = Some(qid),
+            }
+        }
+        let singles = (0..bin.len()).filter(|i| merge_bitmap & (1 << i) == 0);
+        let slots = pairs
+            .iter()
+            .map(|&(f, b)| WarpSlot::Pair(f, b))
+            .chain(singles.map(WarpSlot::Single));
+        let mut warps: Vec<Vec<WarpSlot>> = Vec::new();
+        let mut used = 8;
+        for slot in slots {
+            if used + slot.slots() > 8 {
+                warps.push(Vec::new());
+                used = 0;
+            }
+            used += slot.slots();
+            warps.last_mut().unwrap().push(slot);
+        }
+        WarpPlan {
+            warps,
+            merge_bitmap,
+            pairs,
+        }
     }
 }
 
@@ -57,17 +133,17 @@ proptest! {
             .enumerate()
             .map(|(i, &p)| quad_at(p, i as u32))
             .collect();
-        let plan = plan_warps(&bin);
+        let plan = oracle::plan_warps(&bin);
 
         let mut seen = vec![0u32; bin.len()];
         let mut bitmap_check = 0u128;
         for warp in &plan.warps {
-            let slots: usize = warp.iter().map(WarpSlot::slots).sum();
+            let slots: usize = warp.iter().map(oracle::WarpSlot::slots).sum();
             prop_assert!(slots <= 8, "warp over 8 quad slots");
             for slot in warp {
                 match *slot {
-                    WarpSlot::Single(i) => seen[i] += 1,
-                    WarpSlot::Pair(f, b) => {
+                    oracle::WarpSlot::Single(i) => seen[i] += 1,
+                    oracle::WarpSlot::Pair(f, b) => {
                         seen[f] += 1;
                         seen[b] += 1;
                         prop_assert!(f < b, "pair front must precede back in bin order");
@@ -85,7 +161,49 @@ proptest! {
         let mut counts = [0usize; 64];
         for &p in &positions { counts[p as usize] += 1; }
         for c in counts { expected_pairs += c / 2; }
-        prop_assert_eq!(plan.pairs, expected_pairs);
+        prop_assert_eq!(plan.pairs.len(), expected_pairs);
+    }
+
+    /// The library's QRU matches the slot-by-slot packer on random bins
+    /// of 0–128 quads: the same pair table (front → back, merge bitmap)
+    /// from the register scan, and the same warps, occupied slots, pairs
+    /// and warps holding a pair from the closed-form accounting. The
+    /// positions are drawn from a varying number of distinct positions,
+    /// so bins range from no pairs to every quad paired.
+    #[test]
+    fn qru_closed_form_matches_slot_packer(
+        positions in proptest::collection::vec(0u8..64, 0..=128),
+        span in 1u8..=64,
+    ) {
+        let bin: Vec<Quad> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| quad_at(p % span, i as u32))
+            .collect();
+        let plan = oracle::plan_warps(&bin);
+        let pairs = QuadPairs::scan(bin.iter().enumerate().map(|(i, q)| (i, q.pos)));
+
+        let table: Vec<(usize, usize)> = (0..bin.len())
+            .filter_map(|f| pairs.back_of(f).map(|b| (f, b)))
+            .collect();
+        let mut want = plan.pairs.clone();
+        want.sort_unstable();
+        prop_assert_eq!(table, want);
+        prop_assert_eq!(pairs.fronts | pairs.backs, plan.merge_bitmap);
+        prop_assert_eq!(pairs.count(), plan.pairs.len());
+        let backs = plan.pairs.iter().fold(0u128, |m, &(_, b)| m | 1 << b);
+        prop_assert_eq!(pairs.backs, backs);
+
+        let w = warp_counts(bin.len(), pairs.count());
+        prop_assert_eq!(w.warps, plan.warps.len());
+        let slots: usize = plan.warps.iter().flatten().map(oracle::WarpSlot::slots).sum();
+        prop_assert_eq!(w.slots, slots);
+        let with_pair = plan
+            .warps
+            .iter()
+            .filter(|warp| warp.iter().any(|s| matches!(s, oracle::WarpSlot::Pair(..))))
+            .count();
+        prop_assert_eq!(w.warps_with_pair, with_pair);
     }
 
     /// QM renders the same image as the baseline (associative regrouping

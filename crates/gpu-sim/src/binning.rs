@@ -11,9 +11,10 @@
 //! behaviour:
 //!
 //! * [`BinTable`] is a fixed slot array with a deterministic open-addressed
-//!   key index and a last-key fast path, so a run of items for one key —
-//!   what raster emits for one (primitive, tile) visit — costs one compare
-//!   per item. Nothing depends on a seeded hasher.
+//!   key index and a last-key fast path, and [`BinTable::insert_run`]
+//!   takes a run of items for one key — what raster emits for one
+//!   (primitive, tile) visit — as one slice copy up to the item that
+//!   fills the bin. Nothing depends on a seeded hasher.
 //! * Flushed bin storage recycles through an internal pool
 //!   ([`BinTable::recycle`]) and [`BinTable::insert`] hands flushes back in
 //!   a fixed-size [`Flushes`], so steady-state insertion allocates nothing.
@@ -47,6 +48,15 @@ pub struct Flush<K, V> {
 pub struct Flushes<K, V> {
     evicted: Option<Flush<K, V>>,
     full: Option<Flush<K, V>>,
+}
+
+impl<K, V> Flushes<K, V> {
+    fn none() -> Self {
+        Self {
+            evicted: None,
+            full: None,
+        }
+    }
 }
 
 impl<K, V> Iterator for Flushes<K, V> {
@@ -293,13 +303,35 @@ impl<K: Eq + Hash + Copy, V> BinTable<K, V> {
             if slot.key == key && slot.items.len() + 1 < self.bin_capacity {
                 self.stats.insertions += 1;
                 slot.items.push(item);
-                return Flushes {
-                    evicted: None,
-                    full: None,
-                };
+                return Flushes::none();
             }
         }
         self.insert_slow(key, item)
+    }
+
+    /// Inserts a run of items for one key: the longest prefix of `items`
+    /// whose inserts flush nothing before its last one. Returns the
+    /// prefix length and the flushes of its last insert. Equivalent to
+    /// [`BinTable::insert`] of each item of the prefix in turn, stats
+    /// included; call again with the rest of the run until it is empty.
+    pub fn insert_run(&mut self, key: K, items: &[V]) -> (usize, Flushes<K, V>)
+    where
+        V: Clone,
+    {
+        let Some(first) = items.first() else {
+            return (0, Flushes::none());
+        };
+        if let Some(slot) = self.slots.get_mut(self.last as usize) {
+            // The items that fit the most recently used bin without
+            // filling it (an occupied bin is never full).
+            let n = (self.bin_capacity - 1 - slot.items.len()).min(items.len());
+            if slot.key == key && n > 0 {
+                self.stats.insertions += n as u64;
+                slot.items.extend_from_slice(&items[..n]);
+                return (n, Flushes::none());
+            }
+        }
+        (1, self.insert_slow(key, first.clone()))
     }
 
     /// [`BinTable::insert`] of a key other than the last one, or of an
@@ -307,10 +339,7 @@ impl<K: Eq + Hash + Copy, V> BinTable<K, V> {
     #[inline(never)]
     fn insert_slow(&mut self, key: K, item: V) -> Flushes<K, V> {
         self.stats.insertions += 1;
-        let mut flushes = Flushes {
-            evicted: None,
-            full: None,
-        };
+        let mut flushes = Flushes::none();
         let mut entry = self.probe(&key);
         let s = match self.index[entry] {
             NONE => {

@@ -53,17 +53,11 @@ impl Cache {
     /// Panics when the geometry is inconsistent (zero sizes, `size` not a
     /// multiple of `line × ways`, or a non-power-of-two set count).
     pub fn new(size_bytes: usize, line_bytes: usize, ways: usize) -> Self {
-        assert!(
-            size_bytes > 0 && line_bytes > 0 && ways > 0,
-            "zero cache geometry"
-        );
+        if let Some(why) = Self::geometry_error(size_bytes, line_bytes, ways) {
+            panic!("{why}");
+        }
         let lines = size_bytes / line_bytes;
-        assert!(
-            lines >= ways && lines.is_multiple_of(ways),
-            "size must be a multiple of line*ways"
-        );
         let sets = lines / ways;
-        assert!(sets.is_power_of_two(), "set count must be a power of two");
         Self {
             lines: vec![Line::default(); lines],
             fill: vec![0; sets],
@@ -72,6 +66,22 @@ impl Cache {
             ways,
             geometry: (size_bytes, line_bytes, ways),
         }
+    }
+
+    /// Why [`Cache::new`] would reject this geometry, if it would.
+    pub fn geometry_error(
+        size_bytes: usize,
+        line_bytes: usize,
+        ways: usize,
+    ) -> Option<&'static str> {
+        if size_bytes == 0 || line_bytes == 0 || ways == 0 {
+            return Some("zero cache geometry");
+        }
+        let lines = size_bytes / line_bytes;
+        if lines < ways || !lines.is_multiple_of(ways) {
+            return Some("size must be a multiple of line*ways");
+        }
+        (!(lines / ways).is_power_of_two()).then_some("set count must be a power of two")
     }
 
     /// Whether this cache was built by `Cache::new(size_bytes, line_bytes,

@@ -6,6 +6,8 @@ use serde::{Deserialize, Serialize};
 use gsplat::color::PixelFormat;
 use gsplat::stream::FragmentKernel;
 
+use crate::cache::Cache;
+
 /// Widest screen tile the quad reorder unit can track: its 64 quad-position
 /// registers are one per 2×2 quad of a 16×16-pixel tile (paper §V-C).
 pub const MAX_SCREEN_TILE_PX: u32 = 16;
@@ -13,6 +15,12 @@ pub const MAX_SCREEN_TILE_PX: u32 = 16;
 /// Largest TC bin the quad reorder unit can take in one flush: its quad
 /// buffer holds 128 quads (7-bit QIDs, paper §V-C).
 pub const MAX_TC_BIN_SIZE: usize = 128;
+
+/// L2 model geometry: 4 MB, 16-way, with [`GpuConfig::cache_line_bytes`]
+/// lines.
+pub const L2_BYTES: usize = 4 * 1024 * 1024;
+/// L2 associativity (see [`L2_BYTES`]).
+pub const L2_WAYS: usize = 16;
 
 /// Full simulator configuration. Defaults reproduce Table I (a single-GPC
 /// GPU configured like the Jetson AGX Orin in 30 W mode).
@@ -208,7 +216,8 @@ impl GpuConfig {
     }
 
     /// Validates structural invariants (tile sizes divide evenly, non-zero
-    /// bins, the QRU's tile and bin limits), returning a description of
+    /// bins, the QRU's tile and bin limits, buildable CROP/z/L2 cache
+    /// geometries, non-zero unit throughputs), returning a description of
     /// the first violation.
     pub fn validate(&self) -> Result<(), String> {
         // Zero tile geometry would pass the divisibility checks below
@@ -251,6 +260,34 @@ impl GpuConfig {
             || !self.crop_cache_bytes.is_multiple_of(self.cache_line_bytes)
         {
             return Err("CROP cache size must be a multiple of the line size".into());
+        }
+        for (cache, bytes, ways) in [
+            ("CROP cache", self.crop_cache_bytes, self.cache_ways),
+            ("z-cache", self.z_cache_bytes, self.cache_ways),
+            ("L2", L2_BYTES, L2_WAYS),
+        ] {
+            if let Some(why) = Cache::geometry_error(bytes, self.cache_line_bytes, ways) {
+                return Err(format!(
+                    "{cache} of {bytes} B in {}-B lines, {ways} ways: {why}",
+                    self.cache_line_bytes
+                ));
+            }
+        }
+        // The timer divides work by each of these.
+        let rates = [
+            ("VPO", self.vpo_prims_per_cycle),
+            ("SM", self.simt_cores),
+            ("setup", self.setup_prims_per_cycle),
+            ("coarse raster", self.coarse_raster_tiles_per_cycle),
+            ("fine raster", self.fine_raster_quads_per_cycle),
+            ("TC", self.tc_quads_per_cycle),
+            ("ZROP", self.zrop_quads_per_cycle),
+            ("PROP", self.prop_quads_per_cycle),
+            ("L2", self.l2_bytes_per_cycle),
+            ("DRAM", self.dram_bytes_per_cycle),
+        ];
+        if let Some((unit, _)) = rates.iter().find(|(_, rate)| *rate == 0) {
+            return Err(format!("{unit} throughput must be non-zero"));
         }
         Ok(())
     }

@@ -571,6 +571,53 @@ proptest! {
         prop_assert_eq!(table.stats(), oracle.stats());
     }
 
+    /// Run insertion is item-by-item insertion: for random runs of keys
+    /// (each a run of distinct items for one key, as raster hands a
+    /// (primitive, tile) pair to the TC unit) into bins of capacity 1, 2
+    /// and 128 over 1–4 bins, so runs fill bins and evict others midway,
+    /// `insert_run` yields the same flushes — key, reason, items, order,
+    /// and the item after which each occurs — the same drain and the same
+    /// `BinStats` as `insert` of each item.
+    #[test]
+    fn run_insertion_matches_item_insertion(
+        runs in proptest::collection::vec((0u32..6, 1usize..300), 1..40),
+        cap_pick in 0usize..3,
+        bins in 1usize..=4,
+    ) {
+        let cap = [1usize, 2, 128][cap_pick];
+        let mut by_run: BinTable<u32, u32> = BinTable::new(bins, cap);
+        let mut by_item: BinTable<u32, u32> = BinTable::new(bins, cap);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut next = 0u32;
+        for &(key, len) in &runs {
+            let items: Vec<u32> = (next..next + len as u32).collect();
+            next += len as u32;
+            let mut rest = &items[..];
+            while !rest.is_empty() {
+                let (n, flushes) = by_run.insert_run(key, rest);
+                prop_assert!(n >= 1 && n <= rest.len(), "took {} of {}", n, rest.len());
+                rest = &rest[n..];
+                let at = items.len() - rest.len();
+                for flush in flushes {
+                    got.push((flush.key, flush.reason, flush.items.clone(), at));
+                    by_run.recycle(flush.items);
+                }
+            }
+            for (i, &item) in items.iter().enumerate() {
+                for flush in by_item.insert(key, item) {
+                    want.push((flush.key, flush.reason, flush.items.clone(), i + 1));
+                    by_item.recycle(flush.items);
+                }
+            }
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(by_run.stats(), by_item.stats());
+            prop_assert_eq!(by_run.occupied(), by_item.occupied());
+        }
+        prop_assert_eq!(drain_all(&mut by_run), drain_all(&mut by_item));
+        prop_assert_eq!(by_run.stats(), by_item.stats());
+        prop_assert_eq!(by_run.insert_run(0, &[]).0, 0);
+    }
+
     /// The flat set-major cache hits and misses exactly like the per-set
     /// `Vec` oracle on every access, and keeps identical `CacheStats`
     /// (writebacks included) through `flush()`, `reset_stats()` (which
