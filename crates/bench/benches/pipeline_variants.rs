@@ -1,6 +1,6 @@
 //! Criterion bench for Fig. 16: the simulated draw per pipeline variant,
 //! in the shape a served frame runs it — persistent targets, a warmed
-//! `DrawScratch`, `draw_in_place`, the retirement check on — serially
+//! `DrawScratch`, `try_draw_in_place`, the retirement check on — serially
 //! (`threads: 1`, the serving configuration) and tile-sharded over two
 //! host workers (`threads: 2`).
 //!
@@ -13,7 +13,7 @@ mod golden;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gsplat::{ColorBuffer, DepthStencilBuffer, FragmentKernel};
-use vrpipe::{draw_in_place, DrawScratch, PipelineVariant};
+use vrpipe::{try_draw_in_place, DrawScratch, PipelineVariant};
 
 fn bench_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig16_pipeline_variants");
@@ -26,7 +26,8 @@ fn bench_variants(c: &mut Criterion) {
             let mut ds = DepthStencilBuffer::new(width, height);
             let mut scratch = DrawScratch::default();
             for v in PipelineVariant::ALL {
-                let stats = draw_in_place(&splats, &gpu, v, &mut color, &mut ds, &mut scratch);
+                let stats = try_draw_in_place(&splats, &gpu, v, &mut color, &mut ds, &mut scratch)
+                    .expect("pinned configs are valid");
                 let pin = golden::find(scene, v, gpu.kernel).expect("every variant is pinned");
                 if let Err(moved) = golden::check(pin, &stats, &color, &ds) {
                     panic!("threads {threads}: draw moved off the golden pin: {moved}");
@@ -34,8 +35,8 @@ fn bench_variants(c: &mut Criterion) {
                 let id = BenchmarkId::new(format!("{scene}/threads{threads}"), v.label());
                 group.bench_with_input(id, &v, |b, &v| {
                     b.iter(|| {
-                        draw_in_place(&splats, &gpu, v, &mut color, &mut ds, &mut scratch)
-                            .total_cycles
+                        try_draw_in_place(&splats, &gpu, v, &mut color, &mut ds, &mut scratch)
+                            .map(|s| s.total_cycles)
                     })
                 });
             }

@@ -139,7 +139,6 @@ pub fn measure_sequence(spec_index: usize, scale: f32, frames: usize) -> (usize,
         width: w,
         height: h,
         fov_y: 55f32.to_radians(),
-        temporal: true,
         indexed: false,
         max_sh_degree: gsplat::sh::MAX_SH_DEGREE,
         rung: 0,
@@ -203,7 +202,6 @@ pub fn sequence() {
         width: w,
         height: h,
         fov_y: 55f32.to_radians(),
-        temporal: true,
         indexed: true,
         max_sh_degree: gsplat::sh::MAX_SH_DEGREE,
         rung: 0,

@@ -56,15 +56,16 @@ impl Default for EnergyModel {
 }
 
 impl EnergyModel {
-    /// Total draw-call energy in nanojoules for the given statistics.
+    /// Total draw-call energy in nanojoules for the given statistics. Each
+    /// ROP-cache miss and writeback moves one `cfg.cache_line_bytes` line
+    /// through the L2.
     pub fn draw_energy_nj(&self, cfg: &GpuConfig, stats: &PipelineStats) -> f64 {
-        let _ = cfg;
         let cache_accesses = stats.crop_cache.accesses() + stats.z_cache.accesses();
         let l2_bytes = (stats.crop_cache.misses
             + stats.crop_cache.writebacks
             + stats.z_cache.misses
             + stats.z_cache.writebacks) as f64
-            * 128.0;
+            * cfg.cache_line_bytes as f64;
         // A fraction of L2 fills come from DRAM; approximate with the
         // fill traffic itself (framebuffers exceed the L2 for large
         // targets, but binning keeps re-reference high).
@@ -132,6 +133,27 @@ mod tests {
         let het = stats_with(5_000, 16_000, 14_000);
         let eff = m.efficiency(&cfg, &base, &het);
         assert!(eff > 1.0, "efficiency {eff}");
+    }
+
+    /// L2 and DRAM traffic is one cache line per ROP-cache miss or
+    /// writeback: halving the line halves exactly that part of the energy.
+    #[test]
+    fn line_traffic_scales_with_cache_line_bytes() {
+        let m = EnergyModel::default();
+        let mut s = stats_with(10_000, 40_000, 36_000);
+        s.crop_cache.misses = 300;
+        s.crop_cache.writebacks = 100;
+        s.z_cache.misses = 50;
+        let at = |line: usize| {
+            let cfg = GpuConfig {
+                cache_line_bytes: line,
+                ..GpuConfig::default()
+            };
+            m.draw_energy_nj(&cfg, &s)
+        };
+        let traffic_nj_128 = 450.0 * 128.0 * (m.l2_byte_nj + 0.3 * m.dram_byte_nj);
+        assert!((at(128) - at(64) - traffic_nj_128 / 2.0).abs() < 1e-6);
+        assert!(at(64) < at(128));
     }
 
     #[test]

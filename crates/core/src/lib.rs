@@ -50,8 +50,8 @@ pub mod variant;
 pub use cost::HardwareCost;
 pub use energy::EnergyModel;
 pub use pipeline::{
-    draw, draw_in_place, draw_with_scratch, try_draw, try_draw_in_place, try_draw_with_scratch,
-    DrawError, DrawOutput, DrawScratch,
+    draw, draw_with_scratch, try_draw, try_draw_in_place, try_draw_with_scratch, DrawError,
+    DrawOutput, DrawScratch,
 };
 pub use renderer::{Frame, FrameScratch, Renderer, TimeBreakdown};
 pub use sequence::{FrameInput, SequenceConfig, SequenceFrameRecord, Session, SharedScene};

@@ -288,29 +288,11 @@ pub fn try_draw_with_scratch(
     })
 }
 
-/// [`draw`] into caller-owned render targets (cleared here), reusing
-/// `scratch` — the fully allocation-free frame-loop entry point.
-///
-/// # Panics
-///
-/// Panics when the configuration fails [`GpuConfig::validate`] or when the
-/// color and depth/stencil dimensions disagree; use [`try_draw_in_place`]
-/// for the fallible form.
-pub fn draw_in_place(
-    splats: &[Splat],
-    cfg: &GpuConfig,
-    variant: PipelineVariant,
-    color: &mut ColorBuffer,
-    ds: &mut DepthStencilBuffer,
-    scratch: &mut DrawScratch,
-) -> PipelineStats {
-    // vrlint: allow(VL01, reason = "documented # Panics wrapper; frame loops use the try_ form")
-    try_draw_in_place(splats, cfg, variant, color, ds, scratch).expect("draw rejected")
-}
-
-/// Fallible [`draw_in_place`]: rejects invalid configurations and
-/// mismatched render targets as a [`DrawError`] before any pipeline state
-/// is touched, instead of panicking mid-frame-loop.
+/// [`try_draw`] into caller-owned render targets (cleared here), reusing
+/// `scratch` — the fully allocation-free frame-loop entry point. Rejects
+/// invalid configurations and mismatched render targets as a
+/// [`DrawError`] before any pipeline state is touched, instead of
+/// panicking mid-frame-loop.
 // vrlint: hot
 pub fn try_draw_in_place(
     splats: &[Splat],
@@ -330,7 +312,7 @@ pub fn try_draw_in_place(
     let (width, height) = (color.width(), color.height());
     color.reset(width, height, cfg.pixel_format);
     ds.reset(width, height);
-    let tiling = Tiling::new(width, height, cfg.screen_tile_px, cfg.tile_grid_tiles);
+    let tiling = Tiling::new(width, height, cfg.screen_tile_px);
     let units = Units::power_on(&mut scratch.units, cfg);
     scratch.flushes.clear();
     scratch.flush_quads.clear();
@@ -1654,11 +1636,11 @@ mod tests {
             match case {
                 "TC evictions" => {
                     assert!(het.stats.tc_evictions > 0, "{case}");
-                    let tiles = Tiling::new(w, h, gpu.screen_tile_px, 1).tile_count() as u64;
+                    let tiles = Tiling::new(w, h, gpu.screen_tile_px).tile_count() as u64;
                     assert!(het.stats.tc_flushes > 2 * tiles, "{case}");
                 }
                 "fewer tiles than workers" => {
-                    assert!(Tiling::new(w, h, gpu.screen_tile_px, 1).tile_count() < 3);
+                    assert!(Tiling::new(w, h, gpu.screen_tile_px).tile_count() < 3);
                 }
                 "SoA tile retirement" => {
                     assert!(het.stats.retired_tiles > 0, "{case}");
@@ -1788,7 +1770,7 @@ mod tests {
                 ..cfg()
             };
             for (w, h) in [(33, 27), (32, 32), (7, 5)] {
-                let tiling = Tiling::new(w, h, gpu.screen_tile_px, gpu.tile_grid_tiles);
+                let tiling = Tiling::new(w, h, gpu.screen_tile_px);
                 let ctx = ShardCtx::new(&[], &gpu, PipelineVariant::Baseline, &tiling, &[], &[]);
                 let (bw, bh) = ctx.line_block;
                 for (x, y) in (0..h)
@@ -1859,6 +1841,10 @@ mod tests {
             },
             GpuConfig {
                 simt_cores: 0,
+                ..cfg()
+            },
+            GpuConfig {
+                core_freq_mhz: 0,
                 ..cfg()
             },
         ];
@@ -1948,14 +1934,15 @@ mod tests {
         let mut scratch = DrawScratch::default();
         let fresh = draw(&splats, 32, 32, &cfg(), PipelineVariant::HetQm);
         for _ in 0..3 {
-            let stats = draw_in_place(
+            let stats = try_draw_in_place(
                 &splats,
                 &cfg(),
                 PipelineVariant::HetQm,
                 &mut color,
                 &mut ds,
                 &mut scratch,
-            );
+            )
+            .unwrap();
             assert_eq!(stats, fresh.stats);
             assert_eq!(color.max_abs_diff(&fresh.color), 0.0);
             assert_eq!(ds, fresh.depth_stencil);

@@ -113,8 +113,9 @@ impl Renderer {
     }
 
     /// [`Renderer::render`] reusing caller-owned scratch buffers: the
-    /// frame loop's intermediates (projection chunks, sort keys, raster
-    /// quads, per-flush staging) allocate nothing after the first frame;
+    /// frame loop's intermediates (projection chunks, sort keys, the raster
+    /// arena, flush records and tile shards) allocate nothing after the
+    /// first frame;
     /// only the returned frame's image buffers are fresh.
     pub fn render_with(&self, scene: &Scene, camera: &Camera, scratch: &mut FrameScratch) -> Frame {
         let pre_stats = preprocess_into(

@@ -57,7 +57,7 @@ use crate::variant::PipelineVariant;
 ///     120,
 /// );
 /// assert_eq!(cfg.frames, 16);
-/// assert!(cfg.temporal);
+/// assert!(!cfg.indexed);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequenceConfig {
@@ -71,15 +71,12 @@ pub struct SequenceConfig {
     pub height: u32,
     /// Vertical field of view in radians.
     pub fov_y: f32,
-    /// Warm-start the depth sort from the previous frame (`true`, the
-    /// point of a sequence) or re-sort every frame from scratch (`false`,
-    /// the A/B baseline). Results are bit-exact either way.
-    pub temporal: bool,
     /// Preprocess through the spatial index ([`gsplat::index`]): per-cell
     /// frustum classification skips provably-culled cells and replays
-    /// cached covariance work under the camera-delta bound. Implies the
-    /// temporal warm-started sort. Results are bit-exact with the full
-    /// path — only preprocessing cost changes.
+    /// cached covariance work under the camera-delta bound. Either way the
+    /// depth sort warm-starts from the previous frame. Results are
+    /// bit-exact with an isolated [`gsplat::preprocess::preprocess_into`]
+    /// frame — only preprocessing cost changes.
     pub indexed: bool,
     /// SH evaluation degree cap for view-dependent color (the quality
     /// ladder's color knob; [`gsplat::sh::MAX_SH_DEGREE`] = no clamp).
@@ -94,8 +91,7 @@ pub struct SequenceConfig {
 }
 
 impl SequenceConfig {
-    /// A sequence over `path` with the default 55° field of view and the
-    /// temporal fast path enabled.
+    /// A sequence over `path` with the default 55° field of view.
     pub fn new(path: CameraPath, frames: usize, width: u32, height: u32) -> Self {
         Self {
             path,
@@ -103,7 +99,6 @@ impl SequenceConfig {
             width,
             height,
             fov_y: 55f32.to_radians(),
-            temporal: true,
             indexed: false,
             max_sh_degree: gsplat::sh::MAX_SH_DEGREE,
             rung: 0,
@@ -113,12 +108,6 @@ impl SequenceConfig {
     /// The same sequence with the SH evaluation degree capped.
     pub fn with_max_sh_degree(mut self, max_sh_degree: u8) -> Self {
         self.max_sh_degree = max_sh_degree;
-        self
-    }
-
-    /// The same sequence with the temporal warm start disabled.
-    pub fn full_sort(mut self) -> Self {
-        self.temporal = false;
         self
     }
 
@@ -211,9 +200,9 @@ pub struct Session {
     index: Option<Arc<SceneIndex>>,
     /// Temporal culling state paired with `index`: per-round
     /// classification and the epoch-tagged covariance cache follow *this*
-    /// stream's cameras. A solo frame is a round of one; a stereo pair
-    /// ([`Session::render_stereo_pair`]) or a served batch this session
-    /// leads is a round of several.
+    /// stream's cameras. A solo frame is a round of one; a served batch
+    /// this session leads (a stereo stream's eye pair, or several
+    /// streams' frames) is a round of several.
     cull: CullState,
 }
 
@@ -256,14 +245,6 @@ impl Session {
     pub fn invalidate_temporal(&mut self) {
         self.pre.invalidate_temporal();
         self.cull.invalidate();
-    }
-
-    /// Drops the cached spatial index (call when the scene's Gaussians
-    /// changed in place; a different scene is detected automatically by
-    /// fingerprint).
-    pub fn invalidate_index(&mut self) {
-        self.index = None;
-        self.cull = CullState::default();
     }
 
     /// The spatial index this session currently holds — its own or a
@@ -334,9 +315,9 @@ impl Session {
     /// `round`'s shared classification pass and covariance cache. The
     /// caller owns that round protocol — `round.begin_round` must have run
     /// over a camera group this frame's camera belongs to (the
-    /// [`crate::serve`] scheduler and [`Session::render_stereo_pair`] do
-    /// this) — and `FrameInput::cull` reports only this member's emission
-    /// counters. Either way the emitted frame is bit-exact.
+    /// [`crate::serve`] scheduler does this) — and `FrameInput::cull`
+    /// reports only this member's emission counters. Either way the
+    /// emitted frame is bit-exact.
     ///
     /// # Panics
     ///
@@ -378,10 +359,8 @@ impl Session {
                 index,
                 cull: &mut *cull,
             }
-        } else if cfg.temporal {
-            PreprocessMode::Temporal
         } else {
-            PreprocessMode::Full
+            PreprocessMode::Temporal
         };
         let request = PreprocessRequest {
             policy: self.policy,
@@ -414,48 +393,6 @@ impl Session {
         (0..cfg.frames)
             .map(|i| self.render_frame(scene, cfg, i, None, &mut render))
             .collect()
-    }
-
-    /// Renders stereo pair `pair` — frames `2*pair` (left eye) and
-    /// `2*pair + 1` (right eye) — through `render`. On an indexed stereo
-    /// sequence the two eyes share the translation bound by construction
-    /// ([`Camera::is_translation_of`]), so the pair runs as one two-camera
-    /// round on the session's [`CullState`]: one cell-classification pass
-    /// and one covariance-cache replay serve both eyes. When the bound
-    /// does not hold (a path that is not stereo) or the sequence is not
-    /// indexed, each eye is its own round of one instead — either way,
-    /// both frames are bit-exact with [`Session::render_frame`] on the
-    /// same frame index.
-    pub fn render_stereo_pair<R>(
-        &mut self,
-        scene: &Scene,
-        cfg: &SequenceConfig,
-        pair: usize,
-        mut render: impl FnMut(FrameInput<'_>) -> R,
-    ) -> (R, R) {
-        let (l, r) = (2 * pair, 2 * pair + 1);
-        let left = cfg
-            .path
-            .camera(l, cfg.frames, cfg.width, cfg.height, cfg.fov_y);
-        let right = cfg
-            .path
-            .camera(r, cfg.frames, cfg.width, cfg.height, cfg.fov_y);
-        let index = match self.index.as_ref() {
-            Some(index) if cfg.indexed && right.is_translation_of(&left) => Arc::clone(index),
-            _ => {
-                let a = self.render_frame(scene, cfg, l, None, &mut render);
-                let b = self.render_frame(scene, cfg, r, None, &mut render);
-                return (a, b);
-            }
-        };
-        // Take the cull state out so the frame calls can borrow `self`
-        // mutably alongside the round.
-        let mut round = std::mem::take(&mut self.cull);
-        round.begin_round(&index, &[left, right]);
-        let a = self.render_frame(scene, cfg, l, Some(&mut round), &mut render);
-        let b = self.render_frame(scene, cfg, r, Some(&mut round), &mut render);
-        self.cull = round;
-        (a, b)
     }
 
     /// Renders the sequence through the simulated hardware pipeline
@@ -531,13 +468,7 @@ impl VrPipeDraw {
             &mut self.scratch,
         )?;
         // A camera's viewport is never empty, so there is at least one tile.
-        let tiles = Tiling::new(
-            width,
-            height,
-            self.gpu.screen_tile_px,
-            self.gpu.tile_grid_tiles,
-        )
-        .tile_count();
+        let tiles = Tiling::new(width, height, self.gpu.screen_tile_px).tile_count();
         Ok(SequenceFrameRecord {
             index: f.index,
             preprocess: f.preprocess,
@@ -696,25 +627,37 @@ mod tests {
         assert!(session.resort_stats().repaired > 0);
     }
 
+    /// The warm-started sequence emits, frame by frame, exactly the
+    /// splats and preprocess counters of an isolated full-sort
+    /// `preprocess_into`, and its draws match.
     #[test]
     fn temporal_and_full_sort_sequences_are_identical() {
         let scene = EVALUATED_SCENES[2].generate_scaled(0.04);
         let cfg = orbit_cfg(&scene, 5);
-        let full = cfg.clone().full_sort();
-        let mut a = Session::default();
-        let mut b = Session::default();
-        let ra = a
-            .run_vrpipe(&scene, &cfg, &GpuConfig::default(), PipelineVariant::Het)
-            .unwrap();
-        let rb = b
-            .run_vrpipe(&scene, &full, &GpuConfig::default(), PipelineVariant::Het)
-            .unwrap();
-        for (x, y) in ra.iter().zip(&rb) {
-            assert_eq!(x.stats, y.stats, "frame {}", x.index);
-            assert_eq!(x.preprocess, y.preprocess);
-        }
-        assert!(a.resort_stats().repaired > 0);
-        assert_eq!(b.resort_stats().frames, 0, "full sort bypasses the sorter");
+        let mut session = Session::default();
+        let mut vrpipe = VrPipeDraw::new(GpuConfig::default(), PipelineVariant::Het);
+        let (mut scratch, mut isolated) = (PreprocessScratch::default(), Vec::new());
+        let frames = session.run(&scene, &cfg, |f| {
+            let stats = gsplat::preprocess::preprocess_into(
+                &scene,
+                f.camera,
+                ThreadPolicy::default(),
+                &mut scratch,
+                &mut isolated,
+            );
+            assert_eq!(f.splats, &isolated[..], "frame {}", f.index);
+            assert_eq!(f.preprocess, stats, "frame {}", f.index);
+            let fresh = draw(
+                &isolated,
+                cfg.width,
+                cfg.height,
+                &GpuConfig::default(),
+                PipelineVariant::Het,
+            );
+            assert_eq!(vrpipe.draw(f).unwrap().stats, fresh.stats);
+        });
+        assert_eq!(frames.len(), 5);
+        assert!(session.resort_stats().repaired > 0);
     }
 
     #[test]
@@ -825,9 +768,6 @@ mod tests {
         // Re-running the same scene keeps accumulating.
         run_on(&mut session, &scene_b);
         assert_eq!(session.cull_stats().frames, 4);
-        // Explicit invalidation drops everything.
-        session.invalidate_index();
-        assert_eq!(session.cull_stats().frames, 0);
         // And the results still match a fresh full session.
         let cfg = orbit_cfg(&scene_b, 2);
         let counts_full = Session::default().run(&scene_b, &cfg, |f| f.splats.len());
@@ -838,7 +778,7 @@ mod tests {
     /// Regression: the fingerprint guard must (a) provably reuse the same
     /// `Arc<SceneIndex>` allocation across runs of an unchanged scene,
     /// (b) rebuild when the scene's Gaussians are mutated in place between
-    /// runs, and (c) drop everything on `invalidate_index`.
+    /// runs, and (c) adopt a shared scene's allocation.
     #[test]
     fn index_reuses_arc_until_scene_mutates() {
         let mut scene = EVALUATED_SCENES[4].generate_scaled(0.03);
@@ -863,9 +803,6 @@ mod tests {
         // And the rebuilt index yields the same result as a fresh session.
         let fresh = Session::default().run(&scene, &cfg, |f| f.splats.len());
         assert_eq!(counts, fresh);
-        // Explicit invalidation drops the index outright.
-        session.invalidate_index();
-        assert!(session.scene_index().is_none());
         // A session attached to a SharedScene adopts its allocation.
         let shared = SharedScene::new(scene.clone());
         session.prepare_shared(&shared, &cfg);
@@ -901,73 +838,6 @@ mod tests {
         // every pair is a pure translation of the left: cache hits happen
         // even though the orbit rotates between pairs.
         assert!(indexed.cull_stats().gaussians_refreshed > 0);
-    }
-
-    /// [`Session::render_stereo_pair`] must batch every pair (one
-    /// classification pass + one covariance replay for both eyes) and stay
-    /// bit-exact with rendering each frame solo.
-    #[test]
-    fn stereo_pair_batches_and_matches_solo_frames() {
-        let scene = EVALUATED_SCENES[4].generate_scaled(0.03);
-        // A rotating head: every pair has its own view rotation, and both
-        // eyes of a stereo pair share it by construction.
-        let path = CameraPath::orbit(scene.center, scene.view_radius, 1.2, 0.3).stereo(0.065);
-        let cfg = SequenceConfig::new(path, 8, 96, 72).with_index();
-        let draw = || VrPipeDraw::new(GpuConfig::default(), PipelineVariant::HetQm);
-        let mut solo = Session::default();
-        let mut paired = Session::default();
-        solo.prepare(&scene, &cfg);
-        paired.prepare(&scene, &cfg);
-        let mut solo_draw = draw();
-        let rf: Vec<_> = (0..cfg.frames)
-            .map(|i| {
-                solo.render_frame(&scene, &cfg, i, None, |f| solo_draw.draw(f))
-                    .unwrap()
-            })
-            .collect();
-        let mut paired_draw = draw();
-        for pair in 0..cfg.frames / 2 {
-            let (a, b) = paired.render_stereo_pair(&scene, &cfg, pair, |f| paired_draw.draw(f));
-            let (a, b) = (a.unwrap(), b.unwrap());
-            for (got, want) in [(&a, &rf[2 * pair]), (&b, &rf[2 * pair + 1])] {
-                assert_eq!(got.index, want.index);
-                assert_eq!(got.stats, want.stats, "frame {}", want.index);
-                assert_eq!(got.preprocess, want.preprocess, "frame {}", want.index);
-            }
-        }
-        // Every pair took one two-camera round: the cull state saw all 8
-        // frames but classified cells once per pair, where the solo
-        // session classified them once per frame.
-        let cells = paired.scene_index().unwrap().cell_count() as u64;
-        let classified = |s: CullStats| s.cells_skipped + s.cells_refreshed + s.cells_reprojected;
-        let ps = paired.cull_stats();
-        assert_eq!(ps.frames, cfg.frames as u64);
-        assert_eq!(classified(ps), cells * cfg.frames as u64 / 2);
-        assert_eq!(classified(solo.cull_stats()), cells * cfg.frames as u64);
-        // Batching must actually share covariance work: with one
-        // classification round per pair, the second eye replays the
-        // first eye's cache.
-        assert!(
-            ps.gaussians_refreshed > 0,
-            "no covariance replay across the pair: {ps:?}"
-        );
-        // A rotating path falls back to the exact solo path per eye.
-        let orbit = SequenceConfig::new(
-            CameraPath::orbit(scene.center, scene.view_radius, 1.2, 0.3),
-            8,
-            96,
-            72,
-        )
-        .with_index();
-        let mut fallback = Session::default();
-        fallback.prepare(&scene, &orbit);
-        let mut fallback_draw = draw();
-        let (a, b) = fallback.render_stereo_pair(&scene, &orbit, 1, |f| fallback_draw.draw(f));
-        let (a, b) = (a.unwrap(), b.unwrap());
-        assert_eq!((a.index, b.index), (2, 3));
-        let fs = fallback.cull_stats();
-        assert_eq!(fs.frames, 2);
-        assert_eq!(classified(fs), cells * 2, "one round of one per eye");
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! refuses them at the door ([`AttachOutcome::Rejected`] hands the spec
 //! back).
 //!
-//! **Deadlines, EDF, watchdog.** A stream with a frame-rate target
-//! ([`StreamSpec::with_deadline_ms`] / [`StreamSpec::with_target_fps`])
-//! gives frame *i* the deadline `started + (i+1)·period`.
+//! **Deadlines, EDF, watchdog.** A stream with a frame period
+//! ([`StreamSpec::with_deadline_ms`]; a frame-rate target `fps` is the
+//! period `1e3 / fps`) gives frame *i* the deadline `started + (i+1)·period`.
 //! [`SchedulePolicy::Deadline`] serves ready streams
 //! earliest-deadline-first. A watchdog evicts a stream whose in-flight
 //! frame has not completed within `k × period` ([`Server::with_watchdog`])
@@ -439,27 +439,12 @@ impl<R: Send + 'static> StreamSpec<R> {
         self
     }
 
-    /// [`StreamSpec::with_deadline_ms`] expressed as a frame-rate target.
-    pub fn with_target_fps(self, fps: f64) -> Self {
-        if fps > 0.0 {
-            self.with_deadline_ms(1e3 / fps)
-        } else {
-            self
-        }
-    }
-
     /// Opt into graceful degradation: frames that are already a full
     /// period past their deadline before they start are *dropped* —
     /// recorded in `frames_dropped` and missing from `produced`, never
     /// silently rendered differently. Requires a deadline.
     pub fn with_frame_dropping(mut self) -> Self {
         self.drop_late = true;
-        self
-    }
-
-    /// Replaces the retry policy (default [`RetryPolicy::default`]).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 
@@ -973,15 +958,6 @@ impl BatchStats {
     pub fn dispatched_frames(&self) -> usize {
         self.batched_frames + self.solo_frames
     }
-
-    /// Mean members per batch-eligible round (1.0 = nothing batched).
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.rounds == 0 {
-            0.0
-        } else {
-            self.dispatched_frames() as f64 / self.rounds as f64
-        }
-    }
 }
 
 impl<R> ServeReport<R> {
@@ -1277,11 +1253,6 @@ impl<R: Send + 'static> Server<R> {
     /// The worker pool frames are scheduled onto.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
-    }
-
-    /// Number of registered streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
     }
 
     /// A cloneable handle for mid-flight [`ServerHandle::attach`] /
@@ -2487,20 +2458,20 @@ mod tests {
         );
         let mut server = Server::new(shared, 1);
         let mut failures_left = 2u32;
-        server.add_stream(
-            StreamSpec::fallible("flaky", cfg, move |f| {
-                if f.index == 1 && failures_left > 0 {
-                    failures_left -= 1;
-                    return Err(DrawError::backend("spurious", true));
-                }
-                Ok(f.splats.len())
-            })
-            .with_retry(RetryPolicy {
-                base_delay_ms: 0.0,
-                max_delay_ms: 0.0,
-                ..RetryPolicy::default()
-            }),
-        );
+        let mut spec = StreamSpec::fallible("flaky", cfg, move |f| {
+            if f.index == 1 && failures_left > 0 {
+                failures_left -= 1;
+                return Err(DrawError::backend("spurious", true));
+            }
+            Ok(f.splats.len())
+        });
+        // No backoff wait: the retry count is what this test pins.
+        spec.retry = RetryPolicy {
+            base_delay_ms: 0.0,
+            max_delay_ms: 0.0,
+            ..RetryPolicy::default()
+        };
+        server.add_stream(spec);
         let report = server.run();
         let s = &report.streams[0];
         assert_eq!(s.phase, StreamPhase::Completed);
@@ -2591,7 +2562,7 @@ mod tests {
         assert_ne!(a, b);
         assert!(server.detach(a));
         assert!(!server.detach(a), "double detach is a no-op");
-        assert_eq!(server.stream_count(), 1);
+        assert_eq!(server.streams.len(), 1);
         let report = server.run();
         assert_eq!(report.streams.len(), 1);
         assert_eq!(report.streams[0].name, "b");
@@ -2622,7 +2593,7 @@ mod tests {
             }
             AttachOutcome::Admitted { .. } => panic!("capacity 1 must reject the second stream"),
         }
-        assert_eq!(server.stream_count(), 1);
+        assert_eq!(server.streams.len(), 1);
     }
 
     #[test]
@@ -3053,7 +3024,7 @@ mod tests {
         let never_due: [fn(StreamSpec<usize>) -> StreamSpec<usize>; 3] = [
             |s| s.with_deadline_ms(f64::INFINITY),
             |s| s.with_deadline_ms(1e25),
-            |s| s.with_target_fps(1e-30),
+            |s| s.with_deadline_ms(1e3 / 1e-30), // a 1e-30 fps target
         ];
         for (i, set_period) in never_due.iter().enumerate() {
             for threads in [1usize, 2] {
@@ -3207,7 +3178,16 @@ mod tests {
         assert_eq!(stats.solo_frames, 0);
         assert_eq!(batched.streams[0].frames_batched, FRAMES);
         assert!(stats.fallback_ratio().abs() < 1e-12);
-        assert!((stats.mean_occupancy() - 2.0).abs() < 1e-12);
+        // One cull classification per eye pair: the batched stream
+        // classified every cell once per round, the solo run once per
+        // frame, and the second eye replayed the first eye's covariances.
+        let cells = shared_scene().index().cell_count() as u64;
+        let classified = |c: &CullStats| c.cells_skipped + c.cells_refreshed + c.cells_reprojected;
+        let (b, s) = (&batched.streams[0].cull, &solo.streams[0].cull);
+        assert_eq!(b.frames as usize, FRAMES);
+        assert_eq!(classified(b), cells * FRAMES as u64 / 2);
+        assert_eq!(classified(s), cells * FRAMES as u64);
+        assert!(b.gaussians_refreshed > 0, "no covariance replay: {b:?}");
     }
 
     /// Rotation-distinct orbit streams can never prove membership: every

@@ -61,7 +61,7 @@ pub enum FaultKind {
 }
 
 /// What the frame task must do for one `(frame, attempt)`, resolved by
-/// [`FaultInjector::intercept`].
+/// [`FaultInjector::intercept_scaled`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultAction {
     /// Return this error instead of rendering.
@@ -95,9 +95,9 @@ pub struct PlannedFault {
 /// let plan = FaultPlan::new()
 ///     .with_fault(0, 2, FaultKind::Transient(1))
 ///     .with_fault(3, 1, FaultKind::Panic);
-/// assert!(plan.injector(0).intercept(2, 0).is_some());
-/// assert!(plan.injector(0).intercept(2, 1).is_none()); // recovered
-/// assert!(plan.injector(1).intercept(2, 0).is_none()); // other streams untouched
+/// assert!(plan.injector(0).intercept_scaled(2, 0, 1.0).is_some());
+/// assert!(plan.injector(0).intercept_scaled(2, 1, 1.0).is_none()); // recovered
+/// assert!(plan.injector(1).intercept_scaled(2, 0, 1.0).is_none()); // other streams untouched
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -176,8 +176,8 @@ impl FaultPlan {
 }
 
 /// One stream's fault schedule, consulted by the frame task once per
-/// render attempt. Stateless — [`FaultInjector::intercept`] is a pure
-/// function of `(frame, attempt)`, so a rewound rerun replays exactly the
+/// render attempt. Stateless — [`FaultInjector::intercept_scaled`] is a
+/// pure function of `(frame, attempt, cost scale)`, so a rewound rerun replays exactly the
 /// same faults (deterministic chaos, deterministic recovery).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultInjector {
@@ -204,14 +204,9 @@ impl FaultInjector {
     }
 
     /// What attempt `attempt` of frame `frame` must do instead of (or
-    /// before) the real render; `None` = render normally. Equivalent to
-    /// [`Self::intercept_scaled`] at full-quality cost (scale 1).
-    pub fn intercept(&self, frame: usize, attempt: u32) -> Option<FaultAction> {
-        self.intercept_scaled(frame, attempt, 1.0)
-    }
-
-    /// [`Self::intercept`] with a render-cost scale in `(0, 1]`: a
-    /// [`FaultKind::Load`] sleep is multiplied by `cost_scale`, so a frame
+    /// before) the real render; `None` = render normally. `cost_scale` is
+    /// the frame's render-cost scale in `(0, 1]` (1 = full quality): a
+    /// [`FaultKind::Load`] sleep is multiplied by it, so a frame
     /// rendered at a cheaper quality-ladder rung genuinely absorbs less of
     /// the injected overload. All other fault kinds ignore the scale.
     /// Still a pure function of its arguments — seeded chaos runs replay
@@ -270,10 +265,19 @@ mod tests {
     #[test]
     fn transient_faults_clear_after_n_attempts() {
         let inj = FaultInjector::at(3, FaultKind::Transient(2));
-        assert!(matches!(inj.intercept(3, 0), Some(FaultAction::Fail(e)) if e.is_transient()));
-        assert!(matches!(inj.intercept(3, 1), Some(FaultAction::Fail(_))));
-        assert_eq!(inj.intercept(3, 2), None);
-        assert_eq!(inj.intercept(2, 0), None, "other frames unaffected");
+        assert!(
+            matches!(inj.intercept_scaled(3, 0, 1.0), Some(FaultAction::Fail(e)) if e.is_transient())
+        );
+        assert!(matches!(
+            inj.intercept_scaled(3, 1, 1.0),
+            Some(FaultAction::Fail(_))
+        ));
+        assert_eq!(inj.intercept_scaled(3, 2, 1.0), None);
+        assert_eq!(
+            inj.intercept_scaled(2, 0, 1.0),
+            None,
+            "other frames unaffected"
+        );
     }
 
     #[test]
@@ -281,7 +285,10 @@ mod tests {
         let inj = FaultInjector::at(1, FaultKind::Error);
         for attempt in 0..16 {
             assert!(
-                matches!(inj.intercept(1, attempt), Some(FaultAction::Fail(_))),
+                matches!(
+                    inj.intercept_scaled(1, attempt, 1.0),
+                    Some(FaultAction::Fail(_))
+                ),
                 "attempt {attempt}"
             );
         }
@@ -290,14 +297,17 @@ mod tests {
     #[test]
     fn panic_and_stall_fire_once() {
         let p = FaultInjector::at(0, FaultKind::Panic);
-        assert!(matches!(p.intercept(0, 0), Some(FaultAction::Panic(_))));
-        assert_eq!(p.intercept(0, 1), None);
+        assert!(matches!(
+            p.intercept_scaled(0, 0, 1.0),
+            Some(FaultAction::Panic(_))
+        ));
+        assert_eq!(p.intercept_scaled(0, 1, 1.0), None);
         let s = FaultInjector::at(2, FaultKind::Stall(30));
         assert_eq!(
-            s.intercept(2, 0),
+            s.intercept_scaled(2, 0, 1.0),
             Some(FaultAction::Sleep(Duration::from_millis(30)))
         );
-        assert_eq!(s.intercept(2, 1), None);
+        assert_eq!(s.intercept_scaled(2, 1, 1.0), None);
     }
 
     #[test]
@@ -305,7 +315,7 @@ mod tests {
         let inj = FaultInjector::at(1, FaultKind::Load(100));
         for attempt in 0..4 {
             assert_eq!(
-                inj.intercept(1, attempt),
+                inj.intercept_scaled(1, attempt, 1.0),
                 Some(FaultAction::Sleep(Duration::from_millis(100))),
                 "load is sustained across attempts (attempt {attempt})"
             );
@@ -315,17 +325,16 @@ mod tests {
             Some(FaultAction::Sleep(Duration::from_millis(25))),
             "quarter-cost rung absorbs a quarter of the overload"
         );
-        assert_eq!(
-            inj.intercept_scaled(1, 0, 1.0),
-            inj.intercept(1, 0),
-            "intercept() is the scale-1 case"
-        );
         // Out-of-range scales clamp instead of amplifying.
         assert_eq!(
             inj.intercept_scaled(1, 0, 7.0),
             Some(FaultAction::Sleep(Duration::from_millis(100)))
         );
-        assert_eq!(inj.intercept(0, 0), None, "other frames unaffected");
+        assert_eq!(
+            inj.intercept_scaled(0, 0, 1.0),
+            None,
+            "other frames unaffected"
+        );
     }
 
     #[test]

@@ -95,10 +95,11 @@ pub struct GpuConfig {
     pub zrop_quads_per_cycle: u32,
     /// TC-unit quad insertion throughput in quads per cycle.
     pub tc_quads_per_cycle: u32,
-    /// PROP quad routing throughput in quads per cycle.
+    /// PROP quad routing throughput in quads per cycle. Under QM the quad
+    /// reorder unit's register scan is billed at this same rate: its
+    /// compares are pipelined with the routing, so it has no rate of its
+    /// own in the model.
     pub prop_quads_per_cycle: u32,
-    /// Quad reorder unit scan throughput in quads per cycle (QM only).
-    pub qru_quads_per_cycle: u32,
 
     /// Fragment-shader instruction count per warp (alpha eval: dot product,
     /// exponential, pruning branch — the paper notes these shaders are far
@@ -116,9 +117,9 @@ pub struct GpuConfig {
     pub dram_bytes_per_cycle: u32,
 
     /// Host worker threads for the simulator's parallel phases (`0` = one
-    /// per available CPU): triangle setup and fine raster, the TGC key
-    /// stream, and TC-flush pixel work sharded by screen tile. The serial
-    /// spine (bin tables) and tail (ROP/L2 caches, timer) stay on the
+    /// per available CPU): the prologue's triangle setup and fine raster,
+    /// and TC-flush pixel work sharded by screen tile. The serial spine
+    /// (TGC/TC bin tables) and tail (ROP/L2 caches, timer) stay on the
     /// calling thread; with one worker every phase does. This is a *host*
     /// knob: it changes simulation wall time, never simulated results.
     pub threads: usize,
@@ -161,7 +162,6 @@ impl Default for GpuConfig {
             zrop_quads_per_cycle: 16,
             tc_quads_per_cycle: 8,
             prop_quads_per_cycle: 8,
-            qru_quads_per_cycle: 2,
             frag_shader_cycles_per_warp: 28,
             qm_extra_cycles_per_warp: 10,
             vertex_shader_cycles_per_prim: 8,
@@ -196,13 +196,6 @@ impl GpuConfig {
         8
     }
 
-    /// Aggregate SM warp throughput: with `simt_cores` concurrently
-    /// resident warps issuing one instruction per cycle, the pipeline
-    /// completes `simt_cores / cycles_per_warp` warps per cycle.
-    pub fn sm_warps_per_cycle(&self, warp_cycles: u32) -> f64 {
-        self.simt_cores as f64 / warp_cycles.max(1) as f64
-    }
-
     /// Converts cycles to milliseconds at the configured clock.
     pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.core_freq_mhz as f64 * 1e3)
@@ -217,9 +210,13 @@ impl GpuConfig {
 
     /// Validates structural invariants (tile sizes divide evenly, non-zero
     /// bins, the QRU's tile and bin limits, buildable CROP/z/L2 cache
-    /// geometries, non-zero unit throughputs), returning a description of
-    /// the first violation.
+    /// geometries, non-zero unit throughputs and clock), returning a
+    /// description of the first violation.
     pub fn validate(&self) -> Result<(), String> {
+        // `cycles_to_ms` divides by the clock.
+        if self.core_freq_mhz == 0 {
+            return Err("core clock must be non-zero".into());
+        }
         // Zero tile geometry would pass the divisibility checks below
         // (0 is a multiple of everything) and panic deep in `Tiling`.
         if self.screen_tile_px == 0 || self.raster_tile_px == 0 {
@@ -374,12 +371,5 @@ mod tests {
         assert!(err.contains("QRU"), "{err}");
         let err = qru(MAX_SCREEN_TILE_PX, 129).validate().unwrap_err();
         assert!(err.contains("QRU"), "{err}");
-    }
-
-    #[test]
-    fn sm_throughput_scales_with_cores() {
-        let c = GpuConfig::default();
-        assert!((c.sm_warps_per_cycle(28) - 16.0 / 28.0).abs() < 1e-12);
-        assert!(c.sm_warps_per_cycle(0) > 0.0);
     }
 }

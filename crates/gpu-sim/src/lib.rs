@@ -25,7 +25,6 @@
 pub mod binning;
 pub mod cache;
 pub mod config;
-pub mod hiz;
 pub mod microbench;
 pub mod quad;
 pub mod raster;

@@ -1,6 +1,7 @@
 //! The raster engine: setup, coarse raster, and fine raster of splat OBBs
 //! into 2×2-fragment quads (paper §V-A: setup → coarse raster → Hi-z →
-//! fine raster).
+//! fine raster). Volume rendering draws with depth testing off and
+//! bypasses Hi-z, so the model has no Hi-z stage.
 //!
 //! Splats are rendered as oriented bounding boxes (two triangles sharing a
 //! diagonal — geometrically the OBB parallelogram), so the inside test is
@@ -211,7 +212,7 @@ mod tests {
     }
 
     fn tiling() -> Tiling {
-        Tiling::new(64, 64, 16, 4)
+        Tiling::new(64, 64, 16)
     }
 
     /// The quads and coarse-tile count of one (primitive, tile) pair.

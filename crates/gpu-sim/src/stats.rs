@@ -192,27 +192,6 @@ impl PipelineStats {
             self.busy_cycles[unit.index()] as f64 / self.total_cycles as f64
         }
     }
-
-    /// The most-utilised unit — the pipeline bottleneck.
-    pub fn bottleneck(&self) -> Unit {
-        *ALL_UNITS
-            .iter()
-            .max_by(|a, b| {
-                self.utilization(**a)
-                    .partial_cmp(&self.utilization(**b))
-                    .unwrap()
-            })
-            .expect("ALL_UNITS is non-empty")
-    }
-
-    /// Average warp occupancy: fraction of warp quad slots holding a quad.
-    pub fn warp_occupancy(&self) -> f64 {
-        if self.warps_launched == 0 {
-            0.0
-        } else {
-            self.warp_quad_slots_used as f64 / (self.warps_launched * 8) as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -249,15 +228,10 @@ mod tests {
         s.busy_cycles[Unit::Crop.index()] = 900;
         s.busy_cycles[Unit::Sm.index()] = 300;
         assert!((s.utilization(Unit::Crop) - 0.9).abs() < 1e-12);
-        assert_eq!(s.bottleneck(), Unit::Crop);
-    }
-
-    #[test]
-    fn warp_occupancy_bounds() {
-        let mut s = PipelineStats::default();
-        assert_eq!(s.warp_occupancy(), 0.0);
-        s.warps_launched = 10;
-        s.warp_quad_slots_used = 40;
-        assert!((s.warp_occupancy() - 0.5).abs() < 1e-12);
+        assert!((s.utilization(Unit::Sm) - 0.3).abs() < 1e-12);
+        assert_eq!(PipelineStats::default().utilization(Unit::Crop), 0.0);
+        // The bottleneck is the most-utilised unit.
+        let crop = s.utilization(Unit::Crop);
+        assert!(ALL_UNITS.iter().all(|&u| s.utilization(u) <= crop));
     }
 }

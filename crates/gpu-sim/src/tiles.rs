@@ -40,7 +40,7 @@ impl QuadPos {
 ///
 /// ```
 /// use gpu_sim::tiles::Tiling;
-/// let t = Tiling::new(100, 60, 16, 4);
+/// let t = Tiling::new(100, 60, 16);
 /// assert_eq!(t.tiles_x(), 7); // ceil(100/16)
 /// assert_eq!(t.tiles_y(), 4);
 /// ```
@@ -49,24 +49,22 @@ pub struct Tiling {
     width: u32,
     height: u32,
     tile_px: u32,
-    grid_tiles: u32,
 }
 
 impl Tiling {
     /// Creates the tiling for a `width`×`height` viewport with square
-    /// screen tiles of `tile_px` and tile grids of `grid_tiles` per side.
+    /// screen tiles of `tile_px`.
     ///
     /// # Panics
     ///
     /// Panics on a zero-sized viewport or tile.
-    pub fn new(width: u32, height: u32, tile_px: u32, grid_tiles: u32) -> Self {
+    pub fn new(width: u32, height: u32, tile_px: u32) -> Self {
         assert!(width > 0 && height > 0, "viewport must be non-empty");
-        assert!(tile_px > 0 && grid_tiles > 0, "tile sizes must be non-zero");
+        assert!(tile_px > 0, "tile size must be non-zero");
         Self {
             width,
             height,
             tile_px,
-            grid_tiles,
         }
     }
 
@@ -104,24 +102,6 @@ impl Tiling {
     #[inline]
     pub fn tile_count(&self) -> usize {
         self.tiles_x() as usize * self.tiles_y() as usize
-    }
-
-    /// The screen tile containing pixel `(x, y)`.
-    #[inline]
-    pub fn tile_of_pixel(&self, x: u32, y: u32) -> TileId {
-        TileId {
-            x: x / self.tile_px,
-            y: y / self.tile_px,
-        }
-    }
-
-    /// The tile grid containing a screen tile.
-    #[inline]
-    pub fn grid_of_tile(&self, t: TileId) -> TileGridId {
-        TileGridId {
-            x: t.x / self.grid_tiles,
-            y: t.y / self.grid_tiles,
-        }
     }
 
     /// Pixel origin (top-left) of a screen tile.
@@ -163,20 +143,6 @@ impl Tiling {
         let y1 = (max.1.max(0.0) as u32).min(self.height.saturating_sub(1)) / self.tile_px;
         Some((x0, x1, y0, y1))
     }
-
-    /// Inclusive range of screen tiles overlapped by the pixel-space AABB
-    /// `[min, max]`, clamped to the viewport. Empty iterator when the box
-    /// is entirely off-screen.
-    pub fn tiles_in_aabb(
-        &self,
-        min: (f32, f32),
-        max: (f32, f32),
-    ) -> impl Iterator<Item = TileId> + '_ {
-        let rect = self.tile_rect_in_aabb(min, max);
-        rect.into_iter().flat_map(|(x0, x1, y0, y1)| {
-            (y0..=y1).flat_map(move |y| (x0..=x1).map(move |x| TileId { x, y }))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -185,26 +151,15 @@ mod tests {
 
     #[test]
     fn tile_counts_round_up() {
-        let t = Tiling::new(1552, 1040, 16, 4);
+        let t = Tiling::new(1552, 1040, 16);
         assert_eq!(t.tiles_x(), 97);
         assert_eq!(t.tiles_y(), 65);
         assert_eq!(t.tile_count(), 97 * 65);
     }
 
     #[test]
-    fn pixel_to_tile_and_grid() {
-        let t = Tiling::new(256, 256, 16, 4);
-        assert_eq!(t.tile_of_pixel(0, 0), TileId { x: 0, y: 0 });
-        assert_eq!(t.tile_of_pixel(15, 15), TileId { x: 0, y: 0 });
-        assert_eq!(t.tile_of_pixel(16, 0), TileId { x: 1, y: 0 });
-        let tile = t.tile_of_pixel(100, 200);
-        assert_eq!(tile, TileId { x: 6, y: 12 });
-        assert_eq!(t.grid_of_tile(tile), TileGridId { x: 1, y: 3 });
-    }
-
-    #[test]
     fn quad_pos_register_index() {
-        let t = Tiling::new(64, 64, 16, 4);
+        let t = Tiling::new(64, 64, 16);
         let q = t.quad_pos(18, 34); // tile (1,2), quad offset (1,1)
         assert_eq!(q, QuadPos { x: 1, y: 1 });
         assert_eq!(q.register_index(), 9);
@@ -213,25 +168,26 @@ mod tests {
 
     #[test]
     fn aabb_tile_enumeration() {
-        let t = Tiling::new(64, 64, 16, 4);
-        let tiles: Vec<TileId> = t.tiles_in_aabb((10.0, 10.0), (20.0, 20.0)).collect();
-        assert_eq!(tiles.len(), 4); // spans tiles (0,0)..(1,1)
-        let clamped: Vec<TileId> = t.tiles_in_aabb((-100.0, -100.0), (1000.0, 5.0)).collect();
-        assert_eq!(clamped.len(), 4); // full row of 4 tiles
+        let t = Tiling::new(64, 64, 16);
+        // Spans tiles (0,0)..(1,1).
+        let rect = t.tile_rect_in_aabb((10.0, 10.0), (20.0, 20.0));
+        assert_eq!(rect, Some((0, 1, 0, 1)));
+        // Clamped to the viewport: the full first row of 4 tiles.
+        let clamped = t.tile_rect_in_aabb((-100.0, -100.0), (1000.0, 5.0));
+        assert_eq!(clamped, Some((0, 3, 0, 0)));
     }
 
     #[test]
     fn aabb_fully_offscreen_is_empty() {
-        let t = Tiling::new(64, 64, 16, 4);
-        assert_eq!(t.tiles_in_aabb((100.0, 0.0), (200.0, 10.0)).count(), 0);
-        assert_eq!(t.tiles_in_aabb((-50.0, -50.0), (-10.0, -10.0)).count(), 0);
+        let t = Tiling::new(64, 64, 16);
+        assert_eq!(t.tile_rect_in_aabb((100.0, 0.0), (200.0, 10.0)), None);
+        assert_eq!(t.tile_rect_in_aabb((-50.0, -50.0), (-10.0, -10.0)), None);
     }
 
     #[test]
     fn tile_origin_roundtrip() {
-        let t = Tiling::new(128, 128, 16, 4);
+        let t = Tiling::new(128, 128, 16);
         let (ox, oy) = t.tile_origin(TileId { x: 3, y: 5 });
         assert_eq!((ox, oy), (48, 80));
-        assert_eq!(t.tile_of_pixel(ox, oy), TileId { x: 3, y: 5 });
     }
 }

@@ -336,7 +336,7 @@ fn assert_raster_matches_reference(splat: &Splat, (w, h): (u32, u32), (x0, y0): 
         return;
     };
     for (screen, raster) in tile_pairs() {
-        let tiling = Tiling::new(w, h, screen, 1);
+        let tiling = Tiling::new(w, h, screen);
         let tiles = |from: u32, n: u32| from / screen..n.min((from + 48).div_ceil(screen));
         for ty in tiles(y0, tiling.tiles_y()) {
             for tx in tiles(x0, tiling.tiles_x()) {

@@ -17,8 +17,9 @@ use crate::math::{Mat4, Vec3, Vec4};
 ///     800, 800,
 ///     60f32.to_radians(),
 /// );
-/// let (screen, depth) = cam.project(Vec3::ZERO).unwrap();
-/// assert!((screen.x - 400.0).abs() < 1e-3 && depth > 0.0);
+/// // The target sits 5 units down the camera's -z axis, in view.
+/// assert!((cam.to_camera_space(Vec3::ZERO).z + 5.0).abs() < 1e-5);
+/// assert!(cam.sphere_visible(Vec3::ZERO, 0.1));
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Camera {
@@ -74,12 +75,6 @@ impl Camera {
     #[inline]
     pub fn height(&self) -> u32 {
         self.height
-    }
-
-    /// Total pixel count.
-    #[inline]
-    pub fn pixel_count(&self) -> usize {
-        self.width as usize * self.height as usize
     }
 
     /// The world→camera (view) matrix.
@@ -267,29 +262,6 @@ impl Camera {
     #[inline]
     pub fn to_camera_space(&self, p: Vec3) -> Vec3 {
         self.view.transform_point(p).truncate()
-    }
-
-    /// Camera-space depth of a world point (positive in front of the camera).
-    #[inline]
-    pub fn depth_of(&self, p: Vec3) -> f32 {
-        -self.to_camera_space(p).z
-    }
-
-    /// Projects a world point to `(screen position, camera depth)`.
-    ///
-    /// Screen coordinates have the origin at the top-left pixel corner, like
-    /// a framebuffer. Returns `None` behind the near plane.
-    pub fn project(&self, p: Vec3) -> Option<(crate::math::Vec2, f32)> {
-        let cam = self.to_camera_space(p);
-        let depth = -cam.z;
-        if depth <= self.near {
-            return None;
-        }
-        let clip: Vec4 = self.proj * cam.extend(1.0);
-        let ndc = clip.perspective_divide();
-        let x = (ndc.x * 0.5 + 0.5) * self.width as f32;
-        let y = (0.5 - ndc.y * 0.5) * self.height as f32;
-        Some((crate::math::Vec2::new(x, y), depth))
     }
 
     /// Conservative sphere-vs-frustum test used for Gaussian culling.
@@ -549,26 +521,43 @@ mod tests {
         Camera::look_at(Vec3::new(0.0, 0.0, 10.0), Vec3::ZERO, 640, 480, 1.0)
     }
 
+    /// The pinhole projection of a world point to `(screen position,
+    /// camera depth)`, top-left pixel-corner origin; `None` behind the
+    /// near plane. The reference these tests check the camera's view and
+    /// projection matrices against (splats project through
+    /// `crate::projection`).
+    fn project(c: &Camera, p: Vec3) -> Option<(Vec2, f32)> {
+        let cam = c.to_camera_space(p);
+        let depth = -cam.z;
+        if depth <= c.near {
+            return None;
+        }
+        let ndc = (c.proj * cam.extend(1.0)).perspective_divide();
+        let x = (ndc.x * 0.5 + 0.5) * c.width as f32;
+        let y = (0.5 - ndc.y * 0.5) * c.height as f32;
+        Some((Vec2::new(x, y), depth))
+    }
+
     #[test]
     fn project_center_lands_mid_screen() {
-        let (p, depth) = cam().project(Vec3::ZERO).unwrap();
+        let (p, depth) = project(&cam(), Vec3::ZERO).unwrap();
         assert!((p - Vec2::new(320.0, 240.0)).length() < 1e-2);
         assert!((depth - 10.0).abs() < 1e-4);
     }
 
     #[test]
     fn project_behind_camera_is_none() {
-        assert!(cam().project(Vec3::new(0.0, 0.0, 20.0)).is_none());
+        assert!(project(&cam(), Vec3::new(0.0, 0.0, 20.0)).is_none());
     }
 
     #[test]
     fn projection_moves_right_for_positive_x() {
         let c = cam();
-        let (p0, _) = c.project(Vec3::ZERO).unwrap();
-        let (p1, _) = c.project(Vec3::new(1.0, 0.0, 0.0)).unwrap();
+        let (p0, _) = project(&c, Vec3::ZERO).unwrap();
+        let (p1, _) = project(&c, Vec3::new(1.0, 0.0, 0.0)).unwrap();
         assert!(p1.x > p0.x);
         // +y in world is up, which is smaller screen y.
-        let (p2, _) = c.project(Vec3::new(0.0, 1.0, 0.0)).unwrap();
+        let (p2, _) = project(&c, Vec3::new(0.0, 1.0, 0.0)).unwrap();
         assert!(p2.y < p0.y);
     }
 
@@ -588,7 +577,8 @@ mod tests {
     #[test]
     fn depth_increases_away_from_eye() {
         let c = cam();
-        assert!(c.depth_of(Vec3::new(0.0, 0.0, -5.0)) > c.depth_of(Vec3::ZERO));
+        let depth = |p: Vec3| -c.to_camera_space(p).z;
+        assert!(depth(Vec3::new(0.0, 0.0, -5.0)) > depth(Vec3::ZERO));
     }
 
     #[test]
@@ -616,7 +606,7 @@ mod tests {
             assert!(step < 1.2, "orbit step too large for coherence: {step}");
         }
         for c in &cams {
-            let (p, _) = c.project(Vec3::new(1.0, 0.0, 2.0)).unwrap();
+            let (p, _) = project(c, Vec3::new(1.0, 0.0, 2.0)).unwrap();
             assert!((p - Vec2::new(160.0, 120.0)).length() < 1e-2);
         }
     }
@@ -729,7 +719,7 @@ mod tests {
         let cams = orbit_viewpoints(Vec3::new(1.0, 0.0, 2.0), 5.0, 1.0, 6, 320, 240, 1.0);
         assert_eq!(cams.len(), 6);
         for c in &cams {
-            let (p, _) = c.project(Vec3::new(1.0, 0.0, 2.0)).unwrap();
+            let (p, _) = project(c, Vec3::new(1.0, 0.0, 2.0)).unwrap();
             assert!((p - Vec2::new(160.0, 120.0)).length() < 1e-2);
         }
     }

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::math::{Vec3, Vec4};
+use crate::math::Vec3;
 
 /// An RGBA color with `f32` channels in `[0, 1]` (alpha = coverage/opacity).
 ///
@@ -49,12 +49,6 @@ impl Rgba {
     #[inline]
     pub fn rgb(self) -> Vec3 {
         Vec3::new(self.r, self.g, self.b)
-    }
-
-    /// As a [`Vec4`] `(r, g, b, a)`.
-    #[inline]
-    pub fn to_vec4(self) -> Vec4 {
-        Vec4::new(self.r, self.g, self.b, self.a)
     }
 
     /// Pre-multiplies RGB by alpha: `(αr, αg, αb, α)`.
@@ -128,12 +122,6 @@ impl PixelFormat {
             PixelFormat::Rgba32F => 16,
         }
     }
-
-    /// Bytes per 2×2-fragment quad.
-    #[inline]
-    pub const fn bytes_per_quad(self) -> usize {
-        self.bytes_per_pixel() * 4
-    }
 }
 
 impl std::fmt::Display for PixelFormat {
@@ -174,7 +162,7 @@ mod tests {
     fn format_sizes_match_hardware() {
         assert_eq!(PixelFormat::Rgba8.bytes_per_pixel(), 4);
         assert_eq!(PixelFormat::Rgba16F.bytes_per_pixel(), 8);
-        assert_eq!(PixelFormat::Rgba16F.bytes_per_quad(), 32);
+        assert_eq!(PixelFormat::Rgba32F.bytes_per_pixel(), 16);
     }
 
     #[test]

@@ -90,13 +90,6 @@ impl ColorBuffer {
         self.pixels[i] = c;
     }
 
-    /// Mutable reference to the pixel at `(x, y)` (blending in place).
-    #[inline]
-    pub fn pixel_mut(&mut self, x: u32, y: u32) -> &mut Rgba {
-        let i = self.index(x, y);
-        &mut self.pixels[i]
-    }
-
     /// Clears every pixel to `c`.
     pub fn clear(&mut self, c: Rgba) {
         self.pixels.fill(c);
@@ -244,13 +237,6 @@ impl DepthStencilBuffer {
         self.depth[self.index(x, y)]
     }
 
-    /// Writes the depth value at `(x, y)`.
-    #[inline]
-    pub fn set_depth(&mut self, x: u32, y: u32, d: f32) {
-        let i = self.index(x, y);
-        self.depth[i] = d;
-    }
-
     /// Full 8-bit stencil value at `(x, y)`.
     #[inline]
     pub fn stencil(&self, x: u32, y: u32) -> u8 {
@@ -358,7 +344,7 @@ mod tests {
     #[test]
     fn depth_clear_is_far() {
         let mut ds = DepthStencilBuffer::new(2, 2);
-        ds.set_depth(0, 0, 0.25);
+        ds.depth[0] = 0.25;
         ds.set_terminated(1, 1);
         ds.clear();
         assert_eq!(ds.depth(0, 0), 1.0);

@@ -219,12 +219,6 @@ impl Mat3 {
             ),
         )
     }
-
-    /// Extracts the upper-left 2×2 block.
-    #[inline]
-    pub fn upper_left2(&self) -> Mat2 {
-        Mat2::from_cols(self.cols[0].truncate(), self.cols[1].truncate())
-    }
 }
 
 impl Mul<Vec3> for Mat3 {
@@ -334,12 +328,6 @@ impl Mat4 {
     #[inline]
     pub fn transform_point(&self, p: Vec3) -> Vec4 {
         *self * p.extend(1.0)
-    }
-
-    /// Transforms a direction (w = 0) by the upper-left 3×3 block.
-    #[inline]
-    pub fn transform_direction(&self, d: Vec3) -> Vec3 {
-        (*self * d.extend(0.0)).truncate()
     }
 }
 

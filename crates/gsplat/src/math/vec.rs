@@ -177,12 +177,6 @@ macro_rules! impl_vec_ops {
                 Self { $($f: self.$f.max(rhs.$f)),+ }
             }
 
-            /// Linear interpolation: `self * (1 - t) + rhs * t`.
-            #[inline]
-            pub fn lerp(self, rhs: Self, t: f32) -> Self {
-                self * (1.0 - t) + rhs * t
-            }
-
             /// `true` when every component is finite.
             #[inline]
             pub fn is_finite(self) -> bool {
@@ -207,15 +201,6 @@ impl Vec2 {
     #[inline]
     pub const fn splat(v: f32) -> Self {
         Self { x: v, y: v }
-    }
-
-    /// The 2D cross product (z-component of the 3D cross product).
-    ///
-    /// Positive when `rhs` is counter-clockwise from `self`; this is the edge
-    /// function used by the rasterizer's triangle setup.
-    #[inline]
-    pub fn perp_dot(self, rhs: Self) -> f32 {
-        self.x * rhs.y - self.y * rhs.x
     }
 
     /// Rotates the vector by 90 degrees counter-clockwise.
@@ -354,15 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn vec2_perp_dot_orientation() {
-        let e1 = Vec2::new(1.0, 0.0);
-        let e2 = Vec2::new(0.0, 1.0);
-        assert!(e1.perp_dot(e2) > 0.0);
-        assert!(e2.perp_dot(e1) < 0.0);
-        assert_eq!(e1.perp_dot(e1), 0.0);
-    }
-
-    #[test]
     fn vec3_cross_is_orthogonal() {
         let a = Vec3::new(1.0, 2.0, 3.0);
         let b = Vec3::new(-4.0, 0.5, 2.0);
@@ -382,15 +358,6 @@ mod tests {
     fn vec4_perspective_divide() {
         let v = Vec4::new(4.0, 8.0, 2.0, 2.0);
         assert_eq!(v.perspective_divide(), Vec3::new(2.0, 4.0, 1.0));
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(0.0, 1.0, 2.0);
-        let b = Vec3::new(10.0, -1.0, 0.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(5.0, 0.0, 1.0));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::{Arc, Condvar, Mutex};
 /// both sides of the determinism contract on any runner. Like the
 /// `threads` config knobs this is a *host* setting: it can never change
 /// rendered results, only wall time.
-pub fn effective_threads(requested: usize, work: usize) -> usize {
+fn effective_threads(requested: usize, work: usize) -> usize {
     let t = if requested == 0 {
         default_host_threads()
     } else {
@@ -346,7 +346,7 @@ type PoolTask = Box<dyn FnOnce() + Send + 'static>;
 /// verbatim; anything else (a custom `panic_any` value) gets a
 /// placeholder. This is the seam that lets a submitter receive *what* a
 /// task panicked with instead of just losing the payload to the pool's
-/// isolation boundary (see [`WorkerPool::submit_caught`]).
+/// isolation boundary (see [`WorkerPool::submit`]).
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -362,8 +362,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 struct PoolState {
     /// Pending tasks in submission (FIFO) order.
     tasks: VecDeque<PoolTask>,
-    /// Tasks submitted but not yet finished (queued + running).
-    in_flight: usize,
     /// Set once, on drop: workers drain the queue and exit.
     shutdown: bool,
 }
@@ -374,8 +372,6 @@ struct PoolQueue {
     state: Mutex<PoolState>,
     /// Signalled on task submission (workers wait here for work).
     ready: Condvar,
-    /// Signalled when `in_flight` drains to zero ([`WorkerPool::wait_idle`]).
-    idle: Condvar,
 }
 
 /// A persistent worker pool with a **run-to-completion** task queue: tasks
@@ -392,7 +388,7 @@ struct PoolQueue {
 ///
 /// # Sizing and `VRPIPE_HOST_THREADS`
 ///
-/// Like [`effective_threads`], a request of `0` workers resolves to the
+/// Like the fork-join primitives, a request of `0` workers resolves to the
 /// process-wide host default: one worker per available CPU, overridden by
 /// the `VRPIPE_HOST_THREADS` environment variable (read once per process).
 /// An explicit request is honoured as given, clamped below at 1. A
@@ -416,7 +412,7 @@ struct PoolQueue {
 ///         hits.fetch_add(1, Ordering::SeqCst);
 ///     });
 /// }
-/// pool.wait_idle();
+/// drop(pool); // drains the queue and joins the workers
 /// assert_eq!(hits.load(Ordering::SeqCst), 8);
 /// ```
 pub struct WorkerPool {
@@ -467,11 +463,6 @@ impl WorkerPool {
                         // state the task poisoned surfaces to its owner on
                         // the next lock.
                         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
-                        let mut state = queue.state.lock().unwrap_or_else(|p| p.into_inner());
-                        state.in_flight -= 1;
-                        if state.in_flight == 0 {
-                            queue.idle.notify_all();
-                        }
                     })
                 })
                 .collect()
@@ -481,12 +472,6 @@ impl WorkerPool {
             handles,
             workers,
         }
-    }
-
-    /// A pool sized to the host budget (`VRPIPE_HOST_THREADS` override,
-    /// else one worker per available CPU) — equivalent to `new(0)`.
-    pub fn with_host_budget() -> Self {
-        Self::new(0)
     }
 
     /// Number of workers the pool resolves work onto (≥ 1; a serial pool
@@ -508,55 +493,18 @@ impl WorkerPool {
     /// Panic isolation is uniform across pool sizes: a panicking task is
     /// caught (inline on a serial pool, at the worker boundary otherwise)
     /// and its payload dropped — the pool never shrinks and the submitter
-    /// never unwinds. Use [`WorkerPool::submit_caught`] when the submitter
-    /// needs the panic payload back.
+    /// never unwinds. A submitter that needs the payload back catches it
+    /// inside the task and reports it with [`panic_message`], as
+    /// `vrpipe::serve` does.
     pub fn submit(&self, task: impl FnOnce() + Send + 'static) {
         if self.handles.is_empty() {
             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
             return;
         }
         let mut state = self.queue.state.lock().unwrap_or_else(|p| p.into_inner());
-        state.in_flight += 1;
         state.tasks.push_back(Box::new(task));
         drop(state);
         self.queue.ready.notify_one();
-    }
-
-    /// [`WorkerPool::submit`] with panic **payload propagation**: when the
-    /// task panics, `on_panic` receives the panic message (extracted via
-    /// [`panic_message`]) on the same thread that ran the task, after the
-    /// unwind has been caught. The pool stays at full strength either way
-    /// — this is the per-task fault boundary `vrpipe::serve` uses to turn
-    /// a panicking stream backend into a per-stream failure report instead
-    /// of a poisoned pool.
-    ///
-    /// `on_panic` itself must not panic (a panic there is swallowed by the
-    /// pool's outer isolation, losing the report).
-    pub fn submit_caught(
-        &self,
-        task: impl FnOnce() + Send + 'static,
-        on_panic: impl FnOnce(String) + Send + 'static,
-    ) {
-        self.submit(move || {
-            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
-                on_panic(panic_message(payload.as_ref()));
-            }
-        });
-    }
-
-    /// Blocks until every submitted task has finished (condvar wait — no
-    /// spinning). Completion-driven callers (e.g. the serve scheduler's
-    /// channel) don't need this; it exists for fire-and-forget uses and
-    /// tests.
-    pub fn wait_idle(&self) {
-        let mut state = self.queue.state.lock().unwrap_or_else(|p| p.into_inner());
-        while state.in_flight > 0 {
-            state = self
-                .queue
-                .idle
-                .wait(state)
-                .unwrap_or_else(|p| p.into_inner());
-        }
     }
 }
 
@@ -819,7 +767,7 @@ mod tests {
     #[test]
     fn pool_size_follows_the_host_budget() {
         let budget = effective_threads(0, usize::MAX);
-        let pool = WorkerPool::with_host_budget();
+        let pool = WorkerPool::new(0);
         assert_eq!(pool.workers(), budget);
         assert_eq!(pool.is_serial(), budget == 1);
         // Explicit requests are honoured as given, clamped below at 1.
@@ -851,7 +799,24 @@ mod tests {
             order.extend(log.lock().unwrap().drain(..));
         }
         assert_eq!(order, vec![0, 1, 2, 3], "inline FIFO == submission order");
-        pool.wait_idle(); // no-op on a serial pool
+    }
+
+    /// Returns once every task submitted to `pool` before the call has
+    /// finished: one rendezvous task per worker can all run at once only
+    /// after every worker is done with the earlier tasks (FIFO pickup). A
+    /// serial pool ran them inline already.
+    fn drain(pool: &WorkerPool) {
+        if pool.is_serial() {
+            return;
+        }
+        let rendezvous = Arc::new(std::sync::Barrier::new(pool.workers() + 1));
+        for _ in 0..pool.workers() {
+            let r = Arc::clone(&rendezvous);
+            pool.submit(move || {
+                r.wait();
+            });
+        }
+        rendezvous.wait();
     }
 
     /// Parallel pools run every task exactly once, off the submitter.
@@ -872,7 +837,7 @@ mod tests {
                 }
             });
         }
-        pool.wait_idle();
+        drain(&pool);
         assert_eq!(hits.load(Ordering::SeqCst), 64);
         assert_eq!(off_thread.load(Ordering::SeqCst), 64);
         // The pool stays usable after draining (persistent, not fork-join).
@@ -881,19 +846,19 @@ mod tests {
         pool.submit(move || {
             a.fetch_add(1, Ordering::SeqCst);
         });
-        pool.wait_idle();
+        drain(&pool);
         assert_eq!(again.load(Ordering::SeqCst), 1);
     }
 
-    /// A panicking task neither kills its worker nor leaks its in-flight
-    /// slot: the pool stays at full strength and `wait_idle` returns.
+    /// A panicking task does not kill its worker: the pool stays at full
+    /// strength and keeps running later tasks.
     #[test]
     fn panicking_tasks_do_not_kill_the_pool() {
         let pool = WorkerPool::new(2);
         for _ in 0..4 {
             pool.submit(|| panic!("task panic (expected in this test)"));
         }
-        pool.wait_idle(); // would hang if the slot leaked
+        drain(&pool); // would hang if a worker died
         let hits = Arc::new(AtomicUsize::new(0));
         for _ in 0..8 {
             let hits = Arc::clone(&hits);
@@ -901,36 +866,39 @@ mod tests {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
         }
-        pool.wait_idle(); // would hang if workers died
+        drain(&pool);
         assert_eq!(hits.load(Ordering::SeqCst), 8);
     }
 
-    /// Panic **payload propagation**: a panicking task reports its message
-    /// to the submitter through `submit_caught`, and the pool stays fully
-    /// usable afterwards — on the inline 1-worker degeneracy and on a real
-    /// 4-worker pool alike.
+    /// Panic **payload propagation**, the way serve's frame tasks do it: a
+    /// task that catches its own panic reports the message through
+    /// [`panic_message`], and the pool stays fully usable afterwards — on
+    /// the inline 1-worker degeneracy and on a real 4-worker pool alike.
     #[test]
     fn panic_payloads_propagate_to_the_submitter() {
         for workers in [1usize, 4] {
             let pool = WorkerPool::new(workers);
             let reports = Arc::new(Mutex::new(Vec::new()));
-            for k in 0..3 {
+            let submit_reporting = |task: Box<dyn FnOnce() + Send>| {
                 let reports = Arc::clone(&reports);
-                pool.submit_caught(
-                    move || panic!("task {k} failed (expected in this test)"),
-                    move |msg| reports.lock().unwrap().push(msg),
-                );
+                pool.submit(move || {
+                    if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
+                        reports.lock().unwrap().push(panic_message(p.as_ref()));
+                    }
+                });
+            };
+            for k in 0..3 {
+                submit_reporting(Box::new(move || {
+                    panic!("task {k} failed (expected in this test)")
+                }));
             }
             // A non-panicking task through the same seam reports nothing.
             let clean = Arc::new(AtomicUsize::new(0));
             let c = Arc::clone(&clean);
-            pool.submit_caught(
-                move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                },
-                |_| unreachable!("clean task must not report a panic"),
-            );
-            pool.wait_idle();
+            submit_reporting(Box::new(move || {
+                c.fetch_add(1, Ordering::SeqCst);
+            }));
+            drain(&pool);
             let mut got = reports.lock().unwrap().clone();
             got.sort();
             assert_eq!(
@@ -949,7 +917,7 @@ mod tests {
                     hits.fetch_add(1, Ordering::SeqCst);
                 });
             }
-            pool.wait_idle();
+            drain(&pool);
             assert_eq!(hits.load(Ordering::SeqCst), 8, "workers={workers}");
         }
     }

@@ -194,11 +194,6 @@ pub struct Scene {
 }
 
 impl SceneSpec {
-    /// Generates the scene at full scale.
-    pub fn generate(&self) -> Scene {
-        self.generate_scaled(1.0)
-    }
-
     /// Generates the scene at a linear `scale`: the viewport shrinks by
     /// `scale` per axis and the Gaussian count by `scale²`, keeping the
     /// splats-per-pixel statistics (and therefore all the ratios the paper

@@ -165,13 +165,6 @@ impl ShColor {
             coeffs: self.coeffs[..coeff_count(deg)].to_vec(),
         }
     }
-
-    /// Storage size in floats (3 per coefficient), used by memory-footprint
-    /// accounting in the simulator.
-    #[inline]
-    pub fn float_count(&self) -> usize {
-        self.coeffs.len() * 3
-    }
 }
 
 #[cfg(test)]
@@ -232,12 +225,6 @@ mod tests {
         let c = sh.evaluate(Vec3::new(0.3, -0.8, 0.52));
         assert!(c.is_finite());
         assert!(c.x >= 0.0 && c.y >= 0.0 && c.z >= 0.0);
-    }
-
-    #[test]
-    fn float_count_matches_storage() {
-        let sh = ShColor::new(3, vec![Vec3::ZERO; 16]);
-        assert_eq!(sh.float_count(), 48);
     }
 
     fn bits(v: Vec3) -> [u32; 3] {

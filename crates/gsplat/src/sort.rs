@@ -185,8 +185,9 @@ const REPAIR_BUDGET_PER_KEY: usize = 8;
 /// let mut order = Vec::new();
 /// let frame0 = [5.0f32, 1.0, 3.0];
 /// let frame1 = [5.1f32, 0.9, 3.2]; // coherent: same order
-/// sorter.sort_depths_into(&frame0, &mut order);
-/// sorter.sort_depths_into(&frame1, &mut order);
+/// let ids = [0u32, 1, 2]; // the same three elements in both frames
+/// sorter.sort_depths_with_ids_into(&frame0, &ids, &mut order);
+/// sorter.sort_depths_with_ids_into(&frame1, &ids, &mut order);
 /// assert_eq!(order, vec![1, 2, 0]);
 /// assert_eq!(sorter.stats().repaired, 1);
 /// ```
@@ -217,23 +218,11 @@ impl IncrementalSorter {
         self.prev_ids.clear();
     }
 
-    /// Sorts splat indices front-to-back by depth with identity ids
-    /// (`id == index`), warm-starting from the previous call's order.
-    /// Bit-exact with [`sort_splats_by_depth_into`]. Prefer
-    /// [`IncrementalSorter::sort_depths_with_ids_into`] when elements carry
-    /// a stable identity across frames.
-    pub fn sort_depths_into(&mut self, depths: &[f32], order: &mut Vec<u32>) {
-        let mut keys = std::mem::take(&mut self.scratch.keys);
-        keys.clear();
-        keys.extend(depths.iter().map(|&d| depth_key(d)));
-        self.sort_with_ids_into(&keys, None, order);
-        self.scratch.keys = keys;
-    }
-
-    /// [`IncrementalSorter::sort_depths_into`] with explicit per-element
-    /// stable ids (`ids[i]` identifies element `i` across frames; ids must
+    /// Sorts splat indices front-to-back by depth, warm-starting from the
+    /// previous call's order; bit-exact with [`sort_splats_by_depth_into`].
+    /// `ids[i]` is element `i`'s stable identity across frames; ids must
     /// be unique within a frame and should be dense, e.g. scene Gaussian
-    /// indices).
+    /// indices.
     ///
     /// # Panics
     ///
@@ -534,9 +523,9 @@ mod tests {
     fn incremental_empty_and_singleton() {
         let mut sorter = IncrementalSorter::default();
         let mut order = vec![9u32];
-        sorter.sort_depths_into(&[], &mut order);
+        sorter.sort_depths_with_ids_into(&[], &[], &mut order);
         assert!(order.is_empty());
-        sorter.sort_depths_into(&[1.5], &mut order);
+        sorter.sort_depths_with_ids_into(&[1.5], &[0], &mut order);
         assert_eq!(order, vec![0]);
     }
 

@@ -8,8 +8,9 @@
 //!   `gsplat::{stream, sort, index, projection, par, preprocess}`,
 //!   the `gsplat::asset` decode path, every `swrender` backend, and
 //!   `vrpipe::{pipeline, serve, shading}`. VL01 applies file-wide.
-//! * **result-affecting** (`determinism`): all library code whose
-//!   output feeds frame bits or simulated stats. VL03 applies.
+//! * **library** (`library`): all `crates/*/src` code, whose output
+//!   feeds frame bits or simulated stats. VL03 applies, and VL07 checks
+//!   its `pub fn`s against identifier uses across the workspace.
 //! * **lock-discipline** (`lock_rules`): the three modules that take
 //!   locks — `vrpipe::serve`, `gsplat::par`, `gsplat::asset`. VL04
 //!   applies, against [`LOCK_ORDER`].
@@ -31,8 +32,9 @@ use crate::rules::Rule;
 pub struct FileClass {
     /// VL01 applies file-wide (hot-path module).
     pub no_panic: bool,
-    /// VL03 applies (module output affects results).
-    pub determinism: bool,
+    /// Library source: VL03 applies (its output affects results) and
+    /// VL07 checks its `pub fn`s.
+    pub library: bool,
     /// VL04 applies (module acquires locks).
     pub lock_rules: bool,
     /// Test/bench/example/shim/harness code: only VL05 and VL06 apply.
@@ -88,7 +90,7 @@ pub fn classify(rel: &str) -> FileClass {
     let hot = HOT_PATH.contains(&rel) || rel.starts_with("crates/swrender/src/");
     FileClass {
         no_panic: hot,
-        determinism: rel.starts_with("crates/") && rel.contains("/src/"),
+        library: rel.starts_with("crates/") && rel.contains("/src/"),
         lock_rules: LOCK_MODULES.contains(&rel),
         exempt: false,
         fork_rule,
@@ -141,11 +143,6 @@ pub const LOCK_SITES: &[LockSite] = &[
     LockSite {
         path: "crates/gsplat/src/par.rs",
         segment: "ready",
-        lock: "par.pool_queue",
-    },
-    LockSite {
-        path: "crates/gsplat/src/par.rs",
-        segment: "idle",
         lock: "par.pool_queue",
     },
     LockSite {

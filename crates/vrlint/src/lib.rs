@@ -15,6 +15,7 @@
 //! | VL04 | lock discipline: declared locks, declared order, poison recovery, no panics while a guard is live |
 //! | VL05 | unsafe audit: every `unsafe` carries `// SAFETY:` and the workspace count stays pinned |
 //! | VL06 | one fork site: `std::thread::{scope, spawn, Builder}` only in `gsplat::par`, outside test code |
+//! | VL07 | every library `pub fn` has a caller: its name appears in another workspace file or outside test code in its own |
 //!
 //! The tool is dependency-free — a hand-rolled lexer
 //! ([`lexer`]), not `syn` — so it builds offline with the rest of the
@@ -27,6 +28,7 @@ pub mod classify;
 pub mod lexer;
 pub mod rules;
 
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -155,18 +157,29 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
 
 /// Lints the whole workspace rooted at `root`.
 pub fn lint_workspace(root: &Path, opts: Options) -> io::Result<WorkspaceLint> {
-    let mut ws = WorkspaceLint::default();
+    let mut files = Vec::new();
     for path in workspace_sources(root)? {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let src = std::fs::read_to_string(&path)?;
-        let file = rules::lint_source(&rel, &src, opts);
+        files.push((rel, std::fs::read_to_string(&path)?));
+    }
+    Ok(lint_sources(&files, opts))
+}
+
+/// Lints a set of `(workspace-relative path, source)` files as one
+/// workspace: the per-file rules, then the cross-file passes (the
+/// unsafe pin and VL07).
+pub fn lint_sources(files: &[(String, String)], opts: Options) -> WorkspaceLint {
+    let mut ws = WorkspaceLint::default();
+    for (rel, src) in files {
+        let file = rules::lint_source(rel, src, opts);
         ws.unsafe_total += file.unsafe_count;
         ws.files.push(file);
     }
+    lint_uncalled(&mut ws.files);
     if ws.unsafe_total > PINNED_UNSAFE_BLOCKS {
         ws.workspace_findings.push(Finding {
             rule: Rule::VL05,
@@ -183,5 +196,46 @@ pub fn lint_workspace(root: &Path, opts: Options) -> io::Result<WorkspaceLint> {
             tok: 0,
         });
     }
-    Ok(ws)
+    ws
+}
+
+/// VL07: a library `pub fn` is uncalled when no other file names it and
+/// its own file names it only in its definitions (and in test code and
+/// comments, which are not counted).
+fn lint_uncalled(files: &mut [FileLint]) {
+    let mut files_naming: BTreeMap<&str, usize> = BTreeMap::new();
+    for f in files.iter() {
+        for name in f.idents.keys() {
+            *files_naming.entry(name).or_default() += 1;
+        }
+    }
+    let mut found: Vec<(usize, Finding)> = Vec::new();
+    for (fi, f) in files.iter().enumerate() {
+        for (name, line, tok) in &f.pub_fns {
+            let defs = f.pub_fns.iter().filter(|d| d.0 == *name).count() as u32;
+            let own_uses = f.idents.get(name).copied().unwrap_or(0);
+            if files_naming.get(name.as_str()) == Some(&1) && own_uses == defs {
+                found.push((
+                    fi,
+                    Finding {
+                        rule: Rule::VL07,
+                        kind: "uncalled",
+                        line: *line,
+                        message: format!("`pub fn {name}` has no caller outside its own tests"),
+                        hint: "delete it (tests that used it as a reference keep a local \
+                               copy), or justify with vrlint: allow(VL07, reason = \"…\")",
+                        suppressed: None,
+                        advisory: false,
+                        tok: *tok,
+                    },
+                ));
+            }
+        }
+    }
+    for (fi, mut finding) in found {
+        let file = &mut files[fi];
+        file.suppress(&mut finding);
+        file.findings.push(finding);
+        file.findings.sort_by_key(|f| (f.line, f.rule));
+    }
 }

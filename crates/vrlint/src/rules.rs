@@ -1,4 +1,4 @@
-//! The rule catalog (VL01–VL06) and the scoped matching engine.
+//! The rule catalog (VL01–VL07) and the scoped matching engine.
 //!
 //! Rules run over the token stream from [`crate::lexer`], scoped three
 //! ways:
@@ -21,7 +21,11 @@
 //! A plain `allow` covers its own line (or, standing alone, the next
 //! code line); `allow-block` covers the next `{…}` block (put it above
 //! a `fn` to cover the body); `allow-file` covers the file. A missing
-//! `reason` is itself a denied finding (VL00).
+//! `reason` is itself a denied finding (VL00). VL07 findings yield only
+//! to a line-scope `allow`: each kept uncalled function argues its own
+//! case.
+
+use std::collections::BTreeMap;
 
 use crate::classify::{self, FileClass};
 use crate::lexer::{Lexed, Tok, TokKind};
@@ -47,10 +51,14 @@ pub enum Rule {
     /// One fork site: no `std::thread::{scope, spawn, Builder}` outside
     /// `gsplat::par`.
     VL06,
+    /// Every public function has a caller: a library `pub fn` whose
+    /// name appears in no other workspace file and, in its own file,
+    /// only in its definition, test code and comments is dead API.
+    VL07,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::VL00,
         Rule::VL01,
         Rule::VL02,
@@ -58,6 +66,7 @@ impl Rule {
         Rule::VL04,
         Rule::VL05,
         Rule::VL06,
+        Rule::VL07,
     ];
 
     pub fn id(self) -> &'static str {
@@ -69,6 +78,7 @@ impl Rule {
             Rule::VL04 => "VL04",
             Rule::VL05 => "VL05",
             Rule::VL06 => "VL06",
+            Rule::VL07 => "VL07",
         }
     }
 
@@ -81,6 +91,7 @@ impl Rule {
             "VL04" => Some(Rule::VL04),
             "VL05" => Some(Rule::VL05),
             "VL06" => Some(Rule::VL06),
+            "VL07" => Some(Rule::VL07),
             _ => None,
         }
     }
@@ -144,7 +155,7 @@ impl Suppression {
             .rules
             .iter()
             .any(|(r, k)| *r == rule && k.as_deref().map(|k| k == kind).unwrap_or(true));
-        if !rule_hit {
+        if !rule_hit || (rule == Rule::VL07 && self.scope != SupScope::Line) {
             return false;
         }
         match self.scope {
@@ -168,6 +179,12 @@ pub struct FileLint {
     pub unsafe_count: usize,
     /// `vrlint: hot` regions found.
     pub hot_regions: usize,
+    /// `pub fn` definitions outside test code, for the workspace-level
+    /// VL07 pass (library files only): `(name, line, token index)`.
+    pub pub_fns: Vec<(String, u32, usize)>,
+    /// Every identifier token in the file, for VL07, with its number of
+    /// uses outside test code. Comments and literals are not tokens.
+    pub idents: BTreeMap<String, u32>,
 }
 
 impl FileLint {
@@ -176,6 +193,21 @@ impl FileLint {
         self.findings
             .iter()
             .filter(|f| f.suppressed.is_none() && !f.advisory)
+    }
+
+    /// Marks `f` suppressed by the first inline directive covering it.
+    pub(crate) fn suppress(&mut self, f: &mut Finding) {
+        if f.suppressed.is_some() {
+            return;
+        }
+        if let Some(si) = self
+            .suppressions
+            .iter()
+            .position(|s| s.covers(f.rule, f.kind, f.line, f.tok))
+        {
+            self.suppressions[si].used += 1;
+            f.suppressed = Some(SuppressedBy::Inline(si));
+        }
     }
 }
 
@@ -771,7 +803,7 @@ pub fn lint_source_with_class(rel: &str, src: &str, class: FileClass, opts: Opti
         }
 
         // --- VL03: determinism ---
-        if class.determinism && t.kind == TokKind::Ident {
+        if class.library && t.kind == TokKind::Ident {
             if let Some((ident, kind, why)) = NONDET_TYPES.iter().find(|(id, _, _)| t.is_ident(id))
             {
                 let builtin = classify::BUILTIN_ALLOWS
@@ -797,23 +829,44 @@ pub fn lint_source_with_class(rel: &str, src: &str, class: FileClass, opts: Opti
         lint_locks(rel, toks, &ranges, &mut pending);
     }
 
-    // Resolve inline suppressions.
-    for f in &mut pending {
-        if f.suppressed.is_some() {
+    // --- VL07 inputs: definitions and identifier uses ---
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident {
             continue;
         }
-        if let Some(si) = out
-            .suppressions
-            .iter()
-            .position(|s| s.covers(f.rule, f.kind, f.line, f.tok))
-        {
-            out.suppressions[si].used += 1;
-            f.suppressed = Some(SuppressedBy::Inline(si));
+        let in_test = in_ranges(&ranges.cfg_test, i);
+        *out.idents.entry(t.text.to_string()).or_default() += u32::from(!in_test);
+        if class.library && !in_test && t.is_ident("pub") {
+            if let Some(name) = pub_fn_name(toks, i) {
+                out.pub_fns.push((name.text.to_string(), name.line, i));
+            }
         }
+    }
+
+    // Resolve inline suppressions.
+    for f in &mut pending {
+        out.suppress(f);
     }
     out.findings.append(&mut pending);
     out.findings.sort_by_key(|f| (f.line, f.rule));
     out
+}
+
+/// For a `pub` token at `i`: the name token of the `pub fn` it opens
+/// (`pub const fn`, `pub unsafe fn` too; `pub(crate) fn` is not public).
+fn pub_fn_name<'a>(toks: &[Tok<'a>], i: usize) -> Option<Tok<'a>> {
+    let mut j = i + 1;
+    while toks.get(j)?.kind == TokKind::Ident
+        && matches!(toks[j].text, "const" | "async" | "unsafe")
+    {
+        j += 1;
+    }
+    if !toks[j].is_ident("fn") {
+        return None;
+    }
+    toks.get(j + 1)
+        .copied()
+        .filter(|n| n.kind == TokKind::Ident)
 }
 
 /// Thread-starting items of `std::thread`: VL06 allows them only in the

@@ -42,7 +42,6 @@ fn main() {
         width: w,
         height: h,
         fov_y: 55f32.to_radians(),
-        temporal: true,
         indexed,
         max_sh_degree: gsplat::sh::MAX_SH_DEGREE,
         rung: 0,

@@ -313,6 +313,94 @@ fn vl06_allows_the_fork_site_and_tests() {
     assert_eq!(denied(LIB, in_test_block), vec![]);
 }
 
+// ---------------------------------------------------------------- VL07
+
+/// VL07 is a workspace-level rule: denied findings over a set of
+/// in-memory files, as `(path, id, kind, line)`.
+fn denied_ws(files: &[(&str, &str)]) -> Vec<(String, &'static str, String, u32)> {
+    let files: Vec<(String, String)> = files
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+    let ws = vrlint::lint_sources(&files, Options::default());
+    ws.denied()
+        .map(|(path, f)| (path.to_string(), f.rule.id(), f.kind.to_string(), f.line))
+        .collect()
+}
+
+#[test]
+fn vl07_flags_a_pub_fn_nothing_names() {
+    // A doc comment naming the function is not a caller.
+    let src = "/// See [`lonely`].\n\
+               pub fn lonely() -> u32 {\n\
+               \x20   7\n\
+               }\n\
+               pub(crate) fn private_is_out_of_scope() {}\n";
+    assert_eq!(
+        denied_ws(&[(LIB, src)]),
+        vec![(LIB.to_string(), "VL07", "uncalled".to_string(), 2)]
+    );
+}
+
+#[test]
+fn vl07_accepts_callers_in_other_files_and_in_library_code() {
+    let lib = "pub fn helper() -> u32 {\n    7\n}\npub fn twice() -> u32 {\n    2 * inner()\n}\n\
+               pub fn inner() -> u32 {\n    1\n}\n";
+    // `helper` is named by an integration test, `twice` by the harness,
+    // and `inner` by `twice` in its own file.
+    let test = "#[test]\nfn t() {\n    assert_eq!(helper(), 7);\n}\n";
+    let harness = "fn main() {\n    println!(\"{}\", twice());\n}\n";
+    assert_eq!(
+        denied_ws(&[
+            (LIB, lib),
+            ("tests/helper.rs", test),
+            ("perfbench/src/main.rs", harness),
+        ]),
+        vec![]
+    );
+}
+
+#[test]
+fn vl07_own_unit_tests_are_not_callers() {
+    let src = "pub fn reference_only(x: u32) -> u32 {\n\
+               \x20   x + 1\n\
+               }\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+               \x20   #[test]\n\
+               \x20   fn t() {\n\
+               \x20       assert_eq!(super::reference_only(1), 2);\n\
+               \x20   }\n\
+               }\n";
+    assert_eq!(
+        denied_ws(&[(LIB, src)]),
+        vec![(LIB.to_string(), "VL07", "uncalled".to_string(), 1)]
+    );
+    // Exempt files (tests, harnesses) define what they like.
+    assert_eq!(denied_ws(&[("tests/support/oracle.rs", src)]), vec![]);
+}
+
+#[test]
+fn vl07_yields_only_to_a_line_allow_with_a_reason() {
+    let allowed = "// vrlint: allow(VL07, reason = \"kept as the documented entry point\")\n\
+                   pub fn kept() {}\n";
+    let files = [(LIB.to_string(), allowed.to_string())];
+    let ws = vrlint::lint_sources(&files, Options::default());
+    assert!(ws.denied().next().is_none(), "the allow silences it");
+    let (_, finding) = ws.findings().next().expect("still counted");
+    assert_eq!(finding.rule.id(), "VL07");
+    assert!(finding.suppressed.is_some());
+    assert_eq!(ws.files[0].suppressions[0].used, 1);
+    // A file-wide allow does not cover VL07: each kept function argues
+    // its own case.
+    let file_wide = "// vrlint: allow-file(VL07, reason = \"whole module is API\")\n\
+                     pub fn kept() {}\n";
+    assert_eq!(
+        denied_ws(&[(LIB, file_wide)]),
+        vec![(LIB.to_string(), "VL07", "uncalled".to_string(), 2)]
+    );
+}
+
 // ------------------------------------------------- suppressions & VL00
 
 #[test]
