@@ -840,6 +840,91 @@ mod tests {
         assert!(indexed.cull_stats().gaussians_refreshed > 0);
     }
 
+    /// The round seam [`crate::serve`] drives for a stereo stream: both
+    /// eyes of a pair rendered through [`Session::render_frame`] with one
+    /// shared two-camera round (one classification pass + one covariance
+    /// replay) stay bit-exact with rendering each frame solo.
+    #[test]
+    fn stereo_pair_batches_and_matches_solo_frames() {
+        let scene = EVALUATED_SCENES[4].generate_scaled(0.03);
+        // A rotating head: every pair has its own view rotation, and both
+        // eyes of a stereo pair share it by construction.
+        let path = CameraPath::orbit(scene.center, scene.view_radius, 1.2, 0.3).stereo(0.065);
+        let cfg = SequenceConfig::new(path, 8, 96, 72).with_index();
+        let camera = |cfg: &SequenceConfig, i: usize| {
+            cfg.path
+                .camera(i, cfg.frames, cfg.width, cfg.height, cfg.fov_y)
+        };
+        let draw = || VrPipeDraw::new(GpuConfig::default(), PipelineVariant::HetQm);
+        let mut solo = Session::default();
+        let mut paired = Session::default();
+        solo.prepare(&scene, &cfg);
+        paired.prepare(&scene, &cfg);
+        let mut solo_draw = draw();
+        let rf: Vec<_> = (0..cfg.frames)
+            .map(|i| {
+                solo.render_frame(&scene, &cfg, i, None, |f| solo_draw.draw(f))
+                    .unwrap()
+            })
+            .collect();
+        let index = Arc::clone(paired.scene_index().unwrap());
+        let mut paired_draw = draw();
+        for pair in 0..cfg.frames / 2 {
+            let (l, r) = (2 * pair, 2 * pair + 1);
+            let (left, right) = (camera(&cfg, l), camera(&cfg, r));
+            assert!(right.is_translation_of(&left), "pair {pair}");
+            let mut round = std::mem::take(paired.cull_mut());
+            round.begin_round(&index, &[left, right]);
+            for (i, want) in [(l, &rf[l]), (r, &rf[r])] {
+                let got = paired
+                    .render_frame(&scene, &cfg, i, Some(&mut round), |f| paired_draw.draw(f))
+                    .unwrap();
+                assert_eq!(got.index, want.index);
+                assert_eq!(got.stats, want.stats, "frame {}", want.index);
+                assert_eq!(got.preprocess, want.preprocess, "frame {}", want.index);
+            }
+            *paired.cull_mut() = round;
+        }
+        // Every pair took one two-camera round: the cull state saw all 8
+        // frames but classified cells once per pair, where the solo
+        // session classified them once per frame.
+        let cells = index.cell_count() as u64;
+        let classified = |s: CullStats| s.cells_skipped + s.cells_refreshed + s.cells_reprojected;
+        let ps = paired.cull_stats();
+        assert_eq!(ps.frames, cfg.frames as u64);
+        assert_eq!(classified(ps), cells * cfg.frames as u64 / 2);
+        assert_eq!(classified(solo.cull_stats()), cells * cfg.frames as u64);
+        // Batching must actually share covariance work: with one
+        // classification round per pair, the second eye replays the
+        // first eye's cache.
+        assert!(
+            ps.gaussians_refreshed > 0,
+            "no covariance replay across the pair: {ps:?}"
+        );
+        // A rotating path cannot pair: its frames are no translation of
+        // each other, so each eye is its own round of one.
+        let orbit = SequenceConfig::new(
+            CameraPath::orbit(scene.center, scene.view_radius, 1.2, 0.3),
+            8,
+            96,
+            72,
+        )
+        .with_index();
+        assert!(!camera(&orbit, 3).is_translation_of(&camera(&orbit, 2)));
+        let mut fallback = Session::default();
+        fallback.prepare(&scene, &orbit);
+        let mut fallback_draw = draw();
+        for i in [2, 3] {
+            let rec = fallback
+                .render_frame(&scene, &orbit, i, None, |f| fallback_draw.draw(f))
+                .unwrap();
+            assert_eq!(rec.index, i);
+        }
+        let fs = fallback.cull_stats();
+        assert_eq!(fs.frames, 2);
+        assert_eq!(classified(fs), cells * 2, "one round of one per eye");
+    }
+
     #[test]
     fn empty_sequence_is_empty() {
         let scene = EVALUATED_SCENES[4].generate_scaled(0.03);
