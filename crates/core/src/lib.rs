@@ -58,8 +58,8 @@ pub use sequence::{FrameInput, SequenceConfig, SequenceFrameRecord, Session, Sha
 pub use serve::degrade::{QualityLadder, QualityRung};
 pub use serve::faults::{FaultAction, FaultInjector, FaultKind, FaultPlan, PlannedFault};
 pub use serve::{
-    AdmissionPolicy, AttachOutcome, BatchStats, EvictReason, ReloadOutcome, RetryPolicy,
-    SceneSource, SchedulePolicy, ServeReport, Server, ServerHandle, StreamFault, StreamPhase,
-    StreamReport, StreamSpec,
+    AdmissionPolicy, AttachOutcome, BatchStats, EvictReason, ReloadOutcome, SceneSource,
+    SchedulePolicy, ServeReport, Server, ServerHandle, StreamFault, StreamPhase, StreamReport,
+    StreamSpec,
 };
 pub use variant::PipelineVariant;

@@ -398,9 +398,9 @@ impl Session {
     /// Renders the sequence through the simulated hardware pipeline
     /// (`gpu`/`variant`), reusing one [`DrawScratch`] and one pair of
     /// render targets across all frames. Returns per-frame records, or
-    /// the first [`DrawError`]: an invalid configuration is rejected
-    /// here, before any frame is preprocessed, instead of panicking
-    /// mid-sequence.
+    /// the first [`DrawError`]: an invalid configuration or an empty
+    /// viewport is rejected here, before any frame is preprocessed,
+    /// instead of panicking mid-sequence.
     pub fn run_vrpipe(
         &mut self,
         scene: &Scene,
@@ -409,6 +409,10 @@ impl Session {
         variant: PipelineVariant,
     ) -> Result<Vec<SequenceFrameRecord>, DrawError> {
         gpu.validate().map_err(DrawError::InvalidConfig)?;
+        let (width, height) = (cfg.width, cfg.height);
+        if width == 0 || height == 0 {
+            return Err(DrawError::EmptyViewport { width, height });
+        }
         self.prepare(scene, cfg);
         let mut draw = VrPipeDraw::new(gpu.clone(), variant);
         (0..cfg.frames)
@@ -672,6 +676,22 @@ mod tests {
             .run_vrpipe(&scene, &cfg, &bad, PipelineVariant::HetQm)
             .unwrap_err();
         assert!(matches!(err, DrawError::InvalidConfig(_)));
+        for (width, height) in [(0, 24), (32, 0)] {
+            let empty = SequenceConfig {
+                width,
+                height,
+                ..cfg.clone()
+            };
+            let err = Session::default()
+                .run_vrpipe(
+                    &scene,
+                    &empty,
+                    &GpuConfig::default(),
+                    PipelineVariant::HetQm,
+                )
+                .unwrap_err();
+            assert_eq!(err, DrawError::EmptyViewport { width, height });
+        }
     }
 
     #[test]

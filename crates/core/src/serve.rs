@@ -40,8 +40,8 @@
 //! step reads a clock.
 //!
 //! **Failure containment.** A backend returning a *transient*
-//! [`DrawError`] ([`DrawError::is_transient`]) is retried with bounded
-//! exponential backoff and deterministic seeded jitter ([`RetryPolicy`])
+//! [`DrawError`] ([`DrawError::is_transient`]) is retried up to three
+//! times with bounded exponential backoff and deterministic seeded jitter
 //! before the stream is marked [`StreamPhase::Failed`]; a panicking
 //! backend is caught at the task boundary (the pool's panic isolation
 //! plus [`gsplat::par::panic_message`] carry the payload back) and
@@ -209,60 +209,32 @@ pub enum AdmissionPolicy {
     Reject,
 }
 
-/// Bounded exponential backoff with deterministic seeded jitter, applied
-/// between retries of a transient [`DrawError`] (see
-/// [`DrawError::is_transient`]). Delays are
-/// `min(base·2^attempt, max) · (0.5 + 0.5·jitter)` where `jitter ∈ [0,1)`
-/// is a pure hash of `(seed, stream, frame, attempt)` — the same fault
-/// always backs off identically, so chaos runs are replayable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retries before the stream is marked failed (0 = fail on first
-    /// error).
-    pub max_retries: u32,
-    /// First-retry delay, ms.
-    pub base_delay_ms: f64,
-    /// Backoff ceiling, ms.
-    pub max_delay_ms: f64,
-    /// Jitter seed.
-    pub seed: u64,
-}
+/// Retries of a transient [`DrawError`] (see [`DrawError::is_transient`])
+/// before the stream is marked failed.
+const MAX_RETRIES: u32 = 3;
+/// First-retry delay, ms.
+const BASE_DELAY_MS: f64 = 0.25;
+/// Backoff ceiling, ms.
+const MAX_DELAY_MS: f64 = 4.0;
+/// Jitter seed.
+const RETRY_SEED: u64 = 0x5EED_0BAC;
 
-impl Default for RetryPolicy {
-    /// Three retries, 0.25 ms → 4 ms backoff — generous enough to clear
-    /// injected transients, short enough for tests.
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_delay_ms: 0.25,
-            max_delay_ms: 4.0,
-            seed: 0x5EED_0BAC,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: the first backend error fails the stream.
-    pub fn none() -> Self {
-        Self {
-            max_retries: 0,
-            ..Self::default()
-        }
-    }
-
-    /// The deterministic delay before retry `attempt` (0-based) of
-    /// `frame` on stream `stream`, ms.
-    pub fn backoff_ms(&self, stream: usize, frame: usize, attempt: u32) -> f64 {
-        let exp = (self.base_delay_ms * (1u64 << attempt.min(20)) as f64).min(self.max_delay_ms);
-        let h = mix64(
-            self.seed
-                ^ (stream as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (frame as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-                ^ ((attempt as u64 + 1).wrapping_mul(0x94D0_49BB_1331_11EB)),
-        );
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        exp * (0.5 + 0.5 * unit)
-    }
+/// The delay before retry `attempt` (0-based) of `frame` on stream
+/// `stream`, ms: bounded exponential backoff with deterministic seeded
+/// jitter, `min(base·2^attempt, max) · (0.5 + 0.5·jitter)` where
+/// `jitter ∈ [0,1)` is a pure hash of `(seed, stream, frame, attempt)` —
+/// the same fault always backs off identically, so chaos runs are
+/// replayable.
+fn backoff_ms(stream: usize, frame: usize, attempt: u32) -> f64 {
+    let exp = (BASE_DELAY_MS * (1u64 << attempt.min(20)) as f64).min(MAX_DELAY_MS);
+    let h = mix64(
+        RETRY_SEED
+            ^ (stream as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (frame as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
+            ^ ((attempt as u64 + 1).wrapping_mul(0x94D0_49BB_1331_11EB)),
+    );
+    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+    exp * (0.5 + 0.5 * unit)
 }
 
 /// Why a stream was evicted (the scheduler gave up on it; its session
@@ -305,8 +277,9 @@ impl std::fmt::Display for EvictReason {
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamFault {
     /// The backend kept returning [`DrawError`] after `retries` retries
-    /// (transient errors retry up to [`RetryPolicy::max_retries`];
-    /// permanent ones fail immediately with the retry count so far).
+    /// (transient errors retry up to three times with a short bounded
+    /// backoff; permanent ones fail immediately with the retry count so
+    /// far).
     Render {
         /// The final error.
         error: DrawError,
@@ -360,15 +333,13 @@ impl StreamPhase {
 
 /// One stream's definition: a name, its sequence (camera path, frame
 /// budget, viewport, temporal/indexed knobs), the per-frame backend, and
-/// the serving knobs (deadline, frame dropping, retry policy, fault
-/// injection).
+/// the serving knobs (deadline, frame dropping, fault injection).
 pub struct StreamSpec<R> {
     name: String,
     cfg: SequenceConfig,
     backend: TryRenderFn<R>,
     deadline_ms: Option<f64>,
     drop_late: bool,
-    retry: RetryPolicy,
     injector: FaultInjector,
     ladder: QualityLadder,
     priority: i32,
@@ -407,9 +378,9 @@ impl<R: Send + 'static> StreamSpec<R> {
     }
 
     /// Like [`StreamSpec::new`] but the backend can fail: transient
-    /// [`DrawError`]s go through the stream's [`RetryPolicy`] before the
-    /// stream is marked [`StreamPhase::Failed`]; permanent ones fail it
-    /// immediately.
+    /// [`DrawError`]s are retried (three times, with a short bounded
+    /// backoff) before the stream is marked [`StreamPhase::Failed`];
+    /// permanent ones fail it immediately.
     pub fn fallible(
         name: impl Into<String>,
         cfg: SequenceConfig,
@@ -421,7 +392,6 @@ impl<R: Send + 'static> StreamSpec<R> {
             backend: Box::new(render),
             deadline_ms: None,
             drop_late: false,
-            retry: RetryPolicy::default(),
             injector: FaultInjector::none(),
             ladder: QualityLadder::new(),
             priority: 0,
@@ -506,7 +476,7 @@ impl StreamSpec<SequenceFrameRecord> {
     /// The built-in simulated-hardware backend: a [`StreamSpec::fallible`]
     /// closure drawing every frame the way [`Session::run_vrpipe`] does,
     /// into render targets and a [`crate::pipeline::DrawScratch`] the
-    /// closure owns. Draw errors feed the stream's [`RetryPolicy`] /
+    /// closure owns. Draw errors feed the stream's retry /
     /// [`StreamPhase::Failed`] machinery instead of leaking into the
     /// output type.
     ///
@@ -534,7 +504,6 @@ struct StreamState<R> {
     session: Session,
     backend: TryRenderFn<R>,
     injector: FaultInjector,
-    retry: RetryPolicy,
 }
 
 /// Scheduler-owned bookkeeping of one stream — everything the run loop
@@ -1380,7 +1349,6 @@ impl<R: Send + 'static> Server<R> {
                 session,
                 backend: spec.backend,
                 injector: spec.injector,
-                retry: spec.retry,
             })),
         });
     }
@@ -2208,11 +2176,9 @@ fn render_member<R>(
             Err(message) => return (Err(StreamFault::Panicked { message, frame }), retries),
             Ok(Ok(out)) => return (Ok(out), retries),
             Ok(Err(error)) => {
-                if error.is_transient() && retries < st.retry.max_retries {
-                    let delay = st.retry.backoff_ms(m.id, frame, retries);
-                    if delay > 0.0 {
-                        std::thread::sleep(Duration::from_secs_f64(delay / 1e3));
-                    }
+                if error.is_transient() && retries < MAX_RETRIES {
+                    let delay = backoff_ms(m.id, frame, retries);
+                    std::thread::sleep(Duration::from_secs_f64(delay / 1e3));
                     retries += 1;
                 } else {
                     return (Err(StreamFault::Render { error, retries }), retries);
@@ -2458,20 +2424,13 @@ mod tests {
         );
         let mut server = Server::new(shared, 1);
         let mut failures_left = 2u32;
-        let mut spec = StreamSpec::fallible("flaky", cfg, move |f| {
+        server.add_stream(StreamSpec::fallible("flaky", cfg, move |f| {
             if f.index == 1 && failures_left > 0 {
                 failures_left -= 1;
                 return Err(DrawError::backend("spurious", true));
             }
             Ok(f.splats.len())
-        });
-        // No backoff wait: the retry count is what this test pins.
-        spec.retry = RetryPolicy {
-            base_delay_ms: 0.0,
-            max_delay_ms: 0.0,
-            ..RetryPolicy::default()
-        };
-        server.add_stream(spec);
+        }));
         let report = server.run();
         let s = &report.streams[0];
         assert_eq!(s.phase, StreamPhase::Completed);
@@ -2638,20 +2597,18 @@ mod tests {
 
     #[test]
     fn retry_backoff_is_deterministic_and_bounded() {
-        let p = RetryPolicy::default();
         for attempt in 0..8 {
-            let a = p.backoff_ms(3, 7, attempt);
-            let b = p.backoff_ms(3, 7, attempt);
+            let a = backoff_ms(3, 7, attempt);
+            let b = backoff_ms(3, 7, attempt);
             assert_eq!(a, b, "same key must give the same delay");
-            assert!(a >= 0.5 * p.base_delay_ms);
-            assert!(a <= p.max_delay_ms);
+            assert!(a >= 0.5 * BASE_DELAY_MS);
+            assert!(a <= MAX_DELAY_MS);
         }
         assert_ne!(
-            p.backoff_ms(0, 0, 0),
-            p.backoff_ms(1, 0, 0),
+            backoff_ms(0, 0, 0),
+            backoff_ms(1, 0, 0),
             "jitter must differ across streams"
         );
-        assert_eq!(RetryPolicy::none().max_retries, 0);
     }
 
     #[test]
@@ -2686,8 +2643,7 @@ mod tests {
         ));
         assert_eq!(broken.streams[0].frames.len(), 2);
         assert_eq!(
-            broken.streams[0].retries,
-            RetryPolicy::default().max_retries,
+            broken.streams[0].retries, MAX_RETRIES,
             "persistent transient-classified faults must exhaust retries"
         );
 
@@ -2731,24 +2687,20 @@ mod tests {
 
     #[test]
     fn backoff_saturates_at_large_attempt() {
-        let policy = RetryPolicy::default();
-        // The exponential term is capped by max_delay_ms; the shift is
+        // The exponential term is capped by MAX_DELAY_MS; the shift is
         // clamped so huge attempt numbers neither overflow nor panic.
         for attempt in [20, 21, 63, 64, 1_000, u32::MAX] {
-            let d = policy.backoff_ms(3, 5, attempt);
+            let d = backoff_ms(3, 5, attempt);
             assert!(d.is_finite());
             assert!(
-                d >= policy.max_delay_ms * 0.5 && d <= policy.max_delay_ms,
+                (MAX_DELAY_MS * 0.5..=MAX_DELAY_MS).contains(&d),
                 "attempt {attempt}: {d} outside jittered saturation band"
             );
         }
         // Deterministic: same (stream, frame, attempt) → same delay.
-        assert_eq!(
-            policy.backoff_ms(3, 5, u32::MAX),
-            policy.backoff_ms(3, 5, u32::MAX)
-        );
+        assert_eq!(backoff_ms(3, 5, u32::MAX), backoff_ms(3, 5, u32::MAX));
         // Early attempts still grow before the cap bites.
-        assert!(policy.backoff_ms(0, 0, 0) <= policy.backoff_ms(0, 0, 30) + policy.max_delay_ms);
+        assert!(backoff_ms(0, 0, 0) <= backoff_ms(0, 0, 30) + MAX_DELAY_MS);
     }
 
     #[test]

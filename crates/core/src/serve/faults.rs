@@ -13,11 +13,10 @@
 //! must survive:
 //!
 //! * [`FaultKind::Error`] — a *persistent* backend error: every attempt
-//!   (including all retries) fails, so the stream exhausts its
-//!   [`RetryPolicy`](crate::serve::RetryPolicy) and is marked `Failed`
-//!   with the full retry count.
+//!   (including all three retries) fails, so the stream exhausts its
+//!   retries and is marked `Failed` with the full retry count.
 //! * [`FaultKind::Transient`]`(n)` — the first `n` attempts fail, then
-//!   the real render succeeds: recovered iff `n <= max_retries`.
+//!   the real render succeeds: recovered iff `n <= 3`.
 //! * [`FaultKind::Stall`]`(ms)` — the frame sleeps `ms` before rendering:
 //!   watchdog-eviction territory when `ms` exceeds the stream's stall
 //!   budget.

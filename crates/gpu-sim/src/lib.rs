@@ -29,7 +29,6 @@ pub mod microbench;
 pub mod quad;
 pub mod raster;
 pub mod stats;
-pub mod stencil;
 pub mod tiles;
 pub mod timing;
 

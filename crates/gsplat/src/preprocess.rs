@@ -884,112 +884,6 @@ mod tests {
         );
     }
 
-    /// Phase-attribution probe for the preprocess paths (not a test of
-    /// behaviour): run on demand with
-    /// `cargo test --release -p gsplat perf_probe -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn perf_probe() {
-        use crate::camera::CameraPath;
-        use std::time::Instant;
-        let scene = EVALUATED_SCENES[2].generate_scaled(0.1);
-        let frames = 16;
-        let path = CameraPath::flythrough(
-            scene.center + crate::math::Vec3::new(0.0, scene.view_height, scene.view_radius),
-            scene.center,
-            scene.view_radius * 0.0015,
-            scene.view_radius * 0.0008,
-        );
-        let (w, h) = scene.spec.scaled_viewport(scene.scale);
-        let cams = path.cameras(frames, w, h, 55f32.to_radians());
-        let index = SceneIndex::build(&scene.gaussians);
-        let policy = ThreadPolicy::serial();
-        let reps = 20;
-
-        let mut best = [f64::INFINITY; 5];
-        let mut out = Vec::new();
-        for _ in 0..reps {
-            // 0: full temporal preprocess.
-            let t0 = Instant::now();
-            let mut scratch = PreprocessScratch::default();
-            for cam in &cams {
-                preprocess_into_temporal(&scene, cam, policy, &mut scratch, &mut out);
-            }
-            best[0] = best[0].min(t0.elapsed().as_secs_f64() * 1e3);
-
-            // 1: indexed preprocess.
-            let t0 = Instant::now();
-            let mut cull = CullState::default();
-            let mut scratch = PreprocessScratch::default();
-            for cam in &cams {
-                preprocess_into_indexed(
-                    &scene,
-                    cam,
-                    policy,
-                    &index,
-                    &mut cull,
-                    &mut scratch,
-                    &mut out,
-                );
-            }
-            best[1] = best[1].min(t0.elapsed().as_secs_f64() * 1e3);
-
-            // 2: indexed sweep only (classification + projection, no sort).
-            let t0 = Instant::now();
-            let mut cull = CullState::default();
-            let mut scratch = PreprocessScratch::default();
-            for cam in &cams {
-                let frame = FrameTransform::new(cam);
-                cull.begin_round(&index, std::slice::from_ref(cam));
-                let (classes, mcache, epoch) = cull.projection_parts();
-                scratch.staging.clear();
-                project_indexed_range(
-                    &scene.gaussians,
-                    &index,
-                    &frame,
-                    classes,
-                    epoch,
-                    0..scene.len(),
-                    mcache,
-                    &mut scratch.staging,
-                );
-            }
-            best[2] = best[2].min(t0.elapsed().as_secs_f64() * 1e3);
-
-            // 3: full projection sweep only.
-            let t0 = Instant::now();
-            let mut scratch = PreprocessScratch::default();
-            for cam in &cams {
-                let frame = FrameTransform::new(cam);
-                scratch.staging.clear();
-                for (i, g) in scene.gaussians.iter().enumerate() {
-                    if let Some(s) = project_gaussian_frame(g, &frame, i as u32) {
-                        scratch.staging.push(s);
-                    }
-                }
-            }
-            best[3] = best[3].min(t0.elapsed().as_secs_f64() * 1e3);
-
-            // 4: classification alone.
-            let t0 = Instant::now();
-            let mut cull = CullState::default();
-            for cam in &cams {
-                cull.begin_round(&index, std::slice::from_ref(cam));
-            }
-            best[4] = best[4].min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        println!("full preprocess      : {:.3} ms", best[0]);
-        println!("indexed preprocess   : {:.3} ms", best[1]);
-        println!("indexed sweep only   : {:.3} ms", best[2]);
-        println!("full sweep only      : {:.3} ms", best[3]);
-        println!("classification only  : {:.3} ms", best[4]);
-        println!(
-            "finish (full/indexed): {:.3} / {:.3} ms",
-            best[0] - best[3],
-            best[1] - best[2]
-        );
-    }
-
     #[test]
     fn scratch_reuse_is_stable_across_frames() {
         let scene = EVALUATED_SCENES[4].generate_scaled(0.05);

@@ -14,10 +14,9 @@
 //! * **lock-discipline** (`lock_rules`): the three modules that take
 //!   locks — `vrpipe::serve`, `gsplat::par`, `gsplat::asset`. VL04
 //!   applies, against [`LOCK_ORDER`].
-//! * **exempt**: tests, benches, examples, the offline shims, the
-//!   bench harness and vrlint itself — panicking is how tests fail
-//!   and harnesses time things. Only VL05 (unsafe-audit) and VL06 still
-//!   run.
+//! * **exempt**: tests, examples, the offline shims, the bench
+//!   harness and vrlint itself — panicking is how tests fail. Only VL05
+//!   (unsafe-audit) and VL06 still run.
 //! * **fork rule** (`fork_rule`): every file but [`FORK_SITE`] and test
 //!   code (`tests/` directories). VL06 applies: no other file starts a
 //!   thread.
@@ -37,7 +36,7 @@ pub struct FileClass {
     pub library: bool,
     /// VL04 applies (module acquires locks).
     pub lock_rules: bool,
-    /// Test/bench/example/shim/harness code: only VL05 and VL06 apply.
+    /// Test/example/shim/harness code: only VL05 and VL06 apply.
     pub exempt: bool,
     /// VL06 applies (not the fork site, not test code).
     pub fork_rule: bool,
@@ -77,7 +76,6 @@ pub fn classify(rel: &str) -> FileClass {
         || rel.starts_with("crates/bench/")
         || rel.starts_with("crates/vrlint/")
         || rel.contains("/tests/")
-        || rel.contains("/benches/")
         || rel.contains("/examples/");
     let fork_rule = rel != FORK_SITE && !rel.starts_with("tests/") && !rel.contains("/tests/");
     if exempt {

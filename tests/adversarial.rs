@@ -1,10 +1,8 @@
 //! Failure injection and adversarial workloads: bin-overflow storms,
-//! degenerate geometry, extreme viewports and stencil coexistence.
+//! degenerate geometry and extreme viewports.
 
 use gpu_sim::config::GpuConfig;
-use gpu_sim::stencil::{StencilFunc, StencilOp, StencilState};
 use gsplat::camera::Camera;
-use gsplat::framebuffer::{DepthStencilBuffer, TERMINATION_BIT};
 use gsplat::gaussian::Gaussian;
 use gsplat::math::{Vec2, Vec3};
 use gsplat::preprocess::preprocess;
@@ -324,36 +322,6 @@ fn depth_ties_are_deterministic() {
     );
     let qm = draw(&splats, 32, 32, &cfg, PipelineVariant::Qm);
     assert!(a.color.max_abs_diff(&qm.color) < 1e-4);
-}
-
-/// HET's termination flag coexists with a live 7-bit stencil: running a
-/// conventional stencil pass over a buffer carrying termination bits must
-/// neither clobber them nor misread them (paper §V-B's harmonic claim).
-#[test]
-fn termination_flag_survives_stencil_traffic() {
-    let mut ds = DepthStencilBuffer::new(8, 8);
-    // HET terminated some pixels.
-    ds.set_terminated(1, 1);
-    ds.set_terminated(4, 4);
-    // A stencil pass increments everywhere it passes (Algorithm-1 style).
-    let state = StencilState {
-        func: StencilFunc::Equal,
-        reference: 0,
-        op_pass: StencilOp::IncrClamp,
-        op_fail: StencilOp::Keep,
-        ..StencilState::default()
-    };
-    for y in 0..8 {
-        for x in 0..8 {
-            state.apply_at(&mut ds, x, y);
-        }
-    }
-    // Termination bits intact; low bits updated everywhere (the masked
-    // compare ignores the MSB, so terminated pixels still passed Equal-0).
-    assert!(ds.is_terminated(1, 1) && ds.is_terminated(4, 4));
-    assert_eq!(ds.stencil(0, 0), 1);
-    assert_eq!(ds.stencil(1, 1), TERMINATION_BIT | 1);
-    assert_eq!(ds.terminated_count(), 2);
 }
 
 /// Opacity extremes: fully transparent scenes blend nothing; a wall of

@@ -1,12 +1,15 @@
 //! Golden pin of the simulated draw (see `support/draw_golden.rs`): every
 //! pinned scene × variant × kernel must reproduce its recorded cycle count,
-//! stats digest and image digest bit for bit, at every host worker count.
+//! stats digest and image digest bit for bit, at every host worker count —
+//! both drawn fresh and drawn through one `DrawScratch` and one pair of
+//! render targets reused across the whole scene, as a served stream
+//! reuses them.
 
 #[path = "support/draw_golden.rs"]
 mod golden;
 
-use gsplat::FragmentKernel;
-use vrpipe::{draw, PipelineVariant};
+use gsplat::{ColorBuffer, DepthStencilBuffer, FragmentKernel};
+use vrpipe::{draw, try_draw_in_place, DrawScratch, PipelineVariant};
 
 #[test]
 fn draws_match_the_golden_pin() {
@@ -14,9 +17,13 @@ fn draws_match_the_golden_pin() {
     let mut record = String::new();
     for &(scene, _) in golden::SCENES {
         let (splats, width, height) = golden::scene_splats(scene);
-        for variant in PipelineVariant::ALL {
-            for kernel in [FragmentKernel::Scalar, FragmentKernel::Soa] {
-                for threads in [1, 2, 3] {
+        for threads in [1, 2, 3] {
+            let format = golden::config(FragmentKernel::Soa, threads).pixel_format;
+            let mut color = ColorBuffer::new(width, height, format);
+            let mut ds = DepthStencilBuffer::new(width, height);
+            let mut scratch = DrawScratch::default();
+            for variant in PipelineVariant::ALL {
+                for kernel in [FragmentKernel::Scalar, FragmentKernel::Soa] {
                     let gpu = golden::config(kernel, threads);
                     let out = draw(&splats, width, height, &gpu, variant);
                     if threads == 1 {
@@ -27,11 +34,27 @@ fn draws_match_the_golden_pin() {
                             golden::image_digest(&out.color, &out.depth_stencil),
                         ));
                     }
-                    let checked = match golden::find(scene, variant, kernel) {
-                        Some(pin) => golden::check(pin, &out.stats, &out.color, &out.depth_stencil),
-                        None => Err(format!("{scene} {variant} {kernel:?}: no pin")),
+                    let Some(pin) = golden::find(scene, variant, kernel) else {
+                        failures.push(format!("{scene} {variant} {kernel:?}: no pin"));
+                        continue;
                     };
-                    failures.extend(checked.err().map(|e| format!("threads {threads}: {e}")));
+                    let fresh = golden::check(pin, &out.stats, &out.color, &out.depth_stencil);
+                    failures.extend(fresh.err().map(|e| format!("threads {threads}: {e}")));
+                    let reused = try_draw_in_place(
+                        &splats,
+                        &gpu,
+                        variant,
+                        &mut color,
+                        &mut ds,
+                        &mut scratch,
+                    )
+                    .map_err(|e| format!("{scene} {variant} {kernel:?}: {e}"))
+                    .and_then(|stats| golden::check(pin, &stats, &color, &ds));
+                    failures.extend(
+                        reused
+                            .err()
+                            .map(|e| format!("threads {threads}, reused scratch: {e}")),
+                    );
                 }
             }
         }

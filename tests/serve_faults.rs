@@ -108,7 +108,7 @@ fn check_fault_isolation(threads: usize) {
     let faulted = &report.streams[1];
     match &faulted.phase {
         StreamPhase::Failed(StreamFault::Render { error, retries }) => {
-            assert_eq!(*retries, 3, "default retry budget must be exhausted");
+            assert_eq!(*retries, 3, "the retry budget (three) must be exhausted");
             assert!(
                 error.to_string().contains("injected persistent error"),
                 "report must name the exact cause: {error}"
@@ -427,7 +427,7 @@ fn check_batched_fault_isolation(threads: usize) {
     let faulted = &report.streams[1];
     match &faulted.phase {
         StreamPhase::Failed(StreamFault::Render { error, retries }) => {
-            assert_eq!(*retries, 3, "default retry budget must be exhausted");
+            assert_eq!(*retries, 3, "the retry budget (three) must be exhausted");
             assert!(
                 error.to_string().contains("injected persistent error"),
                 "report must name the exact cause: {error}"

@@ -4,9 +4,10 @@
 //! count, an FNV-1a digest of every [`PipelineStats`] counter and an FNV-1a
 //! digest of the color and depth/stencil bits.
 //!
-//! Included by `tests/draw_golden.rs` and by the `pipeline_variants` bench,
-//! which refuses to time a draw that has moved off the pin. A change to the
-//! draw path that is meant to be bit-exact must leave every entry as is.
+//! Included by `tests/draw_golden.rs`, which checks every pin fresh and
+//! through a reused `DrawScratch` at several host worker counts. A change
+//! to the draw path that is meant to be bit-exact must leave every entry
+//! as is.
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::stats::{CacheStats, PipelineStats};
