@@ -42,7 +42,6 @@
 use gpu_sim::binning::{BinTable, Flush, FlushReason};
 use gpu_sim::cache::Cache;
 use gpu_sim::config::{GpuConfig, L2_BYTES, L2_WAYS, MAX_TC_BIN_SIZE};
-use gpu_sim::quad::{Quad, ShadedQuad};
 use gpu_sim::raster::{rasterize_in_tile_with, SplatSetup};
 use gpu_sim::stats::{PipelineStats, Unit};
 use gpu_sim::tiles::{QuadPos, TileGridId, TileId, Tiling};
@@ -56,7 +55,7 @@ use gsplat::stream::FragmentKernel;
 
 use crate::het::{alpha_test, termination_test, TerminationRows};
 use crate::qm::{warp_counts, QuadPairs};
-use crate::shading::{merge_pair, premultiplied_fragment, shade_quad};
+use crate::shading::{shade_pair, QuadLanes, ShadeCounters};
 use crate::variant::PipelineVariant;
 
 /// Result of one simulated draw call.
@@ -80,8 +79,9 @@ pub struct DrawOutput {
 /// code can match on the variants instead of inspecting strings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DrawError {
-    /// The [`GpuConfig`] failed [`GpuConfig::validate`]; the payload is
-    /// the validator's description of the first violation.
+    /// The [`GpuConfig`] failed [`GpuConfig::validate`], or a frame
+    /// sequence's field of view is outside `(0, π)`
+    /// (`Session::run_vrpipe`); the payload describes the first violation.
     InvalidConfig(String),
     /// The caller-owned color and depth/stencil targets disagree on their
     /// dimensions (`(width, height)` of each).
@@ -475,9 +475,11 @@ struct RasterPart {
     quads: Vec<BinQuad>,
 }
 
-/// A quad as the raster arena, the TC bins and the flush records hold it:
-/// a third of a [`Quad`]'s bytes. The screen tile is implied (the pair's
-/// tile, the bin's key) and the origin follows from the tile and `pos`.
+/// A quad as the fine raster emits it into the raster arena, and as the
+/// TC bins and the flush records hold it: its primitive, its position in
+/// the screen tile and its coverage. The screen tile is implied (the
+/// pair's tile, the bin's key) and the origin follows from the tile and
+/// `pos`.
 #[derive(Debug, Clone, Copy)]
 struct BinQuad {
     splat: u32,
@@ -485,40 +487,17 @@ struct BinQuad {
     coverage: u8,
 }
 
-impl BinQuad {
-    fn new(q: &Quad) -> Self {
-        Self {
-            splat: q.splat,
-            pos: q.pos,
-            coverage: q.coverage,
-        }
-    }
-
-    /// The full quad, in screen tile `tile` of `tile_px` pixels.
-    #[inline]
-    fn quad(self, tile: TileId, tile_px: u32) -> Quad {
-        Quad {
-            tile,
-            pos: self.pos,
-            origin: (
-                tile.x * tile_px + 2 * self.pos.x as u32,
-                tile.y * tile_px + 2 * self.pos.y as u32,
-            ),
-            coverage: self.coverage,
-            splat: self.splat,
-        }
-    }
-}
-
-/// One (primitive, tile) visit: coarse-raster tiles and its quad range.
+/// One (primitive, tile) visit: coarse-raster tiles, covered fragments
+/// and its quad range.
 #[derive(Debug, Clone, Copy)]
 struct RasterPair {
     coarse_tiles: u32,
+    fragments: u32,
     quads: (u32, u32),
 }
 
 /// Fine raster of primitive `prim` in `tile`, appended to `quads`;
-/// returns the coarse-raster tile count.
+/// returns the coarse-raster tile and covered-fragment counts.
 fn raster_pair(
     setup: &SplatSetup,
     prim: u32,
@@ -526,11 +505,13 @@ fn raster_pair(
     tiling: &Tiling,
     cfg: &GpuConfig,
     quads: &mut Vec<BinQuad>,
-) -> u64 {
-    rasterize_in_tile_with(setup, prim, tile, tiling, cfg.raster_tile_px, |q| {
-        let bq = BinQuad::new(&q);
-        debug_assert_eq!(bq.quad(tile, tiling.tile_px()), q);
-        quads.push(bq);
+) -> (u64, u64) {
+    rasterize_in_tile_with(setup, tile, tiling, cfg.raster_tile_px, |pos, coverage| {
+        quads.push(BinQuad {
+            splat: prim,
+            pos,
+            coverage,
+        })
     })
 }
 
@@ -557,9 +538,11 @@ impl RasterPart {
             for tx in x0..=x1 {
                 let start = self.quads.len() as u32;
                 let tile = TileId { x: tx, y: ty };
-                let coarse = raster_pair(&setup, prim, tile, tiling, cfg, &mut self.quads);
+                let (coarse, fragments) =
+                    raster_pair(&setup, prim, tile, tiling, cfg, &mut self.quads);
                 self.pairs.push(RasterPair {
                     coarse_tiles: coarse as u32,
+                    fragments: fragments as u32,
                     quads: (start, self.quads.len() as u32),
                 });
             }
@@ -583,8 +566,9 @@ impl RasterArena {
         part.setups[j]
     }
 
-    /// Coarse-raster tiles and quads of primitive `prim` (set up as
-    /// `setup`) in tile `(tx, ty)` of its full tile rect `full`.
+    /// Coarse-raster tiles, covered fragments and quads of primitive
+    /// `prim` (set up as `setup`) in tile `(tx, ty)` of its full tile rect
+    /// `full`.
     #[allow(clippy::too_many_arguments)]
     fn pair(
         &mut self,
@@ -595,12 +579,13 @@ impl RasterArena {
         ty: u32,
         tiling: &Tiling,
         cfg: &GpuConfig,
-    ) -> (u64, &[BinQuad]) {
+    ) -> (u64, u64, &[BinQuad]) {
         if self.lazy {
             self.lazy_quads.clear();
             let tile = TileId { x: tx, y: ty };
-            let coarse = raster_pair(setup, prim, tile, tiling, cfg, &mut self.lazy_quads);
-            return (coarse, &self.lazy_quads);
+            let (coarse, fragments) =
+                raster_pair(setup, prim, tile, tiling, cfg, &mut self.lazy_quads);
+            return (coarse, fragments, &self.lazy_quads);
         }
         let (part, j) = self.locate(prim as usize);
         let offset = (ty - full.2) * (full.1 - full.0 + 1) + (tx - full.0);
@@ -608,6 +593,7 @@ impl RasterArena {
         let (start, end) = pair.quads;
         (
             pair.coarse_tiles as u64,
+            pair.fragments as u64,
             &part.quads[start as usize..end as usize],
         )
     }
@@ -656,9 +642,7 @@ struct FlushCounters {
     warps_launched: u64,
     warp_quad_slots_used: u64,
     merged_pairs: u64,
-    shaded_fragments: u64,
-    alpha_pruned_fragments: u64,
-    dead_quads: u64,
+    shade: ShadeCounters,
     crop_quads: u64,
     crop_fragments: u64,
     term_updates: u64,
@@ -674,9 +658,9 @@ impl FlushCounters {
         s.warps_launched += self.warps_launched;
         s.warp_quad_slots_used += self.warp_quad_slots_used;
         s.merged_pairs += self.merged_pairs;
-        s.shaded_fragments += self.shaded_fragments;
-        s.alpha_pruned_fragments += self.alpha_pruned_fragments;
-        s.dead_quads += self.dead_quads;
+        s.shaded_fragments += self.shade.shaded_fragments;
+        s.alpha_pruned_fragments += self.shade.alpha_pruned_fragments;
+        s.dead_quads += self.shade.dead_quads;
         s.crop_quads += self.crop_quads;
         s.crop_fragments += self.crop_fragments;
         s.term_updates += self.term_updates;
@@ -975,7 +959,7 @@ impl Pipeline<'_> {
             .add(Unit::Raster, 1.0 / self.cfg.setup_prims_per_cycle as f64);
         for ty in y0..=y1 {
             for tx in x0..=x1 {
-                let (coarse_tiles, quads) =
+                let (coarse_tiles, fragments, quads) =
                     raster.pair(prim, setup, full, tx, ty, &self.tiling, self.cfg);
                 self.stats.coarse_tiles += coarse_tiles;
                 self.pending.add(
@@ -985,10 +969,7 @@ impl Pipeline<'_> {
                 );
                 let n = quads.len() as u64;
                 self.stats.raster_quads += n;
-                self.stats.raster_fragments += quads
-                    .iter()
-                    .map(|q| (q.coverage & 0xF).count_ones() as u64)
-                    .sum::<u64>();
+                self.stats.raster_fragments += fragments;
                 self.stats.tc_insertions += n;
                 self.tc_insert_run(TileId { x: tx, y: ty }, quads);
             }
@@ -1101,7 +1082,7 @@ impl Pipeline<'_> {
             &mut vec![(); workers],
             tiles,
             Some(tile_order),
-            |_, shard, t| ctx.run_tile(shard, t),
+            |_, shard, _| ctx.run_tile(shard),
         );
     }
 
@@ -1191,18 +1172,13 @@ impl<'a> ShardCtx<'a> {
         }
     }
 
-    /// Processes the round's flushes of tile `index`, in spine order.
-    fn run_tile(&self, shard: &mut TileShard, index: usize) {
-        let tiles_x = self.tiling.tiles_x();
-        let tile = TileId {
-            x: index as u32 % tiles_x,
-            y: index as u32 / tiles_x,
-        };
+    /// Processes the round's flushes of `shard`'s tile, in spine order.
+    fn run_tile(&self, shard: &mut TileShard) {
         for k in 0..shard.flushes.len() {
             let (start, end) = self.flushes[shard.flushes[k] as usize].quads;
             let items = &self.flush_quads[start as usize..end as usize];
             let log_start = shard.log.len() as u32;
-            let cycles = self.process_flush(shard, tile, items);
+            let cycles = self.process_flush(shard, items);
             shard.outcomes.push(FlushOutcome {
                 cycles,
                 log: (log_start, shard.log.len() as u32),
@@ -1213,11 +1189,11 @@ impl<'a> ShardCtx<'a> {
     /// The heart of the pipeline: one TC-bin flush travels through ZROP
     /// (HET), PROP/QRU (QM), the SMs and CROP. ZROP tests every quad
     /// first, leaving the survivors as a bin mask; the rest is one pass in
-    /// bin order: each front quad is shaded, merged with its back quad
-    /// (which the pass then skips) and blended. Returns those units'
-    /// cycles; the ROP-cache accesses go to the shard's log for the serial
-    /// tail.
-    fn process_flush(&self, shard: &mut TileShard, tile: TileId, items: &[BinQuad]) -> WorkBatch {
+    /// bin order: each front quad is shaded into four fragment lanes,
+    /// its back quad (which the pass then skips) shaded and merged into
+    /// them, and the lanes blended. Returns those units' cycles; the
+    /// ROP-cache accesses go to the shard's log for the serial tail.
+    fn process_flush(&self, shard: &mut TileShard, items: &[BinQuad]) -> WorkBatch {
         let cfg = self.cfg;
         let log_from = shard.log.len();
         let mut batch = WorkBatch::default();
@@ -1276,17 +1252,17 @@ impl<'a> ShardCtx<'a> {
 
         // --- Shading, merge, CROP blending (+ HET alpha test unit) ---
         let mut crop_quads = 0u64;
+        let quad_in = |q: BinQuad| (&self.splats[q.splat as usize], q.coverage);
         for front in bits(survivors & !pairs.backs) {
-            let mut sq = self.shade(shard, tile, items[front]);
-            if let Some(back) = pairs.back_of(front) {
-                sq = merge_pair(&sq, &self.shade(shard, tile, items[back]));
-            }
-            if sq.is_dead() {
-                shard.counters.dead_quads += 1;
+            let q = items[front];
+            let origin = (shard.x0 + 2 * q.pos.x as u32, shard.y0 + 2 * q.pos.y as u32);
+            let back = pairs.back_of(front).map(|back| quad_in(items[back]));
+            let Some(lanes) = shade_pair(origin, quad_in(q), back, &mut shard.counters.shade)
+            else {
                 continue;
-            }
+            };
             crop_quads += 1;
-            self.blend(shard, &sq, log_from, &mut batch);
+            self.blend(shard, origin, &lanes, log_from, &mut batch);
         }
         shard.counters.crop_quads += crop_quads;
         let crop_cycles = crop_quads as f64 / cfg.crop_quads_per_cycle() as f64;
@@ -1330,40 +1306,28 @@ impl<'a> ShardCtx<'a> {
         survivors
     }
 
-    /// Shades one quad, counting its shaded and alpha-pruned fragments.
-    fn shade(&self, shard: &mut TileShard, tile: TileId, q: BinQuad) -> ShadedQuad {
-        let q = q.quad(tile, self.tiling.tile_px());
-        let sq = shade_quad(&q, &self.splats[q.splat as usize]);
-        let covered = q.coverage_count() as u64;
-        shard.counters.shaded_fragments += covered;
-        shard.counters.alpha_pruned_fragments += covered - sq.alive_count() as u64;
-        sq
-    }
-
-    /// CROP: writes a live quad's color line(s) and blends its live
-    /// fragments into the tile; the HET alpha test unit sends each newly
-    /// terminated pixel to ZROP as a termination update.
+    /// CROP: writes the color line(s) of the live quad at `origin` and
+    /// blends its live fragment lanes into the tile; the HET alpha test
+    /// unit sends each newly terminated pixel to ZROP as a termination
+    /// update.
     fn blend(
         &self,
         shard: &mut TileShard,
-        sq: &ShadedQuad,
+        origin: (u32, u32),
+        lanes: &QuadLanes,
         log_from: usize,
         batch: &mut WorkBatch,
     ) {
-        self.crop_lines(sq.quad.origin, |line| shard.log_access(log_from, line));
-        for i in 0..4 {
-            if sq.alive & (1 << i) == 0 {
-                continue;
-            }
-            let (x, y) = sq.quad.fragment_xy(i);
+        self.crop_lines(origin, |line| shard.log_access(log_from, line));
+        for i in bits(lanes.alive as u128) {
+            let (x, y) = (origin.0 + (i as u32 & 1), origin.1 + (i as u32 >> 1));
             let Some(px) = shard.index(x, y) else {
                 continue;
             };
             shard.counters.crop_fragments += 1;
-            let (rgb, a) = premultiplied_fragment(sq, i);
             let dest = shard.color[px];
             let prev_alpha = dest.a;
-            let blended = blend_over(dest, Rgba::from_rgb(rgb, a));
+            let blended = blend_over(dest, lanes.fragment(i));
             shard.color[px] = blended;
             if self.variant.het() && alpha_test(prev_alpha, blended.a) {
                 // Termination signal → ZROP update (read-modify-write

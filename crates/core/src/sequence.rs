@@ -398,9 +398,10 @@ impl Session {
     /// Renders the sequence through the simulated hardware pipeline
     /// (`gpu`/`variant`), reusing one [`DrawScratch`] and one pair of
     /// render targets across all frames. Returns per-frame records, or
-    /// the first [`DrawError`]: an invalid configuration or an empty
-    /// viewport is rejected here, before any frame is preprocessed,
-    /// instead of panicking mid-sequence.
+    /// the first [`DrawError`]: an invalid configuration (including a
+    /// `fov_y` outside `(0, π)`) or an empty viewport is rejected here,
+    /// before any frame is preprocessed, instead of panicking
+    /// mid-sequence.
     pub fn run_vrpipe(
         &mut self,
         scene: &Scene,
@@ -409,6 +410,13 @@ impl Session {
         variant: PipelineVariant,
     ) -> Result<Vec<SequenceFrameRecord>, DrawError> {
         gpu.validate().map_err(DrawError::InvalidConfig)?;
+        // Negated in-range test, so that a NaN field of view fails too.
+        if !(cfg.fov_y > 0.0 && cfg.fov_y < std::f32::consts::PI) {
+            return Err(DrawError::InvalidConfig(format!(
+                "fov_y {} is outside (0, π)",
+                cfg.fov_y
+            )));
+        }
         let (width, height) = (cfg.width, cfg.height);
         if width == 0 || height == 0 {
             return Err(DrawError::EmptyViewport { width, height });
@@ -691,6 +699,23 @@ mod tests {
                 )
                 .unwrap_err();
             assert_eq!(err, DrawError::EmptyViewport { width, height });
+        }
+        let pi = std::f32::consts::PI;
+        for fov_y in [0.0, pi, -0.5, f32::NAN, 4.0] {
+            let wide = SequenceConfig {
+                fov_y,
+                ..cfg.clone()
+            };
+            let mut session = Session::default();
+            let err = session
+                .run_vrpipe(&scene, &wide, &GpuConfig::default(), PipelineVariant::HetQm)
+                .unwrap_err();
+            assert!(
+                matches!(&err, DrawError::InvalidConfig(why) if why.contains("fov_y")),
+                "fov_y {fov_y}: {err}"
+            );
+            // Rejected before any frame was preprocessed.
+            assert_eq!(session.resort_stats(), Default::default(), "fov_y {fov_y}");
         }
     }
 

@@ -1,14 +1,21 @@
 //! Property-based tests for the VR-Pipe extensions: QRU invariants and
-//! the closed-form warp accounting against a slot-by-slot packer, merge
-//! correctness, and cross-variant image equivalence on randomized scenes.
+//! the closed-form warp accounting against a slot-by-slot packer, the
+//! lane shading kernel against the per-fragment shade → merge → blend
+//! oracle, merge correctness, and cross-variant image equivalence on
+//! randomized scenes.
+
+#[path = "support/shading_oracle.rs"]
+mod shading_oracle;
 
 use gpu_sim::config::GpuConfig;
 use gpu_sim::quad::Quad;
 use gpu_sim::tiles::{QuadPos, TileId};
+use gsplat::color::Rgba;
 use gsplat::math::{Vec2, Vec3};
 use gsplat::splat::Splat;
 use proptest::prelude::*;
 use vrpipe::qm::{warp_counts, QuadPairs};
+use vrpipe::shading::{shade_pair, ShadeCounters};
 use vrpipe::{draw, PipelineVariant};
 
 fn quad_at(pos_idx: u8, splat: u32) -> Quad {
@@ -122,7 +129,121 @@ fn splat_strategy() -> impl Strategy<Value = Splat> {
         })
 }
 
+/// A splat near a 32×32 window for the shading oracle test: mostly
+/// ordinary, with `kind` mixing in conics that give a positive power,
+/// zero and negative opacity, opacity above the [`ALPHA_MAX`] clamp, NaN
+/// fields, and a centre so far away that every fragment is pruned.
+///
+/// [`ALPHA_MAX`]: gsplat::blend::ALPHA_MAX
+fn shading_splat() -> impl Strategy<Value = Splat> {
+    (
+        (-4.0f32..36.0, -4.0f32..36.0),
+        (0.001f32..1.5, -0.8f32..0.8, 0.001f32..1.5),
+        (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
+        0.0f32..1.0,
+        0u8..20,
+    )
+        .prop_map(|((cx, cy), (a, b, c), (r, g, bl), opacity, kind)| {
+            let mut s = Splat {
+                center: Vec2::new(cx, cy),
+                depth: 1.0,
+                conic: (a, b, c),
+                axis_major: Vec2::new(8.0, 0.0),
+                axis_minor: Vec2::new(0.0, 8.0),
+                color: Vec3::new(r, g, bl),
+                opacity,
+                source: 0,
+            };
+            match kind {
+                // Negative definite: positive power off the centre.
+                0 => s.conic = (-a, b, -c),
+                // Indefinite: positive power along some directions.
+                1 => s.conic.1 = 2.0 + b,
+                2 => s.opacity = 0.0,
+                3 => s.opacity = -opacity - 0.01,
+                4 => s.opacity = 1.0 + opacity,
+                5 => s.opacity = f32::NAN,
+                6 => s.conic.0 = f32::NAN,
+                7 => s.center.x = f32::NAN,
+                8 => s.color.y = f32::NAN,
+                9 => s.center = Vec2::new(1.0e4, -1.0e4),
+                _ => {}
+            }
+            s
+        })
+}
+
+/// Asserts that two colors are the same bits, lane by lane.
+fn assert_same_bits(lane: Rgba, oracle: Rgba, at: &str) {
+    let bits = |c: Rgba| [c.r, c.g, c.b, c.a].map(f32::to_bits);
+    assert_eq!(bits(lane), bits(oracle), "{at}: {lane:?} vs {oracle:?}");
+}
+
 proptest! {
+    /// The draw's lane kernel (`shade_pair`) equals the per-fragment
+    /// shade → merge → blend oracle bit for bit on random quads: the four
+    /// pre-multiplied lanes, the alive mask, every lane blended over a
+    /// random destination, and the shaded, alpha-pruned and dead-quad
+    /// counters. Quads have random (partial, sometimes empty) coverage;
+    /// about half are merge pairs, including pairs where one side is
+    /// fully pruned; splats include the edge cases of [`shading_splat`].
+    #[test]
+    fn lane_kernel_matches_scalar_oracle(
+        cases in proptest::collection::vec(
+            (
+                (shading_splat(), shading_splat()),
+                (0u32..32, 0u32..32),
+                (0u8..16, 0u8..16),
+                0u8..2,
+                (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0),
+            ),
+            1..48,
+        ),
+    ) {
+        let mut lane_counts = ShadeCounters::default();
+        let mut oracle_counts = ShadeCounters::default();
+        for (k, ((fs, bs), origin, (fc, bc), paired, (r, g, b, a))) in cases.into_iter().enumerate() {
+            let at = format!("case {k}: {fs:?} / {bs:?} at {origin:?}, coverage {fc:#x}/{bc:#x}");
+            let quad = |coverage| Quad {
+                tile: TileId { x: origin.0 / 16, y: origin.1 / 16 },
+                pos: QuadPos { x: (origin.0 % 16 / 2) as u8, y: (origin.1 % 16 / 2) as u8 },
+                origin,
+                coverage,
+                splat: 0,
+            };
+            let back = (paired == 1).then_some((&bs, bc));
+            let lanes = shade_pair(origin, (&fs, fc), back, &mut lane_counts);
+
+            let mut shade = |q: Quad, s: &Splat| {
+                let sq = shading_oracle::shade_quad(&q, s);
+                let covered = q.coverage_count() as u64;
+                oracle_counts.shaded_fragments += covered;
+                oracle_counts.alpha_pruned_fragments += covered - sq.alive.count_ones() as u64;
+                sq
+            };
+            let mut sq = shade(quad(fc), &fs);
+            if paired == 1 {
+                sq = shading_oracle::merge_pair(&sq, &shade(quad(bc), &bs));
+            }
+            if sq.alive == 0 {
+                oracle_counts.dead_quads += 1;
+            }
+            prop_assert_eq!(lanes.is_none(), sq.alive == 0, "{}", at);
+            prop_assert_eq!(lane_counts, oracle_counts, "{}", at);
+            let Some(lanes) = lanes else { continue };
+            prop_assert_eq!(lanes.alive, sq.alive, "{}", at);
+            let dest = Rgba::new(r, g, b, a);
+            for i in 0..4 {
+                let (rgb, alpha) = shading_oracle::premultiplied_fragment(&sq, i);
+                assert_same_bits(lanes.fragment(i), Rgba::from_rgb(rgb, alpha), &at);
+                if sq.alive & (1 << i) != 0 {
+                    let blended = gsplat::blend::blend_over(dest, lanes.fragment(i));
+                    assert_same_bits(blended, shading_oracle::blend(dest, &sq, i), &at);
+                }
+            }
+        }
+    }
+
     /// QRU invariants for arbitrary bins of up to 128 quads: every quad is
     /// planned exactly once, pairs share a position with front before back,
     /// no warp exceeds 8 slots, and the bitmap matches the pairs.

@@ -33,6 +33,6 @@ pub mod tiles;
 pub mod timing;
 
 pub use config::GpuConfig;
-pub use quad::{Quad, ShadedQuad};
+pub use quad::Quad;
 pub use stats::{PipelineStats, Unit};
 pub use tiles::{QuadPos, TileGridId, TileId, Tiling};

@@ -5,8 +5,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::tiles::{QuadPos, TileId};
 
-/// A 2×2 block of fragments produced by the fine rasterizer for one
-/// primitive, addressed by its screen tile and quad position within it.
+/// A 2×2 block of fragments of one primitive, addressed by its screen tile
+/// and quad position within it. The fine raster hands the draw only a
+/// quad's position and coverage
+/// ([`rasterize_in_tile_with`](crate::raster::rasterize_in_tile_with));
+/// this self-contained form is what the reference rasters and QRU packers
+/// of the tests compare.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Quad {
     /// Screen tile containing the quad.
@@ -50,43 +54,6 @@ impl Quad {
     }
 }
 
-/// A quad annotated with shaded fragment data, flowing from the SMs to CROP.
-///
-/// After fragment shading each covered fragment carries a straight-alpha
-/// color; after quad merging a fragment may instead carry a *pre-blended*
-/// pre-multiplied color pair (the `merged` flag tells CROP which blend to
-/// apply — on hardware both reduce to the same `ffb` in pre-multiplied
-/// space; we keep the distinction for exact bookkeeping).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShadedQuad {
-    /// The rasterized quad.
-    pub quad: Quad,
-    /// Per-fragment straight RGB color (valid where `alive` bit set).
-    pub rgb: [gsplat::math::Vec3; 4],
-    /// Per-fragment alpha after Gaussian falloff evaluation.
-    pub alpha: [f32; 4],
-    /// Bitmask of fragments that survived alpha pruning (subset of
-    /// coverage).
-    pub alive: u8,
-    /// `true` when this quad is the result of a shader-side merge of two
-    /// quads; its `rgb`/`alpha` then encode a pre-multiplied partial blend.
-    pub merged: bool,
-}
-
-impl ShadedQuad {
-    /// Number of fragments that will reach the blender.
-    #[inline]
-    pub fn alive_count(&self) -> u32 {
-        (self.alive & 0xF).count_ones()
-    }
-
-    /// `true` when no fragment survived (the quad is dropped before CROP).
-    #[inline]
-    pub fn is_dead(&self) -> bool {
-        self.alive & 0xF == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,20 +82,5 @@ mod tests {
         let q = quad();
         assert_eq!(q.coverage_count(), 3);
         assert!(q.covers(0) && q.covers(1) && !q.covers(2) && q.covers(3));
-    }
-
-    #[test]
-    fn shaded_quad_alive_accounting() {
-        let sq = ShadedQuad {
-            quad: quad(),
-            rgb: [gsplat::math::Vec3::ZERO; 4],
-            alpha: [0.0; 4],
-            alive: 0b0001,
-            merged: false,
-        };
-        assert_eq!(sq.alive_count(), 1);
-        assert!(!sq.is_dead());
-        let dead = ShadedQuad { alive: 0, ..sq };
-        assert!(dead.is_dead());
     }
 }

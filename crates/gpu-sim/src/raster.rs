@@ -13,7 +13,8 @@
 //! (primitive, screen tile) pair it forms the column and row halves of the
 //! inside test once, evaluates every candidate row as one branch-free lane
 //! loop into a `u16` coverage row, and cuts each quad's 4 coverage bits out
-//! of two rows. The bits equal the per-pixel test's (DESIGN.md §4);
+//! of two rows; the pair's covered-fragment count is the popcount of its
+//! rows. The bits equal the per-pixel test's (DESIGN.md §4);
 //! `crates/gpu-sim/tests/props.rs` keeps the per-pixel raster as the
 //! oracle.
 
@@ -21,7 +22,6 @@ use gsplat::math::{Mat2, Vec2};
 use gsplat::splat::Splat;
 
 use crate::config::MAX_SCREEN_TILE_PX;
-use crate::quad::Quad;
 use crate::tiles::{QuadPos, TileId, Tiling};
 
 /// Pixels per coverage bit row: the widest screen tile
@@ -106,8 +106,10 @@ fn row_mask(ax: &[f32; LANES], ay: &[f32; LANES], bx: f32, by: f32) -> u16 {
 }
 
 /// Rasterizes one primitive (already set up) within one screen tile,
-/// handing each covered quad to `emit` in raster scan order, and returns
-/// the coarse-raster tile count.
+/// handing each covered quad to `emit` as its position in the tile and its
+/// 4-bit coverage (fragment order (0,0), (1,0), (0,1), (1,1)) in raster
+/// scan order, and returns the coarse-raster tile count and the number of
+/// covered fragments.
 ///
 /// Mirrors the hardware flow: the coarse raster walks the raster tiles of
 /// the screen tile that intersect the primitive's AABB; the fine raster
@@ -115,7 +117,9 @@ fn row_mask(ax: &[f32; LANES], ay: &[f32; LANES], bx: f32, by: f32) -> u16 {
 /// AABB clipped to the tile and the viewport — and assembles 2×2 quads,
 /// raster tile by raster tile, quad rows top to bottom, left to right.
 /// The candidate pixels are evaluated as one coverage bit row per pixel
-/// row; a quad's coverage is two bits from each of its two rows.
+/// row; a quad's coverage is two bits from each of its two rows, and the
+/// covered-fragment count is the rows' popcount (every candidate pixel
+/// lies in a visited raster tile).
 ///
 /// # Panics
 ///
@@ -125,12 +129,11 @@ fn row_mask(ax: &[f32; LANES], ay: &[f32; LANES], bx: f32, by: f32) -> u16 {
 /// [`GpuConfig::validate`]: crate::config::GpuConfig::validate
 pub fn rasterize_in_tile_with(
     setup: &SplatSetup,
-    splat_index: u32,
     tile: TileId,
     tiling: &Tiling,
     raster_tile_px: u32,
-    mut emit: impl FnMut(Quad),
-) -> u64 {
+    mut emit: impl FnMut(QuadPos, u8),
+) -> (u64, u64) {
     assert!(
         tiling.tile_px() <= MAX_SCREEN_TILE_PX,
         "screen tiles are at most {MAX_SCREEN_TILE_PX} px wide"
@@ -145,7 +148,7 @@ pub fn rasterize_in_tile_with(
     let max_x = setup.aabb.1.x.min(tile_x1 as f32 - 1.0);
     let max_y = setup.aabb.1.y.min(tile_y1 as f32 - 1.0);
     if min_x > max_x || min_y > max_y {
-        return 0;
+        return (0, 0);
     }
     let (min_x, min_y) = (min_x as u32 - tile_x0, min_y as u32 - tile_y0);
     let (max_x, max_y) = (max_x as u32 - tile_x0, max_y as u32 - tile_y0);
@@ -161,41 +164,40 @@ pub fn rasterize_in_tile_with(
     let cols = (min_x & !1, (max_x | 1).min(tiling.width() - 1 - tile_x0));
     let rows = (min_y & !1, (max_y | 1).min(tiling.height() - 1 - tile_y0));
     let masks = setup.row_masks((tile_x0, tile_y0), cols, rows);
+    let fragments = masks.iter().map(|m| m.count_ones()).sum::<u32>() as u64;
     let rt_cols = (1u32 << raster_tile_px) - 1;
-    for rty in rt0_y..=rt1_y {
-        let qy0 = (rty * raster_tile_px).max(rows.0);
-        let qy1 = (rty * raster_tile_px + raster_tile_px - 1).min(rows.1);
-        for rtx in rt0_x..=rt1_x {
+    for rty in rt0_y..rt1_y + 1 {
+        // Quad rows `qr` hold pixel rows `2 qr` and `2 qr + 1`.
+        let qr0 = (rty * raster_tile_px).max(rows.0) / 2;
+        let qr1 = (rty * raster_tile_px + raster_tile_px - 1).min(rows.1) / 2;
+        for rtx in rt0_x..rt1_x + 1 {
             let in_rt = rt_cols << (rtx * raster_tile_px);
-            for qy in (qy0..=qy1).step_by(2) {
-                let top = masks[qy as usize] as u32 & in_rt;
-                let bottom = masks[qy as usize + 1] as u32 & in_rt;
+            for qr in qr0..qr1 + 1 {
+                let top = masks[2 * qr as usize] as u32 & in_rt;
+                let bottom = masks[2 * qr as usize + 1] as u32 & in_rt;
                 let any = top | bottom;
                 // Bit c (c even) set when quad column c has a covered pixel.
                 let mut quads = (any | any >> 1) & 0x5555;
                 while quads != 0 {
                     let c = quads.trailing_zeros();
                     quads &= quads - 1;
-                    emit(Quad {
-                        tile,
-                        pos: QuadPos {
-                            x: (c / 2) as u8,
-                            y: (qy / 2) as u8,
-                        },
-                        origin: (tile_x0 + c, tile_y0 + qy),
-                        coverage: ((top >> c & 3) | (bottom >> c & 3) << 2) as u8,
-                        splat: splat_index,
-                    });
+                    let pos = QuadPos {
+                        x: (c / 2) as u8,
+                        y: qr as u8,
+                    };
+                    emit(pos, ((top >> c & 3) | (bottom >> c & 3) << 2) as u8);
                 }
             }
         }
     }
-    ((rt1_x - rt0_x + 1) * (rt1_y - rt0_y + 1)) as u64
+    let coarse = (rt1_x - rt0_x + 1) * (rt1_y - rt0_y + 1);
+    (coarse as u64, fragments)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quad::Quad;
     use gsplat::math::Vec3;
 
     fn axis_splat(cx: f32, cy: f32, rx: f32, ry: f32) -> Splat {
@@ -215,19 +217,28 @@ mod tests {
         Tiling::new(64, 64, 16)
     }
 
-    /// The quads and coarse-tile count of one (primitive, tile) pair.
+    /// The quads and coarse-tile count of one (primitive, tile) pair,
+    /// checking the returned fragment count against the quads'.
     fn rasterize_in_tile(
         setup: &SplatSetup,
-        splat_index: u32,
         tile: TileId,
         tiling: &Tiling,
         raster_tile_px: u32,
     ) -> (Vec<Quad>, u64) {
         let mut quads = Vec::new();
-        let coarse =
-            rasterize_in_tile_with(setup, splat_index, tile, tiling, raster_tile_px, |q| {
-                quads.push(q)
+        let (x0, y0) = tiling.tile_origin(tile);
+        let (coarse, fragments) =
+            rasterize_in_tile_with(setup, tile, tiling, raster_tile_px, |pos, coverage| {
+                quads.push(Quad {
+                    tile,
+                    pos,
+                    origin: (x0 + 2 * pos.x as u32, y0 + 2 * pos.y as u32),
+                    coverage,
+                    splat: 0,
+                })
             });
+        let counted: u32 = quads.iter().map(Quad::coverage_count).sum();
+        assert_eq!(fragments, counted as u64);
         (quads, coarse)
     }
 
@@ -266,8 +277,7 @@ mod tests {
         // A huge splat covering the whole 16x16 tile → 64 quads, all full.
         let s = axis_splat(8.0, 8.0, 100.0, 100.0);
         let setup = SplatSetup::new(&s).unwrap();
-        let (quads, coarse_tiles) =
-            rasterize_in_tile(&setup, 0, TileId { x: 0, y: 0 }, &tiling(), 8);
+        let (quads, coarse_tiles) = rasterize_in_tile(&setup, TileId { x: 0, y: 0 }, &tiling(), 8);
         assert_eq!(quads.len(), 64);
         assert!(quads.iter().all(|q| q.coverage == 0xF));
         assert_eq!(coarse_tiles, 4); // 2x2 raster tiles of 8x8
@@ -277,20 +287,18 @@ mod tests {
     fn small_splat_emits_few_quads() {
         let s = axis_splat(8.0, 8.0, 1.4, 1.4);
         let setup = SplatSetup::new(&s).unwrap();
-        let (quads, _) = rasterize_in_tile(&setup, 3, TileId { x: 0, y: 0 }, &tiling(), 8);
+        let (quads, _) = rasterize_in_tile(&setup, TileId { x: 0, y: 0 }, &tiling(), 8);
         assert!(!quads.is_empty() && quads.len() <= 4);
         let frags: u32 = quads.iter().map(|q| q.coverage_count()).sum();
         // ~2.8x2.8 px box around (8,8) covers pixels 6..10 in each axis.
         assert!((4..=16).contains(&frags), "frags = {frags}");
-        assert!(quads.iter().all(|q| q.splat == 3));
     }
 
     #[test]
     fn out_of_tile_splat_produces_nothing() {
         let s = axis_splat(8.0, 8.0, 2.0, 2.0);
         let setup = SplatSetup::new(&s).unwrap();
-        let (quads, coarse_tiles) =
-            rasterize_in_tile(&setup, 0, TileId { x: 3, y: 3 }, &tiling(), 8);
+        let (quads, coarse_tiles) = rasterize_in_tile(&setup, TileId { x: 3, y: 3 }, &tiling(), 8);
         assert!(quads.is_empty());
         assert_eq!(coarse_tiles, 0);
     }
@@ -307,7 +315,7 @@ mod tests {
         let mut emitted = std::collections::HashSet::new();
         for ty in 0..4 {
             for tx in 0..4 {
-                let (quads, _) = rasterize_in_tile(&setup, 0, TileId { x: tx, y: ty }, &t, 8);
+                let (quads, _) = rasterize_in_tile(&setup, TileId { x: tx, y: ty }, &t, 8);
                 for q in quads {
                     for i in 0..4 {
                         if q.covers(i) {
@@ -333,7 +341,7 @@ mod tests {
     fn quads_are_in_scan_order_within_tile() {
         let s = axis_splat(8.0, 8.0, 100.0, 100.0);
         let setup = SplatSetup::new(&s).unwrap();
-        let (quads, _) = rasterize_in_tile(&setup, 0, TileId { x: 0, y: 0 }, &tiling(), 8);
+        let (quads, _) = rasterize_in_tile(&setup, TileId { x: 0, y: 0 }, &tiling(), 8);
         // Raster-tile-major, then scan order within; positions never repeat.
         let mut seen = std::collections::HashSet::new();
         for q in &quads {

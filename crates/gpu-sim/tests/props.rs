@@ -328,7 +328,8 @@ fn obb(cx: f32, cy: f32, len: f32, aspect: f32, angle: f32) -> Splat {
 }
 
 /// Asserts that the row-mask raster and the per-pixel reference emit the
-/// same quads in the same order, and the same coarse-tile count, for
+/// same quads in the same order, the same coarse-tile count, and that the
+/// raster's fragment count is the reference's covered-pixel count, for
 /// `splat` in every tile of a `w`×`h` viewport that overlaps the 48-px
 /// square at `(x0, y0)`, at every valid tile pair.
 fn assert_raster_matches_reference(splat: &Splat, (w, h): (u32, u32), (x0, y0): (u32, u32)) {
@@ -342,13 +343,18 @@ fn assert_raster_matches_reference(splat: &Splat, (w, h): (u32, u32), (x0, y0): 
             for tx in tiles(x0, tiling.tiles_x()) {
                 let tile = TileId { x: tx, y: ty };
                 let mut quads = Vec::new();
-                let coarse =
-                    rasterize_in_tile_with(&setup, 7, tile, &tiling, raster, |q| quads.push(q));
+                let (coarse, fragments) =
+                    rasterize_in_tile_with(&setup, tile, &tiling, raster, |pos, coverage| {
+                        quads.push((pos, coverage))
+                    });
                 let (expect, expect_coarse) =
                     raster_reference::rasterize_in_tile(&setup, 7, tile, &tiling, raster);
                 let at = format!("{splat:?} in {w}x{h}, tile {tile:?} of {screen}/{raster} px");
-                assert_eq!(quads, expect, "{at}");
+                let expect_quads: Vec<_> = expect.iter().map(|q| (q.pos, q.coverage)).collect();
+                assert_eq!(quads, expect_quads, "{at}");
                 assert_eq!(coarse, expect_coarse, "{at}");
+                let covered: u32 = expect.iter().map(|q| q.coverage_count()).sum();
+                assert_eq!(fragments, covered as u64, "{at}");
             }
         }
     }

@@ -136,16 +136,26 @@ impl PixelAccumulator {
     }
 }
 
+/// The exponent `-½ dᵀ Σ'⁻¹ d` of the 2D Gaussian falloff, given the conic
+/// (inverse covariance) coefficients `(a, b, c)` and the pixel offset `d`
+/// from the splat center: the one definition every fragment evaluation
+/// (scalar here, four lanes at a time in the simulated draw's shader)
+/// shares, so they all form the same `f32` operations in the same order.
+#[inline]
+pub fn gaussian_power(conic: (f32, f32, f32), dx: f32, dy: f32) -> f32 {
+    -0.5 * (conic.0 * dx * dx + conic.2 * dy * dy) - conic.1 * dx * dy
+}
+
 /// Evaluates the 2D Gaussian falloff `exp(-½ dᵀ Σ'⁻¹ d)` given the conic
 /// (inverse covariance) coefficients `(a, b, c)` and the pixel offset `d`
 /// from the splat center.
 ///
 /// This is exactly the fragment-shader computation the paper describes: a
 /// dot product on the normalized pixel coordinate plus one exponential.
-/// Returns 0 for numerically invalid (negative) power terms.
+/// Returns 0 for numerically invalid (positive) power terms.
 #[inline]
 pub fn gaussian_falloff(conic: (f32, f32, f32), dx: f32, dy: f32) -> f32 {
-    let power = -0.5 * (conic.0 * dx * dx + conic.2 * dy * dy) - conic.1 * dx * dy;
+    let power = gaussian_power(conic, dx, dy);
     if power > 0.0 {
         // Numerical artifact: the quadratic form must be non-positive.
         return 0.0;
