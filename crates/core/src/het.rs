@@ -40,9 +40,10 @@ pub struct TerminationRows([u16; MAX_SCREEN_TILE_PX as usize]);
 
 impl TerminationRows {
     /// The flags of the quad whose top-left pixel is window pixel `(x, y)`
-    /// (both even), as a 4-bit mask in [`Quad::coverage`] fragment order.
+    /// (both even), as a 4-bit mask in the fine raster's coverage fragment
+    /// order ([`rasterize_in_tile_with`]).
     ///
-    /// [`Quad::coverage`]: gpu_sim::quad::Quad::coverage
+    /// [`rasterize_in_tile_with`]: gpu_sim::raster::rasterize_in_tile_with
     #[inline]
     pub fn quad(&self, x: u32, y: u32) -> u8 {
         let row = |r: u32| (self.0[r as usize] >> x) as u8 & 3;

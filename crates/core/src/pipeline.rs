@@ -15,29 +15,35 @@
 //! The simulated pipeline is order-dependent (bin evictions, cache state,
 //! the flow-shop timer), but its pixel work is not: a TC flush holds quads
 //! of one screen tile, so flushes of different tiles commute. A draw runs
-//! in four phases over the host threads of [`GpuConfig::thread_policy`];
-//! the parallel ones fork through [`gsplat::par::for_each_claimed`]:
+//! in rounds of about `ROUND_QUADS` flushed quads, each through three
+//! phases, on the host workers of [`GpuConfig::thread_policy`]:
 //!
-//! 1. **Prologue** (parallel): triangle setup and fine raster of every
-//!    primitive over its whole tile rect — pure per primitive.
-//! 2. **Spine** (serial): vertex accounting, TGC/TC insertion, evictions
-//!    and drains in draw order; a (primitive, tile) pair's quads enter the
+//! 1. **Spine** (calling thread): vertex accounting, triangle setup and
+//!    TGC/TC insertion in draw order. It fine-rasterizes each (primitive,
+//!    screen tile) pair when it reaches it, and the pair's quads enter the
 //!    TC bins as one run. It records each TC flush with the upstream work
 //!    batch it closes, and reads no pixel.
-//! 3. **Shards** (parallel, per screen tile): each tile's flushes in spine
-//!    order, on the tile's own pixels and termination state. ZROP tests a
-//!    flush's quads into a survivor mask, the QRU pairs the survivors, and
-//!    one pass in bin order shades each front quad with its back, merges
-//!    and blends it in CROP, logging the ROP-cache accesses. Nothing is
-//!    staged between the units.
-//! 4. **Tail** (serial): replays the cache logs through the CROP/z/L2
-//!    models and pushes each flush's timing batch, in spine order.
+//! 2. **Shards** (any worker, per screen tile): each tile's flushes of the
+//!    round in spine order, on the tile's own pixels and termination
+//!    state. ZROP tests a flush's quads into a survivor mask, the QRU pairs
+//!    the survivors, and one pass in bin order shades each front quad with
+//!    its back, merges and blends it in CROP, logging the ROP-cache
+//!    accesses. Nothing is staged between the units.
+//! 3. **Tail** (calling thread): replays the round's cache logs through the
+//!    CROP/z/L2 models and pushes each flush's timing batch, in spine
+//!    order.
+//!
+//! Rounds are pipelined through a [`gsplat::par::with_crew`] crew whose
+//! helpers live for the whole draw: while they shard a closed round, the
+//! calling thread replays the tail of the round before it and records the
+//! next one, and when it closes that one it helps finish the shards. With
+//! one worker the same steps run in turn on the calling thread.
 //!
 //! Simulated results are bit-exact for every `threads` setting (DESIGN.md
-//! §4). The raster arena, the flush records and the tile shards, like the
+//! §4). The setups, the two round buffers and the tile shards, like the
 //! bin tables and caches themselves (reset to power-on state per draw),
-//! live in a reusable [`DrawScratch`]; at `threads: 1` every phase runs
-//! inline and the steady-state frame loop is allocation-free.
+//! live in a reusable [`DrawScratch`]; at `threads: 1` the steady-state
+//! frame loop is allocation-free.
 
 use gpu_sim::binning::{BinTable, Flush, FlushReason};
 use gpu_sim::cache::Cache;
@@ -49,9 +55,10 @@ use gpu_sim::timing::{PipelineTimer, WorkBatch};
 use gsplat::blend::blend_over;
 use gsplat::color::Rgba;
 use gsplat::framebuffer::{ColorBuffer, DepthStencilBuffer};
-use gsplat::par::for_each_claimed;
+use gsplat::par::{with_crew, Crew};
 use gsplat::splat::Splat;
 use gsplat::stream::FragmentKernel;
+use std::sync::{Mutex, PoisonError};
 
 use crate::het::{alpha_test, termination_test, TerminationRows};
 use crate::qm::{warp_counts, QuadPairs};
@@ -171,29 +178,28 @@ impl From<gsplat::asset::AssetError> for DrawError {
     }
 }
 
-/// Reusable per-draw buffers: the prologue's setup and fine-raster arena,
-/// the spine's flush records, the per-tile shards and the hardware-unit
-/// models (bin tables and caches, reset to power-on
-/// state at the top of every draw). Holding one of these across draws
-/// removes all steady-state allocation from a `threads: 1` draw; it never
-/// changes a result.
+/// Reusable per-draw buffers: the spine's setups and pair raster, the two
+/// rounds of flush records and shard outputs, the per-tile shards and the
+/// hardware-unit models (bin tables and caches, reset to power-on state at
+/// the top of every draw). Holding one of these across draws removes all
+/// steady-state allocation from a `threads: 1` draw; it never changes a
+/// result.
 #[derive(Debug, Default)]
 pub struct DrawScratch {
     /// TC/TGC bin tables and CROP/z/L2 caches, built on first use and
     /// rebuilt only when the configuration changes their geometry.
     units: Option<Units>,
-    /// Setup of every primitive and fine raster of every (primitive,
-    /// screen tile) pair (parallel prologue output).
-    raster: RasterArena,
-    /// TC flushes in spine order.
-    flushes: Vec<SpineFlush>,
-    /// The quads of every TC flush, flush after flush in spine order.
-    flush_quads: Vec<BinQuad>,
+    /// Per primitive reached so far, in draw order: its setup (`None` when
+    /// degenerate).
+    setups: Vec<Option<SplatSetup>>,
+    /// The fine raster of the (primitive, tile) pair the spine reached
+    /// last.
+    pair_quads: Vec<BinQuad>,
+    /// The round the spine records and the round the shards and the tail
+    /// work on.
+    rounds: [Round; 2],
     /// One shard per screen tile, row-major.
-    tiles: Vec<TileShard>,
-    /// Tiles with flushes, heaviest first: the claim order of the
-    /// parallel shard phase.
-    tile_order: Vec<u32>,
+    tiles: Vec<Mutex<TileShard>>,
 }
 
 /// Simulates one draw call of depth-sorted splats.
@@ -309,42 +315,122 @@ pub fn try_draw_in_place(
             depth_stencil: (ds.width(), ds.height()),
         });
     }
+    Ok(draw_in_rounds(
+        splats,
+        cfg,
+        variant,
+        color,
+        ds,
+        scratch,
+        ROUND_QUADS,
+    ))
+}
+
+/// The draw behind [`try_draw_in_place`], closing a round once it holds
+/// `round_quads` recorded flush quads (results never depend on it).
+// vrlint: hot
+fn draw_in_rounds(
+    splats: &[Splat],
+    cfg: &GpuConfig,
+    variant: PipelineVariant,
+    color: &mut ColorBuffer,
+    ds: &mut DepthStencilBuffer,
+    scratch: &mut DrawScratch,
+    round_quads: usize,
+) -> PipelineStats {
     let (width, height) = (color.width(), color.height());
     color.reset(width, height, cfg.pixel_format);
     ds.reset(width, height);
     let tiling = Tiling::new(width, height, cfg.screen_tile_px);
-    let units = Units::power_on(&mut scratch.units, cfg);
-    scratch.flushes.clear();
-    scratch.flush_quads.clear();
-    scratch.tile_order.clear();
-    scratch
-        .tiles
-        .resize_with(tiling.tile_count(), TileShard::default);
-    for shard in &mut scratch.tiles {
-        shard.touched = false;
-    }
-    let mut pipeline = Pipeline {
-        splats,
-        cfg,
-        variant,
-        tiling,
+    let DrawScratch {
         units,
+        setups,
+        pair_quads,
+        rounds,
+        tiles,
+    } = scratch;
+    let Units {
+        crop_cache,
+        z_cache,
+        l2,
+        tc,
+        tgc,
+    } = Units::power_on(units, cfg);
+    setups.clear();
+    let [mut round, mut spare] = std::mem::take(rounds);
+    round.resize(tiling.tile_count());
+    spare.resize(tiling.tile_count());
+    tiles.resize_with(tiling.tile_count(), Mutex::default);
+    for shard in tiles.iter_mut() {
+        shard
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .touched = false;
+    }
+    let tail = Tail {
+        cfg,
+        crop_cache,
+        z_cache,
+        l2,
         timer: PipelineTimer::new(),
-        stats: PipelineStats::default(),
-        pending: WorkBatch::default(),
-        round_quads: if cfg.thread_policy().workers(tiling.tile_count()) <= 1 {
-            SERIAL_ROUND_QUADS
-        } else {
-            usize::MAX
-        },
-        scratch,
     };
-    pipeline.prologue();
-    let mut raster = std::mem::take(&mut pipeline.scratch.raster);
-    pipeline.spine(&mut raster);
-    pipeline.scratch.raster = raster;
-    pipeline.run_round();
-    Ok(pipeline.finish(color, ds))
+    let ctx = ShardCtx::new(splats, cfg, variant, &tiling, tiles);
+    let workers = cfg.thread_policy().workers(tiling.tile_count());
+    let (mut stats, tc, tgc, tail) = with_crew(
+        workers - 1,
+        |round: &Round, k| ctx.run_claim(round, k),
+        |crew| {
+            let mut spine = Spine {
+                splats,
+                cfg,
+                variant,
+                tiling,
+                tc,
+                tgc,
+                setups,
+                pair_quads,
+                stats: PipelineStats::default(),
+                pending: WorkBatch::default(),
+                round,
+                spare,
+                round_quads,
+                tail,
+                crew,
+            };
+            spine.run();
+            *rounds = [spine.round, spine.spare];
+            (spine.stats, spine.tc, spine.tgc, spine.tail)
+        },
+    );
+    for shard in tiles.iter_mut() {
+        let shard = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if shard.touched {
+            shard.scatter(color, ds);
+            shard.counters.fold_into(&mut stats);
+        }
+    }
+    let Tail {
+        mut crop_cache,
+        mut z_cache,
+        l2,
+        timer,
+        ..
+    } = tail;
+    crop_cache.flush();
+    z_cache.flush();
+    stats.crop_cache = crop_cache.stats();
+    stats.z_cache = z_cache.stats();
+    let (total, busy) = timer.finish();
+    stats.total_cycles = total;
+    stats.busy_cycles = busy;
+    *units = Some(Units {
+        crop_cache,
+        z_cache,
+        l2,
+        tc,
+        tgc,
+    });
+    stats
 }
 
 /// Cache-log tag of a z-cache (stencil-line) access; it doubles as the
@@ -358,7 +444,8 @@ const Z_WRITE: u64 = 1 << 63;
 const RUN_SHIFT: u32 = 48;
 const RUN_MASK: u64 = ((1 << 14) - 1) << RUN_SHIFT;
 
-/// The stateful hardware-unit models one draw drives.
+/// The stateful hardware-unit models one draw drives: the spine's bin
+/// tables and the tail's caches.
 #[derive(Debug)]
 struct Units {
     crop_cache: Cache,
@@ -407,196 +494,23 @@ impl Units {
             _ => Units::new(cfg),
         }
     }
-
-    /// Replays one cache-log entry — a run of identical ROP-cache
-    /// accesses (CROP color-line writes, or [`Z_LINE`]-tagged stencil-line
-    /// accesses) — with the L2/DRAM fill of its first access; the rest of
-    /// the run hits.
-    fn replay(&mut self, entry: u64, cfg: &GpuConfig, batch: &mut WorkBatch) {
-        let run = ((entry & RUN_MASK) >> RUN_SHIFT) as u32 + 1;
-        let access = entry & !RUN_MASK;
-        let (line, hit) = if access & Z_LINE != 0 {
-            let line = access & !Z_WRITE;
-            (
-                line,
-                self.z_cache.access_run(line, access & Z_WRITE != 0, run),
-            )
-        } else {
-            (access, self.crop_cache.access_run(access, true, run))
-        };
-        if !hit {
-            // A ROP-cache miss fills from L2; an L2 miss goes to DRAM.
-            let bytes = cfg.cache_line_bytes as f64;
-            batch.add(Unit::L2, bytes / cfg.l2_bytes_per_cycle as f64);
-            if !self.l2.access(line, false) {
-                batch.add(Unit::Dram, bytes / cfg.dram_bytes_per_cycle as f64);
-            }
-        }
-    }
 }
 
-/// Quads per round when one host worker runs every phase: a few dozen
-/// flushes, so a round's quads and ROP-cache log stay in the host's
-/// private caches while the per-round bookkeeping stays negligible.
-const SERIAL_ROUND_QUADS: usize = 4096;
+/// Recorded flush quads that close a round: a few dozen flushes, so a
+/// round's quads and ROP-cache log stay in the host's private caches,
+/// while the hand-off of a round to the shard workers (a lock and a
+/// wake-up, some microseconds) stays small against its work.
+const ROUND_QUADS: usize = 4096;
 
-/// Prologue claims per host worker: enough chunks that workers finish
-/// together although raster work per primitive varies widely (the
-/// nearest, largest splats come first in draw order).
-const PROLOGUE_CHUNKS_PER_WORKER: usize = 8;
-
-/// The setup of every primitive and the fine raster of every (primitive,
-/// screen tile) pair of a draw, one part per prologue chunk of
-/// `1 << shift` primitives (a power of two, so finding a primitive's part
-/// is a shift and a mask).
-///
-/// With one host worker nothing runs beside the spine, so the prologue
-/// stores setups only and the spine rasterizes each pair when it reaches
-/// it (`lazy`), keeping the draw's working set as small as a single
-/// pair's quads.
-#[derive(Debug, Default)]
-struct RasterArena {
-    shift: u32,
-    parts: Vec<RasterPart>,
-    lazy: bool,
-    /// The pair rasterized last, when `lazy`.
-    lazy_quads: Vec<BinQuad>,
-}
-
-/// The setups and fine raster of one chunk of primitives. A primitive's
-/// pairs are contiguous and row-major over its full tile rect.
-#[derive(Debug, Default)]
-struct RasterPart {
-    /// Per primitive of the chunk: its setup (`None` when degenerate).
-    setups: Vec<Option<SplatSetup>>,
-    /// Per primitive of the chunk: index of its first pair.
-    first: Vec<u32>,
-    pairs: Vec<RasterPair>,
-    quads: Vec<BinQuad>,
-}
-
-/// A quad as the fine raster emits it into the raster arena, and as the
-/// TC bins and the flush records hold it: its primitive, its position in
-/// the screen tile and its coverage. The screen tile is implied (the
-/// pair's tile, the bin's key) and the origin follows from the tile and
-/// `pos`.
+/// A quad as the fine raster emits it, and as the TC bins and the flush
+/// records hold it: its primitive, its position in the screen tile and its
+/// coverage. The screen tile is implied (the pair's tile, the bin's key)
+/// and the origin follows from the tile and `pos`.
 #[derive(Debug, Clone, Copy)]
 struct BinQuad {
     splat: u32,
     pos: QuadPos,
     coverage: u8,
-}
-
-/// One (primitive, tile) visit: coarse-raster tiles, covered fragments
-/// and its quad range.
-#[derive(Debug, Clone, Copy)]
-struct RasterPair {
-    coarse_tiles: u32,
-    fragments: u32,
-    quads: (u32, u32),
-}
-
-/// Fine raster of primitive `prim` in `tile`, appended to `quads`;
-/// returns the coarse-raster tile and covered-fragment counts.
-fn raster_pair(
-    setup: &SplatSetup,
-    prim: u32,
-    tile: TileId,
-    tiling: &Tiling,
-    cfg: &GpuConfig,
-    quads: &mut Vec<BinQuad>,
-) -> (u64, u64) {
-    rasterize_in_tile_with(setup, tile, tiling, cfg.raster_tile_px, |pos, coverage| {
-        quads.push(BinQuad {
-            splat: prim,
-            pos,
-            coverage,
-        })
-    })
-}
-
-impl RasterPart {
-    /// Appends primitive `prim`'s setup and, unless `lazy`, its raster
-    /// over its full tile rect.
-    fn push_prim(
-        &mut self,
-        setup: Option<SplatSetup>,
-        prim: u32,
-        tiling: &Tiling,
-        cfg: &GpuConfig,
-        lazy: bool,
-    ) {
-        self.setups.push(setup);
-        self.first.push(self.pairs.len() as u32);
-        let Some(setup) = setup.filter(|_| !lazy) else {
-            return;
-        };
-        let Some((x0, x1, y0, y1)) = tile_rect(tiling, &setup) else {
-            return;
-        };
-        for ty in y0..=y1 {
-            for tx in x0..=x1 {
-                let start = self.quads.len() as u32;
-                let tile = TileId { x: tx, y: ty };
-                let (coarse, fragments) =
-                    raster_pair(&setup, prim, tile, tiling, cfg, &mut self.quads);
-                self.pairs.push(RasterPair {
-                    coarse_tiles: coarse as u32,
-                    fragments: fragments as u32,
-                    quads: (start, self.quads.len() as u32),
-                });
-            }
-        }
-    }
-}
-
-impl RasterArena {
-    /// Part and index within it of primitive `prim`.
-    #[inline]
-    fn locate(&self, prim: usize) -> (&RasterPart, usize) {
-        (
-            &self.parts[prim >> self.shift],
-            prim & ((1 << self.shift) - 1),
-        )
-    }
-
-    /// The setup of primitive `prim` (`None` when degenerate).
-    fn setup(&self, prim: usize) -> Option<SplatSetup> {
-        let (part, j) = self.locate(prim);
-        part.setups[j]
-    }
-
-    /// Coarse-raster tiles, covered fragments and quads of primitive
-    /// `prim` (set up as `setup`) in tile `(tx, ty)` of its full tile rect
-    /// `full`.
-    #[allow(clippy::too_many_arguments)]
-    fn pair(
-        &mut self,
-        prim: u32,
-        setup: &SplatSetup,
-        full: (u32, u32, u32, u32),
-        tx: u32,
-        ty: u32,
-        tiling: &Tiling,
-        cfg: &GpuConfig,
-    ) -> (u64, u64, &[BinQuad]) {
-        if self.lazy {
-            self.lazy_quads.clear();
-            let tile = TileId { x: tx, y: ty };
-            let (coarse, fragments) =
-                raster_pair(setup, prim, tile, tiling, cfg, &mut self.lazy_quads);
-            return (coarse, fragments, &self.lazy_quads);
-        }
-        let (part, j) = self.locate(prim as usize);
-        let offset = (ty - full.2) * (full.1 - full.0 + 1) + (tx - full.0);
-        let pair = part.pairs[(part.first[j] + offset) as usize];
-        let (start, end) = pair.quads;
-        (
-            pair.coarse_tiles as u64,
-            pair.fragments as u64,
-            &part.quads[start as usize..end as usize],
-        )
-    }
 }
 
 /// The inclusive screen-tile rect `(x0, x1, y0, y1)` a primitive's AABB
@@ -608,14 +522,15 @@ fn tile_rect(tiling: &Tiling, setup: &SplatSetup) -> Option<(u32, u32, u32, u32)
     )
 }
 
-/// One TC flush as the serial spine records it.
+/// One TC flush as the spine records it.
 #[derive(Debug, Clone, Copy)]
 struct SpineFlush {
     /// Row-major screen-tile index.
     tile: u32,
-    /// Ordinal among its tile's flushes (index into the shard's outcomes).
+    /// Ordinal among its tile's flushes of the round (index into the
+    /// tile's outcomes).
     slot: u32,
-    /// Range of its quads in `DrawScratch::flush_quads`.
+    /// Range of its quads in [`Round::quads`].
     quads: (u32, u32),
     /// The upstream work accumulated since the previous flush.
     pending: WorkBatch,
@@ -626,12 +541,79 @@ struct SpineFlush {
 struct FlushOutcome {
     /// ZROP, PROP, SM and CROP cycles (no other unit is touched).
     cycles: WorkBatch,
-    /// Range of its ROP-cache log entries in the shard's log.
+    /// Range of its ROP-cache log entries in the tile's log.
     log: (u32, u32),
 }
 
+/// The TC flushes the spine recorded between two round closes, and what
+/// the shards made of them for the tail. The spine owns a round while it
+/// records it; the shards then read the records and write only the
+/// per-tile outputs, each behind its own lock; the tail reads both.
+#[derive(Debug, Default)]
+struct Round {
+    /// TC flushes in spine order.
+    flushes: Vec<SpineFlush>,
+    /// The quads of every flush, flush after flush in spine order.
+    quads: Vec<BinQuad>,
+    /// Tiles with flushes, in the order the shard workers claim them:
+    /// heaviest first when workers share the round.
+    tile_order: Vec<u32>,
+    /// Per screen tile: its flushes of the round.
+    tiles: Vec<TileFlushes>,
+    /// Per screen tile: what its shard made of those flushes.
+    outputs: Vec<Mutex<TileOutput>>,
+}
+
+/// One tile's TC flushes of a round.
+#[derive(Debug, Default)]
+struct TileFlushes {
+    /// Spine-order indices into [`Round::flushes`].
+    flushes: Vec<u32>,
+    /// Quads over those flushes (the claim-order weight).
+    quads: u64,
+}
+
+/// What one tile's shard made of its flushes of a round. Aligned, like
+/// [`TileShard`], to two cache lines, so workers on neighbouring tiles
+/// never write the same line.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct TileOutput {
+    /// One per flush, in the tile's spine order.
+    outcomes: Vec<FlushOutcome>,
+    /// ROP-cache accesses of those flushes, in issue order.
+    log: Vec<u64>,
+}
+
+impl Round {
+    /// Sizes the per-tile slots for `tiles` screen tiles. A draw hands
+    /// both rounds back to the scratch cleared (a draw that panics drops
+    /// them), so the slots are empty.
+    fn resize(&mut self, tiles: usize) {
+        self.tiles.resize_with(tiles, TileFlushes::default);
+        self.outputs.resize_with(tiles, Mutex::default);
+    }
+
+    /// Drops the round's flushes once the tail has replayed them.
+    fn clear(&mut self) {
+        for &t in &self.tile_order {
+            let tile = &mut self.tiles[t as usize];
+            tile.flushes.clear();
+            tile.quads = 0;
+            let out = self.outputs[t as usize]
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            out.outcomes.clear();
+            out.log.clear();
+        }
+        self.tile_order.clear();
+        self.flushes.clear();
+        self.quads.clear();
+    }
+}
+
 /// The work counters TC-flush processing adds to. Kept per tile shard and
-/// folded into [`PipelineStats`] after the shards join: `u64` sums
+/// folded into [`PipelineStats`] at the end of the draw: `u64` sums
 /// commute, so the totals never depend on which worker ran which tile.
 #[derive(Debug, Default, Clone, Copy)]
 struct FlushCounters {
@@ -668,18 +650,14 @@ impl FlushCounters {
     }
 }
 
-/// Everything one screen tile's TC flushes touch: the tile's pixels (color
-/// and termination flags), its retired flag, the work counters, and the
-/// per-flush outcomes and ROP-cache access log the serial tail replays. A
-/// shard is owned by one worker at a time.
+/// Everything one screen tile's TC flushes touch across rounds: the
+/// tile's pixels (color and termination flags), its retired flag and the
+/// work counters. A shard is owned by one worker at a time.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 struct TileShard {
     /// The tile has had a flush this draw (its pixel window is live).
     touched: bool,
-    /// Spine-order indices of this tile's flushes in the current round.
-    flushes: Vec<u32>,
-    /// Quads over those flushes (the claim-order weight).
-    quads: u64,
     /// Pixel window: origin and extent (clipped to the viewport).
     x0: u32,
     y0: u32,
@@ -693,10 +671,6 @@ struct TileShard {
     /// Every pixel of the window has terminated (HET variants).
     retired: bool,
     counters: FlushCounters,
-    /// One per flush of the current round, in this tile's spine order.
-    outcomes: Vec<FlushOutcome>,
-    /// ROP-cache accesses of those flushes, in issue order.
-    log: Vec<u64>,
 }
 
 impl TileShard {
@@ -716,30 +690,6 @@ impl TileShard {
         self.terminated = TerminationRows::default();
         self.retired = false;
         self.counters = FlushCounters::default();
-        self.end_round();
-    }
-
-    /// Drops the current round's flushes once the tail has replayed them.
-    fn end_round(&mut self) {
-        self.flushes.clear();
-        self.quads = 0;
-        self.outcomes.clear();
-        self.log.clear();
-    }
-
-    /// Logs one ROP-cache access of the flush whose log starts at `from`,
-    /// extending the previous entry's run when it is the same access.
-    fn log_access(&mut self, from: usize, access: u64) {
-        debug_assert!(
-            access & RUN_MASK == 0,
-            "line address overflows into the run field"
-        );
-        match self.log.get_mut(from..).and_then(|flush| flush.last_mut()) {
-            Some(last) if *last & !RUN_MASK == access && *last & RUN_MASK != RUN_MASK => {
-                *last += 1 << RUN_SHIFT;
-            }
-            _ => self.log.push(access),
-        }
     }
 
     /// Window index of pixel `(x, y)`, when the pixel lies in the window.
@@ -761,103 +711,150 @@ impl TileShard {
     }
 }
 
-/// Internal per-draw-call state of the serial phases.
-struct Pipeline<'a> {
+/// Logs one ROP-cache access of the flush whose log starts at `from`,
+/// extending the previous entry's run when it is the same access.
+fn log_access(log: &mut Vec<u64>, from: usize, access: u64) {
+    debug_assert!(
+        access & RUN_MASK == 0,
+        "line address overflows into the run field"
+    );
+    match log.get_mut(from..).and_then(|flush| flush.last_mut()) {
+        Some(last) if *last & !RUN_MASK == access && *last & RUN_MASK != RUN_MASK => {
+            *last += 1 << RUN_SHIFT;
+        }
+        _ => log.push(access),
+    }
+}
+
+/// The tail's state: the ROP and L2 cache models and the flow-shop timer,
+/// fed round after round in spine order.
+struct Tail<'a> {
+    cfg: &'a GpuConfig,
+    crop_cache: Cache,
+    z_cache: Cache,
+    l2: Cache,
+    timer: PipelineTimer,
+}
+
+impl Tail<'_> {
+    /// Replays each flush's ROP-cache log (adding the L2/DRAM fills) and
+    /// pushes its timing batch, in spine order.
+    fn replay(&mut self, round: &mut Round) {
+        let Round {
+            flushes, outputs, ..
+        } = round;
+        for flush in flushes.iter() {
+            let out = outputs[flush.tile as usize]
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            let outcome = &out.outcomes[flush.slot as usize];
+            // `pending` never touches ZROP/PROP/CROP/L2/DRAM and the flush
+            // adds to SM once, so every per-unit f64 sum is formed in the
+            // same order as processing the flush in place would form it.
+            let mut batch = flush.pending;
+            for (b, c) in batch.cycles.iter_mut().zip(outcome.cycles.cycles) {
+                *b += c;
+            }
+            let (start, end) = outcome.log;
+            for &entry in &out.log[start as usize..end as usize] {
+                self.access(entry, &mut batch);
+            }
+            self.timer.push(batch);
+        }
+    }
+
+    /// Replays one cache-log entry — a run of identical ROP-cache
+    /// accesses (CROP color-line writes, or [`Z_LINE`]-tagged stencil-line
+    /// accesses) — with the L2/DRAM fill of its first access; the rest of
+    /// the run hits.
+    fn access(&mut self, entry: u64, batch: &mut WorkBatch) {
+        let cfg = self.cfg;
+        let run = ((entry & RUN_MASK) >> RUN_SHIFT) as u32 + 1;
+        let access = entry & !RUN_MASK;
+        let (line, hit) = if access & Z_LINE != 0 {
+            let line = access & !Z_WRITE;
+            (
+                line,
+                self.z_cache.access_run(line, access & Z_WRITE != 0, run),
+            )
+        } else {
+            (access, self.crop_cache.access_run(access, true, run))
+        };
+        if !hit {
+            // A ROP-cache miss fills from L2; an L2 miss goes to DRAM.
+            let bytes = cfg.cache_line_bytes as f64;
+            batch.add(Unit::L2, bytes / cfg.l2_bytes_per_cycle as f64);
+            if !self.l2.access(line, false) {
+                batch.add(Unit::Dram, bytes / cfg.dram_bytes_per_cycle as f64);
+            }
+        }
+    }
+}
+
+/// The spine's state, on the calling thread: the bin tables, the upstream
+/// work and the round it records, plus the tail it feeds and the crew
+/// that shards its closed rounds.
+struct Spine<'a, 'c> {
     splats: &'a [Splat],
     cfg: &'a GpuConfig,
     variant: PipelineVariant,
     tiling: Tiling,
-    /// Taken from the scratch for the draw and returned at its end.
-    units: Units,
-    timer: PipelineTimer,
+    tc: BinTable<TileId, BinQuad>,
+    tgc: BinTable<TileGridId, u32>,
+    setups: &'a mut Vec<Option<SplatSetup>>,
+    pair_quads: &'a mut Vec<BinQuad>,
     stats: PipelineStats,
     /// Upstream work accumulated since the last TC flush.
     pending: WorkBatch,
-    /// Recorded flush quads that close a round: shard and tail run once
-    /// the spine has recorded this many. With one host worker a round is
-    /// [`SERIAL_ROUND_QUADS`], so its quads and cache log are consumed
-    /// while still in cache; otherwise the whole draw is one round.
+    /// The round being recorded.
+    round: Round,
+    /// The other round buffer while no round is in flight.
+    spare: Round,
+    /// Recorded flush quads that close a round.
     round_quads: usize,
-    scratch: &'a mut DrawScratch,
+    tail: Tail<'a>,
+    crew: &'c Crew<'c, Round>,
 }
 
-impl Pipeline<'_> {
-    /// Parallel prologue: triangle setup and fine raster of every
-    /// primitive over its whole tile rect. Pure per-splat work over
-    /// contiguous chunks, one arena part per chunk, so every result is
-    /// independent of the thread count.
-    fn prologue(&mut self) {
-        let (splats, cfg, tiling) = (self.splats, self.cfg, &self.tiling);
-        let raster = &mut self.scratch.raster;
-        let n = splats.len();
-        let workers = cfg.thread_policy().workers(n);
-        let chunks = if workers > 1 {
-            workers * PROLOGUE_CHUNKS_PER_WORKER
-        } else {
-            1
-        };
-        let chunk = n.div_ceil(chunks).max(1).next_power_of_two();
-        raster.shift = chunk.trailing_zeros();
-        raster.lazy = workers <= 1;
-        let lazy = raster.lazy;
-        raster
-            .parts
-            .resize_with(n.div_ceil(chunk).max(1), RasterPart::default);
-        // Raster workers need no state of their own: one `()` each (a
-        // `Vec` of a zero-sized type never allocates).
-        for_each_claimed(
-            &mut vec![(); workers],
-            &mut raster.parts,
-            None,
-            |_, part, c| {
-                part.setups.clear();
-                part.first.clear();
-                part.pairs.clear();
-                part.quads.clear();
-                let start = c * chunk;
-                for (i, splat) in splats.iter().enumerate().take(start + chunk).skip(start) {
-                    part.push_prim(SplatSetup::new(splat), i as u32, tiling, cfg, lazy);
-                }
-            },
-        );
-    }
-
-    /// Serial spine: replays vertex accounting, TGC/TC insertion, bin
-    /// evictions and drains in draw order, recording every TC flush with
-    /// the upstream work pending at that moment. Nothing here reads a
-    /// pixel, so the flush sequence is fixed before any pixel work runs.
-    fn spine(&mut self, raster: &mut RasterArena) {
-        // Degenerate (singular-axes) primitives were culled at setup —
-        // count them so zero-area inputs are observable, never silent.
-        self.stats.degenerate_prims = raster
-            .parts
-            .iter()
-            .flat_map(|p| &p.setups)
-            .filter(|s| s.is_none())
-            .count() as u64;
+impl Spine<'_, '_> {
+    /// Replays vertex accounting, setup, TGC/TC insertion with the fine
+    /// raster, bin evictions and drains in draw order, closing rounds as
+    /// it goes, then shards and replays the last rounds and pushes the
+    /// trailing upstream work. Nothing in the spine reads a pixel, so the
+    /// flush sequence is fixed before any pixel work runs.
+    fn run(&mut self) {
         if self.variant.qm() {
-            self.run_with_tgc(raster);
+            self.run_with_tgc();
         } else {
-            self.run_direct(raster);
+            self.run_direct();
         }
         // End-of-draw: drain the TC unit (subsumes the timeout flush).
-        while let Some(flush) = self.units.tc.drain_next() {
+        while let Some(flush) = self.tc.drain_next() {
             self.record_tc_flush(flush);
+        }
+        self.close_round();
+        if let Some(mut last) = self.crew.take() {
+            self.tail.replay(&mut last);
+            last.clear();
+            self.spare = last;
+        }
+        // Push any trailing upstream work.
+        if self.pending.total() > 0.0 {
+            self.tail.timer.push(std::mem::take(&mut self.pending));
         }
     }
 
     /// Baseline path: each primitive rasterizes across all its screen
     /// tiles immediately, in draw order.
-    fn run_direct(&mut self, raster: &mut RasterArena) {
+    fn run_direct(&mut self) {
         for i in 0..self.splats.len() {
-            self.account_vertex(i);
-            let Some(setup) = raster.setup(i) else {
+            let Some(setup) = self.account_vertex(i) else {
                 continue;
             };
             let Some(rect) = tile_rect(&self.tiling, &setup) else {
                 continue;
             };
-            self.rasterize_rect(raster, i as u32, &setup, rect, rect);
+            self.rasterize_rect(i as u32, &setup, rect);
         }
     }
 
@@ -868,11 +865,10 @@ impl Pipeline<'_> {
     /// Each primitive is accounted, then inserted into the TGC bin of
     /// every tile grid its tile rect touches, x-major: the same visit
     /// order as sorting `TileGridId`s (lexicographic by x, then y).
-    fn run_with_tgc(&mut self, raster: &mut RasterArena) {
+    fn run_with_tgc(&mut self) {
         let g = self.cfg.tile_grid_tiles;
         for i in 0..self.splats.len() {
-            self.account_vertex(i);
-            let Some(setup) = raster.setup(i) else {
+            let Some(setup) = self.account_vertex(i) else {
                 continue;
             };
             let Some((x0, x1, y0, y1)) = tile_rect(&self.tiling, &setup) else {
@@ -882,23 +878,27 @@ impl Pipeline<'_> {
                 for gy in y0 / g..=y1 / g {
                     self.stats.tgc_insertions += 1;
                     self.pending.add(Unit::Tgc, 1.0);
-                    for flush in self.units.tgc.insert(TileGridId { x: gx, y: gy }, i as u32) {
-                        self.process_tgc_flush(raster, flush.key, &flush.items);
-                        self.units.tgc.recycle(flush.items);
+                    for flush in self.tgc.insert(TileGridId { x: gx, y: gy }, i as u32) {
+                        self.process_tgc_flush(flush.key, &flush.items);
+                        self.tgc.recycle(flush.items);
                     }
                 }
             }
         }
-        while let Some(flush) = self.units.tgc.drain_next() {
-            self.process_tgc_flush(raster, flush.key, &flush.items);
-            self.units.tgc.recycle(flush.items);
+        while let Some(flush) = self.tgc.drain_next() {
+            self.process_tgc_flush(flush.key, &flush.items);
+            self.tgc.recycle(flush.items);
         }
-        let s = self.units.tgc.stats();
+        let s = self.tgc.stats();
         self.stats.tgc_flushes = s.flushes;
         self.stats.tgc_evictions = s.evictions;
     }
 
-    fn account_vertex(&mut self, _index: usize) {
+    /// Vertex accounting and triangle setup of primitive `index`; returns
+    /// its setup, `None` when degenerate. Degenerate (singular-axes)
+    /// primitives are culled here and counted, so zero-area inputs are
+    /// observable, never silent.
+    fn account_vertex(&mut self, index: usize) -> Option<SplatSetup> {
         self.stats.primitives += 1;
         self.pending
             .add(Unit::Vpo, 1.0 / self.cfg.vpo_prims_per_cycle as f64);
@@ -906,21 +906,24 @@ impl Pipeline<'_> {
             Unit::Sm,
             self.cfg.vertex_shader_cycles_per_prim as f64 / self.cfg.simt_cores as f64,
         );
+        let setup = SplatSetup::new(&self.splats[index]);
+        self.stats.degenerate_prims += u64::from(setup.is_none());
+        self.setups.push(setup);
+        setup
     }
 
     /// Rasterizes a TGC flush: every primitive in the bin, restricted to
     /// the screen tiles of that tile grid.
-    fn process_tgc_flush(&mut self, raster: &mut RasterArena, grid: TileGridId, prims: &[u32]) {
+    fn process_tgc_flush(&mut self, grid: TileGridId, prims: &[u32]) {
         let g = self.cfg.tile_grid_tiles;
         for &prim in prims {
-            let Some(setup) = raster.setup(prim as usize) else {
+            let Some(setup) = self.setups[prim as usize] else {
                 continue;
             };
-            let Some(full) = tile_rect(&self.tiling, &setup) else {
+            let Some((x0, x1, y0, y1)) = tile_rect(&self.tiling, &setup) else {
                 continue;
             };
             // Intersect the primitive's tile rect with this grid's tiles.
-            let (x0, x1, y0, y1) = full;
             let rect = (
                 x0.max(grid.x * g),
                 x1.min(grid.x * g + g - 1),
@@ -930,13 +933,13 @@ impl Pipeline<'_> {
             if rect.0 > rect.1 || rect.2 > rect.3 {
                 continue;
             }
-            self.rasterize_rect(raster, prim, &setup, full, rect);
+            self.rasterize_rect(prim, &setup, rect);
         }
     }
 
-    /// Feeds the raster of the inclusive tile rectangle
-    /// `rect = (x0, x1, y0, y1)` — within the primitive's full tile rect
-    /// `full` — through setup/coarse/fine accounting into the TC unit.
+    /// Fine-rasterizes primitive `prim` in each tile of the inclusive tile
+    /// rectangle `rect = (x0, x1, y0, y1)` and feeds every pair through
+    /// setup/coarse/fine accounting into the TC unit.
     ///
     /// Retired tiles are deliberately *not* skipped here: their quads must
     /// keep flowing into the TC bins so bin-pressure evictions — and with
@@ -946,21 +949,28 @@ impl Pipeline<'_> {
     /// tile's quads wholesale at flush time (see
     /// [`ShardCtx::process_flush`]), which is exact. This is also what lets
     /// the spine run ahead of all pixel work.
-    fn rasterize_rect(
-        &mut self,
-        raster: &mut RasterArena,
-        prim: u32,
-        setup: &SplatSetup,
-        full: (u32, u32, u32, u32),
-        rect: (u32, u32, u32, u32),
-    ) {
+    fn rasterize_rect(&mut self, prim: u32, setup: &SplatSetup, rect: (u32, u32, u32, u32)) {
         let (x0, x1, y0, y1) = rect;
         self.pending
             .add(Unit::Raster, 1.0 / self.cfg.setup_prims_per_cycle as f64);
+        let mut quads = std::mem::take(self.pair_quads);
         for ty in y0..=y1 {
             for tx in x0..=x1 {
-                let (coarse_tiles, fragments, quads) =
-                    raster.pair(prim, setup, full, tx, ty, &self.tiling, self.cfg);
+                let tile = TileId { x: tx, y: ty };
+                quads.clear();
+                let (coarse_tiles, fragments) = rasterize_in_tile_with(
+                    setup,
+                    tile,
+                    &self.tiling,
+                    self.cfg.raster_tile_px,
+                    |pos, coverage| {
+                        quads.push(BinQuad {
+                            splat: prim,
+                            pos,
+                            coverage,
+                        })
+                    },
+                );
                 self.stats.coarse_tiles += coarse_tiles;
                 self.pending.add(
                     Unit::Raster,
@@ -971,9 +981,10 @@ impl Pipeline<'_> {
                 self.stats.raster_quads += n;
                 self.stats.raster_fragments += fragments;
                 self.stats.tc_insertions += n;
-                self.tc_insert_run(TileId { x: tx, y: ty }, quads);
+                self.tc_insert_run(tile, &quads);
             }
         }
+        *self.pair_quads = quads;
     }
 
     /// Inserts one (primitive, tile) pair's quads into the TC unit as a
@@ -983,7 +994,7 @@ impl Pipeline<'_> {
     fn tc_insert_run(&mut self, tile: TileId, mut quads: &[BinQuad]) {
         let cycles = 1.0 / self.cfg.tc_quads_per_cycle as f64;
         while !quads.is_empty() {
-            let (n, flushes) = self.units.tc.insert_run(tile, quads);
+            let (n, flushes) = self.tc.insert_run(tile, quads);
             for _ in 0..n {
                 self.pending.add(Unit::Tc, cycles);
             }
@@ -994,157 +1005,85 @@ impl Pipeline<'_> {
         }
     }
 
-    /// Records one TC flush for its tile's shard: its quads, and the
-    /// upstream work batch it closes.
+    /// Records one TC flush in the round: its quads, and the upstream work
+    /// batch it closes. Closes the round once it holds `round_quads`
+    /// quads and the crew is done with the round before it.
     fn record_tc_flush(&mut self, flush: Flush<TileId, BinQuad>) {
         self.stats.tc_flushes += 1;
         if flush.reason == FlushReason::Evicted {
             self.stats.tc_evictions += 1;
         }
-        let DrawScratch {
-            flushes,
-            flush_quads,
-            tiles,
-            tile_order,
-            ..
-        } = &mut *self.scratch;
+        let round = &mut self.round;
         let tile = flush.key.y * self.tiling.tiles_x() + flush.key.x;
-        let shard = &mut tiles[tile as usize];
-        if !shard.touched {
-            shard.reset(&self.tiling, tile as usize);
+        let part = &mut round.tiles[tile as usize];
+        if part.flushes.is_empty() {
+            round.tile_order.push(tile);
         }
-        if shard.flushes.is_empty() {
-            tile_order.push(tile);
-        }
-        let start = flush_quads.len() as u32;
-        flush_quads.extend_from_slice(&flush.items);
-        shard.quads += flush.items.len() as u64;
-        shard.flushes.push(flushes.len() as u32);
-        flushes.push(SpineFlush {
+        let start = round.quads.len() as u32;
+        round.quads.extend_from_slice(&flush.items);
+        part.quads += flush.items.len() as u64;
+        part.flushes.push(round.flushes.len() as u32);
+        round.flushes.push(SpineFlush {
             tile,
-            slot: shard.flushes.len() as u32 - 1,
-            quads: (start, flush_quads.len() as u32),
+            slot: part.flushes.len() as u32 - 1,
+            quads: (start, round.quads.len() as u32),
             pending: std::mem::take(&mut self.pending),
         });
-        self.units.tc.recycle(flush.items);
-        if self.scratch.flush_quads.len() >= self.round_quads {
-            self.run_round();
+        self.tc.recycle(flush.items);
+        // A full round waits for the crew to finish the round before it;
+        // meanwhile this thread runs one of that round's shards per flush
+        // it records, while one is left unclaimed.
+        if self.round.quads.len() >= self.round_quads && !self.crew.help() && self.crew.idle() {
+            self.close_round();
         }
     }
 
-    /// Runs the recorded round of flushes through the shard and tail
-    /// phases, then drops it.
-    fn run_round(&mut self) {
-        self.shard_tiles();
-        self.replay_round();
-        let DrawScratch {
-            flushes,
-            flush_quads,
-            tiles,
-            tile_order,
-            ..
-        } = &mut *self.scratch;
-        for &t in tile_order.iter() {
-            tiles[t as usize].end_round();
+    /// Hands the recorded round to the crew and goes on recording into the
+    /// other buffer. The round before it must be done first (this thread
+    /// helps finish its shards); its tail then runs here while the crew
+    /// shards the new round. With no helpers the new round is sharded
+    /// and replayed at once.
+    fn close_round(&mut self) {
+        if self.round.flushes.is_empty() {
+            return;
         }
-        tile_order.clear();
-        flushes.clear();
-        flush_quads.clear();
-    }
-
-    /// Per-tile shards: every tile's flushes of the round, in spine order,
-    /// on the host workers. Tiles own disjoint pixels, termination state
-    /// and logs, so which worker runs which tile never changes a result.
-    /// Workers claim tiles heaviest first; with one worker the tiles run
-    /// inline.
-    fn shard_tiles(&mut self) {
-        let DrawScratch {
-            flushes,
-            flush_quads,
-            tiles,
-            tile_order,
-            ..
-        } = &mut *self.scratch;
-        let ctx = ShardCtx::new(
-            self.splats,
-            self.cfg,
-            self.variant,
-            &self.tiling,
-            flushes,
-            flush_quads,
-        );
-        let workers = self.cfg.thread_policy().workers(tile_order.len());
-        if workers > 1 {
+        if self.crew.helpers() > 0 {
+            let Round {
+                tile_order, tiles, ..
+            } = &mut self.round;
             tile_order.sort_unstable_by_key(|&t| std::cmp::Reverse(tiles[t as usize].quads));
         }
-        // Shard workers need no state of their own (see `prologue`).
-        for_each_claimed(
-            &mut vec![(); workers],
-            tiles,
-            Some(tile_order),
-            |_, shard, _| ctx.run_tile(shard),
-        );
-    }
-
-    /// Serial tail: replays each flush's ROP-cache log (adding the L2/DRAM
-    /// fills) and pushes its timing batch, in spine order.
-    fn replay_round(&mut self) {
-        let DrawScratch { flushes, tiles, .. } = &*self.scratch;
-        for flush in flushes {
-            let shard = &tiles[flush.tile as usize];
-            let outcome = &shard.outcomes[flush.slot as usize];
-            // `pending` never touches ZROP/PROP/CROP/L2/DRAM and the flush
-            // adds to SM once, so every per-unit f64 sum is formed in the
-            // same order as processing the flush in place would form it.
-            let mut batch = flush.pending;
-            for (b, c) in batch.cycles.iter_mut().zip(outcome.cycles.cycles) {
-                *b += c;
+        let mut done = self.crew.take();
+        let claims = self.round.tile_order.len();
+        self.crew.post(std::mem::take(&mut self.round), claims);
+        if self.crew.helpers() == 0 {
+            done = self.crew.take();
+        }
+        self.round = match done {
+            Some(mut done) => {
+                self.tail.replay(&mut done);
+                done.clear();
+                done
             }
-            let (start, end) = outcome.log;
-            for &entry in &shard.log[start as usize..end as usize] {
-                self.units.replay(entry, self.cfg, &mut batch);
-            }
-            self.timer.push(batch);
-        }
-    }
-
-    /// End of draw: pushes the trailing upstream work, writes the tile
-    /// windows back and finishes the stats.
-    fn finish(mut self, color: &mut ColorBuffer, ds: &mut DepthStencilBuffer) -> PipelineStats {
-        // Push any trailing upstream work.
-        if self.pending.total() > 0.0 {
-            let batch = std::mem::take(&mut self.pending);
-            self.timer.push(batch);
-        }
-        self.units.crop_cache.flush();
-        self.units.z_cache.flush();
-        for shard in self.scratch.tiles.iter().filter(|s| s.touched) {
-            shard.scatter(color, ds);
-            shard.counters.fold_into(&mut self.stats);
-        }
-
-        self.stats.crop_cache = self.units.crop_cache.stats();
-        self.stats.z_cache = self.units.z_cache.stats();
-        let (total, busy) = self.timer.finish();
-        self.stats.total_cycles = total;
-        self.stats.busy_cycles = busy;
-        self.scratch.units = Some(self.units);
-        self.stats
+            None => std::mem::take(&mut self.spare),
+        };
     }
 }
 
-/// The read-only draw state every shard worker shares.
+/// The read-only draw state every shard worker shares, and the tile
+/// shards they claim.
 struct ShardCtx<'a> {
     splats: &'a [Splat],
     cfg: &'a GpuConfig,
     variant: PipelineVariant,
     tiling: &'a Tiling,
-    flushes: &'a [SpineFlush],
-    flush_quads: &'a [BinQuad],
+    tiles: &'a [Mutex<TileShard>],
     /// Color-cache line geometry (pixels per line block).
     line_block: (u32, u32),
     /// Line blocks per framebuffer row.
     line_blocks_x: u64,
+    /// Stencil-line blocks (16×8 pixels) per framebuffer row.
+    z_blocks_x: u64,
 }
 
 impl<'a> ShardCtx<'a> {
@@ -1153,8 +1092,7 @@ impl<'a> ShardCtx<'a> {
         cfg: &'a GpuConfig,
         variant: PipelineVariant,
         tiling: &'a Tiling,
-        flushes: &'a [SpineFlush],
-        flush_quads: &'a [BinQuad],
+        tiles: &'a [Mutex<TileShard>],
     ) -> Self {
         // A 128-B color line covers a `(128/bpp/4)`-wide × 4-tall pixel
         // block.
@@ -1165,23 +1103,33 @@ impl<'a> ShardCtx<'a> {
             cfg,
             variant,
             tiling,
-            flushes,
-            flush_quads,
+            tiles,
             line_block,
             line_blocks_x: tiling.width().div_ceil(line_block.0) as u64,
+            z_blocks_x: tiling.width().div_ceil(16) as u64,
         }
     }
 
-    /// Processes the round's flushes of `shard`'s tile, in spine order.
-    fn run_tile(&self, shard: &mut TileShard) {
-        for k in 0..shard.flushes.len() {
-            let (start, end) = self.flushes[shard.flushes[k] as usize].quads;
-            let items = &self.flush_quads[start as usize..end as usize];
-            let log_start = shard.log.len() as u32;
-            let cycles = self.process_flush(shard, items);
-            shard.outcomes.push(FlushOutcome {
+    /// Claim `k` of a round: the round's flushes of its `k`-th tile in
+    /// claim order, in spine order.
+    fn run_claim(&self, round: &Round, k: usize) {
+        let t = round.tile_order[k] as usize;
+        let mut shard = self.tiles[t].lock().unwrap_or_else(PoisonError::into_inner);
+        let mut out = round.outputs[t]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if !shard.touched {
+            shard.reset(self.tiling, t);
+        }
+        let TileOutput { outcomes, log } = &mut *out;
+        for &f in &round.tiles[t].flushes {
+            let (start, end) = round.flushes[f as usize].quads;
+            let items = &round.quads[start as usize..end as usize];
+            let log_start = log.len() as u32;
+            let cycles = self.process_flush(&mut shard, log, items);
+            outcomes.push(FlushOutcome {
                 cycles,
-                log: (log_start, shard.log.len() as u32),
+                log: (log_start, log.len() as u32),
             });
         }
     }
@@ -1192,10 +1140,15 @@ impl<'a> ShardCtx<'a> {
     /// bin order: each front quad is shaded into four fragment lanes,
     /// its back quad (which the pass then skips) shaded and merged into
     /// them, and the lanes blended. Returns those units' cycles; the
-    /// ROP-cache accesses go to the shard's log for the serial tail.
-    fn process_flush(&self, shard: &mut TileShard, items: &[BinQuad]) -> WorkBatch {
+    /// ROP-cache accesses go to `log` for the tail.
+    fn process_flush(
+        &self,
+        shard: &mut TileShard,
+        log: &mut Vec<u64>,
+        items: &[BinQuad],
+    ) -> WorkBatch {
         let cfg = self.cfg;
-        let log_from = shard.log.len();
+        let log_from = log.len();
         let mut batch = WorkBatch::default();
 
         // --- ZROP early-termination test (HET) ---
@@ -1223,7 +1176,7 @@ impl<'a> ShardCtx<'a> {
                 Unit::Zrop,
                 items.len() as f64 / cfg.zrop_quads_per_cycle as f64,
             );
-            self.zrop_test(shard, items)
+            self.zrop_test(shard, log, items)
         };
         if survivors == 0 {
             return batch;
@@ -1262,7 +1215,7 @@ impl<'a> ShardCtx<'a> {
                 continue;
             };
             crop_quads += 1;
-            self.blend(shard, origin, &lanes, log_from, &mut batch);
+            self.blend(shard, log, origin, &lanes, log_from, &mut batch);
         }
         shard.counters.crop_quads += crop_quads;
         let crop_cycles = crop_quads as f64 / cfg.crop_quads_per_cycle() as f64;
@@ -1275,9 +1228,9 @@ impl<'a> ShardCtx<'a> {
 
     /// The ZROP termination test of every quad of a flush: returns the
     /// survivors as a bin mask. Each quad reads one z-cache (stencil)
-    /// line; the reads are logged as [`TileShard::log_access`] would fold
-    /// them (the flush's log is empty before them).
-    fn zrop_test(&self, shard: &mut TileShard, items: &[BinQuad]) -> u128 {
+    /// line; the reads are logged as [`log_access`] would fold them (the
+    /// flush's log is empty before them).
+    fn zrop_test(&self, shard: &mut TileShard, log: &mut Vec<u64>, items: &[BinQuad]) -> u128 {
         let mut survivors = 0u128;
         let mut entry = None;
         for (i, q) in items.iter().enumerate() {
@@ -1288,7 +1241,7 @@ impl<'a> ShardCtx<'a> {
                     Some(e + (1 << RUN_SHIFT))
                 }
                 done => {
-                    shard.log.extend(done);
+                    log.extend(done);
                     Some(line)
                 }
             };
@@ -1302,7 +1255,7 @@ impl<'a> ShardCtx<'a> {
                 c.zrop_term_discarded_fragments += (q.coverage & 0xF).count_ones() as u64;
             }
         }
-        shard.log.extend(entry);
+        log.extend(entry);
         survivors
     }
 
@@ -1313,12 +1266,13 @@ impl<'a> ShardCtx<'a> {
     fn blend(
         &self,
         shard: &mut TileShard,
+        log: &mut Vec<u64>,
         origin: (u32, u32),
         lanes: &QuadLanes,
         log_from: usize,
         batch: &mut WorkBatch,
     ) {
-        self.crop_lines(origin, |line| shard.log_access(log_from, line));
+        self.crop_lines(origin, |line| log_access(log, log_from, line));
         for i in bits(lanes.alive as u128) {
             let (x, y) = (origin.0 + (i as u32 & 1), origin.1 + (i as u32 >> 1));
             let Some(px) = shard.index(x, y) else {
@@ -1333,7 +1287,7 @@ impl<'a> ShardCtx<'a> {
                 // Termination signal → ZROP update (read-modify-write
                 // of the stencil line through the z-cache).
                 shard.counters.term_updates += 1;
-                shard.log_access(log_from, self.z_line((x, y)) | Z_WRITE);
+                log_access(log, log_from, self.z_line((x, y)) | Z_WRITE);
                 batch.add(Unit::Zrop, 0.5);
                 shard.terminated.set(x - shard.x0, y - shard.y0);
                 // The retired flag is set either way (only its
@@ -1372,8 +1326,7 @@ impl<'a> ShardCtx<'a> {
     /// The [`Z_LINE`]-tagged stencil line under a quad or pixel.
     fn z_line(&self, origin: (u32, u32)) -> u64 {
         // 128-B stencil line = 16×8 pixel block at 1 B/pixel.
-        let blocks_x = self.tiling.width().div_ceil(16) as u64;
-        let line = (origin.1 / 8) as u64 * blocks_x + (origin.0 / 16) as u64;
+        let line = (origin.1 / 8) as u64 * self.z_blocks_x + (origin.0 / 16) as u64;
         line | Z_LINE
     }
 }
@@ -1624,6 +1577,72 @@ mod tests {
         }
     }
 
+    #[test]
+    fn many_rounds_on_many_workers_match_one_worker() {
+        // Rounds of a handful of quads, so one draw spans hundreds of
+        // rounds and every hand-off between the spine, the shard workers
+        // and the tail runs many times: a tile's flushes spread over many
+        // rounds, tiles retire in one round and discard flushes in later
+        // ones, and TC evictions interleave tiles within a round.
+        const ROUND: usize = 8;
+        let stacked = stacked_splats(40, 0.5);
+        let scattered = scattered_splats(120, 90, 70);
+        let flat = flat_stacked(60);
+        let soa = GpuConfig {
+            kernel: FragmentKernel::Soa,
+            ..cfg()
+        };
+        let cases = [
+            ("one tile over many rounds", &stacked, 16, 16, cfg()),
+            ("TC evictions", &scattered, 90, 70, small_units()),
+            ("fewer tiles than workers", &stacked, 20, 12, cfg()),
+            ("SoA tile retirement", &flat, 40, 40, soa),
+        ];
+        for (case, splats, w, h, gpu) in cases {
+            let draw_at = |threads: usize, v: PipelineVariant| {
+                let gpu = GpuConfig {
+                    threads,
+                    ..gpu.clone()
+                };
+                let mut color = ColorBuffer::new(w, h, gpu.pixel_format);
+                let mut ds = DepthStencilBuffer::new(w, h);
+                let mut scratch = DrawScratch::default();
+                let stats =
+                    draw_in_rounds(splats, &gpu, v, &mut color, &mut ds, &mut scratch, ROUND);
+                (stats, color, ds)
+            };
+            for v in PipelineVariant::ALL {
+                let reference = draw(
+                    splats,
+                    w,
+                    h,
+                    &GpuConfig {
+                        threads: 1,
+                        ..gpu.clone()
+                    },
+                    v,
+                );
+                assert!(
+                    reference.stats.raster_quads >= 24 * ROUND as u64,
+                    "{case}: {v} spans too few rounds"
+                );
+                if v.het() && case == "SoA tile retirement" {
+                    assert!(reference.stats.retired_tile_skips > 0, "{case}: {v}");
+                }
+                if case == "TC evictions" {
+                    assert!(reference.stats.tc_evictions > 0, "{case}: {v}");
+                }
+                for threads in [1usize, 2, 3, 5] {
+                    let (stats, color, ds) = draw_at(threads, v);
+                    let at = format!("{case}: {v} threads={threads}");
+                    assert_eq!(stats, reference.stats, "{at}");
+                    assert_eq!(color.max_abs_diff(&reference.color), 0.0, "{at}");
+                    assert_eq!(ds, reference.depth_stencil, "{at}");
+                }
+            }
+        }
+    }
+
     /// Wide, nearly-flat splats that saturate whole tiles quickly.
     fn flat_stacked(n: usize) -> Vec<Splat> {
         let mut v = stacked_splats(n, 0.9);
@@ -1735,7 +1754,7 @@ mod tests {
             };
             for (w, h) in [(33, 27), (32, 32), (7, 5)] {
                 let tiling = Tiling::new(w, h, gpu.screen_tile_px);
-                let ctx = ShardCtx::new(&[], &gpu, PipelineVariant::Baseline, &tiling, &[], &[]);
+                let ctx = ShardCtx::new(&[], &gpu, PipelineVariant::Baseline, &tiling, &[]);
                 let (bw, bh) = ctx.line_block;
                 for (x, y) in (0..h)
                     .step_by(2)

@@ -117,6 +117,26 @@ impl SequenceConfig {
         self.indexed = true;
         self
     }
+
+    /// Checks what every frame's camera needs: a field of view inside
+    /// `(0, π)` ([`DrawError::InvalidConfig`]) and a viewport with pixels
+    /// ([`DrawError::EmptyViewport`]). [`Session::run_vrpipe`] and serve's
+    /// attach both refuse a configuration that fails it, before any frame
+    /// runs.
+    pub fn validate(&self) -> Result<(), DrawError> {
+        // Negated in-range test, so that a NaN field of view fails too.
+        if !(self.fov_y > 0.0 && self.fov_y < std::f32::consts::PI) {
+            return Err(DrawError::InvalidConfig(format!(
+                "fov_y {} is outside (0, π)",
+                self.fov_y
+            )));
+        }
+        let (width, height) = (self.width, self.height);
+        if width == 0 || height == 0 {
+            return Err(DrawError::EmptyViewport { width, height });
+        }
+        Ok(())
+    }
 }
 
 /// Everything a backend needs to render one frame of a sequence: the
@@ -398,10 +418,10 @@ impl Session {
     /// Renders the sequence through the simulated hardware pipeline
     /// (`gpu`/`variant`), reusing one [`DrawScratch`] and one pair of
     /// render targets across all frames. Returns per-frame records, or
-    /// the first [`DrawError`]: an invalid configuration (including a
-    /// `fov_y` outside `(0, π)`) or an empty viewport is rejected here,
-    /// before any frame is preprocessed, instead of panicking
-    /// mid-sequence.
+    /// the first [`DrawError`]: an invalid GPU configuration, or a
+    /// sequence configuration that fails [`SequenceConfig::validate`], is
+    /// rejected here, before any frame is preprocessed, instead of
+    /// panicking mid-sequence.
     pub fn run_vrpipe(
         &mut self,
         scene: &Scene,
@@ -410,17 +430,7 @@ impl Session {
         variant: PipelineVariant,
     ) -> Result<Vec<SequenceFrameRecord>, DrawError> {
         gpu.validate().map_err(DrawError::InvalidConfig)?;
-        // Negated in-range test, so that a NaN field of view fails too.
-        if !(cfg.fov_y > 0.0 && cfg.fov_y < std::f32::consts::PI) {
-            return Err(DrawError::InvalidConfig(format!(
-                "fov_y {} is outside (0, π)",
-                cfg.fov_y
-            )));
-        }
-        let (width, height) = (cfg.width, cfg.height);
-        if width == 0 || height == 0 {
-            return Err(DrawError::EmptyViewport { width, height });
-        }
+        cfg.validate()?;
         self.prepare(scene, cfg);
         let mut draw = VrPipeDraw::new(gpu.clone(), variant);
         (0..cfg.frames)

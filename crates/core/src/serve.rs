@@ -20,7 +20,9 @@
 //! ([`Server::with_admission`]): [`AdmissionPolicy::Queue`] parks excess
 //! streams in `Admitted` until capacity frees, [`AdmissionPolicy::Reject`]
 //! refuses them at the door ([`AttachOutcome::Rejected`] hands the spec
-//! back).
+//! back). A stream whose configuration fails [`SequenceConfig::validate`]
+//! is refused at attach under every policy ([`AttachOutcome::Invalid`]
+//! names the reason), never admitted to fail on its first frame.
 //!
 //! **Deadlines, EDF, watchdog.** A stream with a frame period
 //! ([`StreamSpec::with_deadline_ms`]; a frame-rate target `fps` is the
@@ -205,7 +207,7 @@ pub enum AdmissionPolicy {
     /// Refuse the stream at the door: [`Server::attach`] returns
     /// [`AttachOutcome::Rejected`] with the spec handed back. (A
     /// [`ServerHandle::attach`] under this policy silently drops the
-    /// spec — the handle is fire-and-forget.)
+    /// spec — the handle's admission is fire-and-forget.)
     Reject,
 }
 
@@ -733,14 +735,22 @@ pub enum AttachOutcome<R> {
         /// The capacity that was full.
         capacity: usize,
     },
+    /// The spec's configuration failed [`SequenceConfig::validate`]: the
+    /// spec is handed back with the reason.
+    Invalid {
+        /// The refused spec.
+        spec: Box<StreamSpec<R>>,
+        /// Why its configuration cannot render a frame.
+        error: DrawError,
+    },
 }
 
 impl<R> AttachOutcome<R> {
-    /// The admitted id, or `None` when rejected.
+    /// The admitted id, or `None` when refused.
     pub fn id(&self) -> Option<usize> {
         match self {
             AttachOutcome::Admitted { id } => Some(*id),
-            AttachOutcome::Rejected { .. } => None,
+            AttachOutcome::Rejected { .. } | AttachOutcome::Invalid { .. } => None,
         }
     }
 }
@@ -768,14 +778,17 @@ impl<R: Send + 'static> ServerHandle<R> {
     /// Queues `spec` for attachment and returns its id immediately. The
     /// stream is admitted when the scheduler processes the command
     /// (silently dropped under [`AdmissionPolicy::Reject`] at capacity —
-    /// use [`Server::attach`] for a synchronous verdict).
-    pub fn attach(&self, spec: StreamSpec<R>) -> usize {
+    /// use [`Server::attach`] for a synchronous verdict). A spec whose
+    /// configuration fails [`SequenceConfig::validate`] is refused here
+    /// with that error, and nothing is queued.
+    pub fn attach(&self, spec: StreamSpec<R>) -> Result<usize, DrawError> {
+        spec.cfg.validate()?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let _ = self.tx.send(Msg::Cmd(Command::Attach {
             id,
             spec: Box::new(spec),
         }));
-        id
+        Ok(id)
     }
 
     /// Queues detachment of stream `id`: it is reported as
@@ -1236,9 +1249,17 @@ impl<R: Send + 'static> Server<R> {
     /// Registers a stream, subject to admission control. Admitted streams
     /// get a fresh serial-policy [`Session`], prepared against the shared
     /// scene (indexed configurations adopt the shared `Arc<SceneIndex>` —
-    /// built now, once, if this is the first). Under
-    /// [`AdmissionPolicy::Reject`] at capacity, the spec is handed back.
+    /// built now, once, if this is the first). A spec whose configuration
+    /// fails [`SequenceConfig::validate`] is handed back with the reason;
+    /// under [`AdmissionPolicy::Reject`] at capacity, it is handed back
+    /// too.
     pub fn attach(&mut self, spec: StreamSpec<R>) -> AttachOutcome<R> {
+        if let Err(error) = spec.cfg.validate() {
+            return AttachOutcome::Invalid {
+                spec: Box::new(spec),
+                error,
+            };
+        }
         if let Some(capacity) = self.rejecting_at() {
             return AttachOutcome::Rejected {
                 spec: Box::new(spec),
@@ -1271,16 +1292,23 @@ impl<R: Send + 'static> Server<R> {
     /// # Panics
     ///
     /// If the stream is rejected (only possible under
-    /// [`AdmissionPolicy::Reject`] with a capacity set).
+    /// [`AdmissionPolicy::Reject`] with a capacity set) or its
+    /// configuration is invalid.
     pub fn add_stream(&mut self, spec: StreamSpec<R>) -> usize {
-        match self.attach(spec) {
-            AttachOutcome::Admitted { id } => id,
-            // vrlint: allow(VL01, reason = "documented # Panics wrapper; capacity-limited servers use attach() and handle Rejected")
-            AttachOutcome::Rejected { spec, capacity } => panic!(
-                "stream {:?} rejected: server at capacity {capacity}",
-                spec.name
-            ),
-        }
+        let why = match self.attach(spec) {
+            AttachOutcome::Admitted { id } => return id,
+            AttachOutcome::Rejected { spec, capacity } => {
+                format!(
+                    "stream {:?} rejected: server at capacity {capacity}",
+                    spec.name
+                )
+            }
+            AttachOutcome::Invalid { spec, error } => {
+                format!("stream {:?} refused: {error}", spec.name)
+            }
+        };
+        // vrlint: allow(VL01, reason = "documented # Panics wrapper; capacity-limited servers and untrusted specs use attach() and handle its refusals")
+        panic!("{why}")
     }
 
     /// Removes stream `id` from an idle server. Returns `false` when no
@@ -2550,9 +2578,76 @@ mod tests {
                 assert_eq!(spec.name(), "second");
                 assert_eq!(capacity, 1);
             }
-            AttachOutcome::Admitted { .. } => panic!("capacity 1 must reject the second stream"),
+            other => panic!("capacity 1 must reject the second stream, got {other:?}"),
         }
         assert_eq!(server.streams.len(), 1);
+    }
+
+    #[test]
+    fn invalid_configs_are_refused_at_attach() {
+        let mut server = Server::new(shared_scene(), 2);
+        let scene = server.shared().scene().clone();
+        let good = orbit_cfg(server.shared(), 0.0, 3);
+        let gpu = GpuConfig::default();
+        let id = server.attach(StreamSpec::vrpipe(
+            "good",
+            good.clone(),
+            gpu.clone(),
+            PipelineVariant::HetQm,
+        ));
+        assert!(id.id().is_some());
+        let bad = SequenceConfig {
+            fov_y: 0.0,
+            ..good.clone()
+        };
+        match server.attach(StreamSpec::vrpipe(
+            "bad",
+            bad.clone(),
+            gpu.clone(),
+            PipelineVariant::HetQm,
+        )) {
+            AttachOutcome::Invalid { spec, error } => {
+                assert_eq!(spec.name(), "bad");
+                assert!(
+                    matches!(&error, DrawError::InvalidConfig(why) if why.contains("fov_y")),
+                    "{error}"
+                );
+            }
+            other => panic!("a zero field of view must be refused, got {other:?}"),
+        }
+        // The handle refuses it as well, and queues nothing.
+        let handle = server.handle();
+        let refused = handle.attach(StreamSpec::vrpipe(
+            "bad",
+            bad,
+            gpu.clone(),
+            PipelineVariant::HetQm,
+        ));
+        assert!(matches!(refused, Err(DrawError::InvalidConfig(_))));
+        let empty = SequenceConfig {
+            width: 0,
+            ..good.clone()
+        };
+        let refused = handle.attach(StreamSpec::vrpipe(
+            "empty",
+            empty,
+            gpu.clone(),
+            PipelineVariant::HetQm,
+        ));
+        assert!(matches!(refused, Err(DrawError::EmptyViewport { .. })));
+
+        let report = server.run();
+        assert_eq!(report.streams.len(), 1);
+        let served = &report.streams[0];
+        assert_eq!(served.phase, StreamPhase::Completed);
+        let solo = Session::default()
+            .run_vrpipe(&scene, &good, &gpu, PipelineVariant::HetQm)
+            .expect("valid config");
+        assert_eq!(served.frames.len(), solo.len());
+        for (i, (served, alone)) in served.frames.iter().zip(&solo).enumerate() {
+            assert_eq!(served.stats, alone.stats, "frame {i}");
+            assert_eq!(served.preprocess, alone.preprocess, "frame {i}");
+        }
     }
 
     #[test]

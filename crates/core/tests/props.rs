@@ -7,13 +7,18 @@
 #[path = "support/shading_oracle.rs"]
 mod shading_oracle;
 
+mod quad {
+    use gpu_sim::tiles::{QuadPos, TileId};
+    include!("../../gpu-sim/tests/support/quad.rs");
+}
+
 use gpu_sim::config::GpuConfig;
-use gpu_sim::quad::Quad;
 use gpu_sim::tiles::{QuadPos, TileId};
 use gsplat::color::Rgba;
 use gsplat::math::{Vec2, Vec3};
 use gsplat::splat::Splat;
 use proptest::prelude::*;
+use quad::Quad;
 use vrpipe::qm::{warp_counts, QuadPairs};
 use vrpipe::shading::{shade_pair, ShadeCounters};
 use vrpipe::{draw, PipelineVariant};
@@ -35,7 +40,7 @@ fn quad_at(pos_idx: u8, splat: u32) -> Quad {
 /// The QRU as a slot-by-slot warp packer: the reference the library's
 /// register scan and closed-form warp accounting are checked against.
 mod oracle {
-    use gpu_sim::quad::Quad;
+    use crate::quad::Quad;
 
     /// One warp slot as planned by the QRU.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]

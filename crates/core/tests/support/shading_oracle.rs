@@ -5,7 +5,7 @@
 //! pre-multiplied quad flagged `merged`, and each live fragment blended
 //! over its destination pixel.
 
-use gpu_sim::quad::Quad;
+use crate::quad::Quad;
 use gsplat::blend::{blend_over, fragment_alpha};
 use gsplat::color::Rgba;
 use gsplat::math::Vec3;

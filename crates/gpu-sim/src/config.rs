@@ -116,12 +116,15 @@ pub struct GpuConfig {
     /// at 612 MHz core clock ≈ 334 B/cycle).
     pub dram_bytes_per_cycle: u32,
 
-    /// Host worker threads for the simulator's parallel phases (`0` = one
-    /// per available CPU): the prologue's triangle setup and fine raster,
-    /// and TC-flush pixel work sharded by screen tile. The serial spine
-    /// (TGC/TC bin tables) and tail (ROP/L2 caches, timer) stay on the
-    /// calling thread; with one worker every phase does. This is a *host*
-    /// knob: it changes simulation wall time, never simulated results.
+    /// Host workers of a simulated draw (`0` = one per available CPU; at
+    /// most one per screen tile), counting the calling thread. The
+    /// calling thread runs the spine (setup, fine raster, TGC/TC bin
+    /// tables) and the tail (ROP/L2 caches, timer); the other workers
+    /// run each closed round's TC-flush pixel work, sharded by screen
+    /// tile, while the spine records the next round, and the calling
+    /// thread joins them when it runs ahead. With one worker every phase
+    /// runs on the calling thread in turn. This is a *host* knob: it
+    /// changes simulation wall time, never simulated results.
     pub threads: usize,
     /// Simulated tile-granularity retirement check. Despite its name this
     /// is not a host knob: every draw runs the same host code. On HET

@@ -26,13 +26,13 @@ pub mod binning;
 pub mod cache;
 pub mod config;
 pub mod microbench;
-pub mod quad;
+#[cfg(test)]
+mod quad;
 pub mod raster;
 pub mod stats;
 pub mod tiles;
 pub mod timing;
 
 pub use config::GpuConfig;
-pub use quad::Quad;
 pub use stats::{PipelineStats, Unit};
 pub use tiles::{QuadPos, TileGridId, TileId, Tiling};

@@ -12,6 +12,13 @@ use gsplat::splat::Splat;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+// The raster reference builds quads but asks them nothing per fragment.
+#[allow(dead_code)]
+mod quad {
+    use gpu_sim::tiles::{QuadPos, TileId};
+    include!("support/quad.rs");
+}
+
 /// The bin table and cache as they were before the slot-array rewrite:
 /// a `HashMap` of bins with a `VecDeque` allocation order, and one `Vec`
 /// of lines per set. Kept as the oracle the rewritten models must match
@@ -194,7 +201,7 @@ mod reference {
 /// pixel. Kept as the oracle the row-mask raster must match quad for
 /// quad.
 mod raster_reference {
-    use gpu_sim::quad::Quad;
+    use crate::quad::Quad;
     use gpu_sim::raster::SplatSetup;
     use gpu_sim::tiles::{TileId, Tiling};
 

@@ -1,11 +1,13 @@
 //! Zero-dependency fork-join primitives for the parallel render paths.
 //!
-//! [`for_each_claimed`] is the one place a frame forks: every parallel
-//! phase (the simulated draw's prologue and tile shards, the software
-//! renderers' bands, binning, the preprocess fan-out) hands it a slice of
-//! items and one state per worker. It runs on `std::thread::scope`, so the
-//! workspace stays buildable offline; moving it onto a persistent pool is
-//! a change to that one function. [`WorkerPool`] is the other thread
+//! A frame forks in one of two ways, both here. [`for_each_claimed`] is
+//! one fork-join over a slice of items with one state per worker: the
+//! software renderers' bands, binning and the preprocess fan-out hand it
+//! their items. [`with_crew`] keeps helper threads for the length of one
+//! call while the calling thread posts batches of claims to them one at a
+//! time: the simulated draw's spine posts each closed round of tile
+//! shards and runs ahead. Both run on `std::thread::scope`, so the
+//! workspace stays buildable offline. [`WorkerPool`] is the other thread
 //! owner: it runs whole frame tasks of many streams.
 //!
 //! Everything here is *deterministic by construction* for the ways the
@@ -15,6 +17,10 @@
 //!   worker's state to one thread. Items own disjoint data (a tile, a row
 //!   band, a chunk's output), so which worker claims an item — which
 //!   varies from run to run — never reaches a result.
+//! * A [`Crew`] runs every claim of a posted batch exactly once, and
+//!   [`Crew::take`] returns only after all of them have finished, so
+//!   batches never overlap: whatever one batch's claims write, the next
+//!   batch's claims see complete.
 //! * [`Bands`] hands out disjoint `&mut` windows of a buffer, each
 //!   claimable once, so ownership of every element is fixed however the
 //!   claims are scheduled.
@@ -22,9 +28,10 @@
 //!   order**, so every bin's item list preserves the input order exactly
 //!   (the stable front-to-back blend order the renderers rely on).
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 /// Number of worker threads for a request of `requested` (`0` = the host
 /// default), clamped to `work` items so tiny draws stay serial.
@@ -154,6 +161,306 @@ pub fn for_each_claimed<S: Send, T: Send>(
             }
         }
     });
+}
+
+/// Polls of the post counter a helper makes before it sleeps, yielding
+/// its CPU between polls (so a helper never holds a CPU the calling
+/// thread waits for): about as long as the calling thread takes to
+/// record and post its next batch, so a steady stream of batches reaches
+/// the helpers without a wake-up call.
+const CREW_POLLS: u32 = 1 << 10;
+
+/// What the threads of one [`with_crew`] call share.
+struct CrewShared<W> {
+    /// The posted batch. Helpers hold a read guard while they run its
+    /// claims, so the lead's write guard in [`Crew::take`] waits out the
+    /// claims still running.
+    posted: RwLock<Option<W>>,
+    /// Claims of the posted batch (0 when none is posted). Written only
+    /// under `posted`'s write guard and read under a read guard (or by
+    /// the lead, its writer), so the lock orders it: `Relaxed`.
+    claims: AtomicUsize,
+    /// The next unclaimed claim of the posted batch; ordered like
+    /// `claims`.
+    next: AtomicUsize,
+    /// Claims of the posted batch that have finished: a claim's
+    /// `Release` increment pairs with the `Acquire` load in
+    /// [`Crew::idle`]. (The batch's data itself is handed back under
+    /// `posted`'s write guard in [`Crew::take`].)
+    finished: AtomicUsize,
+    /// Posts so far: a helper waits for it to move.
+    posts: AtomicU64,
+    /// Set once, when the lead leaves: helpers exit.
+    dismissed: AtomicBool,
+    /// Helpers asleep on `wake` (under `sleep`); a post wakes them only
+    /// when there are any. `posts`, `dismissed` and `sleepers` are
+    /// `SeqCst`: a helper raises `sleepers` before its last look at
+    /// `posts`, a post raises `posts` before it looks at `sleepers`, so
+    /// one of the two always sees the other and no wake-up is lost.
+    sleepers: AtomicUsize,
+    sleep: Mutex<()>,
+    wake: Condvar,
+    /// The payload of the first helper claim that panicked.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+/// The calling thread's handle on the helpers of a [`with_crew`] call: it
+/// posts one batch of claims at a time, may run claims itself, and takes
+/// the batch back once every claim has run.
+pub struct Crew<'a, W> {
+    shared: &'a CrewShared<W>,
+    job: &'a (dyn Fn(&W, usize) + Sync),
+    helpers: usize,
+}
+
+impl<W> Crew<'_, W> {
+    /// Helper threads beside the calling thread (0: the caller runs every
+    /// claim itself).
+    pub fn helpers(&self) -> usize {
+        self.helpers
+    }
+
+    /// Posts `work` with `claims` claims (`0..claims`). Helpers start on
+    /// them at once; the caller goes on with its own work, may run claims
+    /// with [`Crew::help`], and collects the batch with [`Crew::take`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when a batch is already posted and not yet taken.
+    pub fn post(&self, work: W, claims: usize) {
+        let shared = self.shared;
+        let mut posted = shared
+            .posted
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        assert!(posted.is_none(), "a crew holds one batch at a time");
+        // No helper holds the batch here, so each one that claims from
+        // it sees these counters.
+        shared.next.store(0, Ordering::Relaxed);
+        shared.finished.store(0, Ordering::Relaxed);
+        shared.claims.store(claims, Ordering::Relaxed);
+        *posted = Some(work);
+        drop(posted);
+        if self.helpers > 0 {
+            shared.posts.fetch_add(1, Ordering::SeqCst);
+            if shared.sleepers.load(Ordering::SeqCst) > 0 {
+                // Taking the lock orders this wake-up after the sleeper's
+                // last look at `posts`.
+                drop(shared.sleep.lock().unwrap_or_else(PoisonError::into_inner));
+                shared.wake.notify_all();
+            }
+        }
+    }
+
+    /// Runs one unclaimed claim of the posted batch on the calling
+    /// thread; `false` when none is left.
+    pub fn help(&self) -> bool {
+        let shared = self.shared;
+        let posted = shared.posted.read().unwrap_or_else(PoisonError::into_inner);
+        let Some(work) = posted.as_ref() else {
+            return false;
+        };
+        let k = shared.next.fetch_add(1, Ordering::Relaxed);
+        if k >= shared.claims.load(Ordering::Relaxed) {
+            return false;
+        }
+        (self.job)(work, k);
+        shared.finished.fetch_add(1, Ordering::Release);
+        true
+    }
+
+    /// Whether every claim of the posted batch has finished (`true` when
+    /// nothing is posted): [`Crew::take`] would not wait.
+    pub fn idle(&self) -> bool {
+        let shared = self.shared;
+        shared.finished.load(Ordering::Acquire) >= shared.claims.load(Ordering::Relaxed)
+    }
+
+    /// Runs the posted batch's unclaimed claims on the calling thread,
+    /// waits for the helpers' claims still running, and returns the batch
+    /// (`None` when nothing is posted).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the payload of a claim that panicked on a helper.
+    pub fn take(&self) -> Option<W> {
+        while self.help() {}
+        let shared = self.shared;
+        let work = shared
+            .posted
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        shared.claims.store(0, Ordering::Relaxed);
+        if let Some(payload) = shared
+            .panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
+            std::panic::resume_unwind(payload);
+        }
+        work
+    }
+
+    /// A helper thread's loop: wait for a post (polling, then asleep),
+    /// then claim from the posted batch until none is left.
+    fn serve(&self) {
+        let shared = self.shared;
+        let mut seen = 0;
+        loop {
+            let mut polls = 0;
+            loop {
+                let posts = shared.posts.load(Ordering::SeqCst);
+                if posts != seen {
+                    seen = posts;
+                    break;
+                }
+                if shared.dismissed.load(Ordering::SeqCst) {
+                    return;
+                }
+                if polls < CREW_POLLS {
+                    polls += 1;
+                    std::thread::yield_now();
+                    continue;
+                }
+                let sleep = shared.sleep.lock().unwrap_or_else(PoisonError::into_inner);
+                shared.sleepers.fetch_add(1, Ordering::SeqCst);
+                let asleep = shared.posts.load(Ordering::SeqCst) == seen
+                    && !shared.dismissed.load(Ordering::SeqCst);
+                let sleep = if asleep {
+                    shared
+                        .wake
+                        .wait(sleep)
+                        .unwrap_or_else(PoisonError::into_inner)
+                } else {
+                    sleep
+                };
+                shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+                drop(sleep);
+                polls = 0;
+            }
+            let posted = shared.posted.read().unwrap_or_else(PoisonError::into_inner);
+            let Some(work) = posted.as_ref() else {
+                continue;
+            };
+            loop {
+                let k = shared.next.fetch_add(1, Ordering::Relaxed);
+                if k >= shared.claims.load(Ordering::Relaxed) {
+                    break;
+                }
+                let claim = std::panic::AssertUnwindSafe(|| (self.job)(work, k));
+                if let Err(payload) = std::panic::catch_unwind(claim) {
+                    shared
+                        .panic
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .get_or_insert(payload);
+                }
+                shared.finished.fetch_add(1, Ordering::Release);
+            }
+        }
+    }
+}
+
+/// Runs `lead` on the calling thread with a [`Crew`] of `helpers` threads
+/// that live for the whole call and run `job(work, k)` for the claims of
+/// each batch `lead` posts. Spawning once per call, not once per batch,
+/// keeps a batch's hand-off to a few atomic operations while the helpers
+/// are polling.
+///
+/// * **One batch at a time.** `lead` posts a batch with [`Crew::post`],
+///   goes on with its own work while the helpers claim, may run claims
+///   itself with [`Crew::help`], and collects the batch with
+///   [`Crew::take`], which runs the unclaimed rest and waits for the
+///   claims still running. A batch's claims all finish before the next
+///   batch is posted.
+/// * **No helpers.** With `helpers == 0` nothing is spawned: every claim
+///   runs on the calling thread, in claim order, in [`Crew::help`] or
+///   [`Crew::take`].
+/// * **Panics.** A claim that panics on a helper re-raises on the calling
+///   thread, with its own payload, at the next [`Crew::take`] (or when
+///   `lead` returns). A panic in `lead` dismisses the helpers before it
+///   leaves the call.
+///
+/// A batch `lead` returns without taking is finished by the helpers and
+/// dropped.
+///
+/// # Examples
+///
+/// ```
+/// use gsplat::par::with_crew;
+/// use std::sync::atomic::{AtomicUsize, Ordering};
+/// let sums = with_crew(
+///     2,
+///     |round: &Vec<AtomicUsize>, k| {
+///         round[k].fetch_add(k, Ordering::Relaxed);
+///     },
+///     |crew| {
+///         let mut sums = Vec::new();
+///         for _ in 0..3 {
+///             crew.post((0..4).map(|_| AtomicUsize::new(0)).collect(), 4);
+///             // ... the calling thread's own work runs here ...
+///             let round = crew.take().expect("posted");
+///             sums.push(round.iter().map(|c| c.load(Ordering::Relaxed)).sum::<usize>());
+///         }
+///         sums
+///     },
+/// );
+/// assert_eq!(sums, vec![6, 6, 6]);
+/// ```
+pub fn with_crew<W: Send + Sync, R>(
+    helpers: usize,
+    job: impl Fn(&W, usize) + Sync,
+    lead: impl FnOnce(&Crew<'_, W>) -> R,
+) -> R {
+    let shared = CrewShared {
+        posted: RwLock::new(None),
+        claims: AtomicUsize::new(0),
+        next: AtomicUsize::new(0),
+        finished: AtomicUsize::new(0),
+        posts: AtomicU64::new(0),
+        dismissed: AtomicBool::new(false),
+        sleepers: AtomicUsize::new(0),
+        sleep: Mutex::new(()),
+        wake: Condvar::new(),
+        panic: Mutex::new(None),
+    };
+    let crew = Crew {
+        shared: &shared,
+        job: &job,
+        helpers,
+    };
+    if helpers == 0 {
+        return lead(&crew);
+    }
+    /// Dismisses the helpers however `lead` leaves, so the scope never
+    /// waits on a sleeping helper.
+    struct Dismiss<'a, W>(&'a CrewShared<W>);
+    impl<W> Drop for Dismiss<'_, W> {
+        fn drop(&mut self) {
+            let shared = self.0;
+            shared.dismissed.store(true, Ordering::SeqCst);
+            drop(shared.sleep.lock().unwrap_or_else(PoisonError::into_inner));
+            shared.wake.notify_all();
+        }
+    }
+    let out = std::thread::scope(|s| {
+        for _ in 0..helpers {
+            s.spawn(|| crew.serve());
+        }
+        let _dismiss = Dismiss(&shared);
+        lead(&crew)
+    });
+    if let Some(payload) = shared
+        .panic
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take()
+    {
+        std::panic::resume_unwind(payload);
+    }
+    out
 }
 
 /// Splits `n` work items into contiguous per-worker chunks (the fan-out
@@ -524,7 +831,7 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     fn policies() -> [ThreadPolicy; 3] {
         [
@@ -649,6 +956,108 @@ mod tests {
                 format!("worker {} failed (expected in this test)", workers - 1),
             );
         }
+    }
+
+    /// Every claim of every batch runs exactly once, for empty batches and
+    /// for fewer claims than threads, and a taken batch holds every
+    /// claim's effect.
+    #[test]
+    fn crew_runs_every_claim_of_every_batch_once() {
+        for helpers in 0..=3 {
+            let rounds = with_crew(
+                helpers,
+                |hits: &Vec<AtomicUsize>, k| {
+                    hits[k].fetch_add(1, Ordering::Relaxed);
+                },
+                |crew| {
+                    assert_eq!(crew.helpers(), helpers);
+                    assert!(crew.take().is_none(), "nothing posted yet");
+                    let mut rounds: Vec<Vec<usize>> = Vec::new();
+                    for n in [0usize, 1, 3, 37, 5, 0, 64] {
+                        crew.post((0..n).map(|_| AtomicUsize::new(0)).collect(), n);
+                        let hits = crew.take().expect("posted");
+                        rounds.push(hits.iter().map(|h| h.load(Ordering::Relaxed)).collect());
+                    }
+                    rounds
+                },
+            );
+            for (round, n) in rounds.iter().zip([0usize, 1, 3, 37, 5, 0, 64]) {
+                assert_eq!(round, &vec![1; n], "helpers={helpers}");
+            }
+        }
+    }
+
+    /// With no helpers every claim runs on the calling thread, in claim
+    /// order, in `help` (one at a time) or `take` (the rest); `idle`
+    /// holds once every posted claim has finished.
+    #[test]
+    fn crew_without_helpers_runs_claims_on_the_caller() {
+        let caller = std::thread::current().id();
+        let log = Mutex::new(Vec::new());
+        with_crew(
+            0,
+            |_: &(), k| {
+                assert_eq!(std::thread::current().id(), caller);
+                log.lock().unwrap().push(k);
+            },
+            |crew| {
+                assert!(crew.idle() && !crew.help(), "nothing posted");
+                crew.post((), 4);
+                assert!(log.lock().unwrap().is_empty(), "post runs nothing");
+                assert!(!crew.idle());
+                assert!(crew.help());
+                assert_eq!(*log.lock().unwrap(), vec![0]);
+                assert!(!crew.idle());
+                assert!(crew.take().is_some());
+                assert!(crew.idle() && !crew.help(), "taken");
+            },
+        );
+        assert_eq!(log.into_inner().unwrap(), vec![0, 1, 2, 3]);
+    }
+
+    /// A claim that panics on a helper re-raises at the lead's `take` with
+    /// its own payload; a panic in the lead dismisses the helpers instead
+    /// of hanging the call.
+    #[test]
+    fn crew_panics_reach_the_caller() {
+        let started = AtomicBool::new(false);
+        let caught = std::panic::catch_unwind(|| {
+            with_crew(
+                1,
+                |_: &(), _| {
+                    started.store(true, Ordering::SeqCst);
+                    panic!("helper claim failed (expected in this test)");
+                },
+                |crew| {
+                    crew.post((), 1);
+                    // Only the helper can start the claim before `take`.
+                    while !started.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                    crew.take();
+                    unreachable!("take re-raises the helper's panic");
+                },
+            )
+        });
+        let payload = caught.expect_err("the helper's claim panicked");
+        assert_eq!(
+            panic_message(payload.as_ref()),
+            "helper claim failed (expected in this test)"
+        );
+        let caught = std::panic::catch_unwind(|| {
+            with_crew(
+                2,
+                |_: &(), _| {},
+                |crew| {
+                    crew.post((), 8);
+                    panic!("lead failed (expected in this test)");
+                },
+            )
+        });
+        assert_eq!(
+            panic_message(caught.expect_err("the lead panicked").as_ref()),
+            "lead failed (expected in this test)"
+        );
     }
 
     #[test]

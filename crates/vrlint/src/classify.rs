@@ -103,6 +103,8 @@ pub const LOCK_ORDER: &[&str] = &[
     "serve.stream_state",
     "par.pool_queue",
     "par.band_slot",
+    "par.crew_sleep",
+    "par.crew_panic",
     "asset.intern_table",
 ];
 
@@ -147,6 +149,22 @@ pub const LOCK_SITES: &[LockSite] = &[
         path: "crates/gsplat/src/par.rs",
         segment: "slots",
         lock: "par.band_slot",
+    },
+    LockSite {
+        path: "crates/gsplat/src/par.rs",
+        segment: "sleep",
+        lock: "par.crew_sleep",
+    },
+    // Condvar waits re-acquire the crew's sleep mutex.
+    LockSite {
+        path: "crates/gsplat/src/par.rs",
+        segment: "wake",
+        lock: "par.crew_sleep",
+    },
+    LockSite {
+        path: "crates/gsplat/src/par.rs",
+        segment: "panic",
+        lock: "par.crew_panic",
     },
     LockSite {
         path: "crates/gsplat/src/asset.rs",

@@ -681,8 +681,9 @@ pub fn lint_source_with_class(rel: &str, src: &str, class: FileClass, opts: Opti
                     j,
                     toks[j].line,
                     format!("`thread::{name}` outside gsplat::par forks a second way"),
-                    "fan out through gsplat::par::for_each_claimed (whole tasks: \
-                     par::WorkerPool); std threads start only in crates/gsplat/src/par.rs",
+                    "fan out through gsplat::par::for_each_claimed or par::with_crew \
+                     (whole tasks: par::WorkerPool); std threads start only in \
+                     crates/gsplat/src/par.rs",
                     false,
                 );
             }

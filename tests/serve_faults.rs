@@ -526,11 +526,13 @@ fn mid_flight_attach_and_detach_through_the_handle() {
             if !fired {
                 fired = true;
                 handle.detach(victim);
-                handle.attach(StreamSpec::new(
-                    "late",
-                    attach_cfg.clone(),
-                    digest_backend(48, 36),
-                ));
+                handle
+                    .attach(StreamSpec::new(
+                        "late",
+                        attach_cfg.clone(),
+                        digest_backend(48, 36),
+                    ))
+                    .expect("valid configuration");
             }
             (format!("driver:{}", f.splats.len()), 0)
         },
