@@ -8,15 +8,6 @@
 //! replayable plan from a seed with the repo's standard SplitMix64
 //! stream, mirroring how `FaultPlan::seeded` drives the serve chaos
 //! suite.
-//!
-//! The reader wrappers exercise the *I/O* half of the loader:
-//! [`ShortReader`] delivers the stream in tiny chunks (every `read` call
-//! returns at most `chunk` bytes — a legal but adversarial [`Read`]
-//! implementation), and [`FailingReader`] injects an [`std::io::Error`]
-//! after a byte budget, which must surface as
-//! [`AssetError::Io`](super::AssetError::Io), never a panic.
-
-use std::io::{self, Read};
 
 use super::{HEADER_LEN, SECTION_COUNT, TABLE_ENTRY_LEN};
 
@@ -103,71 +94,9 @@ pub fn seeded_corruptions(seed: u64, len: usize, n: usize) -> Vec<Corruption> {
     out
 }
 
-/// A [`Read`] adapter that returns at most `chunk` bytes per call —
-/// legal short reads that a correct loader must absorb.
-#[derive(Debug)]
-pub struct ShortReader<R> {
-    inner: R,
-    chunk: usize,
-}
-
-impl<R: Read> ShortReader<R> {
-    /// Wraps `inner`, limiting every read to `chunk` bytes (min 1).
-    pub fn new(inner: R, chunk: usize) -> Self {
-        Self {
-            inner,
-            chunk: chunk.max(1),
-        }
-    }
-}
-
-impl<R: Read> Read for ShortReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.chunk.min(buf.len());
-        self.inner.read(&mut buf[..n])
-    }
-}
-
-/// A [`Read`] adapter that yields `budget` bytes and then fails every
-/// subsequent read with an injected I/O error.
-#[derive(Debug)]
-pub struct FailingReader<R> {
-    inner: R,
-    budget: usize,
-    delivered: usize,
-}
-
-impl<R: Read> FailingReader<R> {
-    /// Wraps `inner`, failing after `budget` bytes have been delivered.
-    pub fn new(inner: R, budget: usize) -> Self {
-        Self {
-            inner,
-            budget,
-            delivered: 0,
-        }
-    }
-}
-
-impl<R: Read> Read for FailingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.delivered >= self.budget {
-            return Err(io::Error::other(format!(
-                "injected I/O fault after {} bytes",
-                self.delivered
-            )));
-        }
-        let n = (self.budget - self.delivered).min(buf.len());
-        let got = self.inner.read(&mut buf[..n])?;
-        self.delivered += got;
-        Ok(got)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asset::{decode_scene, encode_scene, read_scene, AssetError, LoadPolicy};
-    use crate::scene::EVALUATED_SCENES;
 
     #[test]
     fn corruptions_are_total_on_degenerate_buffers() {
@@ -197,27 +126,5 @@ mod tests {
             seeded_corruptions(1, 0, 4).len() == 4,
             "len 0 must not panic"
         );
-    }
-
-    #[test]
-    fn short_reads_are_absorbed() {
-        let scene = EVALUATED_SCENES[4].generate_scaled(0.01);
-        let bytes = encode_scene(&scene);
-        let via_short = read_scene(ShortReader::new(&bytes[..], 7), LoadPolicy::Strict)
-            .expect("short reads are legal");
-        let direct = decode_scene(&bytes, LoadPolicy::Strict).unwrap();
-        assert_eq!(via_short.scene.gaussians, direct.scene.gaussians);
-    }
-
-    #[test]
-    fn failing_reader_surfaces_as_io_error() {
-        let scene = EVALUATED_SCENES[4].generate_scaled(0.01);
-        let bytes = encode_scene(&scene);
-        let err = read_scene(
-            FailingReader::new(&bytes[..], bytes.len() / 2),
-            LoadPolicy::Strict,
-        )
-        .expect_err("injected I/O fault must fail the load");
-        assert!(matches!(err, AssetError::Io { .. }));
     }
 }

@@ -1,29 +1,27 @@
 //! Zero-dependency fork-join primitives for the parallel render paths.
 //!
-//! A frame forks in one of two ways, both here. [`for_each_claimed`] is
-//! one fork-join over a slice of items with one state per worker: the
-//! software renderers' bands, binning and the preprocess fan-out hand it
-//! their items. [`with_crew`] keeps helper threads for the length of one
-//! call while the calling thread posts batches of claims to them one at a
-//! time: the simulated draw's spine posts each closed round of tile
-//! shards and runs ahead. Both run on `std::thread::scope`, so the
-//! workspace stays buildable offline. [`WorkerPool`] is the other thread
-//! owner: it runs whole frame tasks of many streams.
+//! A frame forks through one primitive, [`with_crew`]: it keeps helper
+//! threads for the length of one call while the calling thread posts
+//! batches of claims to them one at a time. The simulated draw's spine
+//! posts each closed round of tile shards and runs ahead;
+//! [`for_each_claimed`] posts one slice of items as a single batch and
+//! takes it back (the software renderers' bands, binning and the
+//! preprocess fan-out). `with_crew`'s `std::thread::scope` is the only
+//! scoped spawn here, so the workspace stays buildable offline.
+//! [`WorkerPool`] is the other thread owner: it runs whole frame tasks of
+//! many streams.
 //!
 //! Everything here is *deterministic by construction* for the ways the
 //! renderers use it:
 //!
-//! * [`for_each_claimed`] hands every item to exactly one worker, and each
-//!   worker's state to one thread. Items own disjoint data (a tile, a row
-//!   band, a chunk's output), so which worker claims an item — which
-//!   varies from run to run — never reaches a result.
 //! * A [`Crew`] runs every claim of a posted batch exactly once, and
 //!   [`Crew::take`] returns only after all of them have finished, so
 //!   batches never overlap: whatever one batch's claims write, the next
 //!   batch's claims see complete.
-//! * [`Bands`] hands out disjoint `&mut` windows of a buffer, each
-//!   claimable once, so ownership of every element is fixed however the
-//!   claims are scheduled.
+//! * [`for_each_claimed`] hands every item to exactly one thread as a
+//!   disjoint `&mut`. Items own disjoint data (a tile, a row band, a
+//!   chunk's output), so which thread claims an item — which varies from
+//!   run to run — never reaches a result.
 //! * [`BinScratch::build`] merges per-chunk partial bins **in chunk
 //!   order**, so every bin's item list preserves the input order exactly
 //!   (the stable front-to-back blend order the renderers rely on).
@@ -83,84 +81,50 @@ impl ThreadPolicy {
     }
 }
 
-/// Runs `job(state, item, i)` for every claimed item `i` of `items`, on
-/// one host worker per element of `states`. This is the workspace's only
-/// fork site; every parallel phase of a frame goes through it.
+/// Runs `job(item, i)` once for every item `i` of `items`, on up to
+/// `workers` host threads: the calling thread and a [`with_crew`] crew of
+/// `workers.min(items.len()) - 1` helpers, which claim the items as one
+/// batch. Every fan-out of the software renderers, binning and
+/// preprocessing goes through it.
 ///
-/// * **Claims.** Each worker takes the next unclaimed item as it finishes
-///   one. `order` is the claim order, a list of item indices (the
-///   simulated draw claims its heaviest tiles first); `None` claims every
-///   item in index order.
-/// * **State.** Worker `w` owns `states[w]` for the whole call, so a
-///   state is never used by two threads at once. The calling thread is
-///   worker 0.
-/// * **Inline run.** With one state, or at most one claim, every claim
-///   runs on the calling thread in claim order: no fork, no allocation.
-/// * **Panics.** A panic in `job` reaches the caller with its own payload
-///   at every worker count: the first panicking worker's, in `states`
-///   order.
-///
-/// Which worker runs which item varies from run to run. Results stay
-/// deterministic when items own disjoint data and whatever the states
-/// accumulate commutes.
+/// * **Claims.** Each thread takes the next unclaimed item as it
+///   finishes one; which thread runs which item varies from run to run.
+///   Results stay deterministic when items own disjoint data.
+/// * **Inline run.** With one worker (or `0`), or at most one item, every
+///   item runs on the calling thread in index order: no fork, no
+///   allocation.
+/// * **Panics.** A panic in `job` reaches the caller with its own payload,
+///   whichever thread ran the item.
 ///
 /// # Examples
 ///
 /// ```
 /// use gsplat::par::for_each_claimed;
 /// let mut squares = vec![0usize; 10];
-/// // Three workers, no per-worker state; claim the last items first.
-/// let order: Vec<u32> = (0..10).rev().collect();
-/// for_each_claimed(&mut [(); 3], &mut squares, Some(&order), |_, sq, i| *sq = i * i);
+/// for_each_claimed(3, &mut squares, |sq, i| *sq = i * i);
 /// assert_eq!(squares[9], 81);
 /// ```
-///
-/// # Panics
-///
-/// Panics when `states` is empty, when `order` names an item twice or out
-/// of range, and with the payload of a panic in `job`.
-pub fn for_each_claimed<S: Send, T: Send>(
-    states: &mut [S],
+pub fn for_each_claimed<T: Send>(
+    workers: usize,
     items: &mut [T],
-    order: Option<&[u32]>,
-    job: impl Fn(&mut S, &mut T, usize) + Sync,
+    job: impl Fn(&mut T, usize) + Sync,
 ) {
-    let claims = order.map_or(items.len(), <[u32]>::len);
-    let item = |k: usize| order.map_or(k, |o| o[k] as usize);
-    let (first, rest) = states.split_at_mut(1);
-    let first = &mut first[0];
-    if rest.is_empty() || claims <= 1 {
-        for k in 0..claims {
-            let i = item(k);
-            job(first, &mut items[i], i);
+    let n = items.len();
+    let helpers = workers.min(n).saturating_sub(1);
+    if helpers == 0 {
+        for (i, item) in items.iter_mut().enumerate() {
+            job(item, i);
         }
         return;
     }
-    let next = AtomicUsize::new(0);
-    let slots = Bands::new(items, 1);
-    let work = |state: &mut S| loop {
-        let k = next.fetch_add(1, Ordering::Relaxed);
-        if k >= claims {
-            break;
-        }
-        let i = item(k);
-        job(state, &mut slots.take(i)[0], i);
-    };
-    let work = &work;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = rest
-            .iter_mut()
-            .map(|state| s.spawn(move || work(state)))
-            .collect();
-        // A panic here unwinds out of the scope with its own payload once
-        // the other workers have stopped.
-        work(first);
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
+    with_crew(
+        helpers,
+        |slots: &Bands<'_, T>, i| job(&mut slots.take(i)[0], i),
+        |crew| {
+            crew.post(Bands::new(items, 1), n);
+            crew.take();
+        },
+    );
 }
 
 /// Polls of the post counter a helper makes before it sleeps, yielding
@@ -383,8 +347,9 @@ impl<W> Crew<'_, W> {
 ///   `lead` returns). A panic in `lead` dismisses the helpers before it
 ///   leaves the call.
 ///
-/// A batch `lead` returns without taking is finished by the helpers and
-/// dropped.
+/// A batch `lead` returns without taking is taken when it returns, at
+/// every helper count: each of its claims runs once, a helper's panic
+/// re-raises, and the batch is dropped.
 ///
 /// # Examples
 ///
@@ -431,8 +396,13 @@ pub fn with_crew<W: Send + Sync, R>(
         job: &job,
         helpers,
     };
+    let run = |crew: &Crew<'_, W>| {
+        let out = lead(crew);
+        crew.take();
+        out
+    };
     if helpers == 0 {
-        return lead(&crew);
+        return run(&crew);
     }
     /// Dismisses the helpers however `lead` leaves, so the scope never
     /// waits on a sleeping helper.
@@ -445,22 +415,15 @@ pub fn with_crew<W: Send + Sync, R>(
             shared.wake.notify_all();
         }
     }
-    let out = std::thread::scope(|s| {
+    // Helpers run claims only of a posted batch, and `run` takes the last
+    // one, so every helper panic has re-raised by the time `run` returns.
+    std::thread::scope(|s| {
         for _ in 0..helpers {
             s.spawn(|| crew.serve());
         }
         let _dismiss = Dismiss(&shared);
-        lead(&crew)
-    });
-    if let Some(payload) = shared
-        .panic
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take()
-    {
-        std::panic::resume_unwind(payload);
-    }
-    out
+        run(&crew)
+    })
 }
 
 /// Splits `n` work items into contiguous per-worker chunks (the fan-out
@@ -520,10 +483,8 @@ pub fn chunked_ranges_mut<S>(
 }
 
 /// Disjoint mutable windows over a buffer, claimable once each from any
-/// worker thread. [`for_each_claimed`] hands out its items as one-element
-/// bands; a job can claim windows of a second buffer by item index the
-/// same way.
-pub struct Bands<'a, T> {
+/// thread: [`for_each_claimed`] hands out its items as one-element bands.
+struct Bands<'a, T> {
     slots: Vec<Mutex<Option<&'a mut [T]>>>,
 }
 
@@ -534,7 +495,7 @@ impl<'a, T> Bands<'a, T> {
     /// # Panics
     ///
     /// Panics when `band_len` is zero.
-    pub fn new(data: &'a mut [T], band_len: usize) -> Self {
+    fn new(data: &'a mut [T], band_len: usize) -> Self {
         assert!(band_len > 0, "band length must be non-zero");
         Self {
             slots: data
@@ -544,22 +505,12 @@ impl<'a, T> Bands<'a, T> {
         }
     }
 
-    /// Number of bands.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` when the source buffer was empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Claims band `i` (each band may be taken exactly once).
     ///
     /// # Panics
     ///
     /// Panics when the band was already taken.
-    pub fn take(&self, i: usize) -> &'a mut [T] {
+    fn take(&self, i: usize) -> &'a mut [T] {
         self.slots[i]
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -611,22 +562,17 @@ impl BinScratch {
         // One partial per chunk, one chunk per worker.
         self.partials.resize_with(workers, Vec::new);
         let chunk = n_items.div_ceil(workers);
-        for_each_claimed(
-            &mut vec![(); workers],
-            &mut self.partials,
-            None,
-            |_, partial, c| {
-                partial.resize_with(n_bins, Vec::new);
-                for bin in partial.iter_mut() {
-                    bin.clear();
-                }
-                let start = (c * chunk).min(n_items);
-                let end = ((c + 1) * chunk).min(n_items);
-                for i in start as u32..end as u32 {
-                    emit(i, &mut |bin| partial[bin as usize].push(i));
-                }
-            },
-        );
+        for_each_claimed(workers, &mut self.partials, |partial, c| {
+            partial.resize_with(n_bins, Vec::new);
+            for bin in partial.iter_mut() {
+                bin.clear();
+            }
+            let start = (c * chunk).min(n_items);
+            let end = ((c + 1) * chunk).min(n_items);
+            for i in start as u32..end as u32 {
+                emit(i, &mut |bin| partial[bin as usize].push(i));
+            }
+        });
 
         // Chunk-order merge: bin lists end up in global input order.
         let mut total = 0u64;
@@ -842,119 +788,122 @@ mod tests {
     }
 
     /// Every item runs exactly once at 1–5 workers, for empty item lists
-    /// and for fewer items than workers; a claim order runs exactly the
-    /// items it names.
+    /// and for fewer items than workers.
     #[test]
     fn every_item_runs_exactly_once() {
         for workers in 1..=5 {
             for n in [0usize, 1, 3, 37] {
                 let mut hits = vec![0u32; n];
-                for_each_claimed(&mut vec![(); workers], &mut hits, None, |_, h, _| *h += 1);
-                assert!(hits.iter().all(|&h| h == 1), "workers={workers} n={n}");
-
-                let order: Vec<u32> = (0..n as u32).rev().step_by(2).collect();
-                let mut hits = vec![0u32; n];
-                for_each_claimed(
-                    &mut vec![(); workers],
-                    &mut hits,
-                    Some(&order),
-                    |_, h, i| *h += 1 + i as u32,
-                );
-                for (i, &h) in hits.iter().enumerate() {
-                    let named = order.contains(&(i as u32));
-                    assert_eq!(
-                        h,
-                        if named { 1 + i as u32 } else { 0 },
-                        "workers={workers} n={n}"
-                    );
-                }
+                for_each_claimed(workers, &mut hits, |h, i| *h += 1 + i as u32);
+                let want: Vec<u32> = (1..=n as u32).collect();
+                assert_eq!(hits, want, "workers={workers} n={n}");
             }
         }
     }
 
-    /// Holds each worker's first job until every worker has started one,
-    /// so all workers take part (gives up after five seconds, so a broken
-    /// fork fails its test instead of hanging it).
-    fn wait_for_all(started: &AtomicUsize, workers: usize) {
-        started.fetch_add(1, Ordering::SeqCst);
+    /// Holds each thread's first item until `threads` threads have started
+    /// one, so every thread takes part (gives up after five seconds, so a
+    /// broken fork fails its test instead of hanging it).
+    fn wait_for_all(started: &Mutex<Vec<std::thread::ThreadId>>, threads: usize) {
+        let me = std::thread::current().id();
+        let mut seen = started.lock().unwrap();
+        if seen.contains(&me) {
+            return;
+        }
+        seen.push(me);
+        drop(seen);
         let t0 = std::time::Instant::now();
-        while started.load(Ordering::SeqCst) < workers && t0.elapsed().as_secs() < 5 {
+        while started.lock().unwrap().len() < threads && t0.elapsed().as_secs() < 5 {
             std::thread::yield_now();
         }
     }
 
-    /// A worker keeps its state on one thread for the whole call, every
-    /// worker is its own thread, and the states together saw every item
-    /// once.
+    /// Items run on at most `min(workers, n)` distinct threads, the calling
+    /// thread among them, and every thread of a full fork takes part.
     #[test]
-    fn each_state_stays_on_one_thread() {
+    fn claims_run_on_at_most_min_workers_threads() {
+        let caller = std::thread::current().id();
         for workers in 1..=4 {
-            let started = AtomicUsize::new(0);
-            let mut states = vec![Vec::new(); workers];
-            for_each_claimed(&mut states, &mut [(); 64], None, |log, _, i| {
-                if log.is_empty() {
-                    wait_for_all(&started, workers);
-                }
-                log.push((std::thread::current().id(), i));
-            });
-            let mut threads = Vec::new();
-            let mut seen = Vec::new();
-            for log in &states {
-                let thread = log[0].0;
-                assert!(log.iter().all(|&(t, _)| t == thread), "workers={workers}");
-                threads.push(thread);
-                seen.extend(log.iter().map(|&(_, i)| i));
+            for n in [1usize, 2, 64] {
+                let started = Mutex::new(Vec::new());
+                let mut ran_on = vec![None; n];
+                for_each_claimed(workers, &mut ran_on, |t, _| {
+                    wait_for_all(&started, workers.min(n));
+                    *t = Some(std::thread::current().id());
+                });
+                let mut threads: Vec<_> = ran_on.iter().map(|t| t.expect("ran")).collect();
+                threads.sort_unstable_by_key(|t| format!("{t:?}"));
+                threads.dedup();
+                assert_eq!(threads.len(), workers.min(n), "workers={workers} n={n}");
+                assert!(threads.contains(&caller), "workers={workers} n={n}");
             }
-            threads.sort_unstable_by_key(|t| format!("{t:?}"));
-            threads.dedup();
-            assert_eq!(threads.len(), workers, "one thread per worker");
-            seen.sort_unstable();
-            assert_eq!(seen, (0..64).collect::<Vec<_>>(), "workers={workers}");
         }
     }
 
-    /// One worker runs inline, on the calling thread, in claim order.
+    /// One worker runs inline, on the calling thread, in index order.
     #[test]
-    fn one_worker_follows_the_claim_order_inline() {
+    fn one_worker_runs_inline_in_index_order() {
         let caller = std::thread::current().id();
-        let order = [3u32, 0, 4, 1];
-        let mut log = Vec::new();
-        for_each_claimed(
-            std::slice::from_mut(&mut log),
-            &mut [(); 5],
-            Some(&order),
-            |log, _, i| {
-                assert_eq!(std::thread::current().id(), caller);
-                log.push(i);
-            },
-        );
-        assert_eq!(log, vec![3, 0, 4, 1]);
+        let log = Mutex::new(Vec::new());
+        for_each_claimed(1, &mut [(); 5], |_, i| {
+            assert_eq!(std::thread::current().id(), caller);
+            log.lock().unwrap().push(i);
+        });
+        assert_eq!(log.into_inner().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
-    /// A job's panic reaches the caller with its own message at every
-    /// worker count, not as a generic "a scoped thread panicked". The
-    /// last worker panics — on more than one worker a spawned thread.
+    /// A fork of 3 inside a task of a 2-worker pool (a served backend with
+    /// `threads > 1`) covers every item; four tasks keep both pool workers
+    /// forking.
+    #[test]
+    fn a_fork_inside_a_pool_task_covers_every_item() {
+        let pool = WorkerPool::new(2);
+        let results = Arc::new(Mutex::new(Vec::new()));
+        for task in 0..4u32 {
+            let results = Arc::clone(&results);
+            pool.submit(move || {
+                let mut hits = vec![0u32; 40];
+                for_each_claimed(3, &mut hits, |h, i| *h += task * 100 + i as u32);
+                results.lock().unwrap().push((task, hits));
+            });
+        }
+        drop(pool);
+        let mut results = results.lock().unwrap().clone();
+        results.sort();
+        assert_eq!(results.len(), 4);
+        for (task, hits) in results {
+            let want: Vec<u32> = (0..40).map(|i| task * 100 + i).collect();
+            assert_eq!(hits, want, "task {task}");
+        }
+    }
+
+    /// A job's panic reaches the caller with its own message, not as a
+    /// generic "a scoped thread panicked", whether the calling thread or a
+    /// helper ran the panicking item.
     #[test]
     fn a_job_panic_keeps_its_payload() {
+        let caller = std::thread::current().id();
         for workers in 1..=3 {
-            let started = AtomicUsize::new(0);
-            let mut states: Vec<(usize, bool)> = (0..workers).map(|w| (w, false)).collect();
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for_each_claimed(&mut states, &mut [(); 8], None, |(w, waited), _, _| {
-                    if !*waited {
-                        *waited = true;
+            for on_helper in [false, true] {
+                if on_helper && workers == 1 {
+                    continue;
+                }
+                let started = Mutex::new(Vec::new());
+                let caught = std::panic::catch_unwind(|| {
+                    for_each_claimed(workers, &mut [(); 8], |_, _| {
                         wait_for_all(&started, workers);
-                    }
-                    if *w == workers - 1 {
-                        panic!("worker {w} failed (expected in this test)");
-                    }
+                        if (std::thread::current().id() != caller) == on_helper {
+                            panic!("claim failed, on_helper={on_helper} (expected in this test)");
+                        }
+                    });
                 });
-            }));
-            let payload = caught.expect_err("the job panicked");
-            assert_eq!(
-                panic_message(payload.as_ref()),
-                format!("worker {} failed (expected in this test)", workers - 1),
-            );
+                let payload = caught.expect_err("the job panicked");
+                assert_eq!(
+                    panic_message(payload.as_ref()),
+                    format!("claim failed, on_helper={on_helper} (expected in this test)"),
+                    "workers={workers}"
+                );
+            }
         }
     }
 
@@ -1015,6 +964,24 @@ mod tests {
         assert_eq!(log.into_inner().unwrap(), vec![0, 1, 2, 3]);
     }
 
+    /// A batch `lead` returns without taking still runs every claim once,
+    /// at every helper count.
+    #[test]
+    fn crew_finishes_an_untaken_batch() {
+        for helpers in 0..=3 {
+            let hits: Vec<AtomicUsize> = (0..37).map(|_| AtomicUsize::new(0)).collect();
+            with_crew(
+                helpers,
+                |hits: &&[AtomicUsize], k| {
+                    hits[k].fetch_add(1, Ordering::Relaxed);
+                },
+                |crew| crew.post(&hits[..], 37),
+            );
+            let hits: Vec<usize> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+            assert_eq!(hits, vec![1; 37], "helpers={helpers}");
+        }
+    }
+
     /// A claim that panics on a helper re-raises at the lead's `take` with
     /// its own payload; a panic in the lead dismisses the helpers instead
     /// of hanging the call.
@@ -1065,9 +1032,8 @@ mod tests {
         let mut data = vec![0u32; 100];
         {
             let bands = Bands::new(&mut data, 16);
-            assert_eq!(bands.len(), 7);
             let mut lens = vec![0usize; 7];
-            for_each_claimed(&mut [(); 4], &mut lens, None, |_, len, i| {
+            for_each_claimed(4, &mut lens, |len, i| {
                 let band = bands.take(i);
                 for v in band.iter_mut() {
                     *v += 1 + i as u32;

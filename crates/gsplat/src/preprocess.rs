@@ -391,10 +391,9 @@ fn emit_ranges<S: Send>(
         .map(|((range, window), out)| (range, window, out, (0, 0)))
         .collect();
     for_each_claimed(
-        &mut vec![(); chunks.len()],
+        chunks.len(),
         &mut chunks,
-        None,
-        |_, (range, window, out, counters), _| {
+        |(range, window, out, counters), _| {
             out.clear();
             *counters = body(range.clone(), window, out);
         },

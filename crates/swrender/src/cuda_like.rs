@@ -288,64 +288,59 @@ impl CudaLikeRenderer {
             .map(|(band, retired_row)| (band, retired_row, SwStats::default()))
             .collect();
         let workers = policy.workers(bands.len());
-        for_each_claimed(
-            &mut vec![(); workers],
-            &mut bands,
-            None,
-            |_, (band, retired_row, stats), ty| {
-                let ty = ty as u32;
-                let n_px = (tile * tile) as usize;
-                let mut acc: Vec<PixelAccumulator> = vec![PixelAccumulator::new(); n_px];
-                let mut in_bounds = vec![false; n_px];
-                // Pixel-center coordinates and the per-warp alpha staging
-                // the flat kernel writes into.
-                let mut px_center = vec![0.0f32; n_px];
-                let mut py_center = vec![0.0f32; n_px];
-                let mut alphas = vec![0.0f32; 32];
-                let mut warp_state = Vec::new();
-                for tx in 0..tiles_x {
-                    let list = &tile_lists[(ty * tiles_x + tx) as usize];
-                    if list.is_empty() {
-                        continue;
-                    }
-                    acc.fill(PixelAccumulator::new());
-                    self.sweep_tile(
-                        stream,
-                        list,
-                        (tx, ty),
-                        (width, height),
-                        band,
-                        TileScratch {
-                            acc: &mut acc,
-                            in_bounds: &mut in_bounds,
-                            px_center: &mut px_center,
-                            py_center: &mut py_center,
-                            alphas: &mut alphas,
-                            warp_state: &mut warp_state,
-                            retired_row,
-                        },
-                        stats,
-                    );
-                    // Tile retirement bookkeeping: a tile whose every
-                    // in-bounds pixel saturated past the termination
-                    // threshold is dead for all remaining work. The sweep
-                    // marks the band's bitset row when it abandons a tile
-                    // mid-list (all warps exited), which short-circuits the
-                    // accumulator scan here; a tile that saturates only on
-                    // its final splat is caught by the scan.
-                    stats.tiles_swept += 1;
-                    let retired = get_word_bit(retired_row, tx as usize)
-                        || acc
-                            .iter()
-                            .zip(&in_bounds)
-                            .all(|(a, &ib)| !ib || a.alpha() >= EARLY_TERMINATION_THRESHOLD);
-                    if retired {
-                        stats.retired_tiles += 1;
-                        set_word_bit(retired_row, tx as usize);
-                    }
+        for_each_claimed(workers, &mut bands, |(band, retired_row, stats), ty| {
+            let ty = ty as u32;
+            let n_px = (tile * tile) as usize;
+            let mut acc: Vec<PixelAccumulator> = vec![PixelAccumulator::new(); n_px];
+            let mut in_bounds = vec![false; n_px];
+            // Pixel-center coordinates and the per-warp alpha staging
+            // the flat kernel writes into.
+            let mut px_center = vec![0.0f32; n_px];
+            let mut py_center = vec![0.0f32; n_px];
+            let mut alphas = vec![0.0f32; 32];
+            let mut warp_state = Vec::new();
+            for tx in 0..tiles_x {
+                let list = &tile_lists[(ty * tiles_x + tx) as usize];
+                if list.is_empty() {
+                    continue;
                 }
-            },
-        );
+                acc.fill(PixelAccumulator::new());
+                self.sweep_tile(
+                    stream,
+                    list,
+                    (tx, ty),
+                    (width, height),
+                    band,
+                    TileScratch {
+                        acc: &mut acc,
+                        in_bounds: &mut in_bounds,
+                        px_center: &mut px_center,
+                        py_center: &mut py_center,
+                        alphas: &mut alphas,
+                        warp_state: &mut warp_state,
+                        retired_row,
+                    },
+                    stats,
+                );
+                // Tile retirement bookkeeping: a tile whose every
+                // in-bounds pixel saturated past the termination
+                // threshold is dead for all remaining work. The sweep
+                // marks the band's bitset row when it abandons a tile
+                // mid-list (all warps exited), which short-circuits the
+                // accumulator scan here; a tile that saturates only on
+                // its final splat is caught by the scan.
+                stats.tiles_swept += 1;
+                let retired = get_word_bit(retired_row, tx as usize)
+                    || acc
+                        .iter()
+                        .zip(&in_bounds)
+                        .all(|(a, &ib)| !ib || a.alpha() >= EARLY_TERMINATION_THRESHOLD);
+                if retired {
+                    stats.retired_tiles += 1;
+                    set_word_bit(retired_row, tx as usize);
+                }
+            }
+        });
 
         let mut stats = SwStats {
             duplicated_keys,

@@ -135,17 +135,12 @@ pub fn fragment_workload_with(
         .chunks_mut((band_rows * width) as usize)
         .map(|band| (band, 0u64, 0u64))
         .collect();
-    for_each_claimed(
-        &mut vec![(); workers],
-        &mut bands,
-        None,
-        |_, (band, fragments, max_chain), b| {
-            let row0 = b as u32 * band_rows;
-            let row1 = (row0 + band_rows).min(height);
-            *fragments = scan_band(&stream, band, (row0, row1), width, height);
-            *max_chain = band.iter().copied().max().unwrap_or(0) as u64;
-        },
-    );
+    for_each_claimed(workers, &mut bands, |(band, fragments, max_chain), b| {
+        let row0 = b as u32 * band_rows;
+        let row1 = (row0 + band_rows).min(height);
+        *fragments = scan_band(&stream, band, (row0, row1), width, height);
+        *max_chain = band.iter().copied().max().unwrap_or(0) as u64;
+    });
     let fragments: u64 = bands.iter().map(|&(_, f, _)| f).sum();
     let max_chain = bands.iter().map(|&(.., c)| c).max().unwrap_or(0);
     // Quads approximated as fragments / mean quad occupancy (~3.2 of 4

@@ -137,7 +137,6 @@ pub fn render_multipass(
         .zip(stencil.chunks_mut(band_len))
         .map(|(color, stencil)| (color, stencil, (0u64, 0u64, 0u64)))
         .collect();
-    let workers = &mut vec![(); workers];
 
     let batch_len = splats.len().div_ceil(passes).max(1);
     let mut time_cycles = 0.0f64;
@@ -148,16 +147,11 @@ pub fn render_multipass(
     for (pass, start) in (0..splats.len()).step_by(batch_len).enumerate() {
         let batch = start..(start + batch_len).min(splats.len());
         // --- Draw call 1: blend the batch under the stencil test. ---
-        for_each_claimed(
-            workers,
-            &mut bands,
-            None,
-            |_, (color, stencil, counts), b| {
-                let row0 = b as u32 * band_rows;
-                let rows = (row0, (row0 + band_rows).min(height));
-                *counts = blend_band(&stream, batch.clone(), color, stencil, rows, width, height);
-            },
-        );
+        for_each_claimed(workers, &mut bands, |(color, stencil, counts), b| {
+            let row0 = b as u32 * band_rows;
+            let rows = (row0, (row0 + band_rows).min(height));
+            *counts = blend_band(&stream, batch.clone(), color, stencil, rows, width, height);
+        });
         let mut pass_raster = 0u64;
         let mut pass_blend = 0u64;
         for &(.., (raster, blend, disc)) in &bands {
@@ -172,7 +166,7 @@ pub fn render_multipass(
 
         // --- Draw call 2: stencil update (skipped after the last pass). ---
         if pass + 1 < passes {
-            for_each_claimed(workers, &mut bands, None, |_, (color, stencil, _), _| {
+            for_each_claimed(workers, &mut bands, |(color, stencil, _), _| {
                 for (st, px) in stencil.iter_mut().zip(color.iter()) {
                     if !*st && px.a >= EARLY_TERMINATION_THRESHOLD {
                         *st = true;

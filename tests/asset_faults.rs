@@ -9,8 +9,11 @@
 //! against their solo references, exactly as if the reload never
 //! happened.
 
+#[path = "support/readers.rs"]
+mod readers;
+
 use gpu_sim::config::GpuConfig;
-use gsplat::asset::faults::{seeded_corruptions, Corruption, FailingReader, ShortReader};
+use gsplat::asset::faults::{seeded_corruptions, Corruption};
 use gsplat::asset::{
     decode_scene, encode_scene, load_scene, read_scene, save_scene, AssetError, GaussianDefect,
     LoadPolicy,
@@ -20,6 +23,7 @@ use gsplat::framebuffer::ColorBuffer;
 use gsplat::math::Vec3;
 use gsplat::preprocess::preprocess;
 use gsplat::scene::{Scene, EVALUATED_SCENES};
+use readers::{FailingReader, ShortReader};
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig};
 use swrender::multipass::{render_multipass, MultiPassConfig};
 use vrpipe::{
