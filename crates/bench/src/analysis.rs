@@ -13,7 +13,7 @@ use gsplat::preprocess::preprocess;
 use gsplat::scene::{EVALUATED_SCENES, LARGE_SCALE_SCENES};
 use vrpipe::{PipelineVariant, Renderer};
 
-use crate::common::{banner, default_scale, geomean, viewpoints};
+use crate::common::{banner, default_scale, eval_scenes, geomean, viewpoints};
 
 /// Fig. 20a/b/c: ROP and CROP-cache microbenchmarks.
 pub fn fig20() {
@@ -129,27 +129,24 @@ pub fn fig21() {
 
 /// Fig. 22: performance comparison with the GSCore accelerator.
 pub fn fig22() {
-    let scale = default_scale();
     banner(
         "Fig. 22",
         "Slowdown of VR-Pipe (HET+QM) relative to the GSCore accelerator",
     );
     println!("{:<8} {:>10}", "scene", "slowdown");
     let mut all = Vec::new();
-    for spec in &EVALUATED_SCENES {
-        let scene = spec.generate_scaled(scale);
-        let cam = scene.default_camera();
-        let pre = preprocess(&scene, &cam);
-        let vrp = Renderer::new(GpuConfig::default(), PipelineVariant::HetQm).render(&scene, &cam);
+    for s in eval_scenes() {
+        let pre = preprocess(&s.scene, &s.cam);
         let gs = estimate(
             &pre.splats,
-            cam.width(),
-            cam.height(),
+            s.cam.width(),
+            s.cam.height(),
             &GsCoreConfig::default(),
         );
-        let slowdown = vrp.stats.total_cycles as f64 / gs.cycles.max(1) as f64;
+        let vrp = &s.draw(PipelineVariant::HetQm).stats;
+        let slowdown = vrp.total_cycles as f64 / gs.cycles.max(1) as f64;
         all.push(slowdown);
-        println!("{:<8} {:>9.2}x", spec.name, slowdown);
+        println!("{:<8} {:>9.2}x", s.scene.spec.name, slowdown);
     }
     println!("{:<8} {:>9.2}x", "Geomean", geomean(&all));
     println!(

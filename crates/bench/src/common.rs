@@ -1,22 +1,27 @@
 //! Shared helpers for the figure-regeneration harness.
 
+use std::sync::OnceLock;
+
 use gpu_sim::config::GpuConfig;
-use gsplat::scene::SceneSpec;
-use vrpipe::{Frame, PipelineVariant, Renderer};
+use gpu_sim::stats::PipelineStats;
+use gsplat::camera::Camera;
+use gsplat::preprocess::preprocess;
+use gsplat::scene::{Scene, EVALUATED_SCENES};
+use swrender::cuda_like::{CudaLikeRenderer, SwConfig};
+use vrpipe::{PipelineVariant, Renderer, TimeBreakdown};
 
 /// Default linear scene scale for experiments. Override with the
-/// `VRPIPE_SCALE` environment variable (e.g. `VRPIPE_SCALE=0.2`).
+/// `VRPIPE_SCALE` environment variable (e.g. `VRPIPE_SCALE=0.12`).
 ///
-/// Ratios (speedups, reductions, utilisations) are not scale-stable below
-/// about 0.5: at small scales the frame shrinks while the unit
-/// capacities of `GpuConfig` do not, and e.g. the HET speedup of Fig. 16
-/// moves by ~25% between 0.06 and 1.0. Compare numbers at one scale.
+/// The default is 0.5, the smallest scale whose ratios match the full
+/// frame's: Fig. 16's geomeans at 0.5 and 1.0 agree within 1.3%. Below
+/// it they drift (DESIGN.md §2), so compare numbers at one scale.
 pub fn default_scale() -> f32 {
     std::env::var("VRPIPE_SCALE")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|s| *s > 0.0 && *s <= 1.0)
-        .unwrap_or(0.12)
+        .unwrap_or(0.5)
 }
 
 /// Viewpoints per scene for Fig. 21. Override with the
@@ -34,17 +39,76 @@ pub fn parse_viewpoints(var: Option<&str>) -> usize {
         .unwrap_or(8)
 }
 
-/// Renders one scene with every pipeline variant at the given scale.
-pub fn render_all_variants(spec: &SceneSpec, scale: f32) -> Vec<(PipelineVariant, Frame)> {
-    let scene = spec.generate_scaled(scale);
-    let cam = scene.default_camera();
-    PipelineVariant::ALL
-        .iter()
-        .map(|&v| {
-            let frame = Renderer::new(GpuConfig::default(), v).render(&scene, &cam);
-            (v, frame)
+/// One scene of the evaluation matrix (§VI): a Table II scene at
+/// [`default_scale`], its default camera, and one cell per frame the
+/// matrix figures read. A cell renders on first use and is kept for the
+/// process, so no frame renders twice. Cells keep no images.
+pub struct EvalScene {
+    pub scene: Scene,
+    pub cam: Camera,
+    /// One draw per [`PipelineVariant`], in declaration (= `ALL`) order.
+    draws: [OnceLock<Draw>; 4],
+    cuda_et: OnceLock<TimeBreakdown>,
+}
+
+/// What the matrix figures read of one simulated draw.
+pub struct Draw {
+    pub stats: PipelineStats,
+    pub time: TimeBreakdown,
+}
+
+/// The evaluation matrix: the six Table II scenes, generated on first use.
+pub fn eval_scenes() -> &'static [EvalScene] {
+    static TABLE: OnceLock<Vec<EvalScene>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let scale = default_scale();
+        EVALUATED_SCENES
+            .iter()
+            .map(|spec| {
+                let scene = spec.generate_scaled(scale);
+                EvalScene {
+                    cam: scene.default_camera(),
+                    scene,
+                    draws: Default::default(),
+                    cuda_et: OnceLock::new(),
+                }
+            })
+            .collect()
+    })
+}
+
+impl EvalScene {
+    /// The default-camera draw through `variant`.
+    pub fn draw(&self, variant: PipelineVariant) -> &Draw {
+        self.draws[variant as usize].get_or_init(|| {
+            let f = Renderer::new(GpuConfig::default(), variant).render(&self.scene, &self.cam);
+            Draw {
+                stats: f.stats,
+                time: f.time,
+            }
         })
-        .collect()
+    }
+
+    /// The CUDA-like frame with early termination, the strongest software
+    /// baseline, as a full-scale estimate: preprocessing from the
+    /// per-Gaussian cost model, sort and raster scaled by `1/scale²`.
+    pub fn cuda_et(&self) -> &TimeBreakdown {
+        self.cuda_et.get_or_init(|| {
+            let pre = preprocess(&self.scene, &self.cam);
+            let sw = CudaLikeRenderer::new(SwConfig::default(), true).render(
+                &pre.splats,
+                self.cam.width(),
+                self.cam.height(),
+            );
+            let scale2 = (self.scene.scale as f64) * (self.scene.scale as f64);
+            let gaussians = self.scene.spec.gaussians as f64;
+            TimeBreakdown {
+                preprocess_ms: gaussians * SwConfig::default().preprocess_ns_per_gaussian * 1e-6,
+                sort_ms: sw.sort_ms / scale2,
+                rasterize_ms: sw.rasterize_ms / scale2,
+            }
+        })
+    }
 }
 
 /// Geometric mean of a slice of positive values.

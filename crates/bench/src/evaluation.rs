@@ -1,12 +1,11 @@
 //! Main evaluation experiments: Tables I–III and Figs. 16–19.
 
 use gpu_sim::config::GpuConfig;
-use gsplat::preprocess::preprocess;
 use gsplat::scene::EVALUATED_SCENES;
-use swrender::cuda_like::{CudaLikeRenderer, SwConfig};
-use vrpipe::{EnergyModel, HardwareCost, PipelineVariant, Renderer};
+use vrpipe::PipelineVariant::{Baseline, Het, HetQm, Qm};
+use vrpipe::{EnergyModel, HardwareCost};
 
-use crate::common::{banner, default_scale, geomean, render_all_variants};
+use crate::common::{banner, eval_scenes, geomean};
 
 /// Table I: the simulation configuration.
 pub fn table1() {
@@ -84,21 +83,19 @@ pub fn table2() {
 
 /// Fig. 16: the headline speedups of QM / HET / HET+QM over the baseline.
 pub fn fig16() {
-    let scale = default_scale();
     banner("Fig. 16", "Speedup of VR-Pipe over the baseline GPU");
     println!(
         "{:<8} {:>9} {:>7} {:>7} {:>8}",
         "scene", "Baseline", "QM", "HET", "HET+QM"
     );
     let mut per_variant: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for spec in &EVALUATED_SCENES {
-        let frames = render_all_variants(spec, scale);
-        let base = frames[0].1.stats.total_cycles as f64;
-        let mut row = format!("{:<8} {:>8.2}x", spec.name, 1.0);
-        for (i, (_, f)) in frames.iter().skip(1).enumerate() {
-            let s = base / f.stats.total_cycles as f64;
-            per_variant[i].push(s);
-            row += &format!(" {:>6.2}x", s);
+    for s in eval_scenes() {
+        let base = s.draw(Baseline).stats.total_cycles as f64;
+        let mut row = format!("{:<8} {:>8.2}x", s.scene.spec.name, 1.0);
+        for (i, v) in [Qm, Het, HetQm].into_iter().enumerate() {
+            let speedup = base / s.draw(v).stats.total_cycles as f64;
+            per_variant[i].push(speedup);
+            row += &format!(" {:>6.2}x", speedup);
         }
         println!("{row}");
     }
@@ -116,7 +113,6 @@ pub fn fig16() {
 /// Fig. 17: overall end-to-end speedup (preprocess + sort + rasterize) of
 /// VR-Pipe over software (CUDA) and hardware (OpenGL) rendering, plus FPS.
 pub fn fig17() {
-    let scale = default_scale();
     banner(
         "Fig. 17",
         "End-to-end speedup of VR-Pipe vs SW (CUDA) and HW (OpenGL) rendering",
@@ -127,39 +123,18 @@ pub fn fig17() {
     );
     let mut vs_sw_all = Vec::new();
     let mut vs_hw_all = Vec::new();
-    for spec in &EVALUATED_SCENES {
-        let scene = spec.generate_scaled(scale);
-        let cam = scene.default_camera();
-        let pre = preprocess(&scene, &cam);
-        let scale2 = (scale as f64) * (scale as f64);
-
-        // SW-based (CUDA) *with* early termination (the paper's setup).
-        let sw = CudaLikeRenderer::new(SwConfig::default(), true).render(
-            &pre.splats,
-            cam.width(),
-            cam.height(),
-        );
-        let sw_total =
-            spec.gaussians as f64 * SwConfig::default().preprocess_ns_per_gaussian * 1e-6
-                + sw.sort_ms / scale2
-                + sw.rasterize_ms / scale2;
-
-        // HW-based (OpenGL) without early termination.
-        let hw =
-            Renderer::new(GpuConfig::default(), PipelineVariant::Baseline).render(&scene, &cam);
-        // VR-Pipe (HET+QM).
-        let vrp = Renderer::new(GpuConfig::default(), PipelineVariant::HetQm).render(&scene, &cam);
-
-        let vs_sw = sw_total / vrp.time.total_ms();
-        let vs_hw = hw.time.total_ms() / vrp.time.total_ms();
+    for s in eval_scenes() {
+        let vrp = &s.draw(HetQm).time;
+        let vs_sw = s.cuda_et().total_ms() / vrp.total_ms();
+        let vs_hw = s.draw(Baseline).time.total_ms() / vrp.total_ms();
         vs_sw_all.push(vs_sw);
         vs_hw_all.push(vs_hw);
         println!(
             "{:<8} {:>11.2}x {:>11.2}x {:>8.1}",
-            spec.name,
+            s.scene.spec.name,
             vs_sw,
             vs_hw,
-            vrp.time.fps()
+            vrp.fps()
         );
     }
     println!(
@@ -173,7 +148,6 @@ pub fn fig17() {
 
 /// Fig. 18: reduction ratio of quads and fragments blended by the ROP.
 pub fn fig18() {
-    let scale = default_scale();
     banner(
         "Fig. 18",
         "Reduction of ROP-blended quads and fragments vs baseline",
@@ -182,30 +156,22 @@ pub fn fig18() {
         "{:<8} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
         "scene", "QM-frag", "HET-frag", "H+Q-frag", "QM-quad", "HET-quad", "H+Q-quad"
     );
-    for spec in &EVALUATED_SCENES {
-        let frames = render_all_variants(spec, scale);
-        let base_f = frames[0].1.stats.crop_fragments as f64;
-        let base_q = frames[0].1.stats.crop_quads as f64;
-        let red = |i: usize| {
-            (
-                base_f / frames[i].1.stats.crop_fragments as f64,
-                base_q / frames[i].1.stats.crop_quads as f64,
-            )
-        };
-        let (qm_f, qm_q) = red(1);
-        let (het_f, het_q) = red(2);
-        let (hq_f, hq_q) = red(3);
-        println!(
-            "{:<8} | {:>7.2}x {:>7.2}x {:>7.2}x | {:>7.2}x {:>7.2}x {:>7.2}x",
-            spec.name, qm_f, het_f, hq_f, qm_q, het_q, hq_q
-        );
+    for s in eval_scenes() {
+        let base = &s.draw(Baseline).stats;
+        let ratio = |a: u64, b: u64| format!(" {:>7.2}x", a as f64 / b as f64);
+        let (mut frags, mut quads) = (String::new(), String::new());
+        for v in [Qm, Het, HetQm] {
+            let st = &s.draw(v).stats;
+            frags += &ratio(base.crop_fragments, st.crop_fragments);
+            quads += &ratio(base.crop_quads, st.crop_quads);
+        }
+        println!("{:<8} |{frags} |{quads}", s.scene.spec.name);
     }
     println!("-> paper: HET reduces fragments 2.52x / quads 1.90x; QM adds 1.30x / 1.32x on top.");
 }
 
 /// Fig. 19: energy efficiency of VR-Pipe over the baseline GPU.
 pub fn fig19() {
-    let scale = default_scale();
     banner(
         "Fig. 19",
         "Energy efficiency of VR-Pipe (HET+QM) over the baseline GPU",
@@ -214,11 +180,10 @@ pub fn fig19() {
     let model = EnergyModel::default();
     let cfg = GpuConfig::default();
     let mut all = Vec::new();
-    for spec in &EVALUATED_SCENES {
-        let frames = render_all_variants(spec, scale);
-        let eff = model.efficiency(&cfg, &frames[0].1.stats, &frames[3].1.stats);
+    for s in eval_scenes() {
+        let eff = model.efficiency(&cfg, &s.draw(Baseline).stats, &s.draw(HetQm).stats);
         all.push(eff);
-        println!("{:<8} {:>11.2}x", spec.name, eff);
+        println!("{:<8} {:>11.2}x", s.scene.spec.name, eff);
     }
     println!("{:<8} {:>11.2}x", "Geomean", geomean(&all));
     println!("-> paper: 1.65x average (up to 2.15x).");

@@ -21,9 +21,9 @@
 //! here. `tests/figures_golden.rs` pins the output.
 //!
 //! Environment:
-//! * `VRPIPE_SCALE` — linear scene scale (default 0.12). Ratios still
-//!   drift with scale below about 0.5 (speedups and reductions settle
-//!   only from there on), so compare numbers at one scale.
+//! * `VRPIPE_SCALE` — linear scene scale (default 0.5, where ratios match
+//!   the full-size frame's). Smaller scales run faster, but their ratios
+//!   drift (DESIGN.md §2), so compare numbers at one scale.
 //! * `VRPIPE_VIEWPOINTS` — viewpoints for fig21 (default 8; 0 and
 //!   unparsable values fall back to the default).
 

@@ -1,16 +1,15 @@
 //! Motivation & software-limitation experiments: Figs. 1, 5, 6, 7, 8, 9,
 //! 10, 11 of the paper.
 
-use gpu_sim::config::GpuConfig;
 use gpu_sim::stats::Unit;
 use gsplat::preprocess::preprocess;
 use gsplat::scene::EVALUATED_SCENES;
 use swrender::cuda_like::{CudaLikeRenderer, SwConfig};
 use swrender::inshader::{fragment_workload, normalized_time, BlendStrategy, InShaderConfig};
 use swrender::multipass::{render_multipass, MultiPassConfig};
-use vrpipe::{PipelineVariant, Renderer};
+use vrpipe::{PipelineVariant, TimeBreakdown};
 
-use crate::common::{banner, default_scale};
+use crate::common::{banner, default_scale, eval_scenes};
 
 /// Fig. 1: shader-core vs ROP scaling across GPU generations (static data
 /// from the paper's survey of NVIDIA desktop GPUs).
@@ -46,8 +45,8 @@ pub fn fig1() {
 }
 
 /// Fig. 5: CUDA vs OpenGL time breakdown (preprocess / sort / rasterize).
+/// CUDA runs with early termination as in Fig. 17; the shape is unaffected.
 pub fn fig5() {
-    let scale = default_scale();
     banner(
         "Fig. 5",
         "Software (CUDA) vs hardware (OpenGL) rendering time breakdown [ms, full-scale estimate]",
@@ -56,74 +55,42 @@ pub fn fig5() {
         "{:<8} | {:>10} {:>8} {:>9} {:>7} | {:>10} {:>8} {:>9} {:>7}",
         "scene", "CUDA-pre", "sort", "raster", "total", "GL-pre", "sort", "raster", "total"
     );
-    for spec in &EVALUATED_SCENES {
-        let scene = spec.generate_scaled(scale);
-        let cam = scene.default_camera();
-        let pre = preprocess(&scene, &cam);
-        let scale2 = (scale as f64) * (scale as f64);
-
-        // CUDA path (with early termination, as the strongest software
-        // baseline — matching Fig. 17's setup; Fig. 5's relative shape is
-        // unaffected).
-        let sw = CudaLikeRenderer::new(SwConfig::default(), true).render(
-            &pre.splats,
-            cam.width(),
-            cam.height(),
-        );
-        let (cp, cs, cr) = (
-            spec.gaussians as f64 * sw.config_preprocess_ns() * 1e-6,
-            sw.sort_ms / scale2,
-            sw.rasterize_ms / scale2,
-        );
-
-        // OpenGL path (hardware baseline pipeline).
-        let hw =
-            Renderer::new(GpuConfig::default(), PipelineVariant::Baseline).render(&scene, &cam);
-        let (gp, gs, gr) = (hw.time.preprocess_ms, hw.time.sort_ms, hw.time.rasterize_ms);
+    let cols = |t: &TimeBreakdown| {
+        format!(
+            "{:>10.1} {:>8.1} {:>9.1} {:>7.1}",
+            t.preprocess_ms,
+            t.sort_ms,
+            t.rasterize_ms,
+            t.total_ms()
+        )
+    };
+    for s in eval_scenes() {
         println!(
-            "{:<8} | {:>10.1} {:>8.1} {:>9.1} {:>7.1} | {:>10.1} {:>8.1} {:>9.1} {:>7.1}",
-            spec.name,
-            cp,
-            cs,
-            cr,
-            cp + cs + cr,
-            gp,
-            gs,
-            gr,
-            gp + gs + gr
+            "{:<8} | {} | {}",
+            s.scene.spec.name,
+            cols(s.cuda_et()),
+            cols(&s.draw(PipelineVariant::Baseline).time)
         );
     }
     println!("-> hardware rendering avoids per-tile duplication: smaller preprocess+sort, comparable raster.");
 }
 
-trait SwExt {
-    fn config_preprocess_ns(&self) -> f64;
-}
-impl SwExt for swrender::cuda_like::SwFrame {
-    fn config_preprocess_ns(&self) -> f64 {
-        SwConfig::default().preprocess_ns_per_gaussian
-    }
-}
-
 /// Fig. 6: throughput utilisation of each hardware unit (OpenGL baseline).
 pub fn fig6() {
-    let scale = default_scale();
     banner("Fig. 6", "Unit utilisation for OpenGL-based rendering [%]");
     println!(
         "{:<8} {:>6} {:>6} {:>8} {:>6}",
         "scene", "PROP", "CROP", "Raster", "SM"
     );
-    for spec in &EVALUATED_SCENES {
-        let scene = spec.generate_scaled(scale);
-        let cam = scene.default_camera();
-        let f = Renderer::new(GpuConfig::default(), PipelineVariant::Baseline).render(&scene, &cam);
+    for s in eval_scenes() {
+        let st = &s.draw(PipelineVariant::Baseline).stats;
         println!(
             "{:<8} {:>5.0}% {:>5.0}% {:>7.0}% {:>5.0}%",
-            spec.name,
-            100.0 * f.stats.utilization(Unit::Prop),
-            100.0 * f.stats.utilization(Unit::Crop),
-            100.0 * f.stats.utilization(Unit::Raster),
-            100.0 * f.stats.utilization(Unit::Sm),
+            s.scene.spec.name,
+            100.0 * st.utilization(Unit::Prop),
+            100.0 * st.utilization(Unit::Crop),
+            100.0 * st.utilization(Unit::Raster),
+            100.0 * st.utilization(Unit::Sm),
         );
     }
     println!("-> ROP-side units (PROP/CROP) dictate performance; SMs are underutilised.");

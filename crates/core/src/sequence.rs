@@ -539,14 +539,9 @@ pub struct SharedScene {
 impl SharedScene {
     /// Wraps `scene` for sharing, computing its content fingerprint once.
     pub fn new(scene: Scene) -> Self {
-        Self::from_arc(Arc::new(scene))
-    }
-
-    /// [`SharedScene::new`] over an existing `Arc<Scene>` (no clone).
-    pub fn from_arc(scene: Arc<Scene>) -> Self {
         let fingerprint = cloud_fingerprint(&scene.gaussians);
         Self {
-            scene,
+            scene: Arc::new(scene),
             fingerprint,
             index: OnceLock::new(),
         }
@@ -589,15 +584,6 @@ impl SharedScene {
     /// The shared index if some caller already built it.
     pub fn index_if_built(&self) -> Option<&Arc<SceneIndex>> {
         self.index.get()
-    }
-
-    /// A fresh per-stream [`Session`] prepared for `cfg` over this scene:
-    /// indexed configurations adopt the shared index instead of building
-    /// their own.
-    pub fn session(&self, policy: ThreadPolicy, cfg: &SequenceConfig) -> Session {
-        let mut session = Session::new(policy);
-        session.prepare_shared(self, cfg);
-        session
     }
 }
 
